@@ -27,7 +27,6 @@ from .pipeline import (
 from .preprocess import (
     EigenEstimate,
     EigenEstimateSet,
-    PreprocessConfig,
     build_qpe_circuit,
     extract_estimates,
     fixed_t0,
@@ -39,7 +38,6 @@ from .qlsp import (
     ClassicalSolution,
     EigenPair,
     classical_solution,
-    eigendecompose,
     evolution_unitary,
     generate_n2,
     generate_n4,

@@ -94,6 +94,8 @@ class ExperimentSpec:
                 raise ValueError(f"lambda values outside (0, 0.5): {bad}")
         if self.source == "file" and not self.path:
             raise ValueError("file source needs a problem path")
+        for variant in self.variants:
+            _run_config(self, variant)  # RunConfig validates each variant's settings
 
 
 def _spec_from_config(path: str) -> dict:

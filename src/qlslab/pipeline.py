@@ -36,7 +36,6 @@ from .inversion import (
 )
 from .preprocess import (
     EigenEstimateSet,
-    PreprocessConfig,
     fixed_t0,
     iterative_t0,
     qpe_gates,
@@ -52,6 +51,7 @@ from .sim import (
     inject_noise,
     inverted_gates,
     postselect,
+    register_matrix,
     sample,
     state_preparation_matrix,
 )
@@ -66,8 +66,7 @@ READOUTS = ("exact", "swap", "direct")
 class RunConfig:
     variant: str = "canonical"
     clock_bits: int = 3
-    preprocess_bits: int | None = None  # None: clock_bits, or 5 for enhanced
-    preprocess: PreprocessConfig | None = None  # overrides the flat fields below
+    preprocess_bits: int | None = None  # None: clock_bits, or max(clock_bits + 2, 5) for enhanced
     t0_mode: str = "fixed"  # fixed | iterative | explicit
     t0_value: float | None = None
     t0_lambda_max: float | None = None  # fixed mode; None uses the norm bound 1.0
@@ -84,13 +83,6 @@ class RunConfig:
     noise: NoiseSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.preprocess is not None:
-            self.preprocess_bits = self.preprocess.bit_width
-            self.preprocess_shots = self.preprocess.shots
-            self.preprocess_seed = self.preprocess.seed
-            self.preprocess_threshold = self.preprocess.relevance_threshold
-            self.t0_mode = self.preprocess.t0_mode
-            self.t0_value = self.preprocess.t0_value
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.readout not in READOUTS:
@@ -155,17 +147,6 @@ def assemble_hhl(qlsp: QLSP, clock_bits: int, t0: float, plan: InversionPlan) ->
     return circuit
 
 
-def _register_matrix(state: StateVector, qubits) -> np.ndarray:
-    """Amplitudes reshaped to (register outcomes, everything else)."""
-    qubits = tuple(int(q) for q in qubits)
-    n = state.num_qubits
-    tensor = state.amplitudes.reshape([2] * n)
-    front = [n - 1 - q for q in reversed(qubits)]
-    rest = [ax for ax in range(n) if ax not in front]
-    tensor = np.transpose(tensor, front + rest)
-    return tensor.reshape(2 ** len(qubits), -1)
-
-
 def projection_fidelity(state: StateVector, qubits, target) -> float:
     """sqrt of the probability that the register matches ``target``.
 
@@ -173,7 +154,7 @@ def projection_fidelity(state: StateVector, qubits, target) -> float:
     residual entanglement as the square root of the projector expectation.
     """
     target = np.asarray(target, dtype=complex).reshape(-1)
-    matrix = _register_matrix(state, qubits)
+    matrix = register_matrix(state.amplitudes, qubits)
     if matrix.shape[0] != target.shape[0]:
         raise ValueError("target length does not match the register")
     overlap = target.conj() @ matrix

@@ -64,32 +64,6 @@ class EigenEstimateSet:
         return cls(int(doc["l"]), float(doc["t0"]), bool(doc["signed"]), entries)
 
 
-@dataclass
-class PreprocessConfig:
-    bit_width: int = 5
-    shots: int | None = None  # None runs on exact Born weights
-    seed: int = 0
-    relevance_threshold: float | None = None  # None -> 2**-bit_width
-    t0_mode: str = "fixed"  # fixed | iterative | explicit
-    t0_value: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.bit_width < 1:
-            raise ValueError("bit_width must be at least 1")
-        if self.relevance_threshold is not None and not 0.0 < self.relevance_threshold < 1.0:
-            raise ValueError("relevance threshold must lie in (0, 1)")
-        if self.t0_mode not in ("fixed", "iterative", "explicit"):
-            raise ValueError(f"unknown t0 mode {self.t0_mode!r}")
-        if self.t0_mode == "explicit" and (self.t0_value is None or self.t0_value <= 0):
-            raise ValueError("explicit mode needs a positive t0 value")
-
-    @property
-    def threshold(self) -> float:
-        if self.relevance_threshold is not None:
-            return self.relevance_threshold
-        return 2.0 ** -self.bit_width
-
-
 def decode_grid_int(grid_int: int, bit_width: int, signed_mode: bool) -> int:
     """Two's-complement decode when signed, identity otherwise."""
     g = int(grid_int)
@@ -196,6 +170,26 @@ def estimates_from_probabilities(
     return EigenEstimateSet(bit_width, float(time_scale), bool(signed_mode), tuple(entries))
 
 
+def _histogram_probabilities(histogram: dict[str, int], bit_width: int) -> np.ndarray:
+    """Shot frequencies over clock-register integers."""
+    if not histogram:
+        raise EmptyEstimateError("empty histogram")
+    shots = sum(histogram.values())
+    probs = np.zeros(2**bit_width)
+    for key, count in histogram.items():
+        probs[int(key, 2)] += count / shots
+    return probs
+
+
+def _clock_probabilities(
+    qlsp: QLSP, bit_width: int, t0: float, shots: int | None, seed: int | None
+) -> np.ndarray:
+    """Clock distribution: exact Born weights with ``shots=None``, else shot frequencies."""
+    if shots is None:
+        return qpe_grid_probabilities(qlsp, bit_width, t0)
+    return _histogram_probabilities(qpe_histogram(qlsp, bit_width, t0, shots, seed), bit_width)
+
+
 def extract_estimates(
     histogram: dict[str, int],
     bit_width: int,
@@ -208,12 +202,7 @@ def extract_estimates(
     Weights are amplitudes, sqrt(count / shots), and the threshold applies to
     the amplitude.
     """
-    if not histogram:
-        raise EmptyEstimateError("empty histogram")
-    shots = sum(histogram.values())
-    probs = np.zeros(2**bit_width)
-    for key, count in histogram.items():
-        probs[int(key, 2)] += count / shots
+    probs = _histogram_probabilities(histogram, bit_width)
     return estimates_from_probabilities(probs, bit_width, time_scale, threshold, signed_mode)
 
 
@@ -232,11 +221,8 @@ def run_preprocessing(
     With ``shots=None`` the exact Born weights are used, which is the
     shot-noise-free setting for reproducing ideal-simulator results.
     """
-    if shots is None:
-        probs = qpe_grid_probabilities(qlsp, bit_width, t0)
-        return estimates_from_probabilities(probs, bit_width, t0, threshold, signed_mode)
-    histogram = qpe_histogram(qlsp, bit_width, t0, shots, seed)
-    return extract_estimates(histogram, bit_width, t0, threshold, signed_mode)
+    probs = _clock_probabilities(qlsp, bit_width, t0, shots, seed)
+    return estimates_from_probabilities(probs, bit_width, t0, threshold, signed_mode)
 
 
 def fixed_t0(lambda_max: float, bit_width: int, signed: bool = False) -> float:
@@ -253,47 +239,18 @@ def fixed_t0(lambda_max: float, bit_width: int, signed: bool = False) -> float:
     return TWO_PI * top / float(lambda_max)
 
 
-def _peak_coordinate(
-    qlsp: QLSP,
-    bit_width: int,
-    t0: float,
-    signed: bool,
-    shots: int | None,
-    seed: int | None,
-    threshold: float | None,
-) -> int:
-    """Largest |grid value| among the dominant estimates.
+def _strong_coordinates(est: EigenEstimateSet) -> list[int]:
+    """Decoded grid values of the entries within half the top weight.
 
-    Entries below half the top weight are ignored so that kernel tails never
-    drag the tracked coordinate away from the strongest eigenvalue branches.
+    Weaker entries are ignored so that kernel tails never drag the tracked
+    coordinate away from the strongest eigenvalue branches.
     """
-    est = run_preprocessing(
-        qlsp, bit_width, t0, shots=shots, seed=seed, threshold=threshold, signed_mode=signed
-    )
     cutoff = 0.5 * est.entries[0].weight
-    return max(
-        abs(decode_grid_int(e.grid_int, bit_width, signed))
+    return [
+        decode_grid_int(e.grid_int, est.bit_width, est.signed_mode)
         for e in est.entries
         if e.weight >= cutoff
-    )
-
-
-def _grid_weights(
-    qlsp: QLSP,
-    bit_width: int,
-    t0: float,
-    shots: int | None,
-    seed: int | None,
-) -> np.ndarray:
-    """Unthresholded amplitude weights over the full clock grid."""
-    if shots is None:
-        probs = qpe_grid_probabilities(qlsp, bit_width, t0)
-    else:
-        probs = np.zeros(2**bit_width)
-        histogram = qpe_histogram(qlsp, bit_width, t0, shots, seed)
-        for key, count in histogram.items():
-            probs[int(key, 2)] += count / shots
-    return np.sqrt(np.clip(probs, 0.0, None))
+    ]
 
 
 def _dominant_coordinate(
@@ -310,18 +267,11 @@ def _dominant_coordinate(
     Interpolates between the branch's bin and its heavier neighbor using the
     kernel's weight ratio, which is accurate to a few percent of a grid step.
     """
-    est = run_preprocessing(
-        qlsp, bit_width, t0, shots=shots, seed=seed, threshold=threshold, signed_mode=signed
-    )
-    cutoff = 0.5 * est.entries[0].weight
-    strong = [
-        decode_grid_int(e.grid_int, bit_width, signed)
-        for e in est.entries
-        if e.weight >= cutoff
-    ]
-    d_star = max(strong, key=abs)
+    probs = _clock_probabilities(qlsp, bit_width, t0, shots, seed)
+    est = estimates_from_probabilities(probs, bit_width, t0, threshold, signed)
+    d_star = max(_strong_coordinates(est), key=abs)
     size = 2**bit_width
-    weights = _grid_weights(qlsp, bit_width, t0, shots, seed)
+    weights = np.sqrt(np.clip(probs, 0.0, None))
     w_star = weights[d_star % size]
     w_up = weights[(d_star + 1) % size]
     w_down = weights[(d_star - 1) % size]
@@ -358,7 +308,11 @@ def iterative_t0(
     overflow_marker = 2 ** (bit_width - 1) if signed else None
 
     def peak(t: float) -> int:
-        return _peak_coordinate(qlsp, bit_width, t, signed, shots, seed, threshold)
+        """Largest |grid value| among the strong estimates at scale ``t``."""
+        est = run_preprocessing(
+            qlsp, bit_width, t, shots=shots, seed=seed, threshold=threshold, signed_mode=signed
+        )
+        return max(abs(d) for d in _strong_coordinates(est))
 
     t = float(initial_t0) if initial_t0 is not None else math.pi / 2.0
     for _ in range(64):

@@ -31,25 +31,32 @@ class ClassicalSolution:
     raw_norm: float
 
 
+def _system_arrays(matrix_a, vector_b) -> tuple[np.ndarray, np.ndarray]:
+    """Complex copies of a square, finite system with a nonzero right-hand side."""
+    a = np.array(matrix_a, dtype=complex)
+    b = np.array(vector_b, dtype=complex).reshape(-1)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidProblemError(f"matrix must be square, got shape {a.shape}")
+    if b.shape[0] != a.shape[0]:
+        raise InvalidProblemError("right-hand side length does not match the matrix")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise InvalidProblemError("matrix and right-hand side must be finite")
+    if float(np.linalg.norm(b)) < 1e-12:
+        raise InvalidProblemError("right-hand side is the zero vector")
+    return a, b
+
+
 class QLSP:
     """Hermitian system A x = b with cached spectrum and condition number."""
 
     def __init__(self, matrix_a, vector_b, scale: float = 1.0):
-        a = np.array(matrix_a, dtype=complex)
-        b = np.array(vector_b, dtype=complex).reshape(-1)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InvalidProblemError(f"matrix must be square, got shape {a.shape}")
+        a, b = _system_arrays(matrix_a, vector_b)
         n = a.shape[0]
         if n < 2 or n & (n - 1):
             raise InvalidProblemError(f"dimension must be a power of two >= 2, got {n}")
-        if b.shape[0] != n:
-            raise InvalidProblemError("right-hand side length does not match the matrix")
         if np.max(np.abs(a - a.conj().T)) > HERMITIAN_ATOL:
             raise InvalidProblemError("matrix is not Hermitian within 1e-10")
-        norm_b = float(np.linalg.norm(b))
-        if norm_b < 1e-12:
-            raise InvalidProblemError("right-hand side is the zero vector")
-        b = b / norm_b
+        b = b / float(np.linalg.norm(b))
 
         eigenvalues, vectors = np.linalg.eigh(a)
         largest = float(np.max(np.abs(eigenvalues)))
@@ -119,26 +126,14 @@ class QLSP:
         return cls(matrix, vector, scale=float(doc.get("scale", 1.0)))
 
 
-def eigendecompose(qlsp: QLSP) -> tuple[tuple[EigenPair, ...], float]:
-    """The cached spectrum and condition number of a problem."""
-    return qlsp.spectrum, qlsp.condition_number
-
-
 def hermitian_dilation(a, b) -> QLSP:
     """Embed a general square system into a Hermitian one of twice the size.
 
     Builds [[0, A], [A^H, 0]] with right-hand side (b, 0); the dilated
     spectrum is symmetric about zero.
     """
-    a = np.array(a, dtype=complex)
-    b = np.array(b, dtype=complex).reshape(-1)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidProblemError(f"matrix must be square, got shape {a.shape}")
+    a, b = _system_arrays(a, b)
     n = a.shape[0]
-    if b.shape[0] != n:
-        raise InvalidProblemError("right-hand side length does not match the matrix")
-    if float(np.linalg.norm(b)) < 1e-12:
-        raise InvalidProblemError("right-hand side is the zero vector")
     block = np.zeros((2 * n, 2 * n), dtype=complex)
     block[:n, n:] = a
     block[n:, :n] = a.conj().T

@@ -146,6 +146,8 @@ class StateVector:
                 f"expected {2**num_qubits} amplitudes for {num_qubits} qubit(s), got {arr.shape}"
             )
         if validate:
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("amplitudes must be finite")
             norm = float(np.linalg.norm(arr))
             if abs(norm - 1.0) > 1e-9:
                 raise ValueError(f"amplitudes must have unit norm, got {norm}")
@@ -230,11 +232,6 @@ class Circuit:
             Gate(GateKind.UNITARY, tuple(targets), tuple(controls), matrix=matrix)
         )
 
-    def inverse(self) -> "Circuit":
-        inv = Circuit(self.num_qubits, self.register_map)
-        inv.gates = [g.dagger() for g in reversed(self.gates)]
-        return inv
-
     def __len__(self) -> int:
         return len(self.gates)
 
@@ -244,7 +241,8 @@ def inverted_gates(gates: Sequence[Gate]) -> list[Gate]:
     return [g.dagger() for g in reversed(gates)]
 
 
-def _apply_gate(vec: np.ndarray, gate: Gate) -> np.ndarray:
+def _apply_gate(vec: np.ndarray, gate: Gate) -> None:
+    """Apply one gate to ``vec`` in place."""
     dim = vec.shape[0]
     idx = np.arange(dim)
     mask = np.ones(dim, dtype=bool)
@@ -254,16 +252,14 @@ def _apply_gate(vec: np.ndarray, gate: Gate) -> np.ndarray:
         mask &= ((idx >> t) & 1) == 0
     base = idx[mask]
     if base.size == 0:
-        return vec
+        return
     span = 1 << len(gate.targets)
     offsets = np.array(
         [sum(((j >> p) & 1) << t for p, t in enumerate(gate.targets)) for j in range(span)],
         dtype=np.int64,
     )
     gather = base[None, :] + offsets[:, None]
-    out = vec.copy()
-    out[gather] = np.tensordot(gate.resolved_matrix(), vec[gather], axes=(1, 0))
-    return out
+    vec[gather] = np.tensordot(gate.resolved_matrix(), vec[gather], axes=(1, 0))
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
@@ -274,7 +270,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
         )
     vec = np.array(state.amplitudes, dtype=complex)
     for gate in circuit.gates:
-        vec = _apply_gate(vec, gate)
+        _apply_gate(vec, gate)
     return StateVector(circuit.num_qubits, vec, validate=False)
 
 
@@ -283,7 +279,7 @@ def circuit_matrix(circuit: Circuit) -> np.ndarray:
     dim = 2**circuit.num_qubits
     mat = np.eye(dim, dtype=complex)
     for gate in circuit.gates:
-        mat = _apply_gate(mat, gate)
+        _apply_gate(mat, gate)
     return mat
 
 
@@ -308,27 +304,30 @@ def postselect(state: StateVector, qubit: int, outcome: int) -> tuple[StateVecto
     return StateVector(state.num_qubits, new, validate=False), prob
 
 
-def marginal_probabilities(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
-    """Outcome probabilities for a subset of qubits.
+def register_matrix(values: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
+    """Per-basis-state values reshaped to (register outcomes, everything else).
 
-    ``qubits[i]`` contributes bit ``i`` of the outcome index, matching the
-    global least-significant-first convention.
+    ``values`` holds one entry per basis state, such as amplitudes or
+    probabilities. ``qubits[i]`` contributes bit ``i`` of the row index,
+    matching the global least-significant-first convention.
     """
+    n = values.shape[0].bit_length() - 1
     qubits = tuple(int(q) for q in qubits)
     if not qubits:
         raise ValueError("at least one qubit is required")
     if len(set(qubits)) != len(qubits):
         raise ValueError("qubits must be unique")
-    if any(q < 0 or q >= state.num_qubits for q in qubits):
+    if any(q < 0 or q >= n for q in qubits):
         raise ValueError("qubit index out of range")
-    n = state.num_qubits
-    probs = np.abs(state.amplitudes.reshape([2] * n)) ** 2
     # axis (n - 1 - q) holds qubit q; order kept axes most-significant-first
     front = [n - 1 - q for q in reversed(qubits)]
     rest = [ax for ax in range(n) if ax not in front]
-    probs = np.transpose(probs, front + rest)
-    probs = probs.reshape(2 ** len(qubits), -1).sum(axis=1)
-    return probs
+    return np.transpose(values.reshape([2] * n), front + rest).reshape(2 ** len(qubits), -1)
+
+
+def marginal_probabilities(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
+    """Outcome probabilities for a subset of qubits, indexed as in ``register_matrix``."""
+    return register_matrix(np.abs(state.amplitudes) ** 2, qubits).sum(axis=1)
 
 
 def sample(

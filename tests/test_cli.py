@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +231,52 @@ def test_spec_validation():
         ExperimentSpec(source="file", path=None)
     with pytest.raises(ValueError):
         ExperimentSpec(source="n2-set", lambdas=[0.9])
+    # run settings are checked by RunConfig for every requested variant
+    with pytest.raises(ValueError, match="preprocess_bits"):
+        ExperimentSpec(clock_bits=5, preprocess_bits=5, variants=["enhanced"])
+    ExperimentSpec(clock_bits=5, preprocess_bits=5, variants=["canonical", "hybrid"])
+    with pytest.raises(ValueError, match="t0 mode"):
+        ExperimentSpec(t0_mode="adaptive")
+    with pytest.raises(ValueError, match="shots"):
+        ExperimentSpec(shots=0)
+
+
+GOLDEN_DIR = Path(__file__).parent / "data"
+GOLDEN_SPECS = {
+    # file name -> spec of the CLI recipe that wrote it
+    "sweep_count5.csv": dict(name="n2-sweep", source="n2-sweep", count=5),  # sweep --count 5
+    "sweep_count5_iterative.csv": dict(
+        name="n2-sweep", source="n2-sweep", count=5, t0_mode="iterative"
+    ),  # sweep --count 5 --t0-mode iterative
+    "n4_pairs01.csv": dict(name="n4-set", source="n4-set", pairs="0-1"),  # n4 --pairs 0-1
+}
+
+
+def _cell(text):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+@pytest.mark.parametrize("filename", sorted(GOLDEN_SPECS))
+def test_golden_output(tmp_path, filename):
+    """Recipe CSVs match the committed outputs: floats to 1e-12, the rest exactly."""
+    spec = ExperimentSpec(out=str(tmp_path / filename), **GOLDEN_SPECS[filename])
+    run_experiment(spec)
+    expected = _read_rows(GOLDEN_DIR / filename)
+    actual = _read_rows(tmp_path / filename)
+    assert len(actual) == len(expected)
+    for want_row, got_row in zip(expected, actual):
+        assert list(got_row) == list(want_row)
+        for column, want in want_row.items():
+            want, got = _cell(want), _cell(got_row[column])
+            if isinstance(want, float):
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12), column
+            else:
+                assert got == want, column
 
 
 def test_file_source(tmp_path):

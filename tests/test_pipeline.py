@@ -258,18 +258,18 @@ def test_enhanced_defaults_resolve_bits():
     assert config.preprocess_bits == config.clock_bits
 
 
-def test_nested_preprocess_config():
-    from qlslab.preprocess import PreprocessConfig
-
-    nested = PreprocessConfig(
-        bit_width=5, shots=2048, seed=9, t0_mode="explicit", t0_value=ON_GRID_T0
+def test_sampled_preprocess_config():
+    config = RunConfig(
+        variant="enhanced",
+        preprocess_bits=5,
+        preprocess_shots=2048,
+        preprocess_seed=9,
+        t0_mode="explicit",
+        t0_value=ON_GRID_T0,
     )
-    config = RunConfig(variant="enhanced", preprocess=nested)
-    assert config.preprocess_bits == 5
-    assert config.preprocess_shots == 2048
-    assert config.preprocess_seed == 9
-    assert config.t0_value == pytest.approx(ON_GRID_T0)
     result = run(generate_n2(1 / 3), config)
+    counts = sorted(round(e.weight**2 * 2048) for e in result.estimates.entries)
+    assert sum(counts) == 2048 and counts[0] < 1024  # shot frequencies, not exact halves
     assert result.error < 0.05  # sampled preprocessing on an on-grid instance
 
 

@@ -240,6 +240,19 @@ def test_iterative_t0_detects_aliased_start():
         iterative_t0(qlsp, 3, signed=False, initial_t0=aliased, max_doublings=3)
 
 
+@pytest.mark.parametrize(
+    "lam, expected",
+    # pinned scales: refactoring the search must not move a sampled result
+    [(0.1, 48.876899075039155), (0.25, 58.64306286700947), (0.4, 73.30143670127775)],
+)
+def test_iterative_t0_sampled(lam, expected):
+    qlsp = generate_n2(lam)
+    t0 = iterative_t0(qlsp, 3, signed=False, shots=4096, seed=5)
+    assert (1 - lam) * t0 / TWO_PI == pytest.approx(7.0, abs=0.1)
+    assert t0 == pytest.approx(expected, rel=1e-12)
+    assert iterative_t0(qlsp, 3, signed=False, shots=4096, seed=5) == t0
+
+
 def test_run_preprocessing_exact_matches_sampled_limit():
     qlsp = generate_n2(0.3)
     exact = run_preprocessing(qlsp, 3, 14 * math.pi)

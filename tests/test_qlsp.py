@@ -9,7 +9,6 @@ from qlslab.errors import InvalidProblemError, SingularProblemError
 from qlslab.qlsp import (
     QLSP,
     classical_solution,
-    eigendecompose,
     evolution_unitary,
     generate_n2,
     generate_n4,
@@ -17,6 +16,7 @@ from qlslab.qlsp import (
 )
 
 PAPER_N4_EIGENVALUES = (-21 / 24, -20 / 24, 5 / 24, 6 / 24)
+NAN, INF = float("nan"), float("inf")
 
 
 def _random_orthonormal(rng, dim):
@@ -124,6 +124,20 @@ def test_dilation_identity():
 def test_dilation_rejects_zero_rhs():
     with pytest.raises(InvalidProblemError):
         hermitian_dilation(np.eye(2), [0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([[NAN, 0.0], [0.0, 1.0]], [1.0, 0.0]),
+        ([[1.0, INF], [0.0, 1.0]], [1.0, 0.0]),
+        (np.eye(2), [NAN, 1.0]),
+        (np.eye(2), [-INF, 0.0]),
+    ],
+)
+def test_dilation_rejects_non_finite(a, b):
+    with pytest.raises(InvalidProblemError, match="finite"):
+        hermitian_dilation(a, b)
 
 
 def test_spectral_scaling_recorded():
@@ -234,8 +248,21 @@ def test_has_negative_eigenvalues_flag():
     assert generate_n4(PAPER_N4_EIGENVALUES, (0, 1), seed=7).has_negative_eigenvalues
 
 
-def test_eigendecompose_surface():
+def test_spectrum_surface():
     qlsp = generate_n2(1 / 3)
-    spectrum, kappa = eigendecompose(qlsp)
-    assert kappa == pytest.approx(2.0)
-    assert sorted(p.eigenvalue for p in spectrum) == pytest.approx([1 / 3, 2 / 3])
+    assert qlsp.condition_number == pytest.approx(2.0)
+    assert sorted(p.eigenvalue for p in qlsp.spectrum) == pytest.approx([1 / 3, 2 / 3])
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([[NAN, 0.0], [0.0, 1.0]], [1.0, 0.0]),
+        (np.diag([1.0, INF]), [1.0, 0.0]),
+        (np.diag([1.0, 0.5]), [INF, 0.0]),
+        (np.diag([1.0, 0.5]), [1.0, NAN]),
+    ],
+)
+def test_rejects_non_finite_input(a, b):
+    with pytest.raises(InvalidProblemError, match="finite"):
+        QLSP(a, b)

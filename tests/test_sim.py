@@ -16,6 +16,7 @@ from qlslab.sim import (
     gate_report,
     inject_noise,
     inner_product,
+    inverted_gates,
     marginal_probabilities,
     postselect,
     sample,
@@ -159,7 +160,8 @@ def test_inverse_round_trip():
     for trial in range(8):
         circuit = _random_circuit(rng, num_qubits=3, depth=15)
         state = apply_circuit(StateVector.zero(3), circuit)
-        back = apply_circuit(state, circuit.inverse())
+        inverse = Circuit(3).extend(inverted_gates(circuit.gates))
+        back = apply_circuit(state, inverse)
         assert np.max(np.abs(back.amplitudes - StateVector.zero(3).amplitudes)) < 1e-10
 
 
@@ -231,6 +233,15 @@ def test_statevector_immutable_and_validated():
         state.num_qubits = 3
     with pytest.raises(ValueError):
         StateVector(1, [1.0, 1.0])  # not unit norm
+
+
+@pytest.mark.parametrize(
+    "amplitudes",
+    [[math.nan, 0.0], [1.0, math.nan], [math.inf, 0.0], [complex(0.0, -math.inf), 0.0]],
+)
+def test_statevector_rejects_non_finite(amplitudes):
+    with pytest.raises(ValueError, match="finite"):
+        StateVector(1, amplitudes)
 
 
 def test_inject_noise_probability_zero():
