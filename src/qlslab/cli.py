@@ -289,71 +289,80 @@ def describe_problem(qlsp: QLSP, clock_bits: int, t0: float) -> str:
     return "\n".join(lines)
 
 
+def _fraction_list(text: str) -> list[float]:
+    try:
+        return [parse_fraction(v) for v in text.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}") from exc
+
+
+def _name_list(text: str) -> list[str]:
+    return [v.strip() for v in text.split(",") if v.strip()]
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=int, default=3, help="clock register bits")
-    parser.add_argument("--l", type=int, default=5, help="preprocessing bits (enhanced)")
-    parser.add_argument(
-        "--variant",
-        default="canonical,hybrid,enhanced",
-        help="comma-separated subset of canonical,hybrid,enhanced",
+    """Experiment flags; each ``dest`` is an ``ExperimentSpec`` field.
+
+    No experiment flag has a default: a flag not given leaves the config
+    value or the ``ExperimentSpec`` default in place.
+    """
+    flag = parser.add_argument
+    flag("--k", dest="clock_bits", type=int, metavar="K", help="clock register bits (default 3)")
+    flag(
+        "--l",
+        dest="preprocess_bits",
+        type=int,
+        metavar="L",
+        help="preprocessing bits (enhanced, default 5)",
     )
-    parser.add_argument(
+    flag(
+        "--variant",
+        dest="variants",
+        type=_name_list,
+        metavar="LIST",
+        help="comma-separated subset of canonical,hybrid,enhanced (default: all)",
+    )
+    flag(
         "--t0-mode",
-        default=None,
         help="fixed, iterative, or explicit=<value>; default: explicit=18pi for "
         "the two-dimensional families, fixed otherwise",
     )
-    parser.add_argument(
+    flag(
         "--t0-lambda-max",
         type=float,
-        default=None,
         help="eigenvalue bound for the fixed formula (default 1.0)",
     )
-    parser.add_argument("--angle-policy", choices=["paper", "least-squares"], default="least-squares")
-    parser.add_argument("--alpha", choices=["linear", "exact"], default="linear")
-    parser.add_argument("--readout", choices=["exact", "swap", "direct"], default="exact")
-    parser.add_argument("--shots", type=int, default=4096)
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--noise-p", type=float, default=0.0)
-    parser.add_argument("--noise-seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--out", default=None, help="CSV output path")
-    parser.add_argument("--summary", default=None, help="JSON summary path")
-    parser.add_argument("--config", default=None, help="flat JSON config file")
+    flag("--angle-policy", choices=["paper", "least-squares"])
+    flag("--alpha", dest="alpha_model", choices=["linear", "exact"])
+    flag("--readout", choices=["exact", "swap", "direct"])
+    flag("--shots", type=int)
+    flag("--seed", type=int)
+    flag("--noise-p", type=float)
+    flag("--noise-seed", type=int)
+    flag("--jobs", type=int)
+    flag("--out", help="CSV output path")
+    flag("--summary", dest="summary_out", metavar="PATH", help="JSON summary path")
+    flag("--config", default=None, help="flat JSON config file")
 
 
-def _spec_from_args(args, source: str, defaults: dict | None = None) -> ExperimentSpec:
-    values: dict = {"source": source}
+# command -> the spec values a config file or a flag may override
+EXPERIMENT_COMMANDS = {
+    "sweep": {"source": "n2-sweep", "name": "n2-sweep", "out": "sweep.csv"},
+    "set": {"source": "n2-set", "name": "n2-set", "out": "set.csv"},
+    "n4": {"source": "n4-set", "name": "n4-set", "out": "n4.csv"},
+}
+
+
+def _spec_from_args(args) -> ExperimentSpec:
+    """Command defaults, then the config file, then the flags actually given."""
+    values = dict(EXPERIMENT_COMMANDS[args.command])
     if args.config:
         values.update(_spec_from_config(args.config))
-    if defaults:
-        for key, val in defaults.items():
-            values.setdefault(key, val)
-    overrides = {
-        "clock_bits": args.k,
-        "preprocess_bits": args.l,
-        "variants": [v.strip() for v in args.variant.split(",") if v.strip()],
-        "t0_lambda_max": args.t0_lambda_max,
-        "angle_policy": args.angle_policy,
-        "alpha_model": args.alpha,
-        "readout": args.readout,
-        "shots": args.shots,
-        "seed": args.seed,
-        "noise_p": args.noise_p,
-        "noise_seed": args.noise_seed,
-        "jobs": args.jobs,
-    }
-    if args.t0_mode is not None:
-        if args.t0_mode.startswith("explicit="):
-            overrides["t0_mode"] = "explicit"
-            overrides["t0_value"] = float(args.t0_mode.split("=", 1)[1])
-        else:
-            overrides["t0_mode"] = args.t0_mode
-    if args.out:
-        overrides["out"] = args.out
-    if args.summary:
-        overrides["summary_out"] = args.summary
-    values.update(overrides)
+    given = {key: val for key, val in vars(args).items() if key not in ("command", "config")}
+    if given.get("t0_mode", "").startswith("explicit="):
+        given["t0_value"] = float(given["t0_mode"].split("=", 1)[1])
+        given["t0_mode"] = "explicit"
+    values.update(given)
     return ExperimentSpec(**values)
 
 
@@ -363,28 +372,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sweep = sub.add_parser("sweep", help="two-dimensional family parameter sweep")
-    p_sweep.add_argument("--count", type=int, default=99)
-    p_sweep.add_argument("--lambda-min", type=float, default=0.005)
-    p_sweep.add_argument("--lambda-max", type=float, default=0.495)
+    # experiment flags left out stay out of the namespace (see _spec_from_args)
+    experiment = dict(argument_default=argparse.SUPPRESS)
+    p_sweep = sub.add_parser("sweep", help="two-dimensional family parameter sweep", **experiment)
+    p_sweep.add_argument("--count", type=int, help="grid points (default 99)")
+    p_sweep.add_argument("--lambda-min", type=float, help="default 0.005")
+    p_sweep.add_argument("--lambda-max", type=float, help="default 0.495")
     _add_common_flags(p_sweep)
 
-    p_set = sub.add_parser("set", help="fixed list of two-dimensional instances")
+    p_set = sub.add_parser("set", help="fixed list of two-dimensional instances", **experiment)
     p_set.add_argument(
         "--lambdas",
-        default=None,
+        type=_fraction_list,
         help="comma-separated values, fractions allowed (default: the 9-instance benchmark)",
     )
     _add_common_flags(p_set)
 
-    p_n4 = sub.add_parser("n4", help="seeded four-dimensional instances")
+    p_n4 = sub.add_parser("n4", help="seeded four-dimensional instances", **experiment)
     p_n4.add_argument(
         "--eigenvalues",
-        default="-21/24,-20/24,5/24,6/24",
-        help="four comma-separated values, fractions allowed",
+        type=_fraction_list,
+        help="four comma-separated values, fractions allowed (default -21/24,-20/24,5/24,6/24)",
     )
-    p_n4.add_argument("--pairs", default="all", help='"all" or e.g. "0-1,2-3"')
-    p_n4.add_argument("--basis-seed", type=int, default=7)
+    p_n4.add_argument("--pairs", help='"all" (default) or e.g. "0-1,2-3"')
+    p_n4.add_argument("--basis-seed", type=int, help="default 7")
     _add_common_flags(p_n4)
 
     p_bounds = sub.add_parser("bounds", help="closed-form error bounds")
@@ -415,46 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args) -> int:
-    if args.command == "sweep":
-        spec = _spec_from_args(
-            args,
-            "n2-sweep",
-            defaults={
-                "name": "n2-sweep",
-                "count": args.count,
-                "lambda_min": getattr(args, "lambda_min"),
-                "lambda_max": getattr(args, "lambda_max"),
-                "out": "sweep.csv",
-            },
-        )
-        summary = run_experiment(spec)
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0
-    if args.command == "set":
-        lambdas = None
-        if args.lambdas:
-            lambdas = [parse_fraction(v) for v in args.lambdas.split(",")]
-        spec = _spec_from_args(
-            args, "n2-set", defaults={"name": "n2-set", "out": "set.csv"}
-        )
-        if lambdas:
-            spec.lambdas = lambdas
-        summary = run_experiment(spec)
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0
-    if args.command == "n4":
-        spec = _spec_from_args(
-            args,
-            "n4-set",
-            defaults={
-                "name": "n4-set",
-                "eigenvalues": [parse_fraction(v) for v in args.eigenvalues.split(",")],
-                "pairs": args.pairs,
-                "basis_seed": args.basis_seed,
-                "out": "n4.csv",
-            },
-        )
-        summary = run_experiment(spec)
+    if args.command in EXPERIMENT_COMMANDS:
+        summary = run_experiment(_spec_from_args(args))
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
     if args.command == "bounds":

@@ -4,8 +4,9 @@ A run prepares the right-hand side, performs phase estimation onto the clock
 register, applies the inversion plan, undoes phase estimation, post-selects
 the ancilla on |1>, and scores the surviving register state against the exact
 classical solution. Register layout (least significant first): solution
-register ``b``, clock ``c``, ancilla ``a``, then the swap-test register and
-its ancilla when that readout is requested.
+register ``b``, clock ``c``, ancilla ``a``. The swap-test readout appends its
+test register and control qubit above these to the simulated state at readout
+time, so the solver circuit is simulated once for every readout mode.
 
 Fidelity semantics: the exact readout reports the expectation of the
 projector onto the classical solution over the surviving register state,
@@ -93,6 +94,8 @@ class RunConfig:
             raise ValueError(f"unknown t0 mode {self.t0_mode!r}")
         if self.t0_mode == "explicit" and (self.t0_value is None or self.t0_value <= 0):
             raise ValueError("explicit t0 mode needs a positive value")
+        if self.t0_mode == "iterative" and self.variant == "canonical":
+            raise ValueError("the canonical variant has no preprocessing to guide an iterative t0")
         if self.preprocess_bits is None:
             default_l = self.clock_bits + 2 if self.variant == "enhanced" else self.clock_bits
             self.preprocess_bits = max(default_l, 5 if self.variant == "enhanced" else 1)
@@ -161,58 +164,42 @@ def projection_fidelity(state: StateVector, qubits, target) -> float:
     return float(np.linalg.norm(overlap))
 
 
-def _swap_test_circuit(base: Circuit, x) -> Circuit:
-    breg = base.register_map["b"]
-    nb = len(breg)
-    start = base.num_qubits
-    total = start + nb + 1
+def _swap_test_state(state: StateVector, register, x) -> StateVector:
+    """Swap-test ``register`` of ``state`` against ``x``; returns the final state.
+
+    The test register and its control qubit are appended in |0> above the
+    state's qubits, so the control is the most significant qubit.
+    """
+    start = state.num_qubits
+    total = start + len(register) + 1
     if total > MAX_QUBITS:
         raise CapacityError(f"{total} qubits exceed the simulator budget of {MAX_QUBITS}")
-    registers = dict(base.register_map)
-    st = tuple(range(start, start + nb))
-    st_a = start + nb
-    registers["st"] = st
-    registers["st_a"] = (st_a,)
-    circuit = Circuit(total, registers=registers)
-    circuit.gates = list(base.gates)
+    st = tuple(range(start, total - 1))
+    st_a = total - 1
+    circuit = Circuit(total)
     circuit.unitary(state_preparation_matrix(x), st)
     circuit.h(st_a)
-    for qb, qs in zip(breg, st):
+    for qb, qs in zip(register, st):
         circuit.swap(qb, qs, controls=((st_a, 1),))
     circuit.h(st_a)
-    return circuit
+    amplitudes = np.zeros(2**total, dtype=complex)
+    amplitudes[: 2**start] = state.amplitudes
+    return apply_circuit(StateVector(total, amplitudes, validate=False), circuit)
 
 
-def swap_test_fidelity(source, x, shots: int, seed: int | None = None) -> float:
-    """Estimate |<x~|x>| from swap-test statistics.
+def swap_test_fidelity(
+    state: StateVector, register, ancilla: int, x, shots: int, seed: int | None = None
+) -> float:
+    """Estimate |<x~|x>| from swap-test statistics on ``register`` of ``state``.
 
-    ``source`` is either a solver circuit (registers ``b`` and ``a``; shots
-    are conditioned on the ancilla reading 1) or a plain state on the
-    solution register. The estimator inverts P(1) = (1 - overlap^2) / 2 on
-    the conditioned shots.
+    Shots are conditioned on ``ancilla`` reading 1; the estimator inverts
+    P(1) = (1 - overlap^2) / 2 on the conditioned shots.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    if isinstance(source, StateVector):
-        base = Circuit(source.num_qubits, registers={"b": tuple(range(source.num_qubits))})
-        base.unitary(state_preparation_matrix(source.amplitudes), base.register_map["b"])
-        condition_on_ancilla = False
-    else:
-        base = source
-        if "b" not in base.register_map or "a" not in base.register_map:
-            raise ValueError("circuit must define the b and a registers")
-        condition_on_ancilla = True
-
-    circuit = _swap_test_circuit(base, x)
-    state = apply_circuit(StateVector.zero(circuit.num_qubits), circuit)
-    st_a = circuit.register_map["st_a"][0]
-    if condition_on_ancilla:
-        ancilla = circuit.register_map["a"][0]
-        counts = sample(state, (ancilla, st_a), shots, seed)
-        kept = {key: n for key, n in counts.items() if key[-1] == "1"}
-    else:
-        kept = sample(state, (st_a,), shots, seed)
-        kept = {key + "1": n for key, n in kept.items()}  # unconditioned source
+    tested = _swap_test_state(state, register, x)
+    counts = sample(tested, (ancilla, tested.num_qubits - 1), shots, seed)
+    kept = {key: n for key, n in counts.items() if key[-1] == "1"}
     total = sum(kept.values())
     if total == 0:
         raise InsufficientShotsError("no shot survived ancilla conditioning")
@@ -242,7 +229,7 @@ def direct_distribution_error(histogram: dict[str, int], x) -> float:
 def _resolve_t0(qlsp: QLSP, config: RunConfig, signed: bool) -> float:
     if config.t0_mode == "explicit":
         return float(config.t0_value)
-    if config.t0_mode == "iterative" and config.variant != "canonical":
+    if config.t0_mode == "iterative":
         return iterative_t0(
             qlsp,
             config.clock_bits,
@@ -304,7 +291,9 @@ def run(qlsp: QLSP, config: RunConfig) -> RunResult:
     if config.readout == "exact":
         fidelity = projection_fidelity(post, breg, solution.state_x) ** 2
     elif config.readout == "swap":
-        overlap = swap_test_fidelity(executed, solution.state_x, config.shots, config.seed)
+        overlap = swap_test_fidelity(
+            state, breg, ancilla, solution.state_x, config.shots, config.seed
+        )
         fidelity = overlap**2
     else:
         counts = sample(state, (ancilla,) + tuple(breg), config.shots, config.seed)

@@ -177,6 +177,8 @@ def _histogram_probabilities(histogram: dict[str, int], bit_width: int) -> np.nd
     shots = sum(histogram.values())
     probs = np.zeros(2**bit_width)
     for key, count in histogram.items():
+        if len(key) != bit_width or not set(key) <= {"0", "1"}:
+            raise ValueError(f"histogram key {key!r} is not a {bit_width}-bit string")
         probs[int(key, 2)] += count / shots
     return probs
 

@@ -9,6 +9,8 @@ import pytest
 from qlslab.cli import (
     CSV_COLUMNS,
     ExperimentSpec,
+    _spec_from_args,
+    build_parser,
     describe_problem,
     emit_plot_data,
     main,
@@ -116,16 +118,34 @@ def test_describe_ill_conditioned():
 
 def test_config_file_and_overrides(tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"count": 3, "shots": 128, "name": "from-config"}))
+    config.write_text(
+        json.dumps(
+            {
+                "count": 3,
+                "clock_bits": 4,
+                "shots": 1024,
+                "readout": "swap",
+                "variants": ["enhanced"],
+                "name": "from-config",
+            }
+        )
+    )
     out = tmp_path / "c.csv"
     code = main(
         ["sweep", "--config", str(config), "--out", str(out), "--seed", "3"]
     )
     assert code == 0
     rows = _read_rows(out)
-    assert len(rows) == 9
+    assert len(rows) == 3
+    assert {row["variant"] for row in rows} == {"enhanced"}
+    assert {row["k"] for row in rows} == {"4"}
     summary = json.loads((tmp_path / "c.summary.json").read_text())
     assert summary["name"] == "from-config"
+
+    # only flags given on the command line beat the config
+    args = build_parser().parse_args(["sweep", "--config", str(config), "--count", "7"])
+    spec = _spec_from_args(args)
+    assert (spec.count, spec.readout, spec.shots, spec.out) == (7, "swap", 1024, "sweep.csv")
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -249,6 +269,12 @@ GOLDEN_SPECS = {
         name="n2-sweep", source="n2-sweep", count=5, t0_mode="iterative"
     ),  # sweep --count 5 --t0-mode iterative
     "n4_pairs01.csv": dict(name="n4-set", source="n4-set", pairs="0-1"),  # n4 --pairs 0-1
+    "sweep_count5_swap_noisy.csv": dict(
+        name="n2-sweep", source="n2-sweep", count=5, readout="swap", noise_p=0.02
+    ),  # sweep --count 5 --readout swap --noise-p 0.02
+    "n4_pairs01_swap_noisy.csv": dict(
+        name="n4-set", source="n4-set", pairs="0-1", readout="swap", noise_p=0.01
+    ),  # n4 --pairs 0-1 --readout swap --noise-p 0.01
 }
 
 

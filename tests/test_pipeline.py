@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from qlslab import pipeline
+from qlslab.cli import PAPER_N4_EIGENVALUES
 from qlslab.errors import CapacityError, DegenerateRunError, InsufficientShotsError
 from qlslab.inversion import InversionPlan, plan_canonical
 from qlslab.pipeline import (
     RunConfig,
+    _swap_test_state,
     assemble_hhl,
     direct_distribution_error,
     error_from_fidelity,
@@ -15,14 +18,15 @@ from qlslab.pipeline import (
     run,
     swap_test_fidelity,
 )
-from qlslab.preprocess import qpe_gates
-from qlslab.qlsp import QLSP, generate_n2
+from qlslab.preprocess import fixed_t0, qpe_gates
+from qlslab.qlsp import QLSP, classical_solution, generate_n2, generate_n4
 from qlslab.sim import (
     Circuit,
     NoiseSpec,
     StateVector,
     apply_circuit,
     circuit_matrix,
+    inject_noise,
     inverted_gates,
     marginal_probabilities,
     state_preparation_matrix,
@@ -96,34 +100,89 @@ def test_run_result_error_fidelity_relation():
         )
 
 
+def _flagged(register_amplitudes, ancilla_bit=1):
+    """Register state on the low qubits with the conditioning ancilla above it."""
+    register = np.asarray(register_amplitudes, dtype=complex)
+    n = register.shape[0].bit_length() - 1
+    state = StateVector(n + 1, np.kron(np.eye(2)[ancilla_bit], register))
+    return state, tuple(range(n)), n
+
+
 def test_swap_test_identical_states():
-    state = StateVector(2, np.array([0.5, 0.5, 0.5, 0.5]))
-    estimate = swap_test_fidelity(state, state.amplitudes, shots=4096, seed=1)
+    amplitudes = np.array([0.5, 0.5, 0.5, 0.5])
+    state, register, ancilla = _flagged(amplitudes)
+    estimate = swap_test_fidelity(state, register, ancilla, amplitudes, shots=4096, seed=1)
     assert estimate == pytest.approx(1.0, abs=1e-12)
 
 
 def test_swap_test_orthogonal_states():
-    state = StateVector(1, [1.0, 0.0])
-    estimate = swap_test_fidelity(state, np.array([0.0, 1.0]), shots=8192, seed=2)
+    state, register, ancilla = _flagged([1.0, 0.0])
+    estimate = swap_test_fidelity(
+        state, register, ancilla, np.array([0.0, 1.0]), shots=8192, seed=2
+    )
     assert estimate == pytest.approx(0.0, abs=0.08)
 
 
 def test_swap_test_known_overlap():
-    """Overlap 0.8 gives P(ancilla = 1) = 0.18 exactly."""
-    a = np.array([1.0, 0.0])
+    """Overlap 0.8 gives P(st_a = 1) = 0.18 exactly."""
     b = np.array([0.8, 0.6])
-    state = StateVector(1, a)
-    circuit = Circuit(1, registers={"b": (0,)})
-    circuit.unitary(state_preparation_matrix(a), (0,))
-    from qlslab.pipeline import _swap_test_circuit
-
-    swap_circuit = _swap_test_circuit(circuit, b)
-    out = apply_circuit(StateVector.zero(swap_circuit.num_qubits), swap_circuit)
-    p_one = marginal_probabilities(out, swap_circuit.register_map["st_a"])[1]
+    state, register, ancilla = _flagged([1.0, 0.0])
+    out = _swap_test_state(state, register, b)
+    assert out.num_qubits == state.num_qubits + len(register) + 1
+    p_one = marginal_probabilities(out, (out.num_qubits - 1,))[1]
     assert p_one == pytest.approx((1 - 0.8**2) / 2, abs=1e-12)
-    estimate = swap_test_fidelity(state, b, shots=4096, seed=3)
+    estimate = swap_test_fidelity(state, register, ancilla, b, shots=4096, seed=3)
     sigma = math.sqrt(0.18 * 0.82 / 4096)
     assert abs(estimate**2 - 0.64) <= 2 * 4 * sigma
+
+
+def test_swap_readout_matches_full_circuit_reference():
+    """Appending the test register to the simulated state equals simulating
+    the noisy solver and the swap test as one wider circuit."""
+    qlsp = generate_n4(PAPER_N4_EIGENVALUES, (0, 1), 7)
+    t0 = fixed_t0(1.0, 3, signed=True)
+    circuit = assemble_hhl(qlsp, 3, t0, plan_canonical(3, t0, signed_mode=True))
+    executed = inject_noise(circuit, NoiseSpec(0.05, 3))
+    assert len(executed) > len(circuit)  # at least one Pauli error was drawn
+    breg = circuit.register_map["b"]
+    ancilla = circuit.register_map["a"][0]
+    x = classical_solution(qlsp).state_x
+
+    start = executed.num_qubits
+    st = tuple(range(start, start + len(breg)))
+    st_a = start + len(breg)
+    reference = Circuit(st_a + 1)
+    reference.extend(executed.gates)
+    reference.unitary(state_preparation_matrix(x), st)
+    reference.h(st_a)
+    for qb, qs in zip(breg, st):
+        reference.swap(qb, qs, controls=((st_a, 1),))
+    reference.h(st_a)
+    want = marginal_probabilities(
+        apply_circuit(StateVector.zero(reference.num_qubits), reference), (ancilla, st_a)
+    )
+
+    state = apply_circuit(StateVector.zero(executed.num_qubits), executed)
+    tested = _swap_test_state(state, breg, x)
+    got = marginal_probabilities(tested, (ancilla, tested.num_qubits - 1))
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_swap_readout_simulates_solver_once(monkeypatch):
+    """The readout's simulation carries only the swap-test gates."""
+    gate_counts = []
+
+    def counting_apply(state, circuit):
+        gate_counts.append(len(circuit))
+        return apply_circuit(state, circuit)
+
+    monkeypatch.setattr(pipeline, "apply_circuit", counting_apply)
+    qlsp = generate_n2(0.3)
+    config = RunConfig(
+        variant="canonical", t0_mode="explicit", t0_value=ON_GRID_T0, readout="swap"
+    )
+    result = run(qlsp, config)
+    assert gate_counts == [result.gate_count, qlsp.num_qubits + 3]
 
 
 def test_swap_and_exact_readouts_agree():
@@ -151,10 +210,10 @@ def test_swap_and_exact_readouts_agree():
 
 
 def test_swap_test_insufficient_shots():
-    circuit = Circuit(2, registers={"b": (0,), "a": (1,)})
-    circuit.h(0)  # ancilla stays |0>, so conditioning discards everything
+    # the ancilla stays |0>, so conditioning discards everything
+    state, register, ancilla = _flagged(np.array([1.0, 1.0]) / math.sqrt(2), ancilla_bit=0)
     with pytest.raises(InsufficientShotsError):
-        swap_test_fidelity(circuit, np.array([1.0, 0.0]), shots=64, seed=0)
+        swap_test_fidelity(state, register, ancilla, np.array([1.0, 0.0]), shots=64, seed=0)
 
 
 def test_direct_distribution_error_exact_distribution():
@@ -249,6 +308,8 @@ def test_run_config_validation():
         RunConfig(t0_mode="explicit")
     with pytest.raises(ValueError):
         RunConfig(readout="telepathy")
+    with pytest.raises(ValueError):
+        RunConfig(variant="canonical", t0_mode="iterative")
 
 
 def test_enhanced_defaults_resolve_bits():

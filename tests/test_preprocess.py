@@ -141,6 +141,12 @@ def test_extract_estimates_empty_cases():
         extract_estimates({"001": 500, "010": 500}, 3, 6 * math.pi, threshold=0.99)
 
 
+@pytest.mark.parametrize("key", ["0001", "1111", "01", "0b1", "0_1", "012"])
+def test_extract_estimates_rejects_malformed_keys(key):
+    with pytest.raises(ValueError, match="3-bit"):
+        extract_estimates({key: 10}, 3, 1.0)
+
+
 def test_extract_estimates_sorted_and_deterministic():
     histogram = {"001": 100, "010": 800, "011": 124}
     a = extract_estimates(histogram, 3, 6 * math.pi, threshold=0.05)
