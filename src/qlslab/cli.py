@@ -17,8 +17,9 @@ import csv
 import json
 import math
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -98,13 +99,30 @@ class ExperimentSpec:
             _run_config(self, variant)  # RunConfig validates each variant's settings
 
 
+# JSON types each ExperimentSpec field type accepts; bool is excluded separately
+_CONFIG_TYPES = {int: (int,), float: (int, float), str: (str,), list: (list,)}
+
+
 def _spec_from_config(path: str) -> dict:
     with open(path) as handle:
         doc = json.load(handle)
-    known = {f.name for f in fields(ExperimentSpec)}
-    unknown = set(doc) - known
+    if not isinstance(doc, dict):
+        raise ValueError("config must be a JSON object")
+    hints = typing.get_type_hints(ExperimentSpec)
+    unknown = set(doc) - set(hints)
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
+    for key, value in doc.items():
+        # ``list | None`` gives (list, NoneType); a plain ``int`` gives ()
+        allowed = typing.get_args(hints[key]) or (hints[key],)
+        if value is None:
+            fits = type(None) in allowed
+        else:
+            fits = not isinstance(value, bool) and any(
+                isinstance(value, _CONFIG_TYPES[t]) for t in allowed if t in _CONFIG_TYPES
+            )
+        if not fits:
+            raise ValueError(f"config key {key!r} does not take {json.dumps(value)}")
     return doc
 
 

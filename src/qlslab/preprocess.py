@@ -8,6 +8,7 @@ complement.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -97,7 +98,13 @@ def qft_gates(qubits) -> list[Gate]:
 
 
 def inverse_qft_gates(qubits) -> list[Gate]:
-    return inverted_gates(qft_gates(qubits))
+    """Adjoint of ``qft_gates(qubits)``; a fresh list over shared immutable gates."""
+    return list(_inverse_qft_tuple(tuple(int(q) for q in qubits)))
+
+
+@functools.lru_cache(maxsize=64)
+def _inverse_qft_tuple(qubits: tuple[int, ...]) -> tuple[Gate, ...]:
+    return tuple(inverted_gates(qft_gates(qubits)))
 
 
 def qpe_gates(qlsp: QLSP, clock, breg, t0: float) -> list[Gate]:

@@ -3,6 +3,8 @@
 Conventions:
     * Qubit 0 is the least significant bit of a basis-state index, so basis
       index ``i`` assigns qubit ``q`` the bit ``(i >> q) & 1``.
+    * Gates act on views of the amplitudes reshaped to the ``(2,) * n``
+      tensor, in which qubit ``q`` is axis ``n - 1 - q``.
     * Histogram keys render most-significant-first: for ``qubits=(a, b, c)``
       the key reads ``bit(c) bit(b) bit(a)``.
 
@@ -125,13 +127,29 @@ class Gate:
         if self.kind is GateKind.RY:
             return Gate(GateKind.RY, self.targets, self.controls, angle=-self.angle)
         if self.kind is GateKind.UNITARY:
-            return Gate(
-                GateKind.UNITARY,
-                self.targets,
-                self.controls,
-                matrix=np.array(self.matrix).conj().T,
+            # the adjoint of a validated unitary is unitary: skip re-validation
+            adjoint = self.matrix.conj().T
+            adjoint.setflags(write=False)
+            return Gate._unchecked(
+                kind=GateKind.UNITARY,
+                targets=self.targets,
+                controls=self.controls,
+                angle=None,
+                matrix=adjoint,
             )
         return self
+
+    @classmethod
+    def _unchecked(cls, **fields) -> "Gate":
+        """Set every field as given, without ``__post_init__``.
+
+        Only for values already in canonical form and derived from a
+        validated gate; public ``Gate(...)`` keeps every check.
+        """
+        gate = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(gate, name, value)
+        return gate
 
 
 class StateVector:
@@ -242,24 +260,19 @@ def inverted_gates(gates: Sequence[Gate]) -> list[Gate]:
 
 
 def _apply_gate(vec: np.ndarray, gate: Gate) -> None:
-    """Apply one gate to ``vec`` in place."""
-    dim = vec.shape[0]
-    idx = np.arange(dim)
-    mask = np.ones(dim, dtype=bool)
+    """Apply one gate in place to ``vec`` (amplitudes on axis 0, any trailing axes)."""
+    n = vec.shape[0].bit_length() - 1
+    index: list = [slice(None)] * n
     for q, pol in gate.controls:
-        mask &= ((idx >> q) & 1) == pol
-    for t in gate.targets:
-        mask &= ((idx >> t) & 1) == 0
-    base = idx[mask]
-    if base.size == 0:
-        return
+        index[n - 1 - q] = pol
+    # integer-indexing the control axes is basic indexing, so ``sub`` is a view
+    sub = vec.reshape((2,) * n + vec.shape[1:])[tuple(index)]
+    # targets[-1] leads so that targets[0] is the block-index LSB; each control
+    # axis above a target was indexed away and shifts that target's axis down
+    axes = [n - 1 - t - sum(q > t for q, _ in gate.controls) for t in reversed(gate.targets)]
+    block = sub.transpose(axes + [ax for ax in range(sub.ndim) if ax not in axes])
     span = 1 << len(gate.targets)
-    offsets = np.array(
-        [sum(((j >> p) & 1) << t for p, t in enumerate(gate.targets)) for j in range(span)],
-        dtype=np.int64,
-    )
-    gather = base[None, :] + offsets[:, None]
-    vec[gather] = np.tensordot(gate.resolved_matrix(), vec[gather], axes=(1, 0))
+    block[...] = (gate.resolved_matrix() @ block.reshape(span, -1)).reshape(block.shape)
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
@@ -293,15 +306,17 @@ def postselect(state: StateVector, qubit: int, outcome: int) -> tuple[StateVecto
         raise ValueError(f"qubit {qubit} out of range")
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
-    idx = np.arange(state.amplitudes.shape[0])
-    keep = ((idx >> qubit) & 1) == outcome
-    prob = float(np.sum(np.abs(state.amplitudes[keep]) ** 2))
+    # axis 1 of this view is the qubit; axes 0 and 2 are the bits above and below it
+    split = (2 ** (state.num_qubits - 1 - qubit), 2, 2**qubit)
+    kept = state.amplitudes.reshape(split)[:, outcome, :]
+    prob = float(np.sum(np.abs(kept) ** 2))
     if prob < 1e-15:
         raise ZeroProbabilityError(
             f"outcome {outcome} on qubit {qubit} has probability {prob:.3e}"
         )
-    new = np.where(keep, state.amplitudes, 0.0) / math.sqrt(prob)
-    return StateVector(state.num_qubits, new, validate=False), prob
+    new = np.zeros(split, dtype=complex)
+    new[:, outcome, :] = kept / math.sqrt(prob)
+    return StateVector(state.num_qubits, new.reshape(-1), validate=False), prob
 
 
 def register_matrix(values: np.ndarray, qubits: Sequence[int]) -> np.ndarray:

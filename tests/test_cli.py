@@ -10,6 +10,7 @@ from qlslab.cli import (
     CSV_COLUMNS,
     ExperimentSpec,
     _spec_from_args,
+    _spec_from_config,
     build_parser,
     describe_problem,
     emit_plot_data,
@@ -152,6 +153,24 @@ def test_config_rejects_unknown_keys(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"mystery_knob": 1}))
     assert main(["sweep", "--config", str(config)]) == 2
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"count": "3"}, {"clock_bits": 3.5}, {"shots": True}, {"count": None}, ["count"]],
+)
+def test_config_rejects_mistyped_values(tmp_path, capsys, doc):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_config_accepts_int_for_float_and_null_where_default_is_none(tmp_path):
+    config = tmp_path / "config.json"
+    doc = {"noise_p": 0, "t0_mode": None, "lambdas": None, "count": 2}
+    config.write_text(json.dumps(doc))
+    assert _spec_from_config(str(config)) == doc
 
 
 def test_cli_bounds_and_describe(capsys):

@@ -43,6 +43,14 @@ def test_inverse_qft_inverts():
     assert np.max(np.abs(circuit_matrix(circuit) - np.eye(8))) < 1e-12
 
 
+def test_inverse_qft_gates_returns_a_fresh_list():
+    first = inverse_qft_gates(range(3))
+    expected = list(first)
+    first.clear()
+    assert inverse_qft_gates(range(3)) == expected
+    assert inverse_qft_gates([0, 1, 2]) is not inverse_qft_gates([0, 1, 2])
+
+
 def _qpe_oracle_distribution(eigenvalues, projections, bits, t0):
     """Independent finite-sum model of the clock distribution.
 

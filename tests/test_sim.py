@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlslab.errors import InvalidCircuitError, InvalidGateError, ZeroProbabilityError
 from qlslab.sim import (
@@ -188,6 +190,73 @@ def _random_unitary(rng, dim):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(m)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _reference_matrix(gate, num_qubits):
+    """Full matrix of one gate, built column by column from basis indices."""
+    block = gate.resolved_matrix()
+    dim = 2**num_qubits
+    full = np.zeros((dim, dim), dtype=complex)
+    for col in range(dim):
+        if any((col >> q) & 1 != pol for q, pol in gate.controls):
+            full[col, col] = 1.0
+            continue
+        j = sum(((col >> t) & 1) << p for p, t in enumerate(gate.targets))
+        for i in range(block.shape[0]):
+            row = col
+            for p, t in enumerate(gate.targets):
+                row = (row & ~(1 << t)) | (((i >> p) & 1) << t)
+            full[row, col] = block[i, j]
+    return full
+
+
+@st.composite
+def _gate_on_register(draw):
+    kind = draw(st.sampled_from(list(GateKind)))
+    if kind is GateKind.SWAP:
+        arity = 2
+    elif kind is GateKind.UNITARY:
+        arity = draw(st.integers(1, 3))
+    else:
+        arity = 1
+    n = draw(st.integers(arity, 6))
+    qubits = draw(st.permutations(range(n)))
+    num_controls = draw(st.integers(0, min(3, n - arity)))
+    controls = tuple(
+        (q, draw(st.integers(0, 1))) for q in qubits[arity : arity + num_controls]
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    angle = draw(st.floats(-7.0, 7.0)) if kind is GateKind.RY else None
+    matrix = _random_unitary(rng, 2**arity) if kind is GateKind.UNITARY else None
+    gate = Gate(kind, tuple(qubits[:arity]), controls, angle=angle, matrix=matrix)
+    amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    return n, gate, StateVector(n, amps / np.linalg.norm(amps))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_gate_on_register())
+def test_gate_application_matches_basis_loop_reference(case):
+    n, gate, state = case
+    reference = _reference_matrix(gate, n)
+    circuit = Circuit(n).add(gate)
+    assert np.max(np.abs(circuit_matrix(circuit) - reference)) < 1e-12
+    out = apply_circuit(state, circuit)
+    assert np.max(np.abs(out.amplitudes - reference @ state.amplitudes)) < 1e-12
+
+
+def test_unitary_dagger_is_trusted_adjoint():
+    matrix = _random_unitary(np.random.default_rng(5), 4)
+    gate = Gate(GateKind.UNITARY, (2, 0), ((1, 0),), matrix=matrix)
+    adjoint = gate.dagger()
+    assert adjoint.kind is GateKind.UNITARY
+    assert (adjoint.targets, adjoint.controls) == ((2, 0), ((1, 0),))
+    assert np.array_equal(adjoint.matrix, matrix.conj().T)
+    assert not adjoint.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        adjoint.matrix[0, 0] = 0.0
+    assert np.array_equal(adjoint.dagger().matrix, gate.matrix)
+    with pytest.raises(InvalidGateError):
+        Gate(GateKind.UNITARY, (0, 1), matrix=2.0 * matrix)
 
 
 def test_circuit_matrix_identity():
