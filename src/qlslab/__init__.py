@@ -53,7 +53,6 @@ from .sim import (
     apply_circuit,
     gate_report,
     inject_noise,
-    inner_product,
     postselect,
     sample,
 )

@@ -18,7 +18,6 @@ import json
 import math
 import sys
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -59,12 +58,12 @@ class ExperimentSpec:
     count: int = 99
     lambda_min: float = 0.005
     lambda_max: float = 0.495
-    lambdas: list | None = None
-    eigenvalues: list = field(default_factory=lambda: list(PAPER_N4_EIGENVALUES))
+    lambdas: list[float] | None = None
+    eigenvalues: list[float] = field(default_factory=lambda: list(PAPER_N4_EIGENVALUES))
     pairs: str = "all"
     basis_seed: int = 7
     path: str | None = None
-    variants: list = field(default_factory=lambda: ["canonical", "hybrid", "enhanced"])
+    variants: list[str] = field(default_factory=lambda: ["canonical", "hybrid", "enhanced"])
     clock_bits: int = 3
     preprocess_bits: int = 5
     t0_mode: str | None = None  # None picks the per-source default
@@ -77,7 +76,6 @@ class ExperimentSpec:
     seed: int = 11
     noise_p: float = 0.0
     noise_seed: int = 0
-    jobs: int = 1
     out: str = "results.csv"
     summary_out: str | None = None
 
@@ -99,8 +97,20 @@ class ExperimentSpec:
             _run_config(self, variant)  # RunConfig validates each variant's settings
 
 
-# JSON types each ExperimentSpec field type accepts; bool is excluded separately
-_CONFIG_TYPES = {int: (int,), float: (int, float), str: (str,), list: (list,)}
+# JSON types each scalar ExperimentSpec annotation accepts; bool is excluded separately
+_CONFIG_TYPES = {int: (int,), float: (int, float), str: (str,)}
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation such as ``list[float] | None``."""
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
+    if typing.get_args(hint):  # a union
+        return any(_fits(value, option) for option in typing.get_args(hint))
+    if hint is type(None):
+        return value is None
+    return not isinstance(value, bool) and isinstance(value, _CONFIG_TYPES[hint])
 
 
 def _spec_from_config(path: str) -> dict:
@@ -113,15 +123,7 @@ def _spec_from_config(path: str) -> dict:
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
     for key, value in doc.items():
-        # ``list | None`` gives (list, NoneType); a plain ``int`` gives ()
-        allowed = typing.get_args(hints[key]) or (hints[key],)
-        if value is None:
-            fits = type(None) in allowed
-        else:
-            fits = not isinstance(value, bool) and any(
-                isinstance(value, _CONFIG_TYPES[t]) for t in allowed if t in _CONFIG_TYPES
-            )
-        if not fits:
+        if not _fits(value, hints[key]):
             raise ValueError(f"config key {key!r} does not take {json.dumps(value)}")
     return doc
 
@@ -161,22 +163,15 @@ def _problems(spec: ExperimentSpec) -> list[tuple[str, str, QLSP]]:
     return problems
 
 
-def _default_t0_mode(
-    spec: ExperimentSpec, ignore_requested: bool = False
-) -> tuple[str, float | None]:
-    if spec.t0_mode is not None and not ignore_requested:
-        return spec.t0_mode, spec.t0_value
-    if spec.source.startswith("n2"):
-        return "explicit", N2_SWEEP_T0
-    return "fixed", None
-
-
 def _run_config(spec: ExperimentSpec, variant: str) -> RunConfig:
-    t0_mode, t0_value = _default_t0_mode(spec)
-    if t0_mode == "iterative" and variant == "canonical":
-        # canonical runs have no preprocessing step to adapt; keep them on
-        # the experiment's baseline scale so the columns stay comparable
-        t0_mode, t0_value = _default_t0_mode(spec, ignore_requested=True)
+    t0_mode, t0_value = spec.t0_mode, spec.t0_value
+    if t0_mode is None or (t0_mode == "iterative" and variant == "canonical"):
+        # the per-source baseline scale; canonical runs have no preprocessing
+        # step to adapt, so they keep it and the columns stay comparable
+        if spec.source.startswith("n2"):
+            t0_mode, t0_value = "explicit", N2_SWEEP_T0
+        else:
+            t0_mode, t0_value = "fixed", None
     noise = NoiseSpec(spec.noise_p, spec.noise_seed) if spec.noise_p > 0 else None
     return RunConfig(
         variant=variant,
@@ -221,28 +216,12 @@ def _row(problem_id: str, label: str, qlsp: QLSP, result: RunResult) -> dict:
 
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Execute the batch, write the CSV and JSON summary, return the summary."""
-    problems = _problems(spec)
-    tasks = [
-        (i, problem_id, label, qlsp, variant)
-        for i, (problem_id, label, qlsp) in enumerate(problems)
-        for variant in spec.variants
-    ]
-
-    def work(task):
-        i, problem_id, label, qlsp, variant = task
-        result = run(qlsp, _run_config(spec, variant))
-        return i, variant, _row(problem_id, label, qlsp, result), result
-
-    if spec.jobs > 1:
-        with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-            outcomes = list(pool.map(work, tasks))
-    else:
-        outcomes = [work(task) for task in tasks]
-    order = {variant: rank for rank, variant in enumerate(spec.variants)}
-    outcomes.sort(key=lambda item: (item[0], order[item[1]]))
-
-    rows = [row for _, _, row, _ in outcomes]
-    results = [result for _, _, _, result in outcomes]
+    rows, results = [], []
+    for problem_id, label, qlsp in _problems(spec):
+        for variant in spec.variants:
+            result = run(qlsp, _run_config(spec, variant))
+            rows.append(_row(problem_id, label, qlsp, result))
+            results.append(result)
     out_path = Path(spec.out)
     if out_path.parent and not out_path.parent.exists():
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -357,7 +336,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     flag("--seed", type=int)
     flag("--noise-p", type=float)
     flag("--noise-seed", type=int)
-    flag("--jobs", type=int)
     flag("--out", help="CSV output path")
     flag("--summary", dest="summary_out", metavar="PATH", help="JSON summary path")
     flag("--config", default=None, help="flat JSON config file")

@@ -111,20 +111,17 @@ def _clamp(value: float) -> tuple[float, bool]:
     return value, False
 
 
-def plan_canonical(
-    bit_width: int, t0: float, c: float | None = None, signed_mode: bool = False
-) -> InversionPlan:
+def plan_canonical(bit_width: int, t0: float, signed_mode: bool = False) -> InversionPlan:
     """Uniformly controlled rotation over all 2**k - 1 nonzero patterns.
 
-    The default constant is the smallest nonzero grid value 2 pi / t0, so the
+    The constant is the smallest nonzero grid value 2 pi / t0, so the
     smallest positive pattern rotates by a full half turn.
     """
     if bit_width < 1:
         raise ValueError("bit_width must be at least 1")
     if t0 <= 0:
         raise ValueError("t0 must be positive")
-    if c is None:
-        c = TWO_PI / t0
+    c = TWO_PI / t0
     rotations = []
     for pattern in range(1, 2**bit_width):
         decoded = decode_grid_int(pattern, bit_width, signed_mode)
@@ -134,24 +131,20 @@ def plan_canonical(
     return InversionPlan(bit_width, tuple(rotations), float(c))
 
 
-def plan_hybrid(
-    estimates: EigenEstimateSet,
-    c: float | None = None,
-    max_rotations: int | None = None,
-) -> InversionPlan:
+def plan_hybrid(estimates: EigenEstimateSet, max_rotations: int | None = None) -> InversionPlan:
     """Rotations only at the grid patterns preprocessing found relevant.
 
-    ``max_rotations`` caps the plan at the most relevant estimates; the
-    solver passes the problem dimension here, since at most that many
-    eigenvalues carry solution weight.
+    The constant is the smallest kept estimate magnitude, so that estimate
+    rotates by a full half turn. ``max_rotations`` caps the plan at the most
+    relevant estimates; the solver passes the problem dimension here, since
+    at most that many eigenvalues carry solution weight.
     """
     entries = [e for e in estimates.entries if e.grid_int != 0]
     if max_rotations is not None:
         entries = entries[: max(1, int(max_rotations))]
     if not entries:
         raise EmptyPlanError("no relevant nonzero estimate to invert")
-    if c is None:
-        c = min(abs(e.lambda_tilde) for e in entries)
+    c = min(abs(e.lambda_tilde) for e in entries)
     rotations = []
     for e in entries:
         theta = 2.0 * math.asin(inversion_amplitude(e.lambda_tilde, c))

@@ -63,6 +63,10 @@ VARIANTS = ("canonical", "hybrid", "enhanced")
 READOUTS = ("exact", "swap", "direct")
 
 
+def _finite_positive(value: float | None) -> bool:
+    return value is not None and math.isfinite(value) and value > 0
+
+
 @dataclass
 class RunConfig:
     variant: str = "canonical"
@@ -71,11 +75,8 @@ class RunConfig:
     t0_mode: str = "fixed"  # fixed | iterative | explicit
     t0_value: float | None = None
     t0_lambda_max: float | None = None  # fixed mode; None uses the norm bound 1.0
-    signed: bool | None = None  # None: decided by the problem's spectrum
     preprocess_shots: int | None = None  # None runs on exact Born weights
     preprocess_seed: int = 0
-    preprocess_threshold: float | None = None  # None -> 2**-l
-    enhance_threshold: float | None = None  # None -> 2**-k
     angle_policy: str = "least-squares"
     alpha_model: str = "linear"
     readout: str = "exact"
@@ -92,8 +93,12 @@ class RunConfig:
             raise ValueError("clock_bits must be at least 1")
         if self.t0_mode not in ("fixed", "iterative", "explicit"):
             raise ValueError(f"unknown t0 mode {self.t0_mode!r}")
-        if self.t0_mode == "explicit" and (self.t0_value is None or self.t0_value <= 0):
-            raise ValueError("explicit t0 mode needs a positive value")
+        if self.t0_mode == "explicit" and not _finite_positive(self.t0_value):
+            raise ValueError(
+                f"explicit t0 mode needs a finite positive t0_value, not {self.t0_value}"
+            )
+        if self.t0_lambda_max is not None and not _finite_positive(self.t0_lambda_max):
+            raise ValueError(f"t0_lambda_max must be finite and positive, not {self.t0_lambda_max}")
         if self.t0_mode == "iterative" and self.variant == "canonical":
             raise ValueError("the canonical variant has no preprocessing to guide an iterative t0")
         if self.preprocess_bits is None:
@@ -236,7 +241,6 @@ def _resolve_t0(qlsp: QLSP, config: RunConfig, signed: bool) -> float:
             signed,
             shots=config.preprocess_shots,
             seed=config.preprocess_seed,
-            threshold=config.preprocess_threshold,
         )
     lambda_max = config.t0_lambda_max if config.t0_lambda_max is not None else 1.0
     return fixed_t0(lambda_max, config.clock_bits, signed)
@@ -246,7 +250,7 @@ def run(qlsp: QLSP, config: RunConfig) -> RunResult:
     """Execute one solver variant on one problem; deterministic per seeds."""
     k = config.clock_bits
     l = config.preprocess_bits
-    signed = config.signed if config.signed is not None else qlsp.has_negative_eigenvalues
+    signed = qlsp.has_negative_eigenvalues
     t0 = _resolve_t0(qlsp, config, signed)
 
     estimates = None
@@ -260,7 +264,6 @@ def run(qlsp: QLSP, config: RunConfig) -> RunResult:
             t0_fine,
             shots=config.preprocess_shots,
             seed=config.preprocess_seed,
-            threshold=config.preprocess_threshold,
             signed_mode=signed,
         )
         if config.variant == "hybrid":
@@ -268,11 +271,7 @@ def run(qlsp: QLSP, config: RunConfig) -> RunResult:
             plan = plan_hybrid(estimates, max_rotations=qlsp.dimension)
         else:
             plan = plan_enhanced(
-                estimates,
-                k,
-                filter_threshold=config.enhance_threshold,
-                angle_policy=config.angle_policy,
-                alpha_model=config.alpha_model,
+                estimates, k, angle_policy=config.angle_policy, alpha_model=config.alpha_model
             )
 
     circuit = assemble_hhl(qlsp, k, t0, plan)

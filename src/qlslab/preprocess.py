@@ -269,7 +269,6 @@ def _dominant_coordinate(
     signed: bool,
     shots: int | None,
     seed: int | None,
-    threshold: float | None,
 ) -> float:
     """Sub-grid coordinate magnitude of the largest strong eigenvalue branch.
 
@@ -277,7 +276,7 @@ def _dominant_coordinate(
     kernel's weight ratio, which is accurate to a few percent of a grid step.
     """
     probs = _clock_probabilities(qlsp, bit_width, t0, shots, seed)
-    est = estimates_from_probabilities(probs, bit_width, t0, threshold, signed)
+    est = estimates_from_probabilities(probs, bit_width, t0, signed_mode=signed)
     d_star = max(_strong_coordinates(est), key=abs)
     size = 2**bit_width
     weights = np.sqrt(np.clip(probs, 0.0, None))
@@ -298,7 +297,6 @@ def iterative_t0(
     *,
     shots: int | None = None,
     seed: int | None = None,
-    threshold: float | None = None,
     initial_t0: float | None = None,
     max_doublings: int = 12,
 ) -> float:
@@ -318,9 +316,7 @@ def iterative_t0(
 
     def peak(t: float) -> int:
         """Largest |grid value| among the strong estimates at scale ``t``."""
-        est = run_preprocessing(
-            qlsp, bit_width, t, shots=shots, seed=seed, threshold=threshold, signed_mode=signed
-        )
+        est = run_preprocessing(qlsp, bit_width, t, shots=shots, seed=seed, signed_mode=signed)
         return max(abs(d) for d in _strong_coordinates(est))
 
     t = float(initial_t0) if initial_t0 is not None else math.pi / 2.0
@@ -358,7 +354,7 @@ def iterative_t0(
     # enough to place the eigenvalue onto the coarse grid value exactly.
     fine_bits = bit_width + 3
     coord_fine = _dominant_coordinate(
-        qlsp, fine_bits, lo * 2 ** (fine_bits - bit_width), signed, shots, seed, threshold
+        qlsp, fine_bits, lo * 2 ** (fine_bits - bit_width), signed, shots, seed
     )
     lam_hat = TWO_PI * coord_fine / (lo * 2 ** (fine_bits - bit_width))
     result = TWO_PI * target / lam_hat
@@ -370,9 +366,7 @@ def iterative_t0(
     # eigenvalue sits at coordinate 0.35, the dominant estimate rounds to
     # zero, while a spectrum aliased by a grid period lands at 0.7 or above.
     verify_t = 0.35 * result / target
-    est = run_preprocessing(
-        qlsp, bit_width, verify_t, shots=shots, seed=seed, threshold=threshold, signed_mode=signed
-    )
+    est = run_preprocessing(qlsp, bit_width, verify_t, shots=shots, seed=seed, signed_mode=signed)
     if est.entries[0].grid_int != 0:
         raise AliasingError("verification run still decodes a nonzero estimate")
     return result

@@ -100,10 +100,6 @@ class QLSP:
     def has_negative_eigenvalues(self) -> bool:
         return bool(np.any(self.eigenvalues < 0))
 
-    @property
-    def max_abs_eigenvalue(self) -> float:
-        return float(np.max(np.abs(self.eigenvalues)))
-
     def to_json(self) -> str:
         def pairs(z):
             return [[float(v.real), float(v.imag)] for v in z]

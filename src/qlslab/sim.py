@@ -9,8 +9,8 @@ Conventions:
       the key reads ``bit(c) bit(b) bit(a)``.
 
 States are immutable and every operation returns a new value. Circuits are
-mutable builders, but simulation never modifies them, so a built circuit can
-be shared across worker threads. RNG state is always a per-call seed.
+mutable builders, but simulation never modifies them. RNG state is always a
+per-call seed.
 """
 from __future__ import annotations
 
@@ -106,7 +106,9 @@ class Gate:
                 raise InvalidGateError(
                     f"matrix shape {m.shape} does not act on {len(targets)} qubit(s)"
                 )
-            if np.max(np.abs(m.conj().T @ m - np.eye(dim))) > UNITARY_ATOL:
+            if not np.isfinite(m).all():
+                raise InvalidGateError("matrix entries must be finite")
+            if abs(m.conj().T @ m - np.eye(dim)).max() > UNITARY_ATOL:
                 raise InvalidGateError("matrix is not unitary within 1e-10")
             m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
@@ -233,12 +235,6 @@ class Circuit:
     def x(self, qubit: int, controls=()) -> "Circuit":
         return self.add(Gate(GateKind.PAULI_X, (qubit,), tuple(controls)))
 
-    def y(self, qubit: int, controls=()) -> "Circuit":
-        return self.add(Gate(GateKind.PAULI_Y, (qubit,), tuple(controls)))
-
-    def z(self, qubit: int, controls=()) -> "Circuit":
-        return self.add(Gate(GateKind.PAULI_Z, (qubit,), tuple(controls)))
-
     def ry(self, qubit: int, angle: float, controls=()) -> "Circuit":
         return self.add(Gate(GateKind.RY, (qubit,), tuple(controls), angle=angle))
 
@@ -357,13 +353,6 @@ def sample(
     counts = rng.multinomial(shots, probs)
     width = len(tuple(qubits))
     return {format(i, f"0{width}b"): int(c) for i, c in enumerate(counts) if c}
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b> with the left argument conjugated."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("states must have the same number of qubits")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def state_preparation_matrix(vector) -> np.ndarray:

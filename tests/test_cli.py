@@ -8,6 +8,7 @@ import pytest
 
 from qlslab.cli import (
     CSV_COLUMNS,
+    EXPERIMENT_COMMANDS,
     ExperimentSpec,
     _spec_from_args,
     _spec_from_config,
@@ -63,14 +64,6 @@ def test_single_variant_filter(tmp_path):
     rows = _read_rows(tmp_path / "one.csv")
     assert len(rows) == 1
     assert rows[0]["variant"] == "canonical"
-
-
-def test_jobs_parallel_matches_serial(tmp_path):
-    serial = ExperimentSpec(source="n2-sweep", count=4, jobs=1, out=str(tmp_path / "s.csv"))
-    parallel = ExperimentSpec(source="n2-sweep", count=4, jobs=4, out=str(tmp_path / "p.csv"))
-    run_experiment(serial)
-    run_experiment(parallel)
-    assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
 
 
 def test_n4_experiment(tmp_path):
@@ -157,13 +150,24 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 @pytest.mark.parametrize(
     "doc",
-    [{"count": "3"}, {"clock_bits": 3.5}, {"shots": True}, {"count": None}, ["count"]],
+    [
+        {"count": "3"},
+        {"clock_bits": 3.5},
+        {"shots": True},
+        {"count": None},
+        ["count"],
+        {"variants": [[1]]},
+        {"lambdas": [[1]]},
+        {"eigenvalues": [[1], 2, 3, 4]},
+        {"eigenvalues": [True, 2, 3, 4]},
+    ],
 )
 def test_config_rejects_mistyped_values(tmp_path, capsys, doc):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
-    assert main(["sweep", "--config", str(config)]) == 2
-    assert "error:" in capsys.readouterr().err
+    for command in EXPERIMENT_COMMANDS:
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_config_accepts_int_for_float_and_null_where_default_is_none(tmp_path):
@@ -217,24 +221,22 @@ def test_cli_sweep_smoke(tmp_path, capsys):
     assert summary["rows"] == 3
 
 
-def test_iterative_mode_keeps_canonical_baseline(tmp_path):
+@pytest.mark.parametrize(
+    "recipe, baseline",
+    [
+        (["sweep", "--count", "2"], 18 * math.pi),  # the explicit n2 scale
+        (["n4", "--pairs", "0-1"], 6 * math.pi),  # the signed fixed formula at k = 3
+    ],
+    ids=["sweep", "n4"],
+)
+def test_iterative_mode_keeps_canonical_baseline(tmp_path, recipe, baseline):
     out = tmp_path / "it.csv"
     code = main(
-        [
-            "sweep",
-            "--count",
-            "2",
-            "--t0-mode",
-            "iterative",
-            "--variant",
-            "canonical,enhanced",
-            "--out",
-            str(out),
-        ]
+        recipe + ["--t0-mode", "iterative", "--variant", "canonical,enhanced", "--out", str(out)]
     )
     assert code == 0
     rows = _read_rows(out)
-    baseline = 18 * math.pi
+    assert {row["variant"] for row in rows} == {"canonical", "enhanced"}
     for row in rows:
         if row["variant"] == "canonical":
             assert float(row["t0"]) == pytest.approx(baseline)
@@ -259,6 +261,18 @@ def test_cli_t0_mode_override(tmp_path):
     assert code == 0
     rows = _read_rows(tmp_path / "t.csv")
     assert float(rows[0]["t0"]) == pytest.approx(43.98229715025711)
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [(["--t0-mode", "explicit=nan"], "t0_value"), (["--t0-lambda-max", "inf"], "t0_lambda_max")],
+    ids=["t0-value", "t0-lambda-max"],
+)
+def test_cli_rejects_non_finite_time_scale_before_running(tmp_path, capsys, flags, field):
+    out = tmp_path / "bad.csv"
+    assert main(["sweep", "--count", "2", "--out", str(out)] + flags) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_spec_validation():

@@ -310,6 +310,11 @@ def test_run_config_validation():
         RunConfig(readout="telepathy")
     with pytest.raises(ValueError):
         RunConfig(variant="canonical", t0_mode="iterative")
+    for bad in (math.nan, math.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match="t0_value"):
+            RunConfig(t0_mode="explicit", t0_value=bad)
+        with pytest.raises(ValueError, match="t0_lambda_max"):
+            RunConfig(t0_lambda_max=bad)
 
 
 def test_enhanced_defaults_resolve_bits():

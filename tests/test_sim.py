@@ -17,7 +17,6 @@ from qlslab.sim import (
     circuit_matrix,
     gate_report,
     inject_noise,
-    inner_product,
     inverted_gates,
     marginal_probabilities,
     postselect,
@@ -136,17 +135,6 @@ def test_sample_requires_qubits_and_shots():
         sample(state, [], 10)
     with pytest.raises(ValueError):
         sample(state, [0], 0)
-
-
-def test_inner_products():
-    plus = StateVector(1, [SQRT1_2, SQRT1_2])
-    zero = StateVector.zero(1)
-    one = StateVector(1, [0, 1])
-    assert inner_product(zero, zero) == pytest.approx(1.0)
-    assert inner_product(zero, one) == pytest.approx(0.0)
-    assert inner_product(plus, zero) == pytest.approx(SQRT1_2)
-    with pytest.raises(ValueError):
-        inner_product(zero, StateVector.zero(2))
 
 
 def test_norm_preserved_on_random_circuits():
@@ -284,6 +272,15 @@ def test_gate_validation():
         Gate(GateKind.UNITARY, (0,), matrix=np.array([[1, 1], [0, 1]]))
     with pytest.raises(InvalidGateError):
         Gate(GateKind.PAULI_X, (0,), controls=((1, 2),))
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[[np.nan, 0], [0, 1]], [[np.inf, 0], [0, 1]], [[1, 0], [0, -np.inf]], [[1, np.nan], [0, 1]]],
+)
+def test_unitary_gate_rejects_non_finite_matrix(matrix):
+    with pytest.raises(InvalidGateError, match="finite"):
+        Gate(GateKind.UNITARY, (0,), matrix=matrix)
 
 
 def test_circuit_rejects_out_of_range_gate():
