@@ -87,6 +87,12 @@ class ExperimentSpec:
         unknown = set(self.variants) - {"canonical", "hybrid", "enhanced"}
         if unknown:
             raise ValueError(f"unknown variants {sorted(unknown)}")
+        if len(set(self.variants)) != len(self.variants):
+            raise ValueError(f"variants repeat a name: {self.variants}")
+        if self.t0_value is not None and self.t0_mode != "explicit":
+            raise ValueError(
+                f"t0_value is only used with t0_mode 'explicit', not {self.t0_mode!r}"
+            )
         if self.source.startswith("n2") and self.lambdas:
             bad = [v for v in self.lambdas if not 0.0 < float(v) < 0.5]
             if bad:

@@ -37,9 +37,9 @@ from .inversion import (
 )
 from .preprocess import (
     EigenEstimateSet,
+    build_qpe_circuit,
     fixed_t0,
     iterative_t0,
-    qpe_gates,
     run_preprocessing,
 )
 from .qlsp import QLSP, classical_solution
@@ -147,11 +147,10 @@ def assemble_hhl(qlsp: QLSP, clock_bits: int, t0: float, plan: InversionPlan) ->
     clock = tuple(range(nb, nb + clock_bits))
     ancilla = nb + clock_bits
     circuit = Circuit(total, registers={"b": breg, "c": clock, "a": (ancilla,)})
-    circuit.unitary(state_preparation_matrix(qlsp.vector_b), breg)
-    qpe = qpe_gates(qlsp, clock, breg, t0)
-    circuit.extend(qpe)
+    prefix = build_qpe_circuit(qlsp, clock_bits, t0).gates  # prepare b, then QPE
+    circuit.extend(prefix)
     circuit.extend(build_inversion_circuit(plan, clock, ancilla).gates)
-    circuit.extend(inverted_gates(qpe))
+    circuit.extend(inverted_gates(prefix[1:]))
     return circuit
 
 

@@ -1,5 +1,10 @@
 """Eigenvalue preprocessing: QPE circuits, estimate decoding, time-scale search.
 
+Preprocessing is noiseless, so its clock distributions are computed in A's
+eigenbasis (``qpe_state``) rather than by simulating the circuit that
+``build_qpe_circuit`` returns; the solver circuit reuses that circuit's gates
+and is simulated densely (``pipeline``).
+
 The time scale ``t0`` maps an eigenvalue ``lam`` to the clock-grid coordinate
 ``lam * t0 / (2 pi)``; adjacent grid points are one coordinate unit (a phase
 distance of 2 pi) apart, and an ``l``-bit register resolves integers in
@@ -22,7 +27,6 @@ from .sim import (
     Gate,
     GateKind,
     StateVector,
-    apply_circuit,
     inverted_gates,
     marginal_probabilities,
     sample,
@@ -133,19 +137,34 @@ def build_qpe_circuit(qlsp: QLSP, bit_width: int, t0: float) -> Circuit:
     return circuit
 
 
+def qpe_state(qlsp: QLSP, bit_width: int, t0: float) -> StateVector:
+    """Output state of ``build_qpe_circuit(qlsp, bit_width, t0)`` in closed form.
+
+    Eigenpair (lam, u, beta) leaves the clock in F^dagger D H |0>, whose
+    amplitude on bin m is c[m] = (1/T) sum_x exp(i x (lam t0 - 2 pi m) / T);
+    the state is sum_j beta_j c_j (x) u_j, with b on the low qubits as in the
+    circuit. One FFT over x gives every c_j.
+    """
+    if bit_width < 1:
+        raise ValueError("bit_width must be at least 1")
+    big_t = 2**bit_width
+    phases = np.exp(1j * np.outer(qlsp.eigenvalues * (float(t0) / big_t), np.arange(big_t)))
+    clock = np.fft.fft(phases, axis=1) / big_t  # clock[j, m] = c_j[m]
+    amplitudes = (clock.T * qlsp.projections) @ qlsp.eigenvectors.T  # [m, i]
+    return StateVector(qlsp.num_qubits + bit_width, amplitudes.reshape(-1), validate=False)
+
+
 def qpe_grid_probabilities(qlsp: QLSP, bit_width: int, t0: float) -> np.ndarray:
     """Exact Born distribution over clock-register integers."""
-    circuit = build_qpe_circuit(qlsp, bit_width, t0)
-    state = apply_circuit(StateVector.zero(circuit.num_qubits), circuit)
-    return marginal_probabilities(state, circuit.register_map["c"])
+    state = qpe_state(qlsp, bit_width, t0)
+    return marginal_probabilities(state, range(qlsp.num_qubits, state.num_qubits))
 
 
 def qpe_histogram(
     qlsp: QLSP, bit_width: int, t0: float, shots: int, seed: int | None = None
 ) -> dict[str, int]:
-    circuit = build_qpe_circuit(qlsp, bit_width, t0)
-    state = apply_circuit(StateVector.zero(circuit.num_qubits), circuit)
-    return sample(state, circuit.register_map["c"], shots, seed)
+    state = qpe_state(qlsp, bit_width, t0)
+    return sample(state, range(qlsp.num_qubits, state.num_qubits), shots, seed)
 
 
 def estimates_from_probabilities(
@@ -173,7 +192,9 @@ def estimates_from_probabilities(
         entries.append(EigenEstimate(g, TWO_PI * decoded / time_scale, weight))
     if not entries:
         raise EmptyEstimateError("no estimate reached the relevance threshold")
-    entries.sort(key=lambda e: (-e.weight, e.grid_int))
+    # weights equal in exact arithmetic can differ in the last bits: rank on
+    # 12 decimals so that such ties go to the smaller grid value
+    entries.sort(key=lambda e: (-round(e.weight, 12), e.grid_int))
     return EigenEstimateSet(bit_width, float(time_scale), bool(signed_mode), tuple(entries))
 
 

@@ -74,13 +74,19 @@ class QLSP:
             vec = np.array(vectors[:, i])
             vec.setflags(write=False)
             pairs.append(EigenPair(float(eigenvalues[i]), vec, complex(np.vdot(vec, b))))
+        # the spectrum stacked once: pair j is eigenvalue j, column j, projection j
+        vectors = np.ascontiguousarray(vectors)
+        projections = np.array([p.projection for p in pairs])
 
-        a.setflags(write=False)
-        b.setflags(write=False)
+        for array in (a, b, eigenvalues, vectors, projections):
+            array.setflags(write=False)
         self.matrix_a = a
         self.vector_b = b
         self.scale = float(scale)
         self.spectrum = tuple(pairs)
+        self.eigenvalues = eigenvalues
+        self.eigenvectors = vectors
+        self.projections = projections
         abs_eigs = np.abs(eigenvalues)
         self.condition_number = float(np.max(abs_eigs) / np.min(abs_eigs))
 
@@ -91,10 +97,6 @@ class QLSP:
     @property
     def num_qubits(self) -> int:
         return self.dimension.bit_length() - 1
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([p.eigenvalue for p in self.spectrum])
 
     @property
     def has_negative_eigenvalues(self) -> bool:
@@ -139,9 +141,7 @@ def hermitian_dilation(a, b) -> QLSP:
 
 def classical_solution(qlsp: QLSP) -> ClassicalSolution:
     """Exact normalized solution built from the cached spectrum."""
-    raw = np.zeros(qlsp.dimension, dtype=complex)
-    for pair in qlsp.spectrum:
-        raw += (pair.projection / pair.eigenvalue) * pair.eigenvector
+    raw = qlsp.eigenvectors @ (qlsp.projections / qlsp.eigenvalues)
     raw_norm = float(np.linalg.norm(raw))
     state = raw / raw_norm
     state.setflags(write=False)
@@ -192,5 +192,5 @@ def generate_n4(eigenvalues, pair, seed: int) -> QLSP:
 def evolution_unitary(qlsp: QLSP, time: float, power: int = 1, big_t: int = 1) -> np.ndarray:
     """exp(i A t power / big_t) built from the cached eigendecomposition."""
     phases = np.exp(1j * qlsp.eigenvalues * float(time) * int(power) / int(big_t))
-    vectors = np.column_stack([p.eigenvector for p in qlsp.spectrum])
+    vectors = qlsp.eigenvectors
     return (vectors * phases) @ vectors.conj().T

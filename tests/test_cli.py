@@ -200,6 +200,28 @@ def test_cli_invalid_spec_exit_code(tmp_path):
     assert code == 2
 
 
+def test_cli_rejects_repeated_variant(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    args = ["set", "--lambdas", "1/4", "--variant", "canonical,canonical", "--out", str(out)]
+    assert main(args) == 2
+    assert "repeat" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t0_mode", [None, "fixed", "iterative"])
+def test_config_t0_value_needs_explicit_mode(tmp_path, capsys, t0_mode):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"t0_value": 5.0, "t0_mode": t0_mode}))
+    out = tmp_path / "x.csv"
+    assert main(["set", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "t0_value" in err and "t0_mode" in err
+    assert not out.exists()
+    config.write_text(json.dumps({"t0_value": 5.0, "t0_mode": "explicit"}))
+    assert main(["set", "--config", str(config), "--variant", "canonical", "--out", str(out)]) == 0
+    assert {float(row["t0"]) for row in _read_rows(out)} == {5.0}
+
+
 def test_cli_missing_file_exit_code(tmp_path):
     assert main(["plot-data", "--csv", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o.csv")]) == 2
 

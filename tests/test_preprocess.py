@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlslab.errors import AliasingError, EmptyEstimateError
+from qlslab.inversion import plan_hybrid
 from qlslab.preprocess import (
     EigenEstimateSet,
     build_qpe_circuit,
     decode_grid_int,
+    estimates_from_probabilities,
     extract_estimates,
     fixed_t0,
     inverse_qft_gates,
@@ -16,10 +20,17 @@ from qlslab.preprocess import (
     qft_gates,
     qpe_grid_probabilities,
     qpe_histogram,
+    qpe_state,
     run_preprocessing,
 )
-from qlslab.qlsp import QLSP, generate_n2, generate_n4
-from qlslab.sim import Circuit, circuit_matrix
+from qlslab.qlsp import QLSP, generate_n2, generate_n4, hermitian_dilation
+from qlslab.sim import (
+    Circuit,
+    StateVector,
+    apply_circuit,
+    circuit_matrix,
+    marginal_probabilities,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -99,6 +110,64 @@ def test_qpe_zero_time_all_zero_bitstring():
     assert probs[0] == pytest.approx(1.0, abs=1e-12)
     histogram = qpe_histogram(generate_n2(0.3), 3, 0.0, shots=64, seed=1)
     assert histogram == {"000": 64}
+
+
+def _dense_qpe_state(qlsp, bits, t0):
+    """The preprocessing circuit simulated gate by gate."""
+    circuit = build_qpe_circuit(qlsp, bits, t0)
+    return apply_circuit(StateVector.zero(circuit.num_qubits), circuit)
+
+
+@st.composite
+def _qpe_case(draw):
+    """(problem, bits, t0): a random Hermitian system of dimension 2, 4 or 8
+    with a positive or a signed spectrum, or the Hermitian dilation of a
+    random general system."""
+    dim = draw(st.sampled_from([2, 4, 8]))
+    kind = draw(st.sampled_from(["positive", "signed", "dilation"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "dilation":
+        half = dim // 2
+        a = rng.standard_normal((half, half)) + 1j * rng.standard_normal((half, half))
+        qlsp = hermitian_dilation(a, rng.standard_normal(half) + 1j * rng.standard_normal(half))
+    else:
+        eigs = rng.uniform(0.05, 1.0, dim)
+        if kind == "signed":
+            eigs[: dim // 2] *= -1.0
+        z = rng.standard_normal((dim, dim + 1)) + 1j * rng.standard_normal((dim, dim + 1))
+        basis, _ = np.linalg.qr(z[:, :dim])
+        qlsp = QLSP(basis @ np.diag(eigs) @ basis.conj().T, z[:, dim])
+    bits = draw(st.integers(1, 6))
+    t0 = draw(st.one_of(st.just(0.0), st.floats(0.0, 60.0)))
+    return qlsp, bits, t0
+
+
+@settings(derandomize=True, deadline=None)
+@given(_qpe_case())
+def test_qpe_state_matches_dense_simulation(case):
+    qlsp, bits, t0 = case
+    closed = qpe_state(qlsp, bits, t0)
+    dense = _dense_qpe_state(qlsp, bits, t0)
+    assert closed.num_qubits == dense.num_qubits == qlsp.num_qubits + bits
+    assert np.max(np.abs(closed.amplitudes - dense.amplitudes)) < 1e-12
+
+
+def test_qpe_state_rejects_empty_clock():
+    with pytest.raises(ValueError, match="bit_width"):
+        qpe_state(generate_n2(0.3), 0, 1.0)
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.06, 0.13, 0.14, 0.145, 0.15, 0.16])
+def test_hybrid_tie_goes_to_the_smaller_grid_value(lam):
+    """Grid values 2 and 7 carry equal weights here in exact arithmetic; both
+    clock-distribution paths must rank 2 first, so the capped hybrid plan
+    rotates patterns 1 and 2."""
+    qlsp, t0 = generate_n2(lam), 18 * math.pi
+    dense = marginal_probabilities(_dense_qpe_state(qlsp, 3, t0), (1, 2, 3))
+    for probs in (dense, qpe_grid_probabilities(qlsp, 3, t0)):
+        assert math.sqrt(probs[2]) == pytest.approx(math.sqrt(probs[7]), abs=1e-14)
+        plan = plan_hybrid(estimates_from_probabilities(probs, 3, t0), max_rotations=2)
+        assert [pattern for pattern, _ in plan.rotations] == [1, 2]
 
 
 def test_qpe_circuit_registers():

@@ -222,6 +222,17 @@ def test_eigenvectors_orthonormal():
     assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(4))) < 1e-10
 
 
+def test_spectrum_arrays_are_stacked_once_and_read_only():
+    qlsp = generate_n4(PAPER_N4_EIGENVALUES, (0, 2), seed=7)
+    assert np.array_equal(qlsp.eigenvalues, [p.eigenvalue for p in qlsp.spectrum])
+    stacked = np.column_stack([p.eigenvector for p in qlsp.spectrum])
+    assert np.array_equal(qlsp.eigenvectors, stacked)
+    assert np.array_equal(qlsp.projections, [p.projection for p in qlsp.spectrum])
+    for array in (qlsp.eigenvalues, qlsp.eigenvectors, qlsp.projections):
+        assert not array.flags.writeable
+    assert qlsp.eigenvalues is qlsp.eigenvalues  # stored, not rebuilt per access
+
+
 def test_json_round_trip():
     qlsp = generate_n4(PAPER_N4_EIGENVALUES, (0, 2), seed=7)
     loaded = QLSP.from_json(qlsp.to_json())
