@@ -47,8 +47,11 @@ class InversionPlan:
             raise ValueError("control patterns must be unique")
         if any(not 0 <= p < 2**self.bit_width for p in patterns):
             raise ValueError("control pattern does not fit the clock register")
-        if any(abs(angle) > math.pi + 1e-12 for _, angle in self.rotations):
-            raise ValueError("rotation angles must satisfy |theta| <= pi")
+        # written so that NaN fails: every comparison with NaN is false
+        if not all(abs(angle) <= math.pi + 1e-12 for _, angle in self.rotations):
+            raise ValueError("rotation angles must be finite with |theta| <= pi")
+        if not (math.isfinite(self.constant_c) and self.constant_c > 0):
+            raise ValueError(f"the constant must be finite and positive, not {self.constant_c}")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -240,13 +243,13 @@ def plan_enhanced(
 
 
 def build_inversion_circuit(plan: InversionPlan, clock, ancilla: int) -> Circuit:
-    """One multi-controlled RY per rotation; polarities follow pattern bits."""
+    """The plan as one uniformly controlled RY on the ancilla.
+
+    One multi-controlled RY per rotation, built by ``Circuit.multiplexed_ry``;
+    bit r of a pattern is the polarity of ``clock[r]``.
+    """
     clock = tuple(int(q) for q in clock)
     if len(clock) != plan.bit_width:
         raise ValueError("clock register size does not match the plan")
-    num_qubits = max(clock + (int(ancilla),)) + 1
-    circuit = Circuit(num_qubits)
-    for pattern, theta in plan.rotations:
-        controls = tuple((clock[r], (pattern >> r) & 1) for r in range(plan.bit_width))
-        circuit.ry(int(ancilla), theta, controls)
-    return circuit
+    circuit = Circuit(max(clock + (int(ancilla),)) + 1)
+    return circuit.multiplexed_ry(int(ancilla), clock, plan.rotations)

@@ -8,6 +8,12 @@ Conventions:
     * Histogram keys render most-significant-first: for ``qubits=(a, b, c)``
       the key reads ``bit(c) bit(b) bit(a)``.
 
+``Circuit.multiplexed_ry`` builds a uniformly controlled RY as one RY gate
+per control pattern. ``apply_circuit`` applies each run of consecutive RY
+gates on one target and one ordered control tuple, firing on distinct
+patterns, as one gather, stacked 2x2 product and scatter; every other gate is
+applied on its own. ``circuit_matrix`` stays gate by gate as the reference.
+
 States are immutable and every operation returns a new value. Circuits are
 mutable builders, but simulation never modifies them. RNG state is always a
 per-call seed.
@@ -15,6 +21,7 @@ per-call seed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -76,18 +83,21 @@ class Gate:
     def __post_init__(self) -> None:
         targets = tuple(int(t) for t in self.targets)
         controls = tuple((int(q), int(p)) for q, p in self.controls)
+        qubits = targets + tuple(q for q, _ in controls)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "controls", controls)
-        if not targets or len(set(targets)) != len(targets):
-            raise InvalidGateError(f"targets must be non-empty and unique, got {targets}")
-        control_qubits = [q for q, _ in controls]
-        if len(set(control_qubits)) != len(control_qubits):
-            raise InvalidGateError("duplicate control qubits")
-        if set(control_qubits) & set(targets):
+        object.__setattr__(self, "_qubits", qubits)
+        # one set test covers all three overlap checks; name the fault only on failure
+        if not targets or len(set(qubits)) != len(qubits):
+            if not targets or len(set(targets)) != len(targets):
+                raise InvalidGateError(f"targets must be non-empty and unique, got {targets}")
+            control_qubits = qubits[len(targets) :]
+            if len(set(control_qubits)) != len(control_qubits):
+                raise InvalidGateError("duplicate control qubits")
             raise InvalidGateError("targets and controls must be disjoint")
         if any(p not in (0, 1) for _, p in controls):
             raise InvalidGateError("control polarity must be 0 or 1")
-        if min(targets + tuple(control_qubits), default=0) < 0:
+        if min(qubits) < 0:
             raise InvalidGateError("negative qubit index")
         if self.kind in _SINGLE_TARGET and len(targets) != 1:
             raise InvalidGateError(f"{self.kind.value} takes exactly one target")
@@ -114,7 +124,8 @@ class Gate:
             object.__setattr__(self, "matrix", m)
 
     def qubits(self) -> tuple[int, ...]:
-        return self.targets + tuple(q for q, _ in self.controls)
+        """Targets, then control qubits in order; derived once at construction."""
+        return self._qubits
 
     def resolved_matrix(self) -> np.ndarray:
         if self.kind is GateKind.UNITARY:
@@ -138,6 +149,7 @@ class Gate:
                 controls=self.controls,
                 angle=None,
                 matrix=adjoint,
+                _qubits=self._qubits,
             )
         return self
 
@@ -146,11 +158,11 @@ class Gate:
         """Set every field as given, without ``__post_init__``.
 
         Only for values already in canonical form and derived from a
-        validated gate; public ``Gate(...)`` keeps every check.
+        validated gate; public ``Gate(...)`` keeps every check. ``fields``
+        includes ``_qubits``, the tuple ``qubits`` returns.
         """
         gate = object.__new__(cls)
-        for name, value in fields.items():
-            object.__setattr__(gate, name, value)
+        gate.__dict__.update(fields)
         return gate
 
 
@@ -208,6 +220,10 @@ class Circuit:
 
     def add_register(self, name: str, qubits: Sequence[int]) -> "Circuit":
         qubits = tuple(int(q) for q in qubits)
+        if not qubits or len(set(qubits)) != len(qubits):
+            raise InvalidCircuitError(
+                f"register {name!r} must be non-empty and unique, got {qubits}"
+            )
         if any(q < 0 or q >= self.num_qubits for q in qubits):
             raise InvalidCircuitError(f"register {name!r} out of range")
         used = {q for qs in self.register_map.values() for q in qs}
@@ -246,6 +262,52 @@ class Circuit:
             Gate(GateKind.UNITARY, tuple(targets), tuple(controls), matrix=matrix)
         )
 
+    def multiplexed_ry(
+        self, target: int, controls: Sequence[int], rotations: Iterable[tuple[int, float]]
+    ) -> "Circuit":
+        """Uniformly controlled RY: one RY on ``target`` per ``(pattern, angle)``.
+
+        Bit ``r`` of a pattern is the polarity of ``controls[r]``. The shared
+        qubit structure is validated once, on the first rotation; every angle
+        must be finite and every pattern fit the controls and appear once.
+        Nothing is added when any rotation is rejected.
+        """
+        controls = tuple(int(q) for q in controls)
+        choices = [((q, 0), (q, 1)) for q in controls]  # control r's pair for bit r
+        gates: list[Gate] = []
+        seen: set[int] = set()
+        for pattern, angle in rotations:
+            pattern = operator.index(pattern)
+            if not 0 <= pattern < 1 << len(controls):
+                raise InvalidGateError(
+                    f"pattern {pattern} does not fit {len(controls)} control(s)"
+                )
+            if pattern in seen:
+                raise InvalidGateError(f"pattern {pattern} repeats")
+            seen.add(pattern)
+            polarities = tuple([pair[(pattern >> r) & 1] for r, pair in enumerate(choices)])
+            if not gates:
+                first = Gate(GateKind.RY, (target,), polarities, angle=angle)
+                gates.append(first)
+                continue
+            angle = float(angle)
+            if not math.isfinite(angle):
+                raise InvalidGateError("ry needs a finite angle")
+            gates.append(
+                Gate._unchecked(
+                    kind=GateKind.RY,
+                    targets=first.targets,
+                    controls=polarities,
+                    angle=angle,
+                    matrix=None,
+                    _qubits=first.qubits(),
+                )
+            )
+        if gates:
+            self.add(gates[0])  # the shared qubits must fit the circuit
+            self.gates.extend(gates[1:])
+        return self
+
     def __len__(self) -> int:
         return len(self.gates)
 
@@ -271,6 +333,68 @@ def _apply_gate(vec: np.ndarray, gate: Gate) -> None:
     block[...] = (gate.resolved_matrix() @ block.reshape(span, -1)).reshape(block.shape)
 
 
+def _ry_run_end(gates: Sequence[Gate], start: int) -> int:
+    """End of the longest run from ``start`` that one ``_apply_ry_run`` call may apply.
+
+    A run is consecutive RY gates on the same target and the same ordered
+    control qubits that fire on distinct patterns. They touch disjoint
+    amplitudes, so they commute. A gate that starts no run ends at ``start + 1``.
+    """
+    first = gates[start]
+    end = start + 1
+    if first.kind is not GateKind.RY:
+        return end
+    qubits = first.qubits()
+    seen = {first.controls}
+    while end < len(gates):
+        gate = gates[end]
+        if gate.kind is not GateKind.RY or gate.qubits() != qubits or gate.controls in seen:
+            break
+        seen.add(gate.controls)
+        end += 1
+    return end
+
+
+def _apply_ry_run(vec: np.ndarray, run: Sequence[Gate]) -> None:
+    """Apply a run from ``_ry_run_end`` in place as one gather, product and scatter.
+
+    Like ``_apply_gate``, amplitudes lie on axis 0 with any trailing axes.
+    Each gate's 2x2 matrix is the one ``resolved_matrix`` builds.
+    """
+    n = vec.shape[0].bit_length() - 1
+    target = run[0].targets[0]
+    involved = set(run[0].qubits())
+    # basis-index offsets of every assignment of the qubits no gate touches
+    free = np.zeros(1, dtype=np.intp)
+    for q in range(n):
+        if q not in involved:
+            free = np.concatenate((free, free + (1 << q)))
+    fired = np.array([sum(1 << q for q, p in g.controls if p) for g in run], dtype=np.intp)
+    index = fired[:, None, None] + np.array([[0], [1 << target]], dtype=np.intp) + free
+    halves = [0.5 * g.angle for g in run]
+    cos = np.array([math.cos(h) for h in halves])
+    sin = np.array([math.sin(h) for h in halves])
+    matrices = np.empty((len(run), 2, 2), dtype=complex)
+    matrices[:, 0, 0] = cos
+    matrices[:, 0, 1] = -sin
+    matrices[:, 1, 0] = sin
+    matrices[:, 1, 1] = cos
+    block = vec[index].reshape(len(run), 2, -1)
+    vec[index] = (matrices @ block).reshape(index.shape + vec.shape[1:])
+
+
+def _apply_gates(vec: np.ndarray, gates: Sequence[Gate]) -> None:
+    """Apply ``gates`` in order, in place; each RY run is one kernel call."""
+    start = 0
+    while start < len(gates):
+        end = _ry_run_end(gates, start)
+        if end - start > 1:
+            _apply_ry_run(vec, gates[start:end])
+        else:
+            _apply_gate(vec, gates[start])
+        start = end
+
+
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Apply the circuit's gates in order; returns the exact output state."""
     if state.num_qubits != circuit.num_qubits:
@@ -278,8 +402,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
             f"state has {state.num_qubits} qubit(s) but circuit expects {circuit.num_qubits}"
         )
     vec = np.array(state.amplitudes, dtype=complex)
-    for gate in circuit.gates:
-        _apply_gate(vec, gate)
+    _apply_gates(vec, circuit.gates)
     return StateVector(circuit.num_qubits, vec, validate=False)
 
 
@@ -422,7 +545,7 @@ def gate_report(circuit: Circuit) -> GateReport:
     two_qubit = 0
     for gate in circuit.gates:
         qubits = gate.qubits()
-        layer = 1 + max(frontier[q] for q in qubits)
+        layer = 1 + max(map(frontier.__getitem__, qubits))
         for q in qubits:
             frontier[q] = layer
         depth = max(depth, layer)

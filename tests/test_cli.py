@@ -330,6 +330,9 @@ GOLDEN_SPECS = {
     "n4_pairs01_swap_noisy.csv": dict(
         name="n4-set", source="n4-set", pairs="0-1", readout="swap", noise_p=0.01
     ),  # n4 --pairs 0-1 --readout swap --noise-p 0.01
+    "n4_pairs01_k7_noisy.csv": dict(
+        name="n4-set", source="n4-set", pairs="0-1", clock_bits=7, preprocess_bits=10, noise_p=0.01
+    ),  # n4 --pairs 0-1 --k 7 --l 10 --noise-p 0.01
 }
 
 

@@ -247,6 +247,16 @@ def test_plan_validation_and_json():
         InversionPlan(2, ((4, 1.0),), 0.1)
     with pytest.raises(ValueError):
         InversionPlan(2, ((1, 4.0),), 0.1)
+    for angle in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            InversionPlan(3, ((1, 0.5), (2, angle)), 1.0)
+    for constant in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="finite and positive"):
+            InversionPlan(3, ((1, 0.5),), constant)
+    with pytest.raises(ValueError, match="finite"):
+        InversionPlan.from_json('{"k": 3, "C": 1.0, "rotations": [[1, NaN]]}')
+    with pytest.raises(ValueError, match="finite and positive"):
+        InversionPlan.from_json('{"k": 3, "C": NaN, "rotations": [[1, 0.5]]}')
     plan = plan_canonical(3, 14 * math.pi)
     loaded = InversionPlan.from_json(plan.to_json())
     assert loaded.bit_width == plan.bit_width

@@ -13,6 +13,9 @@ from qlslab.sim import (
     GateKind,
     NoiseSpec,
     StateVector,
+    _apply_gate,
+    _apply_gates,
+    _ry_run_end,
     apply_circuit,
     circuit_matrix,
     gate_report,
@@ -363,3 +366,158 @@ def test_marginal_probabilities_subset():
 def test_register_map_validation():
     with pytest.raises(InvalidCircuitError):
         Circuit(3, registers={"a": (0, 1), "b": (1, 2)})
+    with pytest.raises(InvalidCircuitError):
+        Circuit(3).add_register("b", (0, 0))
+    with pytest.raises(InvalidCircuitError):
+        Circuit(3, registers={"a": ()})
+
+
+def test_gate_validation_names_the_fault():
+    cases = [
+        ((GateKind.SWAP, (1, 1)), "targets must be non-empty and unique"),
+        ((GateKind.HADAMARD, ()), "targets must be non-empty and unique"),
+        ((GateKind.PAULI_X, (0,), ((1, 1), (1, 0))), "duplicate control"),
+        ((GateKind.PAULI_X, (0,), ((2, 1), (0, 1))), "disjoint"),
+        ((GateKind.PAULI_X, (0,), ((1, 2),)), "polarity"),
+        ((GateKind.PAULI_X, (-1,)), "negative"),
+        ((GateKind.PAULI_X, (0,), ((-2, 1),)), "negative"),
+    ]
+    for args, message in cases:
+        with pytest.raises(InvalidGateError, match=message):
+            Gate(*args)
+
+
+def test_gate_qubits_are_targets_then_controls():
+    matrix = _random_unitary(np.random.default_rng(3), 4)
+    gate = Gate(GateKind.UNITARY, (2, 0), ((3, 0), (1, 1)), matrix=matrix)
+    assert gate.qubits() == (2, 0, 3, 1)
+    assert gate.dagger().qubits() == (2, 0, 3, 1)
+    assert Gate(GateKind.HADAMARD, (4,)).qubits() == (4,)
+
+
+def _per_rotation_ry(num_qubits, target, controls, rotations):
+    """The builder that ``Circuit.multiplexed_ry`` replaced: one ``ry`` per rotation."""
+    circuit = Circuit(num_qubits)
+    for pattern, angle in rotations:
+        circuit.ry(target, angle, tuple((q, (pattern >> r) & 1) for r, q in enumerate(controls)))
+    return circuit
+
+
+def test_multiplexed_ry_builds_the_per_rotation_gates():
+    rng = np.random.default_rng(8)
+    controls = (5, 2, 9, 0, 7, 3, 8)
+    for patterns in (range(1, 128), (77,), (0, 127, 3, 64)):
+        rotations = [(p, float(rng.uniform(-math.pi, math.pi))) for p in patterns]
+        built = Circuit(10).multiplexed_ry(4, controls, rotations).gates
+        expected = _per_rotation_ry(10, 4, controls, rotations).gates
+        assert len(built) == len(expected) == len(rotations)
+        for got, want in zip(built, expected):
+            assert (got.kind, got.targets, got.controls) == (want.kind, want.targets, want.controls)
+            assert got.angle == want.angle and got.matrix is None
+            assert got.qubits() == want.qubits() == (4,) + controls
+
+
+@pytest.mark.parametrize(
+    "target, controls, rotations, message",
+    [
+        (0, (1, 2), [(1, 0.5), (2, float("nan"))], "finite"),
+        (0, (1, 2), [(1, 0.5), (3, float("inf"))], "finite"),
+        (0, (1, 2), [(1, 0.5), (2, 0.1), (1, 0.2)], "repeats"),
+        (0, (1, 2), [(1, 0.5), (4, 0.1)], "does not fit"),
+        (0, (1, 2), [(-1, 0.5)], "does not fit"),
+        (1, (1, 2), [(1, 0.5)], "disjoint"),
+        (0, (1, 1), [(1, 0.5)], "duplicate control"),
+    ],
+)
+def test_multiplexed_ry_rejects_bad_rotations(target, controls, rotations, message):
+    circuit = Circuit(3)
+    with pytest.raises(InvalidGateError, match=message):
+        circuit.multiplexed_ry(target, controls, rotations)
+    assert circuit.gates == []
+
+
+def test_multiplexed_ry_rejects_qubits_outside_the_circuit():
+    circuit = Circuit(3)
+    with pytest.raises(InvalidCircuitError):
+        circuit.multiplexed_ry(0, (1, 3), [(1, 0.5)])
+    assert circuit.gates == []
+
+
+def _run_bounds(gates):
+    bounds, start = [0], 0
+    while start < len(gates):
+        start = _ry_run_end(gates, start)
+        bounds.append(start)
+    return bounds
+
+
+def test_ry_runs_end_at_a_repeat_a_reorder_or_another_gate():
+    circuit = Circuit(4)
+    circuit.multiplexed_ry(0, (1, 2), [(0, 0.1), (3, 0.2), (1, 0.3)])  # one run
+    circuit.ry(0, 0.4, ((1, 1), (2, 1)))  # repeats pattern 3
+    circuit.ry(0, 0.5, ((2, 0), (1, 0)))  # same controls in another order
+    circuit.ry(0, 0.6, ((2, 1), (1, 0)))  # fuses with the previous gate
+    circuit.ry(3, 0.7, ((1, 0), (2, 0)))  # another target
+    circuit.x(0)  # not an RY
+    circuit.ry(0, 0.8).ry(0, 0.9)  # uncontrolled RYs repeat the empty pattern
+    circuit.ry(0, 1.0, ((1, 1),)).ry(0, 1.1, ((1, 0),))  # one run
+    assert _run_bounds(circuit.gates) == [0, 3, 4, 6, 7, 8, 9, 10, 12]
+
+
+@st.composite
+def _ry_run_circuit(draw):
+    """Circuits of multi-controlled RY runs with interleaved other gates."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    circuit = Circuit(n)
+    for _ in range(draw(st.integers(1, 4))):
+        order = [int(q) for q in draw(st.permutations(range(n)))]
+        target, rest = order[0], order[1:]
+        segment = draw(st.sampled_from(["run", "run", "run", "other", "plain ry"]))
+        if segment == "other":
+            kind = draw(st.sampled_from([GateKind.HADAMARD, GateKind.PAULI_Y, GateKind.UNITARY]))
+            matrix = _random_unitary(rng, 2) if kind is GateKind.UNITARY else None
+            controls = tuple((q, draw(st.integers(0, 1))) for q in rest[: draw(st.integers(0, 2))])
+            circuit.add(Gate(kind, (target,), controls, matrix=matrix))
+            continue
+        if segment == "plain ry":
+            circuit.ry(target, float(rng.uniform(-7, 7)))
+            continue
+        controls = rest[: draw(st.integers(0, len(rest)))]
+        width = 2 ** len(controls)
+        patterns = draw(
+            st.lists(st.integers(0, width - 1), min_size=1, max_size=width, unique=True)
+        )
+        if draw(st.booleans()):  # a repeated pattern must split the run
+            patterns.insert(draw(st.integers(1, len(patterns))), draw(st.sampled_from(patterns)))
+        if draw(st.booleans()):  # the same controls in another order must not fuse
+            patterns += [-1] + draw(st.lists(st.integers(0, width - 1), max_size=3))
+        order_now = list(controls)
+        for pattern in patterns:
+            if pattern == -1:
+                order_now = [int(q) for q in draw(st.permutations(controls))]
+                continue
+            polarities = tuple((q, (pattern >> r) & 1) for r, q in enumerate(order_now))
+            circuit.ry(target, float(rng.uniform(-7, 7)), polarities)
+    amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    return circuit, StateVector(n, amps / np.linalg.norm(amps))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_ry_run_circuit())
+def test_fused_ry_runs_match_gate_by_gate(case):
+    """Runs applied as one kernel call agree with ``_apply_gate`` gate by gate.
+
+    The stacked product may round differently from the per-gate product, so
+    the comparison is to 1e-12, not bitwise. The unitary comparison runs the
+    kernel on a matrix, which covers its trailing axes.
+    """
+    circuit, state = case
+    reference = np.array(state.amplitudes)
+    for gate in circuit.gates:
+        _apply_gate(reference, gate)
+    out = apply_circuit(state, circuit)
+    assert np.max(np.abs(out.amplitudes - reference)) < 1e-12
+    fused = np.eye(2**circuit.num_qubits, dtype=complex)
+    _apply_gates(fused, circuit.gates)
+    assert np.max(np.abs(fused - circuit_matrix(circuit))) < 1e-12
