@@ -8,6 +8,10 @@ register ``b``, clock ``c``, ancilla ``a``. The swap-test readout appends its
 test register and control qubit above these to the simulated state at readout
 time, so the solver circuit is simulated once for every readout mode.
 
+Consecutive runs on one problem share its prepare + QPE block and its
+iterative t0 search through one-slot memos (``_qpe_blocks``,
+``_searched_t0``).
+
 Fidelity semantics: the exact readout reports the expectation of the
 projector onto the classical solution over the surviving register state,
 i.e. the squared overlap; the swap-test readout reports the square of its
@@ -17,6 +21,7 @@ overlap. Every mode satisfies error = sqrt(2 (1 - fidelity)).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,6 +50,7 @@ from .preprocess import (
 from .qlsp import QLSP, classical_solution
 from .sim import (
     Circuit,
+    Gate,
     NoiseSpec,
     StateVector,
     apply_circuit,
@@ -110,6 +116,14 @@ class RunConfig:
             raise ValueError("the enhanced variant needs preprocess_bits > clock_bits")
         if self.shots < 1:
             raise ValueError("shots must be at least 1")
+        if self.preprocess_shots is not None and self.preprocess_shots < 1:
+            raise ValueError(
+                f"preprocess_shots must be at least 1, not {self.preprocess_shots}"
+            )
+        for name in ("seed", "preprocess_seed"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be non-negative, not {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,6 +149,20 @@ def error_from_fidelity(fidelity: float) -> float:
     return math.sqrt(max(0.0, 2.0 * (1.0 - fidelity)))
 
 
+@functools.lru_cache(maxsize=1)
+def _qpe_blocks(
+    qlsp: QLSP, clock_bits: int, t0: float
+) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
+    """Prepare b + QPE gates, and the QPE's uncompute, for one (problem, k, t0).
+
+    A batch runs a problem's variants back to back and they share the block
+    whenever they share t0, so one slot holds every reuse there is. The key
+    holds the problem by identity, which is safe because ``QLSP`` is immutable.
+    """
+    prefix = tuple(build_qpe_circuit(qlsp, clock_bits, t0).gates)
+    return prefix, tuple(inverted_gates(prefix[1:]))
+
+
 def assemble_hhl(qlsp: QLSP, clock_bits: int, t0: float, plan: InversionPlan) -> Circuit:
     """Full solver circuit: prepare b, QPE, inversion, exact inverse QPE."""
     if plan.bit_width != clock_bits:
@@ -147,10 +175,12 @@ def assemble_hhl(qlsp: QLSP, clock_bits: int, t0: float, plan: InversionPlan) ->
     clock = tuple(range(nb, nb + clock_bits))
     ancilla = nb + clock_bits
     circuit = Circuit(total, registers={"b": breg, "c": clock, "a": (ancilla,)})
-    prefix = build_qpe_circuit(qlsp, clock_bits, t0).gates  # prepare b, then QPE
-    circuit.extend(prefix)
-    circuit.extend(build_inversion_circuit(plan, clock, ancilla).gates)
-    circuit.extend(inverted_gates(prefix[1:]))
+    prefix, uncompute = _qpe_blocks(qlsp, clock_bits, t0)
+    # each block was built in a circuit no wider than this one, whose add
+    # already checked that every gate fits
+    circuit.gates.extend(prefix)
+    circuit.gates.extend(build_inversion_circuit(plan, clock, ancilla).gates)
+    circuit.gates.extend(uncompute)
     return circuit
 
 
@@ -217,10 +247,12 @@ def direct_distribution_error(histogram: dict[str, int], x) -> float:
     Amplitude magnitudes are the square roots of observed frequencies, so the
     recovered overlap is sum_i sqrt(f_i) |x_i|.
     """
-    if not histogram:
-        raise ValueError("empty histogram")
+    if any(count < 0 for count in histogram.values()):
+        raise ValueError("histogram counts must be non-negative")
     x = np.asarray(x, dtype=complex).reshape(-1)
     total = sum(histogram.values())
+    if total == 0:
+        raise ValueError("the histogram holds no shots")
     overlap = 0.0
     for key, count in histogram.items():
         index = int(key, 2)
@@ -234,15 +266,24 @@ def _resolve_t0(qlsp: QLSP, config: RunConfig, signed: bool) -> float:
     if config.t0_mode == "explicit":
         return float(config.t0_value)
     if config.t0_mode == "iterative":
-        return iterative_t0(
-            qlsp,
-            config.clock_bits,
-            signed,
-            shots=config.preprocess_shots,
-            seed=config.preprocess_seed,
+        return _searched_t0(
+            qlsp, config.clock_bits, signed, config.preprocess_shots, config.preprocess_seed
         )
     lambda_max = config.t0_lambda_max if config.t0_lambda_max is not None else 1.0
     return fixed_t0(lambda_max, config.clock_bits, signed)
+
+
+@functools.lru_cache(maxsize=1)
+def _searched_t0(
+    qlsp: QLSP, clock_bits: int, signed: bool, shots: int | None, seed: int
+) -> float:
+    """``iterative_t0`` for one problem and search setting.
+
+    The hybrid and enhanced variants of a problem run back to back with the
+    same search, so one slot serves the second from the first. A search that
+    raises leaves nothing cached, and the next variant searches again.
+    """
+    return iterative_t0(qlsp, clock_bits, signed, shots=shots, seed=seed)
 
 
 def run(qlsp: QLSP, config: RunConfig) -> RunResult:

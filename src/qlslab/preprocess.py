@@ -147,6 +147,8 @@ def qpe_state(qlsp: QLSP, bit_width: int, t0: float) -> StateVector:
     """
     if bit_width < 1:
         raise ValueError("bit_width must be at least 1")
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, not {t0}")
     big_t = 2**bit_width
     phases = np.exp(1j * np.outer(qlsp.eigenvalues * (float(t0) / big_t), np.arange(big_t)))
     clock = np.fft.fft(phases, axis=1) / big_t  # clock[j, m] = c_j[m]
@@ -174,8 +176,8 @@ def estimates_from_probabilities(
     threshold: float | None = None,
     signed_mode: bool = False,
 ) -> EigenEstimateSet:
-    if time_scale <= 0:
-        raise ValueError("time scale must be positive")
+    if not (math.isfinite(time_scale) and time_scale > 0):
+        raise ValueError(f"time scale must be finite and positive, not {time_scale}")
     if threshold is None:
         threshold = 2.0**-bit_width
     if not 0.0 < threshold < 1.0:
@@ -183,6 +185,8 @@ def estimates_from_probabilities(
     probabilities = np.asarray(probabilities, dtype=float)
     if probabilities.shape != (2**bit_width,):
         raise ValueError("probability vector does not match the bit width")
+    if not np.isfinite(probabilities).all():
+        raise ValueError("probabilities must be finite")
     entries = []
     for g, p in enumerate(probabilities):
         weight = math.sqrt(max(float(p), 0.0))
@@ -200,9 +204,11 @@ def estimates_from_probabilities(
 
 def _histogram_probabilities(histogram: dict[str, int], bit_width: int) -> np.ndarray:
     """Shot frequencies over clock-register integers."""
-    if not histogram:
-        raise EmptyEstimateError("empty histogram")
+    if any(count < 0 for count in histogram.values()):
+        raise ValueError("histogram counts must be non-negative")
     shots = sum(histogram.values())
+    if shots == 0:
+        raise EmptyEstimateError("the histogram holds no shots")
     probs = np.zeros(2**bit_width)
     for key, count in histogram.items():
         if len(key) != bit_width or not set(key) <= {"0", "1"}:
@@ -261,8 +267,8 @@ def fixed_t0(lambda_max: float, bit_width: int, signed: bool = False) -> float:
     Unsigned grids use 2 pi (2**k - 1) / lambda_max; signed grids target the
     largest positive two's-complement value 2**(k-1) - 1 instead.
     """
-    if lambda_max <= 0:
-        raise ValueError("lambda_max must be positive")
+    if not (math.isfinite(lambda_max) and lambda_max > 0):
+        raise ValueError(f"lambda_max must be finite and positive, not {lambda_max}")
     top = 2 ** (bit_width - 1) - 1 if signed else 2**bit_width - 1
     if top < 1:
         raise ValueError("bit width leaves no nonzero grid value")

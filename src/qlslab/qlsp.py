@@ -2,7 +2,8 @@
 
 A problem holds a Hermitian matrix with spectral norm at most 1 (inputs with
 larger spectra are scaled down and the factor recorded), a unit right-hand
-side, and a cached eigendecomposition.
+side, and a cached eigendecomposition. Problems are immutable after
+construction.
 """
 from __future__ import annotations
 
@@ -80,15 +81,20 @@ class QLSP:
 
         for array in (a, b, eigenvalues, vectors, projections):
             array.setflags(write=False)
-        self.matrix_a = a
-        self.vector_b = b
-        self.scale = float(scale)
-        self.spectrum = tuple(pairs)
-        self.eigenvalues = eigenvalues
-        self.eigenvectors = vectors
-        self.projections = projections
         abs_eigs = np.abs(eigenvalues)
-        self.condition_number = float(np.max(abs_eigs) / np.min(abs_eigs))
+        self.__dict__.update(  # past __setattr__, which refuses every assignment
+            matrix_a=a,
+            vector_b=b,
+            scale=float(scale),
+            spectrum=tuple(pairs),
+            eigenvalues=eigenvalues,
+            eigenvectors=vectors,
+            projections=projections,
+            condition_number=float(np.max(abs_eigs) / np.min(abs_eigs)),
+        )
+
+    def __setattr__(self, name, value):  # immutable: callers key caches on identity
+        raise AttributeError("QLSP is immutable")
 
     @property
     def dimension(self) -> int:

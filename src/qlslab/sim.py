@@ -248,12 +248,6 @@ class Circuit:
     def h(self, qubit: int, controls=()) -> "Circuit":
         return self.add(Gate(GateKind.HADAMARD, (qubit,), tuple(controls)))
 
-    def x(self, qubit: int, controls=()) -> "Circuit":
-        return self.add(Gate(GateKind.PAULI_X, (qubit,), tuple(controls)))
-
-    def ry(self, qubit: int, angle: float, controls=()) -> "Circuit":
-        return self.add(Gate(GateKind.RY, (qubit,), tuple(controls), angle=angle))
-
     def swap(self, a: int, b: int, controls=()) -> "Circuit":
         return self.add(Gate(GateKind.SWAP, (a, b), tuple(controls)))
 
@@ -511,6 +505,8 @@ class NoiseSpec:
         p = float(self.per_gate_pauli_probability)
         if not 0.0 <= p <= 1.0:
             raise ValueError("probability must lie in [0, 1]")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, not {self.rng_seed}")
         object.__setattr__(self, "per_gate_pauli_probability", p)
 
 
@@ -521,13 +517,15 @@ def inject_noise(circuit: Circuit, spec: NoiseSpec) -> Circuit:
     """Insert a uniformly chosen Pauli on one involved qubit after each gate."""
     rng = np.random.default_rng(spec.rng_seed)
     noisy = Circuit(circuit.num_qubits, circuit.register_map)
+    # every gate, and so every qubit a Pauli lands on, already fits this width
+    gates = noisy.gates
     for gate in circuit.gates:
-        noisy.add(gate)
+        gates.append(gate)
         if rng.random() < spec.per_gate_pauli_probability:
             qubits = gate.qubits()
             qubit = int(qubits[int(rng.integers(len(qubits)))])
             kind = _PAULI_KINDS[int(rng.integers(3))]
-            noisy.add(Gate(kind, (qubit,)))
+            gates.append(Gate(kind, (qubit,)))
     return noisy
 
 

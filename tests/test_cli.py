@@ -297,6 +297,21 @@ def test_cli_rejects_non_finite_time_scale_before_running(tmp_path, capsys, flag
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--noise-p", "0.01", "--noise-seed", "-1"], "rng_seed"),
+        (["--readout", "swap", "--seed", "-1"], "seed"),
+    ],
+    ids=["noise-seed", "seed"],
+)
+def test_cli_rejects_negative_seeds_before_running(tmp_path, capsys, flags, field):
+    out = tmp_path / "bad.csv"
+    assert main(["set", "--out", str(out)] + flags) == 2
+    assert f"{field} must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(source="n5-set")

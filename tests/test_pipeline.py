@@ -5,8 +5,13 @@ import numpy as np
 import pytest
 
 from qlslab import pipeline
-from qlslab.cli import PAPER_N4_EIGENVALUES
-from qlslab.errors import CapacityError, DegenerateRunError, InsufficientShotsError
+from qlslab.cli import PAPER_N4_EIGENVALUES, ExperimentSpec, run_experiment
+from qlslab.errors import (
+    AliasingError,
+    CapacityError,
+    DegenerateRunError,
+    InsufficientShotsError,
+)
 from qlslab.inversion import InversionPlan, plan_canonical
 from qlslab.pipeline import (
     RunConfig,
@@ -237,6 +242,16 @@ def test_direct_distribution_error_validation():
         direct_distribution_error({"10": 4}, np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize(
+    "histogram, message",
+    [({"0": 0, "1": 0}, "no shots"), ({"0": -5, "1": 10}, "non-negative")],
+    ids=["all-zero", "negative"],
+)
+def test_direct_distribution_error_rejects_zero_and_negative_counts(histogram, message):
+    with pytest.raises(ValueError, match=message):
+        direct_distribution_error(histogram, np.array([1.0, 0.0]))
+
+
 def test_direct_mode_ranks_variants_like_exact_mode():
     """Cross-mode comparison: mean errors over a set rank variants alike."""
     lams = [n / 24 for n in range(3, 12)]
@@ -317,6 +332,15 @@ def test_run_config_validation():
             RunConfig(t0_lambda_max=bad)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("preprocess_shots", 0), ("preprocess_shots", -3), ("seed", -1), ("preprocess_seed", -1)],
+)
+def test_run_config_rejects_bad_shots_and_seeds(field, value):
+    with pytest.raises(ValueError, match=field):
+        RunConfig(variant="hybrid", **{field: value})
+
+
 def test_enhanced_defaults_resolve_bits():
     config = RunConfig(variant="enhanced")
     assert config.preprocess_bits == 5
@@ -378,3 +402,107 @@ def test_gate_counts_reported_pre_noise():
         ),
     )
     assert noisy.gate_count == base.gate_count
+
+
+def _clear_memos():
+    pipeline._qpe_blocks.cache_clear()
+    pipeline._searched_t0.cache_clear()
+
+
+def _outputs(result):
+    return (
+        result.fidelity,
+        result.success_probability,
+        result.t0,
+        result.plan,
+        result.estimates,
+        result.gate_count,
+        result.two_qubit_count,
+        result.depth,
+    )
+
+
+def _variant_configs():
+    return {
+        "canonical": RunConfig(variant="canonical", t0_mode="explicit", t0_value=ON_GRID_T0),
+        "hybrid": RunConfig(variant="hybrid", t0_mode="iterative"),
+        "enhanced": RunConfig(variant="enhanced", t0_mode="iterative"),
+    }
+
+
+def test_interleaved_problems_give_the_results_of_lone_ops():
+    configs = _variant_configs()
+    problems = {"A": generate_n2(0.13), "B": generate_n2(0.31)}
+    order = [
+        ("A", "canonical"),
+        ("B", "hybrid"),
+        ("A", "enhanced"),
+        ("B", "canonical"),
+        ("A", "hybrid"),
+        ("B", "enhanced"),
+        ("A", "canonical"),
+        ("A", "enhanced"),
+    ]
+    alone = {}
+    for name, variant in set(order):
+        _clear_memos()
+        alone[name, variant] = _outputs(run(problems[name], configs[variant]))
+    _clear_memos()
+    for name, variant in order:
+        assert _outputs(run(problems[name], configs[variant])) == alone[name, variant]
+
+
+def test_hybrid_and_enhanced_share_one_search_per_problem(monkeypatch):
+    calls = []
+    search = pipeline.iterative_t0
+
+    def counted(qlsp, *args, **kwargs):
+        calls.append(qlsp)
+        return search(qlsp, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "iterative_t0", counted)
+    _clear_memos()
+    configs = _variant_configs()
+    first, second = generate_n2(0.2), generate_n2(0.4)
+    for qlsp in (first, second):
+        hybrid = run(qlsp, configs["hybrid"])
+        enhanced = run(qlsp, configs["enhanced"])
+        assert hybrid.t0 == enhanced.t0
+    assert calls == [first, second]
+
+
+def test_a_failed_search_is_not_cached(monkeypatch):
+    calls = []
+
+    def aliasing(qlsp, *args, **kwargs):
+        calls.append(qlsp)
+        raise AliasingError("verification run still decodes a nonzero estimate")
+
+    monkeypatch.setattr(pipeline, "iterative_t0", aliasing)
+    _clear_memos()
+    qlsp = generate_n2(0.2)
+    configs = _variant_configs()
+    with pytest.raises(AliasingError):
+        run(qlsp, configs["hybrid"])
+    with pytest.raises(AliasingError):
+        run(qlsp, configs["enhanced"])
+    assert calls == [qlsp, qlsp]
+
+
+@pytest.mark.parametrize("t0_mode, scales", [(None, 1), ("iterative", 2)])
+def test_run_experiment_builds_each_qpe_prefix_once(monkeypatch, tmp_path, t0_mode, scales):
+    built = []
+    build = pipeline.build_qpe_circuit
+
+    def counted(qlsp, bit_width, t0):
+        built.append((id(qlsp), bit_width, t0))
+        return build(qlsp, bit_width, t0)
+
+    monkeypatch.setattr(pipeline, "build_qpe_circuit", counted)
+    _clear_memos()
+    spec = ExperimentSpec(
+        source="n2-set", lambdas=[0.2, 0.4], t0_mode=t0_mode, out=str(tmp_path / "x.csv")
+    )
+    summary = run_experiment(spec)
+    assert summary["rows"] == 6
+    assert len(built) == len(set(built)) == 2 * scales

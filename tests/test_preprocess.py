@@ -218,6 +218,37 @@ def test_extract_estimates_empty_cases():
         extract_estimates({"001": 500, "010": 500}, 3, 6 * math.pi, threshold=0.99)
 
 
+def test_extract_estimates_rejects_an_all_zero_histogram():
+    with pytest.raises(EmptyEstimateError, match="no shots"):
+        extract_estimates({"01": 0}, 2, 1.0)
+
+
+def test_extract_estimates_rejects_negative_counts():
+    with pytest.raises(ValueError, match="non-negative"):
+        extract_estimates({"01": -5, "10": 10}, 2, 1.0)
+
+
+def test_estimates_reject_a_nan_bin():
+    probabilities = [0.5, math.nan, 0.5, 0.0]
+    with pytest.raises(ValueError, match="finite"):
+        estimates_from_probabilities(probabilities, 2, 1.0)
+
+
+@pytest.mark.parametrize("time_scale", [math.nan, math.inf])
+def test_estimates_reject_a_non_finite_time_scale(time_scale):
+    probabilities = [0.5, 0.0, 0.5, 0.0]
+    with pytest.raises(ValueError, match="time scale"):
+        estimates_from_probabilities(probabilities, 2, time_scale)
+    with pytest.raises(ValueError, match="finite"):
+        run_preprocessing(generate_n2(0.1), 3, time_scale)
+
+
+@pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+def test_qpe_state_rejects_a_non_finite_t0(t0):
+    with pytest.raises(ValueError, match="t0"):
+        qpe_state(generate_n2(0.1), 3, t0)
+
+
 @pytest.mark.parametrize("key", ["0001", "1111", "01", "0b1", "0_1", "012"])
 def test_extract_estimates_rejects_malformed_keys(key):
     with pytest.raises(ValueError, match="3-bit"):
@@ -273,6 +304,12 @@ def test_fixed_t0_values():
         fixed_t0(0.0, 3)
     with pytest.raises(ValueError):
         fixed_t0(1.0, 1, signed=True)
+
+
+@pytest.mark.parametrize("lambda_max", [math.nan, math.inf])
+def test_fixed_t0_rejects_a_non_finite_lambda_max(lambda_max):
+    with pytest.raises(ValueError, match="lambda_max"):
+        fixed_t0(lambda_max, 3)
 
 
 def _brute_force_top_scale(lam, bits):

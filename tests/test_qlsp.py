@@ -277,3 +277,15 @@ def test_spectrum_surface():
 def test_rejects_non_finite_input(a, b):
     with pytest.raises(InvalidProblemError, match="finite"):
         QLSP(a, b)
+
+
+def test_problem_is_immutable():
+    qlsp = generate_n2(0.2)
+    with pytest.raises(AttributeError, match="immutable"):
+        qlsp.scale = 2.0
+    with pytest.raises(AttributeError, match="immutable"):
+        qlsp.eigenvalues = np.array([0.2, 0.8])
+    with pytest.raises(AttributeError, match="immutable"):
+        qlsp.label = "new attribute"
+    assert qlsp.scale == 1.0
+    assert np.allclose(sorted(qlsp.eigenvalues), [0.2, 0.8])

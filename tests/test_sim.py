@@ -30,6 +30,14 @@ from qlslab.sim import (
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
+def _ry(qubit, angle, controls=()):
+    return Gate(GateKind.RY, (qubit,), controls, angle=angle)
+
+
+def _x(qubit, controls=()):
+    return Gate(GateKind.PAULI_X, (qubit,), controls)
+
+
 def test_hadamard_on_zero():
     state = apply_circuit(StateVector.zero(1), Circuit(1).h(0))
     assert np.allclose(state.amplitudes, [SQRT1_2, SQRT1_2])
@@ -45,22 +53,22 @@ def test_swap_moves_bit():
 def test_controlled_ry_pi():
     """RY(pi)|0> = |1> when the control qubit is set."""
     start = StateVector(2, [0, 0, 1, 0])  # qubit1 = 1, qubit0 = 0
-    state = apply_circuit(start, Circuit(2).ry(0, math.pi, controls=((1, 1),)))
+    state = apply_circuit(start, Circuit(2).add(_ry(0, math.pi, controls=((1, 1),))))
     assert np.allclose(state.amplitudes, [0, 0, 0, 1], atol=1e-12)
 
 
 def test_controlled_ry_blocked():
-    state = apply_circuit(StateVector.zero(2), Circuit(2).ry(0, math.pi, controls=((1, 1),)))
+    state = apply_circuit(StateVector.zero(2), Circuit(2).add(_ry(0, math.pi, controls=((1, 1),))))
     assert np.allclose(state.amplitudes, [1, 0, 0, 0])
 
 
 def test_open_control_fires_on_zero():
-    state = apply_circuit(StateVector.zero(2), Circuit(2).x(0, controls=((1, 0),)))
+    state = apply_circuit(StateVector.zero(2), Circuit(2).add(_x(0, controls=((1, 0),))))
     assert np.allclose(state.amplitudes, [0, 1, 0, 0])
 
 
 def test_postselect_bell():
-    bell = apply_circuit(StateVector.zero(2), Circuit(2).h(0).x(1, controls=((0, 1),)))
+    bell = apply_circuit(StateVector.zero(2), Circuit(2).h(0).add(_x(1, controls=((0, 1),))))
     conditional, prob = postselect(bell, 0, 1)
     assert prob == pytest.approx(0.5, abs=1e-12)
     assert np.allclose(conditional.amplitudes, [0, 0, 0, 1])
@@ -166,11 +174,11 @@ def _random_circuit(rng, num_qubits, depth):
         if kind == 0:
             circuit.h(int(qubits[0]))
         elif kind == 1:
-            circuit.ry(int(qubits[0]), float(rng.uniform(-3, 3)))
+            circuit.add(_ry(int(qubits[0]), float(rng.uniform(-3, 3))))
         elif kind == 2:
             circuit.swap(int(qubits[0]), int(qubits[1]))
         elif kind == 3:
-            circuit.x(int(qubits[0]), controls=((int(qubits[1]), int(rng.integers(2))),))
+            circuit.add(_x(int(qubits[0]), controls=((int(qubits[1]), int(rng.integers(2))),)))
         else:
             block = _random_unitary(rng, 2)
             circuit.unitary(block, [int(qubits[0])], controls=((int(qubits[1]), 1),))
@@ -314,7 +322,7 @@ def test_statevector_rejects_non_finite(amplitudes):
 
 
 def test_inject_noise_probability_zero():
-    circuit = Circuit(2).h(0).x(1)
+    circuit = Circuit(2).h(0).add(_x(1))
     noisy = inject_noise(circuit, NoiseSpec(0.0, rng_seed=4))
     assert len(noisy) == len(circuit)
 
@@ -327,7 +335,7 @@ def test_inject_noise_forced():
 
 
 def test_inject_noise_deterministic():
-    circuit = Circuit(3).h(0).swap(1, 2).ry(0, 0.3)
+    circuit = Circuit(3).h(0).swap(1, 2).add(_ry(0, 0.3))
     spec = NoiseSpec(0.5, rng_seed=77)
     first = inject_noise(circuit, spec)
     second = inject_noise(circuit, spec)
@@ -339,6 +347,8 @@ def test_inject_noise_deterministic():
 def test_noise_spec_validation():
     with pytest.raises(ValueError):
         NoiseSpec(1.5)
+    with pytest.raises(ValueError, match="rng_seed"):
+        NoiseSpec(0.01, rng_seed=-1)
 
 
 def test_gate_report_empty():
@@ -352,13 +362,13 @@ def test_gate_report_parallel_layer():
 
 
 def test_gate_report_serial_dependency():
-    circuit = Circuit(2).h(0).x(1, controls=((0, 1),))
+    circuit = Circuit(2).h(0).add(_x(1, controls=((0, 1),)))
     report = gate_report(circuit)
     assert (report.gate_count, report.two_qubit_count, report.depth) == (2, 1, 2)
 
 
 def test_marginal_probabilities_subset():
-    bell = apply_circuit(StateVector.zero(2), Circuit(2).h(0).x(1, controls=((0, 1),)))
+    bell = apply_circuit(StateVector.zero(2), Circuit(2).h(0).add(_x(1, controls=((0, 1),))))
     probs = marginal_probabilities(bell, [1])
     assert np.allclose(probs, [0.5, 0.5])
 
@@ -396,10 +406,11 @@ def test_gate_qubits_are_targets_then_controls():
 
 
 def _per_rotation_ry(num_qubits, target, controls, rotations):
-    """The builder that ``Circuit.multiplexed_ry`` replaced: one ``ry`` per rotation."""
+    """The builder that ``Circuit.multiplexed_ry`` replaced: one RY gate per rotation."""
     circuit = Circuit(num_qubits)
     for pattern, angle in rotations:
-        circuit.ry(target, angle, tuple((q, (pattern >> r) & 1) for r, q in enumerate(controls)))
+        polarities = tuple((q, (pattern >> r) & 1) for r, q in enumerate(controls))
+        circuit.add(_ry(target, angle, polarities))
     return circuit
 
 
@@ -454,13 +465,13 @@ def _run_bounds(gates):
 def test_ry_runs_end_at_a_repeat_a_reorder_or_another_gate():
     circuit = Circuit(4)
     circuit.multiplexed_ry(0, (1, 2), [(0, 0.1), (3, 0.2), (1, 0.3)])  # one run
-    circuit.ry(0, 0.4, ((1, 1), (2, 1)))  # repeats pattern 3
-    circuit.ry(0, 0.5, ((2, 0), (1, 0)))  # same controls in another order
-    circuit.ry(0, 0.6, ((2, 1), (1, 0)))  # fuses with the previous gate
-    circuit.ry(3, 0.7, ((1, 0), (2, 0)))  # another target
-    circuit.x(0)  # not an RY
-    circuit.ry(0, 0.8).ry(0, 0.9)  # uncontrolled RYs repeat the empty pattern
-    circuit.ry(0, 1.0, ((1, 1),)).ry(0, 1.1, ((1, 0),))  # one run
+    circuit.add(_ry(0, 0.4, ((1, 1), (2, 1))))  # repeats pattern 3
+    circuit.add(_ry(0, 0.5, ((2, 0), (1, 0))))  # same controls in another order
+    circuit.add(_ry(0, 0.6, ((2, 1), (1, 0))))  # fuses with the previous gate
+    circuit.add(_ry(3, 0.7, ((1, 0), (2, 0))))  # another target
+    circuit.add(_x(0))  # not an RY
+    circuit.add(_ry(0, 0.8)).add(_ry(0, 0.9))  # uncontrolled RYs repeat the empty pattern
+    circuit.add(_ry(0, 1.0, ((1, 1),))).add(_ry(0, 1.1, ((1, 0),)))  # one run
     assert _run_bounds(circuit.gates) == [0, 3, 4, 6, 7, 8, 9, 10, 12]
 
 
@@ -481,7 +492,7 @@ def _ry_run_circuit(draw):
             circuit.add(Gate(kind, (target,), controls, matrix=matrix))
             continue
         if segment == "plain ry":
-            circuit.ry(target, float(rng.uniform(-7, 7)))
+            circuit.add(_ry(target, float(rng.uniform(-7, 7))))
             continue
         controls = rest[: draw(st.integers(0, len(rest)))]
         width = 2 ** len(controls)
@@ -498,7 +509,7 @@ def _ry_run_circuit(draw):
                 order_now = [int(q) for q in draw(st.permutations(controls))]
                 continue
             polarities = tuple((q, (pattern >> r) & 1) for r, q in enumerate(order_now))
-            circuit.ry(target, float(rng.uniform(-7, 7)), polarities)
+            circuit.add(_ry(target, float(rng.uniform(-7, 7)), polarities))
     amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     return circuit, StateVector(n, amps / np.linalg.norm(amps))
 
