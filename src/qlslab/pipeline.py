@@ -8,9 +8,13 @@ register ``b``, clock ``c``, ancilla ``a``. The swap-test readout appends its
 test register and control qubit above these to the simulated state at readout
 time, so the solver circuit is simulated once for every readout mode.
 
-Consecutive runs on one problem share its prepare + QPE block and its
-iterative t0 search through one-slot memos (``_qpe_blocks``,
-``_searched_t0``).
+Noiseless runs take the prepare + QPE block and its uncompute in closed form
+from A's eigenbasis (``qpe_state``, ``qpe_uncompute``) and simulate only the
+inversion block gate by gate; noisy runs simulate the whole circuit gate by
+gate, since noise lands between individual gates. Both report the gate
+counts of the whole circuit. Consecutive runs on one problem share its
+prepare + QPE block and its iterative t0 search through one-slot memos
+(``_qpe_blocks``, ``_searched_t0``).
 
 Fidelity semantics: the exact readout reports the expectation of the
 projector onto the classical solution over the surviving register state,
@@ -28,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CapacityError,
     DegenerateRunError,
     InsufficientShotsError,
     ZeroProbabilityError,
@@ -45,15 +48,19 @@ from .preprocess import (
     build_qpe_circuit,
     fixed_t0,
     iterative_t0,
+    qpe_state,
+    qpe_uncompute,
     run_preprocessing,
 )
 from .qlsp import QLSP, classical_solution
 from .sim import (
+    MAX_QUBITS,
     Circuit,
     Gate,
     NoiseSpec,
     StateVector,
     apply_circuit,
+    check_capacity,
     gate_report,
     inject_noise,
     inverted_gates,
@@ -62,8 +69,6 @@ from .sim import (
     sample,
     state_preparation_matrix,
 )
-
-MAX_QUBITS = 20
 
 VARIANTS = ("canonical", "hybrid", "enhanced")
 READOUTS = ("exact", "swap", "direct")
@@ -110,10 +115,18 @@ class RunConfig:
         if self.preprocess_bits is None:
             default_l = self.clock_bits + 2 if self.variant == "enhanced" else self.clock_bits
             self.preprocess_bits = max(default_l, 5 if self.variant == "enhanced" else 1)
+        if self.preprocess_bits < 1:
+            raise ValueError(f"preprocess_bits must be at least 1, not {self.preprocess_bits}")
         if self.variant == "hybrid" and self.preprocess_bits != self.clock_bits:
             raise ValueError("the hybrid variant preprocesses at the clock bit width")
         if self.variant == "enhanced" and self.preprocess_bits <= self.clock_bits:
             raise ValueError("the enhanced variant needs preprocess_bits > clock_bits")
+        for name, width in _widths(self, 1):
+            if width > MAX_QUBITS:
+                raise ValueError(
+                    f"{name} = {getattr(self, name)} needs {width} qubits even on a 2x2"
+                    f" problem, over the simulator budget of {MAX_QUBITS}"
+                )
         if self.shots < 1:
             raise ValueError("shots must be at least 1")
         if self.preprocess_shots is not None and self.preprocess_shots < 1:
@@ -124,6 +137,22 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be non-negative, not {value}")
+
+
+def _widths(config: RunConfig, nb: int) -> list[tuple[str, int]]:
+    """(field, qubits) for each state a run of ``config`` builds with ``nb`` b qubits.
+
+    The field is the config value that sets the width.
+    """
+    k = config.clock_bits
+    widths = [("clock_bits", nb + k + 1)]  # the solver circuit
+    if config.readout == "swap":
+        widths.append(("clock_bits", 2 * nb + k + 2))  # plus the test register and control
+    if config.t0_mode == "iterative":
+        widths.append(("clock_bits", nb + k + 3))  # the t0 search's fine grid
+    if config.variant != "canonical":
+        widths.append(("preprocess_bits", nb + config.preprocess_bits))
+    return widths
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,15 +181,20 @@ def error_from_fidelity(fidelity: float) -> float:
 @functools.lru_cache(maxsize=1)
 def _qpe_blocks(
     qlsp: QLSP, clock_bits: int, t0: float
-) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
-    """Prepare b + QPE gates, and the QPE's uncompute, for one (problem, k, t0).
+) -> tuple[tuple[Gate, ...], tuple[Gate, ...], StateVector]:
+    """Prepare b + QPE gates, the QPE's uncompute, and the solver state after the gates.
 
-    A batch runs a problem's variants back to back and they share the block
-    whenever they share t0, so one slot holds every reuse there is. The key
-    holds the problem by identity, which is safe because ``QLSP`` is immutable.
+    The state is ``qpe_state`` with the ancilla, the solver's top qubit, at
+    |0>. A batch runs a problem's variants back to back and they share the
+    block whenever they share t0, so one slot holds every reuse there is. The
+    key holds the problem by identity, which is safe because ``QLSP`` is
+    immutable.
     """
     prefix = tuple(build_qpe_circuit(qlsp, clock_bits, t0).gates)
-    return prefix, tuple(inverted_gates(prefix[1:]))
+    prepared = qpe_state(qlsp, clock_bits, t0)
+    start = np.concatenate((prepared.amplitudes, np.zeros_like(prepared.amplitudes)))
+    state = StateVector(prepared.num_qubits + 1, start, validate=False)
+    return prefix, tuple(inverted_gates(prefix[1:])), state
 
 
 def assemble_hhl(qlsp: QLSP, clock_bits: int, t0: float, plan: InversionPlan) -> Circuit:
@@ -169,19 +203,30 @@ def assemble_hhl(qlsp: QLSP, clock_bits: int, t0: float, plan: InversionPlan) ->
         raise ValueError("plan bit width does not match the clock register")
     nb = qlsp.num_qubits
     total = nb + clock_bits + 1
-    if total > MAX_QUBITS:
-        raise CapacityError(f"{total} qubits exceed the simulator budget of {MAX_QUBITS}")
+    check_capacity(total)
     breg = tuple(range(nb))
     clock = tuple(range(nb, nb + clock_bits))
     ancilla = nb + clock_bits
     circuit = Circuit(total, registers={"b": breg, "c": clock, "a": (ancilla,)})
-    prefix, uncompute = _qpe_blocks(qlsp, clock_bits, t0)
+    prefix, uncompute, _ = _qpe_blocks(qlsp, clock_bits, t0)
     # each block was built in a circuit no wider than this one, whose add
     # already checked that every gate fits
     circuit.gates.extend(prefix)
     circuit.gates.extend(build_inversion_circuit(plan, clock, ancilla).gates)
     circuit.gates.extend(uncompute)
     return circuit
+
+
+def _noiseless_state(qlsp: QLSP, clock_bits: int, t0: float, circuit: Circuit) -> StateVector:
+    """Output of ``assemble_hhl``'s ``circuit`` on |0>, without noise.
+
+    The prepare + QPE block and its uncompute come in closed form; only the
+    inversion block between them is simulated gate by gate.
+    """
+    prefix, uncompute, prepared = _qpe_blocks(qlsp, clock_bits, t0)
+    inversion = Circuit(circuit.num_qubits)
+    inversion.gates = circuit.gates[len(prefix) : len(circuit.gates) - len(uncompute)]
+    return qpe_uncompute(qlsp, clock_bits, t0, apply_circuit(prepared, inversion))
 
 
 def projection_fidelity(state: StateVector, qubits, target) -> float:
@@ -206,8 +251,7 @@ def _swap_test_state(state: StateVector, register, x) -> StateVector:
     """
     start = state.num_qubits
     total = start + len(register) + 1
-    if total > MAX_QUBITS:
-        raise CapacityError(f"{total} qubits exceed the simulator budget of {MAX_QUBITS}")
+    check_capacity(total)
     st = tuple(range(start, total - 1))
     st_a = total - 1
     circuit = Circuit(total)
@@ -290,6 +334,8 @@ def run(qlsp: QLSP, config: RunConfig) -> RunResult:
     """Execute one solver variant on one problem; deterministic per seeds."""
     k = config.clock_bits
     l = config.preprocess_bits
+    for _, width in _widths(config, qlsp.num_qubits):
+        check_capacity(width)
     signed = qlsp.has_negative_eigenvalues
     t0 = _resolve_t0(qlsp, config, signed)
 
@@ -316,8 +362,11 @@ def run(qlsp: QLSP, config: RunConfig) -> RunResult:
 
     circuit = assemble_hhl(qlsp, k, t0, plan)
     report = gate_report(circuit)
-    executed = inject_noise(circuit, config.noise) if config.noise else circuit
-    state = apply_circuit(StateVector.zero(executed.num_qubits), executed)
+    if config.noise:
+        executed = inject_noise(circuit, config.noise)
+        state = apply_circuit(StateVector.zero(executed.num_qubits), executed)
+    else:
+        state = _noiseless_state(qlsp, k, t0, circuit)
 
     ancilla = circuit.register_map["a"][0]
     breg = circuit.register_map["b"]

@@ -2,8 +2,10 @@
 
 Preprocessing is noiseless, so its clock distributions are computed in A's
 eigenbasis (``qpe_state``) rather than by simulating the circuit that
-``build_qpe_circuit`` returns; the solver circuit reuses that circuit's gates
-and is simulated densely (``pipeline``).
+``build_qpe_circuit`` returns. The solver circuit reuses that circuit's
+gates; a noiseless solver run takes the block's output state and its
+uncompute (``qpe_uncompute``) in closed form too, and a noisy one simulates
+the gates (``pipeline``).
 
 The time scale ``t0`` maps an eigenvalue ``lam`` to the clock-grid coordinate
 ``lam * t0 / (2 pi)``; adjacent grid points are one coordinate unit (a phase
@@ -27,6 +29,7 @@ from .sim import (
     Gate,
     GateKind,
     StateVector,
+    check_capacity,
     inverted_gates,
     marginal_probabilities,
     sample,
@@ -34,6 +37,7 @@ from .sim import (
 )
 
 TWO_PI = 2.0 * math.pi
+_BUTTERFLY = np.array([[1, 1], [1, -1]], dtype=complex)  # sqrt(2) H
 
 
 @dataclass(frozen=True)
@@ -137,6 +141,15 @@ def build_qpe_circuit(qlsp: QLSP, bit_width: int, t0: float) -> Circuit:
     return circuit
 
 
+def _check_block(qlsp: QLSP, bit_width: int, t0: float) -> None:
+    """Arguments of a closed-form QPE block; raises before anything is allocated."""
+    if bit_width < 1:
+        raise ValueError("bit_width must be at least 1")
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, not {t0}")
+    check_capacity(qlsp.num_qubits + bit_width)
+
+
 def qpe_state(qlsp: QLSP, bit_width: int, t0: float) -> StateVector:
     """Output state of ``build_qpe_circuit(qlsp, bit_width, t0)`` in closed form.
 
@@ -145,15 +158,46 @@ def qpe_state(qlsp: QLSP, bit_width: int, t0: float) -> StateVector:
     the state is sum_j beta_j c_j (x) u_j, with b on the low qubits as in the
     circuit. One FFT over x gives every c_j.
     """
-    if bit_width < 1:
-        raise ValueError("bit_width must be at least 1")
-    if not math.isfinite(t0):
-        raise ValueError(f"t0 must be finite, not {t0}")
+    _check_block(qlsp, bit_width, t0)
     big_t = 2**bit_width
     phases = np.exp(1j * np.outer(qlsp.eigenvalues * (float(t0) / big_t), np.arange(big_t)))
     clock = np.fft.fft(phases, axis=1) / big_t  # clock[j, m] = c_j[m]
     amplitudes = (clock.T * qlsp.projections) @ qlsp.eigenvectors.T  # [m, i]
     return StateVector(qlsp.num_qubits + bit_width, amplitudes.reshape(-1), validate=False)
+
+
+def qpe_uncompute(qlsp: QLSP, bit_width: int, t0: float, state: StateVector) -> StateVector:
+    """``state`` after the adjoint of the ``qpe_gates`` block, in closed form.
+
+    The block acts as in ``build_qpe_circuit``: b on the low qubits, the
+    clock above it; qubits above the clock are left alone, so the amplitudes
+    are laid out as [rest, clock m, b i]. In A's eigenbasis the adjoint is
+    (H^k (x) I) sum_x |x><x| (x) U^-x (QFT (x) I) with U = exp(i A t0 / T):
+    one change of basis, one FFT along the clock with the sign of
+    ``qft_gates``, one phase exp(-i lam_j t0 x / T) per (x, j), the change
+    back, and k Walsh-Hadamard butterflies. No operator on the whole register
+    is built.
+    """
+    _check_block(qlsp, bit_width, t0)
+    nb = qlsp.num_qubits
+    if state.num_qubits < nb + bit_width:
+        raise ValueError(
+            f"a {state.num_qubits}-qubit state cannot hold {nb} b and {bit_width} clock qubit(s)"
+        )
+    big_t = 2**bit_width
+    vectors = qlsp.eigenvectors
+    # numpy's inverse FFT has the sign of qft_gates; its 1/T scale is the
+    # QFT's 1/sqrt(T) times the butterflies', which skip their 1/sqrt(2)
+    coefficients = np.fft.ifft(
+        state.amplitudes.reshape(-1, big_t, qlsp.dimension) @ vectors.conj(), axis=1
+    )
+    coefficients *= np.exp(np.outer(np.arange(big_t), qlsp.eigenvalues * (-1j * t0 / big_t)))
+    amplitudes = coefficients @ vectors.T
+    for r in range(bit_width):  # clock bit r pairs the indices 2^r apart
+        amplitudes = _BUTTERFLY @ amplitudes.reshape(
+            -1, big_t >> (r + 1), 2, (1 << r) * qlsp.dimension
+        )
+    return StateVector(state.num_qubits, amplitudes.reshape(-1), validate=False)
 
 
 def qpe_grid_probabilities(qlsp: QLSP, bit_width: int, t0: float) -> np.ndarray:

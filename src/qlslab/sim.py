@@ -28,11 +28,18 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidCircuitError, InvalidGateError, ZeroProbabilityError
+from .errors import CapacityError, InvalidCircuitError, InvalidGateError, ZeroProbabilityError
 
 UNITARY_ATOL = 1e-10
+MAX_QUBITS = 20  # qubit budget of the states that preprocessing and solver runs build
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
+
+
+def check_capacity(num_qubits: int) -> None:
+    """Raise ``CapacityError`` when a ``num_qubits`` state would exceed ``MAX_QUBITS``."""
+    if num_qubits > MAX_QUBITS:
+        raise CapacityError(f"{num_qubits} qubits exceed the simulator budget of {MAX_QUBITS}")
 
 
 class GateKind(Enum):

@@ -312,6 +312,18 @@ def test_cli_rejects_negative_seeds_before_running(tmp_path, capsys, flags, fiel
     assert not out.exists()
 
 
+def test_cli_rejects_a_width_over_the_qubit_budget_before_running(tmp_path, capsys):
+    out = tmp_path / "bad.csv"
+    assert main(["sweep", "--count", "2", "--l", "34", "--out", str(out)]) == 2
+    assert "preprocess_bits = 34" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_describe_estimates_over_the_qubit_budget_fails_cleanly(capsys):
+    assert main(["describe", "--lambda", "1/3", "--estimates", "40"]) == 3
+    assert "41 qubits exceed the simulator budget" in capsys.readouterr().err
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(source="n5-set")

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+from test_preprocess import random_problem
 
 from qlslab import pipeline
 from qlslab.cli import PAPER_N4_EIGENVALUES, ExperimentSpec, run_experiment
@@ -10,6 +13,7 @@ from qlslab.errors import (
     AliasingError,
     CapacityError,
     DegenerateRunError,
+    EmptyPlanError,
     InsufficientShotsError,
 )
 from qlslab.inversion import InversionPlan, plan_canonical
@@ -34,6 +38,7 @@ from qlslab.sim import (
     inject_noise,
     inverted_gates,
     marginal_probabilities,
+    postselect,
     state_preparation_matrix,
 )
 
@@ -74,6 +79,44 @@ def test_iqpe_is_exact_inverse_of_qpe():
     circuit.extend(block)
     circuit.extend(inverted_gates(block))
     assert np.max(np.abs(circuit_matrix(circuit) - np.eye(16))) < 1e-10
+
+
+@st.composite
+def _noiseless_case(draw):
+    """(problem, config): a noiseless run of any variant at an explicit t0
+    that puts one eigenvalue on the clock grid, or at an arbitrary t0."""
+    qlsp = draw(random_problem())
+    k = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        lam = abs(qlsp.eigenvalues[draw(st.integers(0, qlsp.dimension - 1))])
+        t0 = TWO_PI * draw(st.integers(1, 2**k - 1)) / lam
+    else:
+        t0 = draw(st.floats(5.0, 80.0))
+    variant = draw(st.sampled_from(pipeline.VARIANTS))
+    return qlsp, RunConfig(variant=variant, clock_bits=k, t0_mode="explicit", t0_value=t0)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_noiseless_case())
+def test_noiseless_runs_match_the_dense_simulation(case):
+    """The closed-form QPE block and uncompute around the simulated inversion
+    give the state, fidelity and success probability of the whole circuit
+    simulated gate by gate."""
+    qlsp, config = case
+    try:
+        result = run(qlsp, config)
+    except (EmptyPlanError, DegenerateRunError):
+        reject()
+    k = config.clock_bits
+    circuit = assemble_hhl(qlsp, k, result.t0, result.plan)
+    dense = apply_circuit(StateVector.zero(circuit.num_qubits), circuit)
+    closed = pipeline._noiseless_state(qlsp, k, result.t0, circuit)
+    assert np.max(np.abs(closed.amplitudes - dense.amplitudes)) < 1e-12
+    post, success = postselect(dense, circuit.register_map["a"][0], 1)
+    x = classical_solution(qlsp).state_x
+    fidelity = projection_fidelity(post, circuit.register_map["b"], x) ** 2
+    assert abs(result.success_probability - success) < 1e-12
+    assert abs(result.fidelity - fidelity) < 1e-12
 
 
 def test_grid_aligned_canonical_run_is_exact():
@@ -174,7 +217,9 @@ def test_swap_readout_matches_full_circuit_reference():
 
 
 def test_swap_readout_simulates_solver_once(monkeypatch):
-    """The readout's simulation carries only the swap-test gates."""
+    """The solver's simulation carries only the inversion rotations (its QPE
+    block and uncompute are closed-form), and the readout's only the
+    swap-test gates."""
     gate_counts = []
 
     def counting_apply(state, circuit):
@@ -187,7 +232,7 @@ def test_swap_readout_simulates_solver_once(monkeypatch):
         variant="canonical", t0_mode="explicit", t0_value=ON_GRID_T0, readout="swap"
     )
     result = run(qlsp, config)
-    assert gate_counts == [result.gate_count, qlsp.num_qubits + 3]
+    assert gate_counts == [len(result.plan.rotations), qlsp.num_qubits + 3]
 
 
 def test_swap_and_exact_readouts_agree():
@@ -330,6 +375,52 @@ def test_run_config_validation():
             RunConfig(t0_mode="explicit", t0_value=bad)
         with pytest.raises(ValueError, match="t0_lambda_max"):
             RunConfig(t0_lambda_max=bad)
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"variant": "canonical", "preprocess_bits": -3}, "preprocess_bits"),
+        ({"variant": "canonical", "preprocess_bits": 0}, "preprocess_bits"),
+        ({"variant": "hybrid", "preprocess_bits": 0}, "preprocess_bits"),
+        ({"variant": "enhanced", "preprocess_bits": 0}, "preprocess_bits"),
+        ({"variant": "hybrid", "clock_bits": 0}, "clock_bits"),
+        # no 2x2 problem fits: 1 + 19 + 1 solver qubits
+        ({"variant": "canonical", "clock_bits": 19}, "clock_bits"),
+        ({"variant": "hybrid", "clock_bits": 21}, "clock_bits"),
+        # 1 + 20 preprocessing qubits
+        ({"variant": "enhanced", "preprocess_bits": 20}, "preprocess_bits"),
+        # the t0 search's fine grid: 1 + 17 + 3 qubits
+        ({"variant": "hybrid", "clock_bits": 17, "t0_mode": "iterative"}, "clock_bits"),
+        # the swap test's register and control: 1 + 17 + 1 + 1 + 1 qubits
+        ({"variant": "canonical", "clock_bits": 17, "readout": "swap"}, "clock_bits"),
+    ],
+)
+def test_run_config_rejects_bad_and_unfittable_widths(fields, name):
+    with pytest.raises(ValueError, match=name):
+        RunConfig(**fields)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        RunConfig(variant="canonical", clock_bits=18),
+        RunConfig(variant="enhanced", preprocess_bits=19),
+        RunConfig(variant="hybrid", clock_bits=16, t0_mode="iterative"),
+        RunConfig(variant="canonical", clock_bits=15, readout="swap"),
+    ],
+    ids=["solver", "preprocessing", "t0-search", "swap-test"],
+)
+def test_run_checks_the_qubit_budget_before_any_work(monkeypatch, config):
+    """Each config fits a 2x2 problem but needs one qubit too many on a 4x4 one."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the qubit budget was checked")
+
+    for name in ("_resolve_t0", "plan_canonical", "run_preprocessing", "assemble_hhl"):
+        monkeypatch.setattr(pipeline, name, forbidden)
+    with pytest.raises(CapacityError, match=f"{pipeline.MAX_QUBITS + 1} qubits"):
+        run(generate_n4(PAPER_N4_EIGENVALUES, (0, 1), 7), config)
 
 
 @pytest.mark.parametrize(

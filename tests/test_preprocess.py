@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlslab.errors import AliasingError, EmptyEstimateError
+from qlslab.errors import AliasingError, CapacityError, EmptyEstimateError
 from qlslab.inversion import plan_hybrid
 from qlslab.preprocess import (
     EigenEstimateSet,
@@ -19,16 +19,20 @@ from qlslab.preprocess import (
     iterative_t0,
     qft_gates,
     qpe_grid_probabilities,
+    qpe_gates,
     qpe_histogram,
     qpe_state,
+    qpe_uncompute,
     run_preprocessing,
 )
 from qlslab.qlsp import QLSP, generate_n2, generate_n4, hermitian_dilation
 from qlslab.sim import (
+    MAX_QUBITS,
     Circuit,
     StateVector,
     apply_circuit,
     circuit_matrix,
+    inverted_gates,
     marginal_probabilities,
 )
 
@@ -119,10 +123,9 @@ def _dense_qpe_state(qlsp, bits, t0):
 
 
 @st.composite
-def _qpe_case(draw):
-    """(problem, bits, t0): a random Hermitian system of dimension 2, 4 or 8
-    with a positive or a signed spectrum, or the Hermitian dilation of a
-    random general system."""
+def random_problem(draw):
+    """A random Hermitian system of dimension 2, 4 or 8 with a positive or a
+    signed spectrum, or the Hermitian dilation of a random general system."""
     dim = draw(st.sampled_from([2, 4, 8]))
     kind = draw(st.sampled_from(["positive", "signed", "dilation"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -137,6 +140,13 @@ def _qpe_case(draw):
         z = rng.standard_normal((dim, dim + 1)) + 1j * rng.standard_normal((dim, dim + 1))
         basis, _ = np.linalg.qr(z[:, :dim])
         qlsp = QLSP(basis @ np.diag(eigs) @ basis.conj().T, z[:, dim])
+    return qlsp
+
+
+@st.composite
+def _qpe_case(draw):
+    """(problem, bits, t0) for a ``random_problem``."""
+    qlsp = draw(random_problem())
     bits = draw(st.integers(1, 6))
     t0 = draw(st.one_of(st.just(0.0), st.floats(0.0, 60.0)))
     return qlsp, bits, t0
@@ -150,6 +160,48 @@ def test_qpe_state_matches_dense_simulation(case):
     dense = _dense_qpe_state(qlsp, bits, t0)
     assert closed.num_qubits == dense.num_qubits == qlsp.num_qubits + bits
     assert np.max(np.abs(closed.amplitudes - dense.amplitudes)) < 1e-12
+
+
+@st.composite
+def _uncompute_case(draw):
+    """(problem, bits, t0, state): a random state on the problem's b and clock
+    qubits, with or without one qubit above the clock."""
+    qlsp = draw(random_problem())
+    bits = draw(st.integers(1, 4))
+    t0 = draw(st.floats(0.0, 60.0))
+    width = qlsp.num_qubits + bits + draw(st.integers(0, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amplitudes = rng.standard_normal(2**width) + 1j * rng.standard_normal(2**width)
+    return qlsp, bits, t0, StateVector(width, amplitudes / np.linalg.norm(amplitudes))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_uncompute_case())
+def test_qpe_uncompute_matches_the_inverted_gates(case):
+    qlsp, bits, t0, state = case
+    nb = qlsp.num_qubits
+    circuit = Circuit(state.num_qubits)
+    circuit.extend(inverted_gates(qpe_gates(qlsp, range(nb, nb + bits), range(nb), t0)))
+    closed = qpe_uncompute(qlsp, bits, t0, state)
+    assert closed.num_qubits == state.num_qubits
+    assert np.max(np.abs(closed.amplitudes - circuit_matrix(circuit) @ state.amplitudes)) < 1e-12
+
+
+def test_qpe_uncompute_rejects_a_state_without_room_for_the_clock():
+    with pytest.raises(ValueError, match="clock"):
+        qpe_uncompute(generate_n2(0.3), 3, 1.0, StateVector.zero(3))
+
+
+@pytest.mark.parametrize("block", ["qpe_state", "qpe_uncompute"])
+def test_qpe_blocks_over_the_budget_raise_before_allocating(block):
+    """A 2x2 problem with MAX_QUBITS clock bits is one qubit over the budget;
+    unchecked, the block would allocate 2^21 amplitudes (32 MB)."""
+    qlsp = generate_n2(0.3)
+    with pytest.raises(CapacityError, match=f"{MAX_QUBITS + 1} qubits"):
+        if block == "qpe_state":
+            qpe_state(qlsp, MAX_QUBITS, 1.0)
+        else:
+            qpe_uncompute(qlsp, MAX_QUBITS, 1.0, StateVector.zero(1))
 
 
 def test_qpe_state_rejects_empty_clock():
