@@ -28,7 +28,6 @@ from .preprocess import (
     EigenEstimate,
     EigenEstimateSet,
     build_qpe_circuit,
-    extract_estimates,
     fixed_t0,
     iterative_t0,
     run_preprocessing,
@@ -36,7 +35,6 @@ from .preprocess import (
 from .qlsp import (
     QLSP,
     ClassicalSolution,
-    EigenPair,
     classical_solution,
     evolution_unitary,
     generate_n2,

@@ -99,8 +99,14 @@ class ExperimentSpec:
                 raise ValueError(f"lambda values outside (0, 0.5): {bad}")
         if self.source == "file" and not self.path:
             raise ValueError("file source needs a problem path")
-        for variant in self.variants:
-            _run_config(self, variant)  # RunConfig validates each variant's settings
+        _pairs(self.pairs)
+        # RunConfig validates each variant's settings
+        configs = [_run_config(self, variant) for variant in self.variants]
+        if self.t0_lambda_max is not None and all(c.t0_mode != "fixed" for c in configs):
+            raise ValueError(
+                f"t0_lambda_max is only used with t0_mode 'fixed', and no variant here runs"
+                f" in fixed mode (source {self.source!r}, t0_mode {self.t0_mode!r})"
+            )
 
 
 # JSON types each scalar ExperimentSpec annotation accepts; bool is excluded separately
@@ -138,6 +144,29 @@ def parse_fraction(text: str) -> float:
     return float(Fraction(text))
 
 
+def _pairs(text: str) -> list[tuple[int, int]]:
+    """Eigenvector index pairs of an n4 ``pairs`` value: "all" or e.g. "0-1,2-3".
+
+    Raises ``ValueError`` on an entry that is not two distinct indices in
+    0..3 and on a pair repeated in either order.
+    """
+    if text == "all":
+        return [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    pairs: list[tuple[int, int]] = []
+    for entry in text.split(","):
+        try:
+            i, j = (int(v) for v in entry.split("-"))
+            valid = i != j and 0 <= i < 4 and 0 <= j < 4
+        except ValueError:  # not two integers
+            valid = False
+        if not valid:
+            raise ValueError(f"pairs entry {entry!r} is not two distinct indices in 0..3")
+        if (i, j) in pairs or (j, i) in pairs:
+            raise ValueError(f"pairs repeat the pair {i}-{j}")
+        pairs.append((i, j))
+    return pairs
+
+
 def _problems(spec: ExperimentSpec) -> list[tuple[str, str, QLSP]]:
     """Materialize (problem_id, lambda_or_seed, QLSP) triples."""
     problems = []
@@ -155,11 +184,7 @@ def _problems(spec: ExperimentSpec) -> list[tuple[str, str, QLSP]]:
             problems.append((f"n2-{i:03d}", str(lam), generate_n2(float(lam))))
     elif spec.source == "n4-set":
         eigs = tuple(float(v) for v in spec.eigenvalues)
-        if spec.pairs == "all":
-            pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-        else:
-            pairs = [tuple(int(v) for v in p.split("-")) for p in spec.pairs.split(",")]
-        for pair in pairs:
+        for pair in _pairs(spec.pairs):
             qlsp = generate_n4(eigs, pair, spec.basis_seed)
             tag = f"{pair[0]}{pair[1]}"
             problems.append((f"n4-{tag}", f"seed{spec.basis_seed}-pair{tag}", qlsp))
@@ -185,7 +210,7 @@ def _run_config(spec: ExperimentSpec, variant: str) -> RunConfig:
         preprocess_bits=spec.preprocess_bits if variant == "enhanced" else spec.clock_bits,
         t0_mode=t0_mode,
         t0_value=t0_value,
-        t0_lambda_max=spec.t0_lambda_max,
+        t0_lambda_max=spec.t0_lambda_max if t0_mode == "fixed" else None,
         angle_policy=spec.angle_policy,
         alpha_model=spec.alpha_model,
         readout=spec.readout,
@@ -281,12 +306,13 @@ def describe_problem(qlsp: QLSP, clock_bits: int, t0: float) -> str:
     ]
     solution = classical_solution(qlsp)
     lines.append(f"solution norm |A^-1 b| = {solution.raw_norm:.6g}")
-    for i, pair in enumerate(qlsp.spectrum):
-        coord = pair.eigenvalue * t0 / (2 * math.pi)
+    spectrum = zip(qlsp.eigenvalues.tolist(), qlsp.projections.tolist())
+    for i, (eigenvalue, projection) in enumerate(spectrum):
+        coord = eigenvalue * t0 / (2 * math.pi)
         nearest = round(coord)
         delta = abs(coord - nearest) * 2 * math.pi
         lines.append(
-            f"  eig[{i}] = {pair.eigenvalue:+.6f}  |beta| = {abs(pair.projection):.6f}"
+            f"  eig[{i}] = {eigenvalue:+.6f}  |beta| = {abs(projection):.6f}"
             f"  grid coord {coord:+.4f} (nearest {nearest:+d}, delta {delta:.4f} rad)"
         )
     return "\n".join(lines)

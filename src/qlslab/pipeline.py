@@ -108,8 +108,19 @@ class RunConfig:
             raise ValueError(
                 f"explicit t0 mode needs a finite positive t0_value, not {self.t0_value}"
             )
-        if self.t0_lambda_max is not None and not _finite_positive(self.t0_lambda_max):
-            raise ValueError(f"t0_lambda_max must be finite and positive, not {self.t0_lambda_max}")
+        if self.t0_value is not None and self.t0_mode != "explicit":
+            raise ValueError(
+                f"t0_value is only used with t0_mode 'explicit', not {self.t0_mode!r}"
+            )
+        if self.t0_lambda_max is not None:
+            if self.t0_mode != "fixed":
+                raise ValueError(
+                    f"t0_lambda_max is only used with t0_mode 'fixed', not {self.t0_mode!r}"
+                )
+            if not _finite_positive(self.t0_lambda_max):
+                raise ValueError(
+                    f"t0_lambda_max must be finite and positive, not {self.t0_lambda_max}"
+                )
         if self.t0_mode == "iterative" and self.variant == "canonical":
             raise ValueError("the canonical variant has no preprocessing to guide an iterative t0")
         if self.preprocess_bits is None:
@@ -204,10 +215,9 @@ def assemble_hhl(qlsp: QLSP, clock_bits: int, t0: float, plan: InversionPlan) ->
     nb = qlsp.num_qubits
     total = nb + clock_bits + 1
     check_capacity(total)
-    breg = tuple(range(nb))
     clock = tuple(range(nb, nb + clock_bits))
     ancilla = nb + clock_bits
-    circuit = Circuit(total, registers={"b": breg, "c": clock, "a": (ancilla,)})
+    circuit = Circuit(total)
     prefix, uncompute, _ = _qpe_blocks(qlsp, clock_bits, t0)
     # each block was built in a circuit no wider than this one, whose add
     # already checked that every gate fits
@@ -276,33 +286,32 @@ def swap_test_fidelity(
     if shots < 1:
         raise ValueError("shots must be at least 1")
     tested = _swap_test_state(state, register, x)
+    # bit 0 of an outcome is the ancilla, bit 1 the swap-test control
     counts = sample(tested, (ancilla, tested.num_qubits - 1), shots, seed)
-    kept = {key: n for key, n in counts.items() if key[-1] == "1"}
-    total = sum(kept.values())
+    total = int(counts[1] + counts[3])
     if total == 0:
         raise InsufficientShotsError("no shot survived ancilla conditioning")
-    ones = sum(n for key, n in kept.items() if key[0] == "1")
-    return math.sqrt(max(0.0, 1.0 - 2.0 * ones / total))
+    return math.sqrt(max(0.0, 1.0 - 2.0 * int(counts[3]) / total))
 
 
-def direct_distribution_error(histogram: dict[str, int], x) -> float:
+def direct_distribution_error(counts, x) -> float:
     """Error from direct register measurement, with signs borrowed from ``x``.
 
-    Amplitude magnitudes are the square roots of observed frequencies, so the
-    recovered overlap is sum_i sqrt(f_i) |x_i|.
+    ``counts[i]`` shots read basis state ``i``. Amplitude magnitudes are the square
+    roots of observed frequencies, so the recovered overlap is sum_i sqrt(f_i) |x_i|.
     """
-    if any(count < 0 for count in histogram.values()):
-        raise ValueError("histogram counts must be non-negative")
+    counts = np.asarray(counts)
     x = np.asarray(x, dtype=complex).reshape(-1)
-    total = sum(histogram.values())
+    if counts.shape != x.shape:
+        raise ValueError(f"counts of shape {counts.shape} do not match a register of {x.shape[0]}")
+    if (counts < 0).any():
+        raise ValueError("counts must be non-negative")
+    total = int(counts.sum())
     if total == 0:
-        raise ValueError("the histogram holds no shots")
+        raise ValueError("the counts hold no shots")
     overlap = 0.0
-    for key, count in histogram.items():
-        index = int(key, 2)
-        if index >= x.shape[0]:
-            raise ValueError(f"histogram key {key!r} is outside the register")
-        overlap += math.sqrt(count / total) * abs(x[index])
+    for count, amplitude in zip(counts.tolist(), x):
+        overlap += math.sqrt(count / total) * abs(amplitude)
     return error_from_fidelity(overlap)
 
 
@@ -368,8 +377,8 @@ def run(qlsp: QLSP, config: RunConfig) -> RunResult:
     else:
         state = _noiseless_state(qlsp, k, t0, circuit)
 
-    ancilla = circuit.register_map["a"][0]
-    breg = circuit.register_map["b"]
+    breg = tuple(range(qlsp.num_qubits))
+    ancilla = qlsp.num_qubits + k
     try:
         post, success = postselect(state, ancilla, 1)
     except ZeroProbabilityError as exc:
@@ -384,12 +393,9 @@ def run(qlsp: QLSP, config: RunConfig) -> RunResult:
         )
         fidelity = overlap**2
     else:
-        counts = sample(state, (ancilla,) + tuple(breg), config.shots, config.seed)
-        kept: dict[str, int] = {}
-        for key, count in counts.items():
-            if key[-1] == "1":  # ancilla is the least significant sampled bit
-                kept[key[:-1]] = kept.get(key[:-1], 0) + count
-        if not kept:
+        counts = sample(state, (ancilla,) + breg, config.shots, config.seed)
+        kept = counts[1::2]  # the ancilla is bit 0 of an outcome
+        if not kept.any():
             raise InsufficientShotsError("no shot survived ancilla conditioning")
         return_error = direct_distribution_error(kept, solution.state_x)
         fidelity = 1.0 - 0.5 * return_error**2

@@ -135,7 +135,7 @@ def build_qpe_circuit(qlsp: QLSP, bit_width: int, t0: float) -> Circuit:
     nb = qlsp.num_qubits
     breg = tuple(range(nb))
     clock = tuple(range(nb, nb + bit_width))
-    circuit = Circuit(nb + bit_width, registers={"b": breg, "c": clock})
+    circuit = Circuit(nb + bit_width)
     circuit.unitary(state_preparation_matrix(qlsp.vector_b), breg)
     circuit.extend(qpe_gates(qlsp, clock, breg, t0))
     return circuit
@@ -208,7 +208,8 @@ def qpe_grid_probabilities(qlsp: QLSP, bit_width: int, t0: float) -> np.ndarray:
 
 def qpe_histogram(
     qlsp: QLSP, bit_width: int, t0: float, shots: int, seed: int | None = None
-) -> dict[str, int]:
+) -> np.ndarray:
+    """Shot counts over clock-register integers."""
     state = qpe_state(qlsp, bit_width, t0)
     return sample(state, range(qlsp.num_qubits, state.num_qubits), shots, seed)
 
@@ -220,6 +221,11 @@ def estimates_from_probabilities(
     threshold: float | None = None,
     signed_mode: bool = False,
 ) -> EigenEstimateSet:
+    """Decode a clock distribution into weighted eigenvalue estimates.
+
+    Weights are amplitudes, the square roots of the bin probabilities, and
+    the threshold (default ``2**-bit_width``) applies to the amplitude.
+    """
     if not (math.isfinite(time_scale) and time_scale > 0):
         raise ValueError(f"time scale must be finite and positive, not {time_scale}")
     if threshold is None:
@@ -246,44 +252,13 @@ def estimates_from_probabilities(
     return EigenEstimateSet(bit_width, float(time_scale), bool(signed_mode), tuple(entries))
 
 
-def _histogram_probabilities(histogram: dict[str, int], bit_width: int) -> np.ndarray:
-    """Shot frequencies over clock-register integers."""
-    if any(count < 0 for count in histogram.values()):
-        raise ValueError("histogram counts must be non-negative")
-    shots = sum(histogram.values())
-    if shots == 0:
-        raise EmptyEstimateError("the histogram holds no shots")
-    probs = np.zeros(2**bit_width)
-    for key, count in histogram.items():
-        if len(key) != bit_width or not set(key) <= {"0", "1"}:
-            raise ValueError(f"histogram key {key!r} is not a {bit_width}-bit string")
-        probs[int(key, 2)] += count / shots
-    return probs
-
-
 def _clock_probabilities(
     qlsp: QLSP, bit_width: int, t0: float, shots: int | None, seed: int | None
 ) -> np.ndarray:
     """Clock distribution: exact Born weights with ``shots=None``, else shot frequencies."""
     if shots is None:
         return qpe_grid_probabilities(qlsp, bit_width, t0)
-    return _histogram_probabilities(qpe_histogram(qlsp, bit_width, t0, shots, seed), bit_width)
-
-
-def extract_estimates(
-    histogram: dict[str, int],
-    bit_width: int,
-    time_scale: float,
-    threshold: float | None = None,
-    signed_mode: bool = False,
-) -> EigenEstimateSet:
-    """Decode a clock histogram into weighted eigenvalue estimates.
-
-    Weights are amplitudes, sqrt(count / shots), and the threshold applies to
-    the amplitude.
-    """
-    probs = _histogram_probabilities(histogram, bit_width)
-    return estimates_from_probabilities(probs, bit_width, time_scale, threshold, signed_mode)
+    return qpe_histogram(qlsp, bit_width, t0, shots, seed) / shots
 
 
 def run_preprocessing(

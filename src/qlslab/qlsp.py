@@ -20,13 +20,6 @@ SINGULAR_ATOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class EigenPair:
-    eigenvalue: float
-    eigenvector: np.ndarray
-    projection: complex
-
-
-@dataclass(frozen=True, eq=False)
 class ClassicalSolution:
     state_x: np.ndarray
     raw_norm: float
@@ -48,7 +41,10 @@ def _system_arrays(matrix_a, vector_b) -> tuple[np.ndarray, np.ndarray]:
 
 
 class QLSP:
-    """Hermitian system A x = b with cached spectrum and condition number."""
+    """Hermitian system A x = b with cached spectrum and condition number.
+
+    Eigenpair j: ``eigenvalues[j]``, ``eigenvectors[:, j]``, ``projections[j]`` = <u_j|b>.
+    """
 
     def __init__(self, matrix_a, vector_b, scale: float = 1.0):
         a, b = _system_arrays(matrix_a, vector_b)
@@ -70,14 +66,9 @@ class QLSP:
         if float(np.min(np.abs(eigenvalues))) < SINGULAR_ATOL:
             raise SingularProblemError("matrix is numerically singular")
 
-        pairs = []
-        for i in range(n):
-            vec = np.array(vectors[:, i])
-            vec.setflags(write=False)
-            pairs.append(EigenPair(float(eigenvalues[i]), vec, complex(np.vdot(vec, b))))
-        # the spectrum stacked once: pair j is eigenvalue j, column j, projection j
+        # one vdot per eigenvector, each read from a contiguous copy of its column
+        projections = np.array([np.vdot(u, b) for u in np.ascontiguousarray(vectors.T)])
         vectors = np.ascontiguousarray(vectors)
-        projections = np.array([p.projection for p in pairs])
 
         for array in (a, b, eigenvalues, vectors, projections):
             array.setflags(write=False)
@@ -86,7 +77,6 @@ class QLSP:
             matrix_a=a,
             vector_b=b,
             scale=float(scale),
-            spectrum=tuple(pairs),
             eigenvalues=eigenvalues,
             eigenvectors=vectors,
             projections=projections,

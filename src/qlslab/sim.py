@@ -5,8 +5,8 @@ Conventions:
       index ``i`` assigns qubit ``q`` the bit ``(i >> q) & 1``.
     * Gates act on views of the amplitudes reshaped to the ``(2,) * n``
       tensor, in which qubit ``q`` is axis ``n - 1 - q``.
-    * Histogram keys render most-significant-first: for ``qubits=(a, b, c)``
-      the key reads ``bit(c) bit(b) bit(a)``.
+    * Register outcomes are indexed the same way: ``qubits[i]`` is bit ``i``
+      of an outcome index in ``marginal_probabilities`` and ``sample``.
 
 ``Circuit.multiplexed_ry`` builds a uniformly controlled RY as one RY gate
 per control pattern. ``apply_circuit`` applies each run of consecutive RY
@@ -24,7 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -174,12 +174,18 @@ class Gate:
 
 
 class StateVector:
-    """Unit-norm complex amplitudes over ``2**num_qubits`` basis states."""
+    """Unit-norm complex amplitudes over ``2**num_qubits`` basis states.
+
+    ``validate=False`` trusts the amplitudes and takes a complex array as
+    given, without a copy: the state then owns it and makes it read-only, so
+    the caller must hand over an array that nothing else writes. Validated
+    construction normalizes into a new array and leaves the argument alone.
+    """
 
     __slots__ = ("num_qubits", "amplitudes")
 
     def __init__(self, num_qubits: int, amplitudes, *, validate: bool = True):
-        arr = np.array(amplitudes, dtype=complex)
+        arr = np.asarray(amplitudes, dtype=complex)
         if arr.shape != (2**num_qubits,):
             raise ValueError(
                 f"expected {2**num_qubits} amplitudes for {num_qubits} qubit(s), got {arr.shape}"
@@ -209,35 +215,13 @@ class StateVector:
 
 
 class Circuit:
-    """Ordered gate list over ``num_qubits`` qubits with named registers."""
+    """Ordered gate list over ``num_qubits`` qubits."""
 
-    def __init__(
-        self,
-        num_qubits: int,
-        registers: Mapping[str, Sequence[int]] | None = None,
-    ):
+    def __init__(self, num_qubits: int):
         if num_qubits < 1:
             raise InvalidCircuitError("a circuit needs at least one qubit")
         self.num_qubits = int(num_qubits)
         self.gates: list[Gate] = []
-        self.register_map: dict[str, tuple[int, ...]] = {}
-        if registers:
-            for name, qubits in registers.items():
-                self.add_register(name, qubits)
-
-    def add_register(self, name: str, qubits: Sequence[int]) -> "Circuit":
-        qubits = tuple(int(q) for q in qubits)
-        if not qubits or len(set(qubits)) != len(qubits):
-            raise InvalidCircuitError(
-                f"register {name!r} must be non-empty and unique, got {qubits}"
-            )
-        if any(q < 0 or q >= self.num_qubits for q in qubits):
-            raise InvalidCircuitError(f"register {name!r} out of range")
-        used = {q for qs in self.register_map.values() for q in qs}
-        if used & set(qubits):
-            raise InvalidCircuitError(f"register {name!r} overlaps an existing register")
-        self.register_map[name] = qubits
-        return self
 
     def add(self, gate: Gate) -> "Circuit":
         if max(gate.qubits()) >= self.num_qubits:
@@ -467,16 +451,13 @@ def marginal_probabilities(state: StateVector, qubits: Sequence[int]) -> np.ndar
 
 def sample(
     state: StateVector, qubits: Sequence[int], shots: int, seed: int | None = None
-) -> dict[str, int]:
-    """Shot histogram over the listed qubits; deterministic for a fixed seed."""
+) -> np.ndarray:
+    """Seeded shot counts per outcome of ``qubits``, indexed as in ``marginal_probabilities``."""
     if shots < 1:
         raise ValueError("shots must be at least 1")
     probs = marginal_probabilities(state, qubits)
     probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
-    width = len(tuple(qubits))
-    return {format(i, f"0{width}b"): int(c) for i, c in enumerate(counts) if c}
+    return np.random.default_rng(seed).multinomial(shots, probs)
 
 
 def state_preparation_matrix(vector) -> np.ndarray:
@@ -523,7 +504,7 @@ _PAULI_KINDS = (GateKind.PAULI_X, GateKind.PAULI_Y, GateKind.PAULI_Z)
 def inject_noise(circuit: Circuit, spec: NoiseSpec) -> Circuit:
     """Insert a uniformly chosen Pauli on one involved qubit after each gate."""
     rng = np.random.default_rng(spec.rng_seed)
-    noisy = Circuit(circuit.num_qubits, circuit.register_map)
+    noisy = Circuit(circuit.num_qubits)
     # every gate, and so every qubit a Pauli lands on, already fits this width
     gates = noisy.gates
     for gate in circuit.gates:

@@ -168,9 +168,7 @@ def test_criterion_7_oracle_equivalence_suite():
         result = run(qlsp, RunConfig(variant="canonical", t0_mode="explicit", t0_value=t0))
         worst_error = max(worst_error, result.error)
         c = 2 * math.pi / t0
-        predicted = sum(
-            abs(p.projection) ** 2 * (c / p.eigenvalue) ** 2 for p in qlsp.spectrum
-        )
+        predicted = float(np.sum(np.abs(qlsp.projections) ** 2 * (c / qlsp.eigenvalues) ** 2))
         worst_prob_gap = max(worst_prob_gap, abs(result.success_probability - predicted))
     ok = worst_error < 1e-6 and worst_prob_gap < 1e-9
     _report(

@@ -222,6 +222,53 @@ def test_config_t0_value_needs_explicit_mode(tmp_path, capsys, t0_mode):
     assert {float(row["t0"]) for row in _read_rows(out)} == {5.0}
 
 
+@pytest.mark.parametrize(
+    "recipe",
+    [
+        ["sweep", "--count", "2", "--t0-lambda-max", "0.5"],
+        ["sweep", "--count", "2", "--t0-mode", "iterative", "--t0-lambda-max", "0.5"],
+        ["n4", "--pairs", "0-1", "--t0-mode", "explicit=5", "--t0-lambda-max", "0.9"],
+        ["n4", "--pairs", "0-1", "--t0-mode", "iterative", "--variant", "hybrid,enhanced",
+         "--t0-lambda-max", "0.9"],
+    ],
+    ids=["sweep", "sweep-iterative", "n4-explicit", "n4-iterative-no-canonical"],
+)
+def test_cli_rejects_a_t0_lambda_max_no_row_uses(tmp_path, capsys, recipe):
+    out = tmp_path / "x.csv"
+    assert main(recipe + ["--out", str(out)]) == 2
+    assert "t0_lambda_max is only used with t0_mode 'fixed'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t0_mode", [[], ["--t0-mode", "iterative"]], ids=["fixed", "iterative"])
+def test_cli_t0_lambda_max_sets_the_fixed_rows(tmp_path, t0_mode):
+    out = tmp_path / "n4.csv"
+    args = ["n4", "--pairs", "0-1", "--t0-lambda-max", "0.9", "--out", str(out)]
+    assert main(args + t0_mode) == 0
+    rows = _read_rows(out)
+    fixed = [row for row in rows if row["variant"] == "canonical"] if t0_mode else rows
+    assert fixed and {float(row["t0"]) for row in fixed} == {2 * math.pi * 3 / 0.9}
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ("0-1,0-1", "pairs repeat the pair 0-1"),
+        ("0-1,1-0", "pairs repeat the pair 1-0"),
+        ("0-1-2", "pairs entry '0-1-2' is not two distinct indices"),
+        ("1-1", "pairs entry '1-1' is not two distinct indices"),
+        ("0-4", "pairs entry '0-4' is not two distinct indices"),
+        ("0-x", "pairs entry '0-x' is not two distinct indices"),
+        ("0-1,", "pairs entry '' is not two distinct indices"),
+    ],
+)
+def test_cli_rejects_malformed_or_repeated_pairs(tmp_path, capsys, pairs, message):
+    out = tmp_path / "x.csv"
+    assert main(["n4", "--pairs", pairs, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_missing_file_exit_code(tmp_path):
     assert main(["plot-data", "--csv", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o.csv")]) == 2
 
@@ -287,7 +334,10 @@ def test_cli_t0_mode_override(tmp_path):
 
 @pytest.mark.parametrize(
     "flags, field",
-    [(["--t0-mode", "explicit=nan"], "t0_value"), (["--t0-lambda-max", "inf"], "t0_lambda_max")],
+    [
+        (["--t0-mode", "explicit=nan"], "t0_value"),
+        (["--t0-mode", "fixed", "--t0-lambda-max", "inf"], "t0_lambda_max must be finite"),
+    ],
     ids=["t0-value", "t0-lambda-max"],
 )
 def test_cli_rejects_non_finite_time_scale_before_running(tmp_path, capsys, flags, field):
@@ -360,6 +410,12 @@ GOLDEN_SPECS = {
     "n4_pairs01_k7_noisy.csv": dict(
         name="n4-set", source="n4-set", pairs="0-1", clock_bits=7, preprocess_bits=10, noise_p=0.01
     ),  # n4 --pairs 0-1 --k 7 --l 10 --noise-p 0.01
+    "sweep_count5_direct.csv": dict(
+        name="n2-sweep", source="n2-sweep", count=5, readout="direct"
+    ),  # sweep --count 5 --readout direct
+    "n4_pairs01_direct_noisy.csv": dict(
+        name="n4-set", source="n4-set", pairs="0-1", readout="direct", noise_p=0.01
+    ),  # n4 --pairs 0-1 --readout direct --noise-p 0.01
 }
 
 

@@ -31,6 +31,7 @@ from qlslab.preprocess import fixed_t0, qpe_gates
 from qlslab.qlsp import QLSP, classical_solution, generate_n2, generate_n4
 from qlslab.sim import (
     Circuit,
+    GateKind,
     NoiseSpec,
     StateVector,
     apply_circuit,
@@ -60,9 +61,9 @@ def test_assemble_register_arithmetic():
     plan = plan_canonical(3, ON_GRID_T0)
     circuit = assemble_hhl(qlsp, 3, ON_GRID_T0, plan)
     assert circuit.num_qubits == 5  # 1 solution + 3 clock + 1 ancilla
-    assert circuit.register_map["b"] == (0,)
-    assert circuit.register_map["c"] == (1, 2, 3)
-    assert circuit.register_map["a"] == (4,)
+    assert circuit.gates[0].targets == (0,)  # b is prepared on qubit 0
+    assert [gate.targets for gate in circuit.gates[1:4]] == [(1,), (2,), (3,)]  # clock
+    assert {gate.targets for gate in circuit.gates if gate.kind is GateKind.RY} == {(4,)}
 
 
 def test_capacity_error():
@@ -112,9 +113,10 @@ def test_noiseless_runs_match_the_dense_simulation(case):
     dense = apply_circuit(StateVector.zero(circuit.num_qubits), circuit)
     closed = pipeline._noiseless_state(qlsp, k, result.t0, circuit)
     assert np.max(np.abs(closed.amplitudes - dense.amplitudes)) < 1e-12
-    post, success = postselect(dense, circuit.register_map["a"][0], 1)
+    nb = qlsp.num_qubits
+    post, success = postselect(dense, nb + k, 1)
     x = classical_solution(qlsp).state_x
-    fidelity = projection_fidelity(post, circuit.register_map["b"], x) ** 2
+    fidelity = projection_fidelity(post, range(nb), x) ** 2
     assert abs(result.success_probability - success) < 1e-12
     assert abs(result.fidelity - fidelity) < 1e-12
 
@@ -192,8 +194,8 @@ def test_swap_readout_matches_full_circuit_reference():
     circuit = assemble_hhl(qlsp, 3, t0, plan_canonical(3, t0, signed_mode=True))
     executed = inject_noise(circuit, NoiseSpec(0.05, 3))
     assert len(executed) > len(circuit)  # at least one Pauli error was drawn
-    breg = circuit.register_map["b"]
-    ancilla = circuit.register_map["a"][0]
+    breg = tuple(range(qlsp.num_qubits))
+    ancilla = qlsp.num_qubits + 3
     x = classical_solution(qlsp).state_x
 
     start = executed.num_qubits
@@ -269,32 +271,33 @@ def test_swap_test_insufficient_shots():
 def test_direct_distribution_error_exact_distribution():
     # sqrt(2 (1 - f)) amplifies float roundoff in f to ~1e-8; that is zero here
     x = np.array([3.0, 1.0]) / math.sqrt(10.0)
-    histogram = {"0": 9000, "1": 1000}
-    assert direct_distribution_error(histogram, x) == pytest.approx(0.0, abs=1e-6)
+    counts = np.array([9000, 1000])
+    assert direct_distribution_error(counts, x) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_direct_distribution_error_uniform_closed_form():
     x = np.array([1.0, 0.0])
-    histogram = {"0": 500, "1": 500}
+    counts = np.array([500, 500])
     expected = math.sqrt(2 * (1 - 1 / math.sqrt(2)))
-    assert direct_distribution_error(histogram, x) == pytest.approx(expected, abs=1e-12)
+    assert direct_distribution_error(counts, x) == pytest.approx(expected, abs=1e-12)
 
 
 def test_direct_distribution_error_validation():
-    with pytest.raises(ValueError):
-        direct_distribution_error({}, np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        direct_distribution_error({"10": 4}, np.array([1.0, 0.0]))
+    # no counts, and a count for basis state 2 of a one-qubit register
+    with pytest.raises(ValueError, match="do not match"):
+        direct_distribution_error([], np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="do not match"):
+        direct_distribution_error([0, 0, 4], np.array([1.0, 0.0]))
 
 
 @pytest.mark.parametrize(
-    "histogram, message",
-    [({"0": 0, "1": 0}, "no shots"), ({"0": -5, "1": 10}, "non-negative")],
+    "counts, message",
+    [([0, 0], "no shots"), ([-5, 10], "non-negative")],
     ids=["all-zero", "negative"],
 )
-def test_direct_distribution_error_rejects_zero_and_negative_counts(histogram, message):
+def test_direct_distribution_error_rejects_zero_and_negative_counts(counts, message):
     with pytest.raises(ValueError, match=message):
-        direct_distribution_error(histogram, np.array([1.0, 0.0]))
+        direct_distribution_error(np.array(counts), np.array([1.0, 0.0]))
 
 
 def test_direct_mode_ranks_variants_like_exact_mode():
@@ -375,6 +378,21 @@ def test_run_config_validation():
             RunConfig(t0_mode="explicit", t0_value=bad)
         with pytest.raises(ValueError, match="t0_lambda_max"):
             RunConfig(t0_lambda_max=bad)
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        (dict(t0_mode="fixed", t0_value=5.0), "t0_value"),
+        (dict(variant="hybrid", t0_mode="iterative", t0_value=5.0), "t0_value"),
+        (dict(variant="hybrid", t0_mode="iterative", t0_lambda_max=0.5), "t0_lambda_max"),
+        (dict(t0_mode="explicit", t0_value=5.0, t0_lambda_max=0.5), "t0_lambda_max"),
+    ],
+    ids=["value-fixed", "value-iterative", "lambda-max-iterative", "lambda-max-explicit"],
+)
+def test_run_config_rejects_a_time_scale_its_mode_ignores(fields, name):
+    with pytest.raises(ValueError, match=f"{name} is only used with t0_mode"):
+        RunConfig(**fields)
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from qlslab.preprocess import (
     build_qpe_circuit,
     decode_grid_int,
     estimates_from_probabilities,
-    extract_estimates,
     fixed_t0,
     inverse_qft_gates,
     iterative_t0,
@@ -112,8 +111,8 @@ def test_qpe_on_grid_concentrates():
 def test_qpe_zero_time_all_zero_bitstring():
     probs = qpe_grid_probabilities(generate_n2(0.3), 3, 0.0)
     assert probs[0] == pytest.approx(1.0, abs=1e-12)
-    histogram = qpe_histogram(generate_n2(0.3), 3, 0.0, shots=64, seed=1)
-    assert histogram == {"000": 64}
+    counts = qpe_histogram(generate_n2(0.3), 3, 0.0, shots=64, seed=1)
+    assert counts.tolist() == [64, 0, 0, 0, 0, 0, 0, 0]
 
 
 def _dense_qpe_state(qlsp, bits, t0):
@@ -225,12 +224,24 @@ def test_hybrid_tie_goes_to_the_smaller_grid_value(lam):
 def test_qpe_circuit_registers():
     circuit = build_qpe_circuit(generate_n2(0.3), 4, 10.0)
     assert circuit.num_qubits == 5
-    assert circuit.register_map["b"] == (0,)
-    assert circuit.register_map["c"] == (1, 2, 3, 4)
+    assert circuit.gates[0].targets == (0,)  # b is prepared on qubit 0
+    assert [gate.targets for gate in circuit.gates[1:5]] == [(1,), (2,), (3,), (4,)]  # clock
+    powers = circuit.gates[5:9]  # controlled powers of U act on b, one per clock qubit
+    assert [(gate.targets, gate.controls) for gate in powers] == [
+        ((0,), ((q, 1),)) for q in (1, 2, 3, 4)
+    ]
 
 
-def test_extract_estimates_plain_decode():
-    estimates = extract_estimates({"001": 512, "010": 512}, 3, 6 * math.pi)
+def _bins(bit_width, weights):
+    """A clock distribution with probability ``weights[g]`` on grid value ``g``."""
+    probabilities = np.zeros(2**bit_width)
+    for g, weight in weights.items():
+        probabilities[g] = weight
+    return probabilities
+
+
+def test_estimates_plain_decode():
+    estimates = estimates_from_probabilities(_bins(3, {1: 0.5, 2: 0.5}), 3, 6 * math.pi)
     decoded = {(e.grid_int, round(e.lambda_tilde, 12), round(e.weight, 6)) for e in estimates.entries}
     assert decoded == {
         (1, round(1 / 3, 12), round(math.sqrt(0.5), 6)),
@@ -238,9 +249,9 @@ def test_extract_estimates_plain_decode():
     }
 
 
-def test_extract_estimates_signed_decode():
+def test_estimates_signed_decode():
     t0 = 6 * math.pi
-    estimates = extract_estimates({"111": 1024}, 3, t0, signed_mode=True)
+    estimates = estimates_from_probabilities(_bins(3, {7: 1.0}), 3, t0, signed_mode=True)
     entry = estimates.entries[0]
     assert entry.grid_int == 7
     assert entry.lambda_tilde == pytest.approx(TWO_PI * -1 / t0)
@@ -258,26 +269,14 @@ def test_threshold_removes_small_bins():
     bits = 3
     # amplitude threshold 2^-l corresponds to counts below shots * 2^(-2l)
     small = int(shots * 2.0 ** (-2 * bits)) - 1
-    histogram = {"001": shots - small, "010": small}
-    estimates = extract_estimates(histogram, bits, 6 * math.pi)
+    probabilities = _bins(bits, {1: (shots - small) / shots, 2: small / shots})
+    estimates = estimates_from_probabilities(probabilities, bits, 6 * math.pi)
     assert [e.grid_int for e in estimates.entries] == [1]
 
 
-def test_extract_estimates_empty_cases():
+def test_estimates_empty_cases():
     with pytest.raises(EmptyEstimateError):
-        extract_estimates({}, 3, 6 * math.pi)
-    with pytest.raises(EmptyEstimateError):
-        extract_estimates({"001": 500, "010": 500}, 3, 6 * math.pi, threshold=0.99)
-
-
-def test_extract_estimates_rejects_an_all_zero_histogram():
-    with pytest.raises(EmptyEstimateError, match="no shots"):
-        extract_estimates({"01": 0}, 2, 1.0)
-
-
-def test_extract_estimates_rejects_negative_counts():
-    with pytest.raises(ValueError, match="non-negative"):
-        extract_estimates({"01": -5, "10": 10}, 2, 1.0)
+        estimates_from_probabilities(_bins(3, {1: 0.5, 2: 0.5}), 3, 6 * math.pi, threshold=0.99)
 
 
 def test_estimates_reject_a_nan_bin():
@@ -301,22 +300,16 @@ def test_qpe_state_rejects_a_non_finite_t0(t0):
         qpe_state(generate_n2(0.1), 3, t0)
 
 
-@pytest.mark.parametrize("key", ["0001", "1111", "01", "0b1", "0_1", "012"])
-def test_extract_estimates_rejects_malformed_keys(key):
-    with pytest.raises(ValueError, match="3-bit"):
-        extract_estimates({key: 10}, 3, 1.0)
-
-
-def test_extract_estimates_sorted_and_deterministic():
-    histogram = {"001": 100, "010": 800, "011": 124}
-    a = extract_estimates(histogram, 3, 6 * math.pi, threshold=0.05)
-    b = extract_estimates(histogram, 3, 6 * math.pi, threshold=0.05)
+def test_estimates_sorted_and_deterministic():
+    probabilities = _bins(3, {1: 100 / 1024, 2: 800 / 1024, 3: 124 / 1024})
+    a = estimates_from_probabilities(probabilities, 3, 6 * math.pi, threshold=0.05)
+    b = estimates_from_probabilities(probabilities, 3, 6 * math.pi, threshold=0.05)
     assert [e.grid_int for e in a.entries] == [2, 3, 1]
     assert a == b
 
 
 def test_estimate_set_json_round_trip():
-    estimates = extract_estimates({"001": 512, "110": 512}, 3, 7.0, signed_mode=True)
+    estimates = estimates_from_probabilities(_bins(3, {1: 0.5, 6: 0.5}), 3, 7.0, signed_mode=True)
     loaded = EigenEstimateSet.from_json(estimates.to_json())
     assert loaded == estimates
 
@@ -325,8 +318,8 @@ def test_perfect_grid_recovery_with_sampling():
     """On-grid spectra recover exactly the populated bins at |beta| weight."""
     qlsp = generate_n2(1 / 3)
     shots = 8192
-    histogram = qpe_histogram(qlsp, 3, 18 * math.pi, shots=shots, seed=5)
-    estimates = extract_estimates(histogram, 3, 18 * math.pi)
+    counts = qpe_histogram(qlsp, 3, 18 * math.pi, shots=shots, seed=5)
+    estimates = estimates_from_probabilities(counts / shots, 3, 18 * math.pi)
     assert {e.grid_int for e in estimates.entries} == {3, 6}
     sigma = math.sqrt(0.25 / shots)  # binomial sigma on the bin probability
     for entry in estimates.entries:

@@ -42,7 +42,7 @@ def test_n2_matrix_entries():
 def test_n2_equal_projections():
     for lam in (0.1, 0.27, 0.44):
         qlsp = generate_n2(lam)
-        weights = [abs(p.projection) ** 2 for p in qlsp.spectrum]
+        weights = np.abs(qlsp.projections) ** 2
         assert np.allclose(weights, [0.5, 0.5], atol=1e-12)
 
 
@@ -179,7 +179,7 @@ def test_evolution_unitary_properties():
 def test_generate_n4_spectrum_and_projections():
     qlsp = generate_n4(PAPER_N4_EIGENVALUES, (0, 2), seed=7)
     assert np.allclose(sorted(qlsp.eigenvalues), sorted(PAPER_N4_EIGENVALUES), atol=1e-10)
-    weights = sorted(abs(p.projection) for p in qlsp.spectrum)
+    weights = sorted(np.abs(qlsp.projections))
     assert np.allclose(weights[:2], [0, 0], atol=1e-10)
     assert np.allclose(weights[2:], [1 / math.sqrt(2)] * 2, atol=1e-10)
 
@@ -210,24 +210,23 @@ def test_n2_eigendecomposition_consistency():
 
 def test_spectrum_reconstructs_matrix():
     qlsp = generate_n4(PAPER_N4_EIGENVALUES, (0, 1), seed=3)
-    rebuilt = sum(
-        p.eigenvalue * np.outer(p.eigenvector, p.eigenvector.conj()) for p in qlsp.spectrum
-    )
+    vectors = qlsp.eigenvectors
+    rebuilt = (vectors * qlsp.eigenvalues) @ vectors.conj().T
     assert np.max(np.abs(rebuilt - qlsp.matrix_a)) < 1e-9
 
 
 def test_eigenvectors_orthonormal():
     qlsp = generate_n4(PAPER_N4_EIGENVALUES, (0, 1), seed=3)
-    vectors = np.column_stack([p.eigenvector for p in qlsp.spectrum])
+    vectors = qlsp.eigenvectors
     assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(4))) < 1e-10
 
 
 def test_spectrum_arrays_are_stacked_once_and_read_only():
     qlsp = generate_n4(PAPER_N4_EIGENVALUES, (0, 2), seed=7)
-    assert np.array_equal(qlsp.eigenvalues, [p.eigenvalue for p in qlsp.spectrum])
-    stacked = np.column_stack([p.eigenvector for p in qlsp.spectrum])
-    assert np.array_equal(qlsp.eigenvectors, stacked)
-    assert np.array_equal(qlsp.projections, [p.projection for p in qlsp.spectrum])
+    for j, lam in enumerate(qlsp.eigenvalues):  # pair j: eigenvalue j, column j, projection j
+        u = np.ascontiguousarray(qlsp.eigenvectors[:, j])
+        assert np.max(np.abs(qlsp.matrix_a @ u - lam * u)) < 1e-12
+        assert qlsp.projections[j] == np.vdot(u, qlsp.vector_b)
     for array in (qlsp.eigenvalues, qlsp.eigenvectors, qlsp.projections):
         assert not array.flags.writeable
     assert qlsp.eigenvalues is qlsp.eigenvalues  # stored, not rebuilt per access
@@ -262,7 +261,7 @@ def test_has_negative_eigenvalues_flag():
 def test_spectrum_surface():
     qlsp = generate_n2(1 / 3)
     assert qlsp.condition_number == pytest.approx(2.0)
-    assert sorted(p.eigenvalue for p in qlsp.spectrum) == pytest.approx([1 / 3, 2 / 3])
+    assert sorted(qlsp.eigenvalues) == pytest.approx([1 / 3, 2 / 3])
 
 
 @pytest.mark.parametrize(
