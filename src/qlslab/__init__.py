@@ -8,9 +8,7 @@ measured errors.
 from .analysis import BoundInputs, aggregate, canonical_bound, enhanced_bound
 from .inversion import (
     InversionPlan,
-    alpha_overlap,
     build_inversion_circuit,
-    inversion_amplitude,
     plan_canonical,
     plan_enhanced,
     plan_hybrid,

@@ -20,7 +20,6 @@ Angle policies for the enhanced plan:
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -52,21 +51,6 @@ class InversionPlan:
             raise ValueError("rotation angles must be finite with |theta| <= pi")
         if not (math.isfinite(self.constant_c) and self.constant_c > 0):
             raise ValueError(f"the constant must be finite and positive, not {self.constant_c}")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "k": self.bit_width,
-                "C": self.constant_c,
-                "rotations": [[p, theta] for p, theta in self.rotations],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "InversionPlan":
-        doc = json.loads(text)
-        rotations = tuple((int(p), float(t)) for p, t in doc["rotations"])
-        return cls(int(doc["k"]), rotations, float(doc["C"]))
 
 
 def inversion_amplitude(lambda_tilde: float, c: float) -> float:

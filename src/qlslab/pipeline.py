@@ -4,9 +4,10 @@ A run prepares the right-hand side, performs phase estimation onto the clock
 register, applies the inversion plan, undoes phase estimation, post-selects
 the ancilla on |1>, and scores the surviving register state against the exact
 classical solution. Register layout (least significant first): solution
-register ``b``, clock ``c``, ancilla ``a``. The swap-test readout appends its
-test register and control qubit above these to the simulated state at readout
-time, so the solver circuit is simulated once for every readout mode.
+register ``b``, clock ``c``, ancilla ``a``. The solver circuit is simulated
+once for every readout mode; the swap-test readout takes its outcome
+probabilities from that state in closed form and samples them, so it
+simulates no test register.
 
 Noiseless runs take the prepare + QPE block and its uncompute in closed form
 from A's eigenbasis (``qpe_state``, ``qpe_uncompute``) and simulate only the
@@ -64,10 +65,10 @@ from .sim import (
     gate_report,
     inject_noise,
     inverted_gates,
+    marginal_probabilities,
     postselect,
     register_matrix,
     sample,
-    state_preparation_matrix,
 )
 
 VARIANTS = ("canonical", "hybrid", "enhanced")
@@ -153,12 +154,11 @@ class RunConfig:
 def _widths(config: RunConfig, nb: int) -> list[tuple[str, int]]:
     """(field, qubits) for each state a run of ``config`` builds with ``nb`` b qubits.
 
-    The field is the config value that sets the width.
+    The field is the config value that sets the width. Every readout reads
+    the solver's state, so the readout mode adds no width.
     """
     k = config.clock_bits
     widths = [("clock_bits", nb + k + 1)]  # the solver circuit
-    if config.readout == "swap":
-        widths.append(("clock_bits", 2 * nb + k + 2))  # plus the test register and control
     if config.t0_mode == "iterative":
         widths.append(("clock_bits", nb + k + 3))  # the t0 search's fine grid
     if config.variant != "canonical":
@@ -253,26 +253,25 @@ def projection_fidelity(state: StateVector, qubits, target) -> float:
     return float(np.linalg.norm(overlap))
 
 
-def _swap_test_state(state: StateVector, register, x) -> StateVector:
-    """Swap-test ``register`` of ``state`` against ``x``; returns the final state.
+def _swap_test_probabilities(state: StateVector, register, ancilla: int, x) -> np.ndarray:
+    """Outcome probabilities of a swap test of ``register`` against ``x``.
 
-    The test register and its control qubit are appended in |0> above the
-    state's qubits, so the control is the most significant qubit.
+    Bit 0 of an outcome is ``ancilla``, bit 1 the swap-test control. With the
+    state split by ancilla value a into branches M_a (register outcome by the
+    other qubits), the test reads P(a, c) = (P(a) +- <x|rho_a|x>) / 2, with
+    P(a) = ||M_a||^2 and <x|rho_a|x> = ||x^dagger M_a||^2, so no test register
+    is simulated.
     """
-    start = state.num_qubits
-    total = start + len(register) + 1
-    check_capacity(total)
-    st = tuple(range(start, total - 1))
-    st_a = total - 1
-    circuit = Circuit(total)
-    circuit.unitary(state_preparation_matrix(x), st)
-    circuit.h(st_a)
-    for qb, qs in zip(register, st):
-        circuit.swap(qb, qs, controls=((st_a, 1),))
-    circuit.h(st_a)
-    amplitudes = np.zeros(2**total, dtype=complex)
-    amplitudes[: 2**start] = state.amplitudes
-    return apply_circuit(StateVector(total, amplitudes, validate=False), circuit)
+    x = np.asarray(x, dtype=complex).reshape(-1)
+    if x.shape[0] != 2 ** len(register):
+        raise ValueError("x length does not match the register")
+    branches = register_matrix(state.amplitudes, tuple(register) + (ancilla,))
+    branches = branches.reshape(2, x.shape[0], -1)  # [a, register outcome, rest]
+    weights = np.sum(np.abs(branches) ** 2, axis=(1, 2))
+    overlaps = np.sum(np.abs(x.conj() @ branches) ** 2, axis=1)
+    # rows are the control's value, columns the ancilla's
+    probabilities = np.stack((weights + overlaps, weights - overlaps)) / 2
+    return np.clip(probabilities, 0.0, None).reshape(-1)
 
 
 def swap_test_fidelity(
@@ -285,9 +284,8 @@ def swap_test_fidelity(
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    tested = _swap_test_state(state, register, x)
     # bit 0 of an outcome is the ancilla, bit 1 the swap-test control
-    counts = sample(tested, (ancilla, tested.num_qubits - 1), shots, seed)
+    counts = sample(_swap_test_probabilities(state, register, ancilla, x), shots, seed)
     total = int(counts[1] + counts[3])
     if total == 0:
         raise InsufficientShotsError("no shot survived ancilla conditioning")
@@ -393,7 +391,8 @@ def run(qlsp: QLSP, config: RunConfig) -> RunResult:
         )
         fidelity = overlap**2
     else:
-        counts = sample(state, (ancilla,) + breg, config.shots, config.seed)
+        probabilities = marginal_probabilities(state, (ancilla,) + breg)
+        counts = sample(probabilities, config.shots, config.seed)
         kept = counts[1::2]  # the ancilla is bit 0 of an outcome
         if not kept.any():
             raise InsufficientShotsError("no shot survived ancilla conditioning")

@@ -64,14 +64,6 @@ class EigenEstimateSet:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "EigenEstimateSet":
-        doc = json.loads(text)
-        entries = tuple(
-            EigenEstimate(int(g), float(lam), float(w)) for g, lam, w in doc["entries"]
-        )
-        return cls(int(doc["l"]), float(doc["t0"]), bool(doc["signed"]), entries)
-
 
 def decode_grid_int(grid_int: int, bit_width: int, signed_mode: bool) -> int:
     """Two's-complement decode when signed, identity otherwise."""
@@ -211,7 +203,8 @@ def qpe_histogram(
 ) -> np.ndarray:
     """Shot counts over clock-register integers."""
     state = qpe_state(qlsp, bit_width, t0)
-    return sample(state, range(qlsp.num_qubits, state.num_qubits), shots, seed)
+    clock = range(qlsp.num_qubits, state.num_qubits)
+    return sample(marginal_probabilities(state, clock), shots, seed)
 
 
 def estimates_from_probabilities(

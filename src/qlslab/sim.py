@@ -6,7 +6,8 @@ Conventions:
     * Gates act on views of the amplitudes reshaped to the ``(2,) * n``
       tensor, in which qubit ``q`` is axis ``n - 1 - q``.
     * Register outcomes are indexed the same way: ``qubits[i]`` is bit ``i``
-      of an outcome index in ``marginal_probabilities`` and ``sample``.
+      of an outcome index in ``marginal_probabilities``; ``sample`` counts
+      are indexed like the probabilities it draws from.
 
 ``Circuit.multiplexed_ry`` builds a uniformly controlled RY as one RY gate
 per control pattern. ``apply_circuit`` applies each run of consecutive RY
@@ -449,15 +450,27 @@ def marginal_probabilities(state: StateVector, qubits: Sequence[int]) -> np.ndar
     return register_matrix(np.abs(state.amplitudes) ** 2, qubits).sum(axis=1)
 
 
-def sample(
-    state: StateVector, qubits: Sequence[int], shots: int, seed: int | None = None
-) -> np.ndarray:
-    """Seeded shot counts per outcome of ``qubits``, indexed as in ``marginal_probabilities``."""
+def sample(probabilities, shots: int, seed: int | None = None) -> np.ndarray:
+    """Seeded shot counts per outcome, indexed like ``probabilities``.
+
+    The probabilities are snapped to 12 decimals and renormalised before the
+    draw, so outcomes that tie in exact arithmetic draw the same counts at
+    one seed whichever last bits the arithmetic left them.
+    """
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    probs = marginal_probabilities(state, qubits)
-    probs = probs / probs.sum()
-    return np.random.default_rng(seed).multinomial(shots, probs)
+    probs = np.asarray(probabilities, dtype=float).reshape(-1)
+    if probs.size == 0:
+        raise ValueError("no outcome probabilities to sample")
+    if not np.isfinite(probs).all():
+        raise ValueError("outcome probabilities must be finite")
+    if (probs < 0).any():
+        raise ValueError("outcome probabilities must be non-negative")
+    probs = np.round(probs, 12)
+    total = probs.sum()
+    if total == 0:
+        raise ValueError("outcome probabilities sum to zero")
+    return np.random.default_rng(seed).multinomial(shots, probs / total)
 
 
 def state_preparation_matrix(vector) -> np.ndarray:

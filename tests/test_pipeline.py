@@ -1,4 +1,5 @@
 """Solver pipeline tests: assembly, readout modes, run contracts."""
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,8 @@ from qlslab.errors import (
 from qlslab.inversion import InversionPlan, plan_canonical
 from qlslab.pipeline import (
     RunConfig,
-    _swap_test_state,
+    _swap_test_probabilities,
+    _widths,
     assemble_hhl,
     direct_distribution_error,
     error_from_fidelity,
@@ -174,54 +176,74 @@ def test_swap_test_orthogonal_states():
 
 
 def test_swap_test_known_overlap():
-    """Overlap 0.8 gives P(st_a = 1) = 0.18 exactly."""
+    """Overlap 0.8 gives P(a = 1, st_a = 1) = 0.18 exactly."""
     b = np.array([0.8, 0.6])
     state, register, ancilla = _flagged([1.0, 0.0])
-    out = _swap_test_state(state, register, b)
-    assert out.num_qubits == state.num_qubits + len(register) + 1
-    p_one = marginal_probabilities(out, (out.num_qubits - 1,))[1]
-    assert p_one == pytest.approx((1 - 0.8**2) / 2, abs=1e-12)
+    probabilities = _swap_test_probabilities(state, register, ancilla, b)
+    assert probabilities[3] == pytest.approx((1 - 0.8**2) / 2, abs=1e-12)
     estimate = swap_test_fidelity(state, register, ancilla, b, shots=4096, seed=3)
     sigma = math.sqrt(0.18 * 0.82 / 4096)
     assert abs(estimate**2 - 0.64) <= 2 * 4 * sigma
 
 
-def test_swap_readout_matches_full_circuit_reference():
-    """Appending the test register to the simulated state equals simulating
-    the noisy solver and the swap test as one wider circuit."""
-    qlsp = generate_n4(PAPER_N4_EIGENVALUES, (0, 1), 7)
-    t0 = fixed_t0(1.0, 3, signed=True)
-    circuit = assemble_hhl(qlsp, 3, t0, plan_canonical(3, t0, signed_mode=True))
-    executed = inject_noise(circuit, NoiseSpec(0.05, 3))
-    assert len(executed) > len(circuit)  # at least one Pauli error was drawn
-    breg = tuple(range(qlsp.num_qubits))
-    ancilla = qlsp.num_qubits + 3
-    x = classical_solution(qlsp).state_x
+def _swap_reference(start, gates, register, ancilla, x):
+    """Outcome probabilities of (ancilla, control) from one gate-level circuit.
 
-    start = executed.num_qubits
-    st = tuple(range(start, start + len(breg)))
-    st_a = start + len(breg)
+    ``gates`` act on ``start``; the swap test's register and control sit in
+    |0> above its qubits, and the whole circuit is simulated at once.
+    """
+    first = start.num_qubits
+    st = tuple(range(first, first + len(register)))
+    st_a = first + len(register)
     reference = Circuit(st_a + 1)
-    reference.extend(executed.gates)
+    reference.extend(gates)
     reference.unitary(state_preparation_matrix(x), st)
     reference.h(st_a)
-    for qb, qs in zip(breg, st):
+    for qb, qs in zip(register, st):
         reference.swap(qb, qs, controls=((st_a, 1),))
     reference.h(st_a)
-    want = marginal_probabilities(
-        apply_circuit(StateVector.zero(reference.num_qubits), reference), (ancilla, st_a)
-    )
+    amplitudes = np.zeros(2**reference.num_qubits, dtype=complex)
+    amplitudes[: 2**first] = start.amplitudes
+    wide = apply_circuit(StateVector(reference.num_qubits, amplitudes), reference)
+    return marginal_probabilities(wide, (ancilla, st_a))
 
-    state = apply_circuit(StateVector.zero(executed.num_qubits), executed)
-    tested = _swap_test_state(state, breg, x)
-    got = marginal_probabilities(tested, (ancilla, tested.num_qubits - 1))
-    assert np.max(np.abs(got - want)) < 1e-12
+
+def test_swap_readout_matches_full_circuit_reference():
+    """The closed-form swap-test probabilities equal simulating the noisy
+    solver and the swap test as one wider circuit."""
+    qlsp = generate_n4(PAPER_N4_EIGENVALUES, (0, 1), 7)
+    breg = tuple(range(qlsp.num_qubits))
+    x = classical_solution(qlsp).state_x
+    for k in (1, 3, 5):
+        signed = k > 1  # a one-bit signed clock has no nonzero value to invert
+        t0 = fixed_t0(1.0, k, signed=signed)
+        circuit = assemble_hhl(qlsp, k, t0, plan_canonical(k, t0, signed_mode=signed))
+        ancilla = qlsp.num_qubits + k
+        for noise_seed in (1, 2, 3):
+            executed = inject_noise(circuit, NoiseSpec(0.2, noise_seed))
+            assert len(executed) > len(circuit)  # at least one Pauli error was drawn
+            zero = StateVector.zero(executed.num_qubits)
+            want = _swap_reference(zero, executed.gates, breg, ancilla, x)
+            got = _swap_test_probabilities(apply_circuit(zero, executed), breg, ancilla, x)
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    # a flagged state whose ancilla-0 branch is empty
+    x = np.array([0.8, 0.6j])
+    state, register, ancilla = _flagged(np.array([1.0, 1.0]) / math.sqrt(2), ancilla_bit=1)
+    got = _swap_test_probabilities(state, register, ancilla, x)
+    assert got[0] == got[2] == 0.0
+    assert np.max(np.abs(got - _swap_reference(state, [], register, ancilla, x))) < 1e-12
+
+
+def test_swap_test_rejects_a_target_of_the_wrong_length():
+    state, register, ancilla = _flagged([1.0, 0.0])
+    with pytest.raises(ValueError, match="x length does not match the register"):
+        swap_test_fidelity(state, register, ancilla, np.ones(4) / 2, shots=64, seed=0)
 
 
 def test_swap_readout_simulates_solver_once(monkeypatch):
     """The solver's simulation carries only the inversion rotations (its QPE
-    block and uncompute are closed-form), and the readout's only the
-    swap-test gates."""
+    block and uncompute are closed-form), and the readout simulates nothing."""
     gate_counts = []
 
     def counting_apply(state, circuit):
@@ -234,7 +256,7 @@ def test_swap_readout_simulates_solver_once(monkeypatch):
         variant="canonical", t0_mode="explicit", t0_value=ON_GRID_T0, readout="swap"
     )
     result = run(qlsp, config)
-    assert gate_counts == [len(result.plan.rotations), qlsp.num_qubits + 3]
+    assert gate_counts == [len(result.plan.rotations)]
 
 
 def test_swap_and_exact_readouts_agree():
@@ -410,8 +432,6 @@ def test_run_config_rejects_a_time_scale_its_mode_ignores(fields, name):
         ({"variant": "enhanced", "preprocess_bits": 20}, "preprocess_bits"),
         # the t0 search's fine grid: 1 + 17 + 3 qubits
         ({"variant": "hybrid", "clock_bits": 17, "t0_mode": "iterative"}, "clock_bits"),
-        # the swap test's register and control: 1 + 17 + 1 + 1 + 1 qubits
-        ({"variant": "canonical", "clock_bits": 17, "readout": "swap"}, "clock_bits"),
     ],
 )
 def test_run_config_rejects_bad_and_unfittable_widths(fields, name):
@@ -425,12 +445,13 @@ def test_run_config_rejects_bad_and_unfittable_widths(fields, name):
         RunConfig(variant="canonical", clock_bits=18),
         RunConfig(variant="enhanced", preprocess_bits=19),
         RunConfig(variant="hybrid", clock_bits=16, t0_mode="iterative"),
-        RunConfig(variant="canonical", clock_bits=15, readout="swap"),
     ],
-    ids=["solver", "preprocessing", "t0-search", "swap-test"],
+    ids=["solver", "preprocessing", "t0-search"],
 )
 def test_run_checks_the_qubit_budget_before_any_work(monkeypatch, config):
-    """Each config fits a 2x2 problem but needs one qubit too many on a 4x4 one."""
+    """Each config fits a 2x2 problem but needs one qubit too many on a 4x4 one.
+    Its swap-readout twin needs the same widths: that readout reads the
+    solver state."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("work started before the qubit budget was checked")
@@ -439,6 +460,9 @@ def test_run_checks_the_qubit_budget_before_any_work(monkeypatch, config):
         monkeypatch.setattr(pipeline, name, forbidden)
     with pytest.raises(CapacityError, match=f"{pipeline.MAX_QUBITS + 1} qubits"):
         run(generate_n4(PAPER_N4_EIGENVALUES, (0, 1), 7), config)
+    swap = dataclasses.replace(config, readout="swap")
+    for nb in (1, 2, 3):
+        assert _widths(swap, nb) == _widths(config, nb)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from qlslab.errors import AliasingError, CapacityError, EmptyEstimateError
 from qlslab.inversion import plan_hybrid
 from qlslab.preprocess import (
-    EigenEstimateSet,
     build_qpe_circuit,
     decode_grid_int,
     estimates_from_probabilities,
@@ -306,12 +305,6 @@ def test_estimates_sorted_and_deterministic():
     b = estimates_from_probabilities(probabilities, 3, 6 * math.pi, threshold=0.05)
     assert [e.grid_int for e in a.entries] == [2, 3, 1]
     assert a == b
-
-
-def test_estimate_set_json_round_trip():
-    estimates = estimates_from_probabilities(_bins(3, {1: 0.5, 6: 0.5}), 3, 7.0, signed_mode=True)
-    loaded = EigenEstimateSet.from_json(estimates.to_json())
-    assert loaded == estimates
 
 
 def test_perfect_grid_recovery_with_sampling():

@@ -103,20 +103,20 @@ def test_postselect_outcomes_sum_to_one():
 
 
 def test_sample_deterministic_state():
-    counts = sample(StateVector(1, [0, 1]), [0], 100, seed=0)
+    counts = sample([0.0, 1.0], 100, seed=0)
     assert counts.tolist() == [0, 100]
 
 
 def test_sample_binomial_band():
-    state = StateVector(1, [SQRT1_2, SQRT1_2])
-    counts = sample(state, [0], 4096, seed=3)
+    counts = sample([0.5, 0.5], 4096, seed=3)
     assert abs(counts[0] - 2048) <= 3 * 32
 
 
 def test_sample_seed_determinism():
     state = apply_circuit(StateVector.zero(3), Circuit(3).h(0).h(1).h(2))
-    first = sample(state, [0, 1, 2], 500, seed=9)
-    assert np.array_equal(first, sample(state, [0, 1, 2], 500, seed=9))
+    probabilities = marginal_probabilities(state, [0, 1, 2])
+    first = sample(probabilities, 500, seed=9)
+    assert np.array_equal(first, sample(probabilities, 500, seed=9))
 
 
 def test_sample_matches_born_probabilities():
@@ -124,10 +124,9 @@ def test_sample_matches_born_probabilities():
     rng = np.random.default_rng(11)
     for trial in range(5):
         amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        state = StateVector(3, amps / np.linalg.norm(amps))
+        probs = np.abs(amps / np.linalg.norm(amps)) ** 2
         shots = 10_000
-        counts = sample(state, [0, 1, 2], shots, seed=100 + trial)
-        probs = np.abs(state.amplitudes) ** 2
+        counts = sample(probs, shots, seed=100 + trial)
         assert counts.shape == (8,) and counts.sum() == shots
         for observed, p in zip(counts, probs):
             sigma = math.sqrt(shots * p * (1 - p))
@@ -135,18 +134,42 @@ def test_sample_matches_born_probabilities():
 
 
 def test_sample_index_order():
-    """qubits[i] carries bit i of the outcome index, as in marginal_probabilities."""
+    """Counts are indexed like the probabilities: qubits[i] of a marginal is bit i."""
     state = StateVector(2, [0, 1, 0, 0])  # qubit0 = 1, qubit1 = 0
-    assert sample(state, [0, 1], 10, seed=1).tolist() == [0, 10, 0, 0]
-    assert sample(state, [1, 0], 10, seed=1).tolist() == [0, 0, 10, 0]
+    assert sample(marginal_probabilities(state, [0, 1]), 10, seed=1).tolist() == [0, 10, 0, 0]
+    assert sample(marginal_probabilities(state, [1, 0]), 10, seed=1).tolist() == [0, 0, 10, 0]
 
 
 def test_sample_requires_qubits_and_shots():
-    state = StateVector.zero(1)
-    with pytest.raises(ValueError):
-        sample(state, [], 10)
-    with pytest.raises(ValueError):
-        sample(state, [0], 0)
+    with pytest.raises(ValueError, match="no outcome"):
+        sample([], 10)
+    with pytest.raises(ValueError, match="shots"):
+        sample([1.0], 0)
+
+
+@pytest.mark.parametrize(
+    "probabilities, message",
+    [
+        ([0.5, math.nan], "finite"),
+        ([0.5, math.inf], "finite"),
+        ([1.0, -1e-3], "non-negative"),
+        ([0.0, 0.0], "sum to zero"),
+        ([4e-13, 0.0], "sum to zero"),  # zero once snapped to 12 decimals
+    ],
+    ids=["nan", "inf", "negative", "zero", "zero-after-snap"],
+)
+def test_sample_rejects_invalid_probabilities(probabilities, message):
+    with pytest.raises(ValueError, match=message):
+        sample(probabilities, 10, seed=0)
+
+
+def test_sample_ties_survive_roundoff():
+    """An exact tie and the tie off by one ulp draw the same counts at one seed."""
+    tie = np.array([0.5, 0.25, 0.25])
+    ulp = np.spacing(0.25)
+    perturbed = np.array([0.5, 0.25 + ulp, 0.25 - ulp])
+    for seed in range(5):
+        assert np.array_equal(sample(tie, 1000, seed), sample(perturbed, 1000, seed))
 
 
 def test_norm_preserved_on_random_circuits():
