@@ -64,16 +64,17 @@ class ExperimentSpec:
     basis_seed: int = 7
     path: str | None = None
     variants: list[str] = field(default_factory=lambda: ["canonical", "hybrid", "enhanced"])
-    clock_bits: int = 3
-    preprocess_bits: int = 5
+    # run settings: None leaves RunConfig's default (see _RUN_SETTINGS)
+    clock_bits: int | None = None
+    preprocess_bits: int | None = None  # enhanced rows only
     t0_mode: str | None = None  # None picks the per-source default
     t0_value: float | None = None
     t0_lambda_max: float | None = None
-    angle_policy: str = "least-squares"
-    alpha_model: str = "linear"
-    readout: str = "exact"
-    shots: int = 4096
-    seed: int = 11
+    angle_policy: str | None = None
+    alpha_model: str | None = None
+    readout: str | None = None
+    shots: int | None = None
+    seed: int | None = None
     noise_p: float = 0.0
     noise_seed: int = 0
     out: str = "results.csv"
@@ -84,9 +85,6 @@ class ExperimentSpec:
             raise ValueError(f"unknown problem source {self.source!r}")
         if self.count < 1:
             raise ValueError("count must be at least 1")
-        unknown = set(self.variants) - {"canonical", "hybrid", "enhanced"}
-        if unknown:
-            raise ValueError(f"unknown variants {sorted(unknown)}")
         if len(set(self.variants)) != len(self.variants):
             raise ValueError(f"variants repeat a name: {self.variants}")
         if self.t0_value is not None and self.t0_mode != "explicit":
@@ -100,7 +98,7 @@ class ExperimentSpec:
         if self.source == "file" and not self.path:
             raise ValueError("file source needs a problem path")
         _pairs(self.pairs)
-        # RunConfig validates each variant's settings
+        # RunConfig validates each variant's name and settings
         configs = [_run_config(self, variant) for variant in self.variants]
         if self.t0_lambda_max is not None and all(c.t0_mode != "fixed" for c in configs):
             raise ValueError(
@@ -194,6 +192,10 @@ def _problems(spec: ExperimentSpec) -> list[tuple[str, str, QLSP]]:
     return problems
 
 
+# ExperimentSpec fields that RunConfig takes under the same name, when set
+_RUN_SETTINGS = ("clock_bits", "angle_policy", "alpha_model", "readout", "shots", "seed")
+
+
 def _run_config(spec: ExperimentSpec, variant: str) -> RunConfig:
     t0_mode, t0_value = spec.t0_mode, spec.t0_value
     if t0_mode is None or (t0_mode == "iterative" and variant == "canonical"):
@@ -203,20 +205,17 @@ def _run_config(spec: ExperimentSpec, variant: str) -> RunConfig:
             t0_mode, t0_value = "explicit", N2_SWEEP_T0
         else:
             t0_mode, t0_value = "fixed", None
-    noise = NoiseSpec(spec.noise_p, spec.noise_seed) if spec.noise_p > 0 else None
+    # other variants preprocess at the clock width, which RunConfig derives
+    names = _RUN_SETTINGS + (("preprocess_bits",) if variant == "enhanced" else ())
+    settings = {name: getattr(spec, name) for name in names if getattr(spec, name) is not None}
+    noise = NoiseSpec(spec.noise_p, spec.noise_seed)  # checked even when switched off
     return RunConfig(
         variant=variant,
-        clock_bits=spec.clock_bits,
-        preprocess_bits=spec.preprocess_bits if variant == "enhanced" else spec.clock_bits,
         t0_mode=t0_mode,
         t0_value=t0_value,
         t0_lambda_max=spec.t0_lambda_max if t0_mode == "fixed" else None,
-        angle_policy=spec.angle_policy,
-        alpha_model=spec.alpha_model,
-        readout=spec.readout,
-        shots=spec.shots,
-        seed=spec.seed,
-        noise=noise,
+        noise=noise if noise.per_gate_pauli_probability > 0 else None,
+        **settings,
     )
 
 
@@ -247,10 +246,11 @@ def _row(problem_id: str, label: str, qlsp: QLSP, result: RunResult) -> dict:
 
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Execute the batch, write the CSV and JSON summary, return the summary."""
+    configs = [_run_config(spec, variant) for variant in spec.variants]
     rows, results = [], []
     for problem_id, label, qlsp in _problems(spec):
-        for variant in spec.variants:
-            result = run(qlsp, _run_config(spec, variant))
+        for config in configs:
+            result = run(qlsp, config)
             rows.append(_row(problem_id, label, qlsp, result))
             results.append(result)
     out_path = Path(spec.out)
@@ -277,7 +277,7 @@ def emit_plot_data(csv_path: str, out_path: str) -> int:
         rows = list(csv.DictReader(handle))
     if not rows:
         raise ValueError(f"no data rows in {csv_path}")
-    by_lambda: dict[float, dict[str, float]] = {}
+    by_lambda: dict[float, dict[str, str]] = {}  # lambda -> variant -> error cell
     for row in rows:
         try:
             lam = float(Fraction(row["lambda_or_seed"]))
@@ -285,15 +285,13 @@ def emit_plot_data(csv_path: str, out_path: str) -> int:
             variant = row["variant"]
         except (KeyError, ValueError) as exc:
             raise ValueError(f"malformed CSV {csv_path}: {exc}") from exc
-        by_lambda.setdefault(lam, {})[variant] = error
+        by_lambda.setdefault(lam, {})[variant] = repr(error)
     variants = sorted({row["variant"] for row in rows})
     with open(out_path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["lambda"] + [f"error_{v}" for v in variants])
         for lam in sorted(by_lambda):
-            writer.writerow(
-                [repr(lam)] + [repr(by_lambda[lam].get(v, "")) for v in variants]
-            )
+            writer.writerow([repr(lam)] + [by_lambda[lam].get(v, "") for v in variants])
     return len(by_lambda)
 
 
@@ -342,7 +340,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         dest="preprocess_bits",
         type=int,
         metavar="L",
-        help="preprocessing bits (enhanced, default 5)",
+        help="preprocessing bits (enhanced, default max(k + 2, 5))",
     )
     flag(
         "--variant",

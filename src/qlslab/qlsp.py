@@ -112,12 +112,21 @@ class QLSP:
 
     @classmethod
     def from_json(cls, text: str) -> "QLSP":
+        """Read ``to_json`` output; a document of another shape raises ``InvalidProblemError``."""
         doc = json.loads(text)
-        matrix = np.array(
-            [[complex(re, im) for re, im in row] for row in doc["matrix"]]
-        )
-        vector = np.array([complex(re, im) for re, im in doc["vector_b"]])
-        return cls(matrix, vector, scale=float(doc.get("scale", 1.0)))
+        if not isinstance(doc, dict):
+            raise InvalidProblemError("a problem document must be a JSON object")
+        try:
+            matrix = [[complex(re, im) for re, im in row] for row in doc["matrix"]]
+            vector = [complex(re, im) for re, im in doc["vector_b"]]
+            scale = float(doc.get("scale", 1.0))
+        except KeyError as exc:
+            raise InvalidProblemError(f"problem document lacks {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise InvalidProblemError(
+                f"matrix and vector_b must hold [re, im] number pairs, and scale a number: {exc}"
+            ) from exc
+        return cls(matrix, vector, scale=scale)
 
 
 def hermitian_dilation(a, b) -> QLSP:

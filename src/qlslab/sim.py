@@ -211,9 +211,6 @@ class StateVector:
         amps[0] = 1.0
         return cls(num_qubits, amps, validate=False)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 class Circuit:
     """Ordered gate list over ``num_qubits`` qubits."""
@@ -236,12 +233,6 @@ class Circuit:
         for gate in gates:
             self.add(gate)
         return self
-
-    def h(self, qubit: int, controls=()) -> "Circuit":
-        return self.add(Gate(GateKind.HADAMARD, (qubit,), tuple(controls)))
-
-    def swap(self, a: int, b: int, controls=()) -> "Circuit":
-        return self.add(Gate(GateKind.SWAP, (a, b), tuple(controls)))
 
     def unitary(self, matrix, targets: Sequence[int], controls=()) -> "Circuit":
         return self.add(
@@ -505,7 +496,7 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         p = float(self.per_gate_pauli_probability)
         if not 0.0 <= p <= 1.0:
-            raise ValueError("probability must lie in [0, 1]")
+            raise ValueError(f"probability must lie in [0, 1], not {p}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be non-negative, not {self.rng_seed}")
         object.__setattr__(self, "per_gate_pauli_probability", p)

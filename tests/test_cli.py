@@ -9,7 +9,9 @@ import pytest
 from qlslab.cli import (
     CSV_COLUMNS,
     EXPERIMENT_COMMANDS,
+    N2_SWEEP_T0,
     ExperimentSpec,
+    _run_config,
     _spec_from_args,
     _spec_from_config,
     build_parser,
@@ -18,6 +20,7 @@ from qlslab.cli import (
     main,
     run_experiment,
 )
+from qlslab.pipeline import RunConfig
 from qlslab.qlsp import generate_n2
 
 
@@ -88,6 +91,20 @@ def test_plot_data_pivot(tmp_path):
     lams = [float(row[0]) for row in rows[1:]]
     assert lams == sorted(lams)
     assert len(rows) == 6
+
+
+def test_plot_data_leaves_a_missing_variant_empty(tmp_path):
+    csv_path = tmp_path / "partial.csv"
+    csv_path.write_text(
+        "lambda_or_seed,variant,error\n0.2,canonical,0.3\n0.3,canonical,0.1\n0.3,hybrid,0.4\n"
+    )
+    out_path = tmp_path / "plot.csv"
+    assert emit_plot_data(str(csv_path), str(out_path)) == 2
+    assert out_path.read_text().splitlines() == [
+        "lambda,error_canonical,error_hybrid",
+        "0.2,0.3,",
+        "0.3,0.1,0.4",
+    ]
 
 
 def test_plot_data_rejects_empty(tmp_path):
@@ -191,6 +208,27 @@ def test_cli_describe_estimate_dump(capsys):
     payload = json.loads(out.splitlines()[-1])
     assert payload["l"] == 5
     assert {entry[0] for entry in payload["entries"]} == {12, 24}
+
+
+MALFORMED_PROBLEMS = {
+    "not-an-object": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+    "no-matrix": {"vector_b": [[1, 0], [0, 0]]},
+    "not-pairs": {"matrix": [[1, 0], [0, 1]], "vector_b": [[1, 0], [0, 0]]},
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_PROBLEMS.values(), ids=MALFORMED_PROBLEMS)
+def test_cli_rejects_a_malformed_problem_file(tmp_path, capsys, doc):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(doc))
+    assert main(["describe", "--file", str(problem)]) == 2
+    assert "error:" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"source": "file", "path": str(problem)}))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_invalid_spec_exit_code(tmp_path):
@@ -351,15 +389,49 @@ def test_cli_rejects_non_finite_time_scale_before_running(tmp_path, capsys, flag
     "flags, field",
     [
         (["--noise-p", "0.01", "--noise-seed", "-1"], "rng_seed"),
+        (["--noise-seed", "-3"], "rng_seed"),
         (["--readout", "swap", "--seed", "-1"], "seed"),
     ],
-    ids=["noise-seed", "seed"],
+    ids=["noise-seed", "noise-seed-noise-off", "seed"],
 )
 def test_cli_rejects_negative_seeds_before_running(tmp_path, capsys, flags, field):
     out = tmp_path / "bad.csv"
     assert main(["set", "--out", str(out)] + flags) == 2
     assert f"{field} must be non-negative" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("noise_p", ["-0.5", "nan"])
+def test_cli_rejects_a_noise_probability_outside_0_1_before_running(tmp_path, capsys, noise_p):
+    out = tmp_path / "bad.csv"
+    assert main(["set", "--noise-p", noise_p, "--out", str(out)]) == 2
+    assert "probability must lie in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k, l", [(3, 5), (4, 6), (5, 7)])
+def test_cli_enhanced_rows_default_to_two_extra_bits(tmp_path, k, l):
+    out = tmp_path / "k.csv"
+    assert main(["sweep", "--count", "2", "--k", str(k), "--out", str(out)]) == 0
+    rows = _read_rows(out)
+    assert {(row["variant"], row["k"], row["l"]) for row in rows} == {
+        ("canonical", str(k), str(k)),
+        ("hybrid", str(k), str(k)),
+        ("enhanced", str(k), str(l)),
+    }
+
+
+def test_cli_rejects_an_enhanced_l_not_above_k(tmp_path, capsys):
+    out = tmp_path / "bad.csv"
+    assert main(["sweep", "--count", "2", "--k", "5", "--l", "5", "--out", str(out)]) == 2
+    assert "preprocess_bits > clock_bits" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("variant", ["canonical", "hybrid", "enhanced"])
+def test_unset_run_settings_take_the_run_config_defaults(variant):
+    config = _run_config(ExperimentSpec(), variant)
+    assert config == RunConfig(variant=variant, t0_mode="explicit", t0_value=N2_SWEEP_T0)
 
 
 def test_cli_rejects_a_width_over_the_qubit_budget_before_running(tmp_path, capsys):
@@ -377,7 +449,7 @@ def test_cli_describe_estimates_over_the_qubit_budget_fails_cleanly(capsys):
 def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(source="n5-set")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown variant 'quantum-leap'"):  # from RunConfig
         ExperimentSpec(variants=["canonical", "quantum-leap"])
     with pytest.raises(ValueError):
         ExperimentSpec(source="file", path=None)

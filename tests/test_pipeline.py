@@ -33,6 +33,7 @@ from qlslab.preprocess import fixed_t0, qpe_gates
 from qlslab.qlsp import QLSP, classical_solution, generate_n2, generate_n4
 from qlslab.sim import (
     Circuit,
+    Gate,
     GateKind,
     NoiseSpec,
     StateVector,
@@ -198,10 +199,10 @@ def _swap_reference(start, gates, register, ancilla, x):
     reference = Circuit(st_a + 1)
     reference.extend(gates)
     reference.unitary(state_preparation_matrix(x), st)
-    reference.h(st_a)
+    reference.add(Gate(GateKind.HADAMARD, (st_a,)))
     for qb, qs in zip(register, st):
-        reference.swap(qb, qs, controls=((st_a, 1),))
-    reference.h(st_a)
+        reference.add(Gate(GateKind.SWAP, (qb, qs), ((st_a, 1),)))
+    reference.add(Gate(GateKind.HADAMARD, (st_a,)))
     amplitudes = np.zeros(2**reference.num_qubits, dtype=complex)
     amplitudes[: 2**first] = start.amplitudes
     wide = apply_circuit(StateVector(reference.num_qubits, amplitudes), reference)

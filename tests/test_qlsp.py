@@ -242,6 +242,22 @@ def test_json_round_trip():
     assert set(doc) == {"matrix", "vector_b", "scale"}
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1, 2], "JSON object"),
+        ({"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}, "lacks 'vector_b'"),
+        ({"matrix": [[1, 0], [0, 1]], "vector_b": [[1, 0], [0, 0]]}, r"\[re, im\] number pairs"),
+        ({"matrix": [[["1", 0]]], "vector_b": [[1, 0]]}, r"\[re, im\] number pairs"),
+        ({"matrix": [[[1, 0]]], "vector_b": [[1, 0]], "scale": None}, "scale a number"),
+    ],
+    ids=["not-an-object", "no-vector", "not-pairs", "string-entry", "null-scale"],
+)
+def test_from_json_rejects_malformed_documents(doc, message):
+    with pytest.raises(InvalidProblemError, match=message):
+        QLSP.from_json(json.dumps(doc))
+
+
 def test_rejects_invalid_problems():
     with pytest.raises(InvalidProblemError):
         QLSP(np.array([[0.5, 0.2], [0.3, 0.5]]), [1, 0])  # not Hermitian
