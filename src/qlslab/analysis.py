@@ -14,10 +14,11 @@ class BoundInputs:
     precision_bits: int
 
     def __post_init__(self) -> None:
-        if self.kappa < 1.0:
-            raise ValueError("the condition number is at least 1")
-        if self.t0 <= 0.0:
-            raise ValueError("t0 must be positive")
+        # chained comparisons are false for NaN, so NaN and inf both fail
+        if not 1.0 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and at least 1, not {self.kappa}")
+        if not 0.0 < self.t0 < math.inf:
+            raise ValueError(f"t0 must be finite and positive, not {self.t0}")
         if self.precision_bits < self.clock_bits:
             raise ValueError("precision_bits must be at least clock_bits")
 

@@ -69,7 +69,6 @@ class ExperimentSpec:
     preprocess_bits: int | None = None  # enhanced rows only
     t0_mode: str | None = None  # None picks the per-source default
     t0_value: float | None = None
-    t0_lambda_max: float | None = None
     angle_policy: str | None = None
     alpha_model: str | None = None
     readout: str | None = None
@@ -85,6 +84,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown problem source {self.source!r}")
         if self.count < 1:
             raise ValueError("count must be at least 1")
+        if not self.variants:
+            raise ValueError("the variant list is empty")
         if len(set(self.variants)) != len(self.variants):
             raise ValueError(f"variants repeat a name: {self.variants}")
         if self.t0_value is not None and self.t0_mode != "explicit":
@@ -98,13 +99,8 @@ class ExperimentSpec:
         if self.source == "file" and not self.path:
             raise ValueError("file source needs a problem path")
         _pairs(self.pairs)
-        # RunConfig validates each variant's name and settings
-        configs = [_run_config(self, variant) for variant in self.variants]
-        if self.t0_lambda_max is not None and all(c.t0_mode != "fixed" for c in configs):
-            raise ValueError(
-                f"t0_lambda_max is only used with t0_mode 'fixed', and no variant here runs"
-                f" in fixed mode (source {self.source!r}, t0_mode {self.t0_mode!r})"
-            )
+        for variant in self.variants:  # RunConfig validates the name and settings
+            _run_config(self, variant)
 
 
 # JSON types each scalar ExperimentSpec annotation accepts; bool is excluded separately
@@ -213,7 +209,6 @@ def _run_config(spec: ExperimentSpec, variant: str) -> RunConfig:
         variant=variant,
         t0_mode=t0_mode,
         t0_value=t0_value,
-        t0_lambda_max=spec.t0_lambda_max if t0_mode == "fixed" else None,
         noise=noise if noise.per_gate_pauli_probability > 0 else None,
         **settings,
     )
@@ -297,6 +292,10 @@ def emit_plot_data(csv_path: str, out_path: str) -> int:
 
 def describe_problem(qlsp: QLSP, clock_bits: int, t0: float) -> str:
     """Human-readable spectrum report with grid alignment for the given scale."""
+    if clock_bits < 1:
+        raise ValueError(f"the clock needs at least 1 bit, not {clock_bits}")
+    if not 0 < t0 < math.inf:
+        raise ValueError(f"t0 must be finite and positive, not {t0}")
     lines = [
         f"dimension {qlsp.dimension} ({qlsp.num_qubits} qubit(s)), scale {qlsp.scale:g}",
         f"condition number {qlsp.condition_number:.6g}",
@@ -353,11 +352,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         "--t0-mode",
         help="fixed, iterative, or explicit=<value>; default: explicit=18pi for "
         "the two-dimensional families, fixed otherwise",
-    )
-    flag(
-        "--t0-lambda-max",
-        type=float,
-        help="eigenvalue bound for the fixed formula (default 1.0)",
     )
     flag("--angle-policy", choices=["paper", "least-squares"])
     flag("--alpha", dest="alpha_model", choices=["linear", "exact"])

@@ -38,6 +38,8 @@ from .errors import (
     ZeroProbabilityError,
 )
 from .inversion import (
+    ALPHA_MODELS,
+    ANGLE_POLICIES,
     InversionPlan,
     build_inversion_circuit,
     plan_canonical,
@@ -75,10 +77,6 @@ VARIANTS = ("canonical", "hybrid", "enhanced")
 READOUTS = ("exact", "swap", "direct")
 
 
-def _finite_positive(value: float | None) -> bool:
-    return value is not None and math.isfinite(value) and value > 0
-
-
 @dataclass
 class RunConfig:
     variant: str = "canonical"
@@ -86,7 +84,6 @@ class RunConfig:
     preprocess_bits: int | None = None  # None: clock_bits, or max(clock_bits + 2, 5) for enhanced
     t0_mode: str = "fixed"  # fixed | iterative | explicit
     t0_value: float | None = None
-    t0_lambda_max: float | None = None  # fixed mode; None uses the norm bound 1.0
     preprocess_shots: int | None = None  # None runs on exact Born weights
     preprocess_seed: int = 0
     angle_policy: str = "least-squares"
@@ -101,11 +98,16 @@ class RunConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.readout not in READOUTS:
             raise ValueError(f"unknown readout {self.readout!r}")
+        # checked for every variant, so a bad name fails before any row runs
+        if self.angle_policy not in ANGLE_POLICIES:
+            raise ValueError(f"unknown angle policy {self.angle_policy!r}")
+        if self.alpha_model not in ALPHA_MODELS:
+            raise ValueError(f"unknown alpha model {self.alpha_model!r}")
         if self.clock_bits < 1:
             raise ValueError("clock_bits must be at least 1")
         if self.t0_mode not in ("fixed", "iterative", "explicit"):
             raise ValueError(f"unknown t0 mode {self.t0_mode!r}")
-        if self.t0_mode == "explicit" and not _finite_positive(self.t0_value):
+        if self.t0_mode == "explicit" and not 0 < (self.t0_value or 0) < math.inf:
             raise ValueError(
                 f"explicit t0 mode needs a finite positive t0_value, not {self.t0_value}"
             )
@@ -113,15 +115,6 @@ class RunConfig:
             raise ValueError(
                 f"t0_value is only used with t0_mode 'explicit', not {self.t0_mode!r}"
             )
-        if self.t0_lambda_max is not None:
-            if self.t0_mode != "fixed":
-                raise ValueError(
-                    f"t0_lambda_max is only used with t0_mode 'fixed', not {self.t0_mode!r}"
-                )
-            if not _finite_positive(self.t0_lambda_max):
-                raise ValueError(
-                    f"t0_lambda_max must be finite and positive, not {self.t0_lambda_max}"
-                )
         if self.t0_mode == "iterative" and self.variant == "canonical":
             raise ValueError("the canonical variant has no preprocessing to guide an iterative t0")
         if self.preprocess_bits is None:
@@ -320,8 +313,8 @@ def _resolve_t0(qlsp: QLSP, config: RunConfig, signed: bool) -> float:
         return _searched_t0(
             qlsp, config.clock_bits, signed, config.preprocess_shots, config.preprocess_seed
         )
-    lambda_max = config.t0_lambda_max if config.t0_lambda_max is not None else 1.0
-    return fixed_t0(lambda_max, config.clock_bits, signed)
+    # 1.0 is the norm bound that QLSP's rescaling guarantees
+    return fixed_t0(1.0, config.clock_bits, signed)
 
 
 @functools.lru_cache(maxsize=1)

@@ -80,6 +80,12 @@ def test_bound_inputs_validation():
         BoundInputs(kappa=2.0, t0=0.0, clock_bits=3, precision_bits=3)
     with pytest.raises(ValueError):
         BoundInputs(kappa=2.0, t0=1.0, clock_bits=3, precision_bits=2)
+    for kappa in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            BoundInputs(kappa=kappa, t0=1.0, clock_bits=3, precision_bits=3)
+    for t0 in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="t0 must be finite"):
+            BoundInputs(kappa=2.0, t0=t0, clock_bits=3, precision_bits=3)
 
 
 def test_aggregate_means_and_ordering():

@@ -1,7 +1,9 @@
 """Harness tests: CSV output, determinism, plot data, CLI surface."""
+import argparse
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from qlslab.cli import (
     EXPERIMENT_COMMANDS,
     N2_SWEEP_T0,
     ExperimentSpec,
+    _add_common_flags,
     _run_config,
     _spec_from_args,
     _spec_from_config,
@@ -159,10 +162,14 @@ def test_config_file_and_overrides(tmp_path):
     assert (spec.count, spec.readout, spec.shots, spec.out) == (7, "swap", 1024, "sweep.csv")
 
 
-def test_config_rejects_unknown_keys(tmp_path):
+def test_config_rejects_unknown_keys(tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"mystery_knob": 1}))
-    assert main(["sweep", "--config", str(config)]) == 2
+    out = tmp_path / "x.csv"
+    for doc in ({"mystery_knob": 1}, {"t0_lambda_max": 0.9}):
+        config.write_text(json.dumps(doc))
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -202,6 +209,22 @@ def test_cli_bounds_and_describe(capsys):
     assert "condition number 2" in capsys.readouterr().out
 
 
+def test_cli_bounds_rejects_non_finite_input(capsys):
+    assert main(["bounds", "--kappa", "nan", "--t0", "1"]) == 2
+    assert "error: kappa must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--t0", "0"], ["--t0", "inf"], ["--t0", "-5"], ["--k", "0"]],
+    ids=["t0-zero", "t0-inf", "t0-negative", "k-zero"],
+)
+def test_cli_describe_rejects_a_grid_that_cannot_exist(capsys, flags):
+    assert main(["describe", "--lambda", "0.2"] + flags) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and not captured.out
+
+
 def test_cli_describe_estimate_dump(capsys):
     assert main(["describe", "--lambda", "1/3", "--estimates", "5"]) == 0
     out = capsys.readouterr().out
@@ -238,6 +261,13 @@ def test_cli_invalid_spec_exit_code(tmp_path):
     assert code == 2
 
 
+def test_cli_rejects_an_empty_variant_list_before_writing(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--count", "2", "--variant", ",", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_rejects_repeated_variant(tmp_path, capsys):
     out = tmp_path / "x.csv"
     args = ["set", "--lambdas", "1/4", "--variant", "canonical,canonical", "--out", str(out)]
@@ -261,34 +291,6 @@ def test_config_t0_value_needs_explicit_mode(tmp_path, capsys, t0_mode):
 
 
 @pytest.mark.parametrize(
-    "recipe",
-    [
-        ["sweep", "--count", "2", "--t0-lambda-max", "0.5"],
-        ["sweep", "--count", "2", "--t0-mode", "iterative", "--t0-lambda-max", "0.5"],
-        ["n4", "--pairs", "0-1", "--t0-mode", "explicit=5", "--t0-lambda-max", "0.9"],
-        ["n4", "--pairs", "0-1", "--t0-mode", "iterative", "--variant", "hybrid,enhanced",
-         "--t0-lambda-max", "0.9"],
-    ],
-    ids=["sweep", "sweep-iterative", "n4-explicit", "n4-iterative-no-canonical"],
-)
-def test_cli_rejects_a_t0_lambda_max_no_row_uses(tmp_path, capsys, recipe):
-    out = tmp_path / "x.csv"
-    assert main(recipe + ["--out", str(out)]) == 2
-    assert "t0_lambda_max is only used with t0_mode 'fixed'" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("t0_mode", [[], ["--t0-mode", "iterative"]], ids=["fixed", "iterative"])
-def test_cli_t0_lambda_max_sets_the_fixed_rows(tmp_path, t0_mode):
-    out = tmp_path / "n4.csv"
-    args = ["n4", "--pairs", "0-1", "--t0-lambda-max", "0.9", "--out", str(out)]
-    assert main(args + t0_mode) == 0
-    rows = _read_rows(out)
-    fixed = [row for row in rows if row["variant"] == "canonical"] if t0_mode else rows
-    assert fixed and {float(row["t0"]) for row in fixed} == {2 * math.pi * 3 / 0.9}
-
-
-@pytest.mark.parametrize(
     "pairs, message",
     [
         ("0-1,0-1", "pairs repeat the pair 0-1"),
@@ -305,6 +307,16 @@ def test_cli_rejects_malformed_or_repeated_pairs(tmp_path, capsys, pairs, messag
     assert main(["n4", "--pairs", pairs, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_flag_reference_lists_exactly_the_experiment_flags():
+    doc = (Path(__file__).parents[1] / "docs" / "reproduce.md").read_text()
+    table = doc.split("## Flag reference", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^\| `(--[\w-]+)`", table, flags=re.MULTILINE)
+    parser = argparse.ArgumentParser(add_help=False)
+    _add_common_flags(parser)
+    registered = [option for action in parser._actions for option in action.option_strings]
+    assert sorted(documented) == sorted(registered)
 
 
 def test_cli_missing_file_exit_code(tmp_path):
@@ -371,12 +383,7 @@ def test_cli_t0_mode_override(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags, field",
-    [
-        (["--t0-mode", "explicit=nan"], "t0_value"),
-        (["--t0-mode", "fixed", "--t0-lambda-max", "inf"], "t0_lambda_max must be finite"),
-    ],
-    ids=["t0-value", "t0-lambda-max"],
+    "flags, field", [(["--t0-mode", "explicit=nan"], "t0_value")], ids=["t0-value"]
 )
 def test_cli_rejects_non_finite_time_scale_before_running(tmp_path, capsys, flags, field):
     out = tmp_path / "bad.csv"
@@ -463,6 +470,13 @@ def test_spec_validation():
         ExperimentSpec(t0_mode="adaptive")
     with pytest.raises(ValueError, match="shots"):
         ExperimentSpec(shots=0)
+    with pytest.raises(ValueError, match="variant list is empty"):
+        ExperimentSpec(variants=[])
+    # checked even when no enhanced row would plan with them
+    with pytest.raises(ValueError, match="unknown angle policy"):
+        ExperimentSpec(angle_policy="bogus", variants=["canonical", "hybrid"])
+    with pytest.raises(ValueError, match="unknown alpha model"):
+        ExperimentSpec(alpha_model="bogus", variants=["canonical"])
 
 
 GOLDEN_DIR = Path(__file__).parent / "data"

@@ -399,8 +399,12 @@ def test_run_config_validation():
     for bad in (math.nan, math.inf, -1.0, 0.0):
         with pytest.raises(ValueError, match="t0_value"):
             RunConfig(t0_mode="explicit", t0_value=bad)
-        with pytest.raises(ValueError, match="t0_lambda_max"):
-            RunConfig(t0_lambda_max=bad)
+    # every variant checks the enhanced planner's names, so none runs with a bad one
+    for variant in ("canonical", "hybrid", "enhanced"):
+        with pytest.raises(ValueError, match="unknown angle policy 'bogus'"):
+            RunConfig(variant=variant, angle_policy="bogus")
+        with pytest.raises(ValueError, match="unknown alpha model 'bogus'"):
+            RunConfig(variant=variant, alpha_model="bogus")
 
 
 @pytest.mark.parametrize(
@@ -408,10 +412,8 @@ def test_run_config_validation():
     [
         (dict(t0_mode="fixed", t0_value=5.0), "t0_value"),
         (dict(variant="hybrid", t0_mode="iterative", t0_value=5.0), "t0_value"),
-        (dict(variant="hybrid", t0_mode="iterative", t0_lambda_max=0.5), "t0_lambda_max"),
-        (dict(t0_mode="explicit", t0_value=5.0, t0_lambda_max=0.5), "t0_lambda_max"),
     ],
-    ids=["value-fixed", "value-iterative", "lambda-max-iterative", "lambda-max-explicit"],
+    ids=["value-fixed", "value-iterative"],
 )
 def test_run_config_rejects_a_time_scale_its_mode_ignores(fields, name):
     with pytest.raises(ValueError, match=f"{name} is only used with t0_mode"):
