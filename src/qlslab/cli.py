@@ -135,7 +135,11 @@ def _spec_from_config(path: str) -> dict:
 
 
 def parse_fraction(text: str) -> float:
-    return float(Fraction(text))
+    """A decimal or a fraction such as "1/3"; ``ValueError`` on anything else, 1/0 included."""
+    try:
+        return float(Fraction(text))
+    except ZeroDivisionError as exc:
+        raise ValueError(f"{text!r} divides by zero") from exc
 
 
 def _pairs(text: str) -> list[tuple[int, int]]:
@@ -318,7 +322,7 @@ def describe_problem(qlsp: QLSP, clock_bits: int, t0: float) -> str:
 def _fraction_list(text: str) -> list[float]:
     try:
         return [parse_fraction(v) for v in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}") from exc
 
 
@@ -461,7 +465,8 @@ def _dispatch(args) -> int:
             qlsp = QLSP.from_json(Path(args.file).read_text())
         else:
             qlsp = generate_n2(parse_fraction(args.lambda_param))
-        print(describe_problem(qlsp, args.k, args.t0))
+        # build every part before printing, so a rejected input prints nothing
+        parts = [describe_problem(qlsp, args.k, args.t0)]
         if args.estimates is not None:
             from .preprocess import run_preprocessing
 
@@ -470,7 +475,8 @@ def _dispatch(args) -> int:
             estimates = run_preprocessing(
                 qlsp, bits, fine_t0, signed_mode=qlsp.has_negative_eigenvalues
             )
-            print(estimates.to_json())
+            parts.append(estimates.to_json())
+        print("\n".join(parts))
         return 0
     if args.command == "plot-data":
         count = emit_plot_data(args.csv, args.out)

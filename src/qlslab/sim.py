@@ -3,8 +3,9 @@
 Conventions:
     * Qubit 0 is the least significant bit of a basis-state index, so basis
       index ``i`` assigns qubit ``q`` the bit ``(i >> q) & 1``.
-    * Gates act on views of the amplitudes reshaped to the ``(2,) * n``
-      tensor, in which qubit ``q`` is axis ``n - 1 - q``.
+    * A gate acts on a view of the amplitudes reshaped to split only at the
+      gate's own qubits: one axis of 2 per qubit, most significant first,
+      and one axis for each run of untouched qubits around them.
     * Register outcomes are indexed the same way: ``qubits[i]`` is bit ``i``
       of an outcome index in ``marginal_probabilities``; ``sample`` counts
       are indexed like the probabilities it draws from.
@@ -13,7 +14,13 @@ Conventions:
 per control pattern. ``apply_circuit`` applies each run of consecutive RY
 gates on one target and one ordered control tuple, firing on distinct
 patterns, as one gather, stacked 2x2 product and scatter; every other gate is
-applied on its own. ``circuit_matrix`` stays gate by gate as the reference.
+applied on its own. That kernel takes its view from a plan cached per gate
+structure (width, trailing axes, targets, controls): the split shape, the
+index that fixes the controls and the axis order that brings the targets to
+the front. A single-target gate with a diagonal matrix, such as the QFT's
+controlled phases and Pauli Z, scales each half of that view in place and
+skips a half whose entry is 1; any other gate is one transpose, product and
+assignment. ``circuit_matrix`` stays gate by gate as the reference.
 
 States are immutable and every operation returns a new value. Circuits are
 mutable builders, but simulation never modifies them. RNG state is always a
@@ -21,6 +28,7 @@ per-call seed.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -294,20 +302,62 @@ def inverted_gates(gates: Sequence[Gate]) -> list[Gate]:
     return [g.dagger() for g in reversed(gates)]
 
 
+@functools.lru_cache(maxsize=512)
+def _gate_plan(
+    n: int, trailing: int, targets: tuple[int, ...], controls: tuple[tuple[int, int], ...]
+) -> tuple[tuple, tuple, tuple, tuple]:
+    """View plan of one gate structure on ``n`` qubits with ``trailing`` extra axes.
+
+    Returns ``(shape, index, order, halves)``. ``shape`` splits the amplitude
+    axis only at the gate's qubits: one axis of 2 per qubit, and one axis for
+    each run of untouched qubits above, between and below them, most
+    significant first.
+    ``index`` fixes each control axis at its polarity, which is basic
+    indexing and so leaves a view; ``order`` then brings ``targets[-1]``
+    first, so that ``targets[0]`` is the block-index LSB, and keeps every
+    other axis, trailing ones included, in place. For a single target,
+    ``halves`` holds the two indices that also fix the target at 0 and 1;
+    otherwise it is empty.
+    """
+    polarity = dict(controls)
+    qubits = sorted(targets + tuple(polarity), reverse=True)
+    shape: list[int] = []
+    index: list = []
+    top = n
+    for q in qubits:
+        shape += [1 << (top - 1 - q), 2]
+        index += [slice(None), polarity.get(q, slice(None))]
+        top = q
+    shape.append(1 << top)
+    index.append(slice(None))
+    # qubit q sits at index slot 2 * qubits.index(q) + 1; each control above a
+    # target was indexed away and shifts that target's view axis down
+    slots = [2 * qubits.index(t) + 1 for t in targets]
+    front = [slot - sum(q > t for q in polarity) for slot, t in zip(slots[::-1], targets[::-1])]
+    order = front + [ax for ax in range(len(index) - len(polarity) + trailing) if ax not in front]
+    halves = ()
+    if len(targets) == 1:
+        (slot,) = slots
+        halves = tuple(tuple(index[:slot]) + (bit,) + tuple(index[slot + 1 :]) for bit in (0, 1))
+    return tuple(shape), tuple(index), tuple(order), halves
+
+
 def _apply_gate(vec: np.ndarray, gate: Gate) -> None:
     """Apply one gate in place to ``vec`` (amplitudes on axis 0, any trailing axes)."""
     n = vec.shape[0].bit_length() - 1
-    index: list = [slice(None)] * n
-    for q, pol in gate.controls:
-        index[n - 1 - q] = pol
-    # integer-indexing the control axes is basic indexing, so ``sub`` is a view
-    sub = vec.reshape((2,) * n + vec.shape[1:])[tuple(index)]
-    # targets[-1] leads so that targets[0] is the block-index LSB; each control
-    # axis above a target was indexed away and shifts that target's axis down
-    axes = [n - 1 - t - sum(q > t for q, _ in gate.controls) for t in reversed(gate.targets)]
-    block = sub.transpose(axes + [ax for ax in range(sub.ndim) if ax not in axes])
-    span = 1 << len(gate.targets)
-    block[...] = (gate.resolved_matrix() @ block.reshape(span, -1)).reshape(block.shape)
+    shape, index, order, halves = _gate_plan(n, vec.ndim - 1, gate.targets, gate.controls)
+    tensor = vec.reshape(shape + vec.shape[1:])
+    matrix = gate.resolved_matrix()
+    if halves and matrix[0, 1] == 0 and matrix[1, 0] == 0:
+        # a diagonal 2x2 scales each half where it lies; an entry of 1 leaves it alone
+        for half, entry in zip(halves, matrix.diagonal()):
+            if entry != 1:
+                view = tensor[half]
+                view *= entry
+        return
+    block = tensor[index].transpose(order)
+    span = matrix.shape[0]
+    block[...] = (matrix @ block.reshape(span, -1)).reshape(block.shape)
 
 
 def _ry_run_end(gates: Sequence[Gate], start: int) -> int:

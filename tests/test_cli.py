@@ -225,6 +225,17 @@ def test_cli_describe_rejects_a_grid_that_cannot_exist(capsys, flags):
     assert "error:" in captured.err and not captured.out
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--lambda", "1/0"], ["--lambda", "0.2", "--estimates", "0"]],
+    ids=["lambda-divides-by-zero", "estimates-zero"],
+)
+def test_cli_describe_rejects_bad_input_before_printing(capsys, flags):
+    assert main(["describe"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and not captured.out
+
+
 def test_cli_describe_estimate_dump(capsys):
     assert main(["describe", "--lambda", "1/3", "--estimates", "5"]) == 0
     out = capsys.readouterr().out

@@ -250,7 +250,7 @@ def _gate_on_register(draw):
         arity = draw(st.integers(1, 3))
     else:
         arity = 1
-    n = draw(st.integers(arity, 6))
+    n = draw(st.integers(arity, 8))
     qubits = draw(st.permutations(range(n)))
     num_controls = draw(st.integers(0, min(3, n - arity)))
     controls = tuple(
@@ -258,7 +258,16 @@ def _gate_on_register(draw):
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     angle = draw(st.floats(-7.0, 7.0)) if kind is GateKind.RY else None
-    matrix = _random_unitary(rng, 2**arity) if kind is GateKind.UNITARY else None
+    if kind is not GateKind.UNITARY:
+        matrix = None
+    elif draw(st.booleans()):
+        # diagonal: random phases, at times one entry exactly 1 like the QFT's controlled phases
+        phases = rng.uniform(-math.pi, math.pi, 2**arity)
+        if draw(st.booleans()):
+            phases[draw(st.integers(0, 2**arity - 1))] = 0.0
+        matrix = np.diag(np.exp(1j * phases))
+    else:
+        matrix = _random_unitary(rng, 2**arity)
     gate = Gate(kind, tuple(qubits[:arity]), controls, angle=angle, matrix=matrix)
     amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     return n, gate, StateVector(n, amps / np.linalg.norm(amps))
@@ -273,6 +282,24 @@ def test_gate_application_matches_basis_loop_reference(case):
     assert np.max(np.abs(circuit_matrix(circuit) - reference)) < 1e-12
     out = apply_circuit(state, circuit)
     assert np.max(np.abs(out.amplitudes - reference @ state.amplitudes)) < 1e-12
+
+
+def test_gate_plan_follows_width_and_trailing_axes():
+    """One gate structure at two widths, on a vector and on a matrix, against the reference."""
+    rng = np.random.default_rng(11)
+    gates = [
+        Gate(GateKind.UNITARY, (1,), ((0, 1), (2, 0)), matrix=np.diag([1.0, np.exp(0.3j)])),
+        Gate(GateKind.UNITARY, (2, 0), ((1, 1),), matrix=_random_unitary(rng, 4)),
+    ]
+    for gate in gates:
+        for n in (3, 5, 3):
+            reference = _reference_matrix(gate, n)
+            circuit = Circuit(n).add(gate)
+            amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+            state = StateVector(n, amps / np.linalg.norm(amps))
+            out = apply_circuit(state, circuit)
+            assert np.max(np.abs(out.amplitudes - reference @ state.amplitudes)) < 1e-12
+            assert np.max(np.abs(circuit_matrix(circuit) - reference)) < 1e-12
 
 
 def test_unitary_dagger_is_trusted_adjoint():
