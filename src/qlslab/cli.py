@@ -377,17 +377,35 @@ EXPERIMENT_COMMANDS = {
 }
 
 
+# spec fields that only one problem source reads
+_SOURCE_FIELDS = {
+    "n2-sweep": ("count", "lambda_min", "lambda_max"),
+    "n2-set": ("lambdas",),
+    "n4-set": ("eigenvalues", "pairs", "basis_seed"),
+    "file": ("path",),
+}
+
+
 def _spec_from_args(args) -> ExperimentSpec:
-    """Command defaults, then the config file, then the flags actually given."""
+    """Command defaults, then the config file, then the flags actually given.
+
+    A config key or flag that only another problem source reads raises
+    ``ValueError`` rather than being ignored.
+    """
     values = dict(EXPERIMENT_COMMANDS[args.command])
-    if args.config:
-        values.update(_spec_from_config(args.config))
+    config = _spec_from_config(args.config) if args.config else {}
+    values.update(config)
     given = {key: val for key, val in vars(args).items() if key not in ("command", "config")}
     if given.get("t0_mode", "").startswith("explicit="):
         given["t0_value"] = float(given["t0_mode"].split("=", 1)[1])
         given["t0_mode"] = "explicit"
     values.update(given)
-    return ExperimentSpec(**values)
+    spec = ExperimentSpec(**values)
+    other = [keys for source, keys in _SOURCE_FIELDS.items() if source != spec.source]
+    unread = sorted(set().union(*other) & (config.keys() | given.keys()))
+    if unread:
+        raise ValueError(f"source {spec.source!r} does not read {unread}")
+    return spec
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -472,10 +490,7 @@ def _dispatch(args) -> int:
 
             bits = args.estimates
             fine_t0 = args.t0 * 2 ** max(0, bits - args.k)
-            estimates = run_preprocessing(
-                qlsp, bits, fine_t0, signed_mode=qlsp.has_negative_eigenvalues
-            )
-            parts.append(estimates.to_json())
+            parts.append(run_preprocessing(qlsp, bits, fine_t0).to_json())
         print("\n".join(parts))
         return 0
     if args.command == "plot-data":

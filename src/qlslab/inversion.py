@@ -90,14 +90,6 @@ def alpha_overlap(delta: float, model: str = "linear", big_t: int | None = None)
     return half * half * num / den
 
 
-def _clamp(value: float) -> tuple[float, bool]:
-    if value > 1.0:
-        return 1.0, True
-    if value < -1.0:
-        return -1.0, True
-    return value, False
-
-
 def plan_canonical(bit_width: int, t0: float, signed_mode: bool = False) -> InversionPlan:
     """Uniformly controlled rotation over all 2**k - 1 nonzero patterns.
 
@@ -122,13 +114,16 @@ def plan_hybrid(estimates: EigenEstimateSet, max_rotations: int | None = None) -
     """Rotations only at the grid patterns preprocessing found relevant.
 
     The constant is the smallest kept estimate magnitude, so that estimate
-    rotates by a full half turn. ``max_rotations`` caps the plan at the most
-    relevant estimates; the solver passes the problem dimension here, since
-    at most that many eigenvalues carry solution weight.
+    rotates by a full half turn. ``max_rotations``, an integer of at least 1,
+    caps the plan at the most relevant estimates; the solver passes the
+    problem dimension here, since at most that many eigenvalues carry
+    solution weight.
     """
     entries = [e for e in estimates.entries if e.grid_int != 0]
     if max_rotations is not None:
-        entries = entries[: max(1, int(max_rotations))]
+        if not (isinstance(max_rotations, int) and max_rotations >= 1):
+            raise ValueError(f"max_rotations must be an integer >= 1, not {max_rotations!r}")
+        entries = entries[:max_rotations]
     if not entries:
         raise EmptyPlanError("no relevant nonzero estimate to invert")
     c = min(abs(e.lambda_tilde) for e in entries)
@@ -143,16 +138,15 @@ def plan_hybrid(estimates: EigenEstimateSet, max_rotations: int | None = None) -
 def plan_enhanced(
     estimates: EigenEstimateSet,
     bit_width: int,
-    filter_threshold: float | None = None,
     angle_policy: str = "least-squares",
     alpha_model: str = "linear",
 ) -> InversionPlan:
     """Project fine-grid estimates onto the coarse clock grid and pick angles.
 
     Each relevant estimate spreads over its two adjacent coarse grid values
-    with overlap amplitudes from ``alpha_model``; each touched pattern then
-    receives one rotation under ``angle_policy``. Patterns whose accumulated
-    relevance falls below ``filter_threshold`` (default 2**-k) are dropped.
+    with overlap amplitudes from ``alpha_model``. A touched pattern is kept
+    when its relevance |sum alpha beta / lambda| reaches the fixed filter
+    threshold 2**-k, and then receives one rotation under ``angle_policy``.
     """
     if angle_policy not in ANGLE_POLICIES:
         raise ValueError(f"unknown angle policy {angle_policy!r}")
@@ -162,8 +156,6 @@ def plan_enhanced(
     l = estimates.bit_width
     if l < k:
         raise ValueError("estimates must carry at least as many bits as the plan")
-    if filter_threshold is None:
-        filter_threshold = 2.0**-k
     signed = estimates.signed_mode
     stride = 2 ** (l - k)
     big_t = 2**k
@@ -174,8 +166,8 @@ def plan_enhanced(
     if not entries:
         raise EmptyPlanError("no relevant nonzero estimate to enhance")
 
-    # terms[pattern] collects (alpha, weight, lambda) contributions
-    terms: dict[int, list[tuple[float, float, float]]] = {}
+    # terms[pattern] collects (alpha * beta, lambda) contributions
+    terms: dict[int, list[tuple[float, float]]] = {}
     for e in entries:
         coord = decode_grid_int(e.grid_int, l, signed) / stride
         k_lo = math.floor(coord)
@@ -186,40 +178,34 @@ def plan_enhanced(
             alpha = alpha_overlap(delta, alpha_model, big_t)
             if alpha <= 0.0:
                 continue
-            terms.setdefault(g, []).append((alpha, e.weight, e.lambda_tilde))
+            terms.setdefault(g, []).append((alpha * e.weight, e.lambda_tilde))
 
     if not terms:
         raise EmptyPlanError("every candidate rotation fell outside the clock grid")
 
-    lambda_ref = min(abs(e.lambda_tilde) for e in entries)
-    xbar: dict[int, float] = {}
-    relevance: dict[int, float] = {}
-    paper_arg: dict[int, float] = {}
-    for g, contribs in terms.items():
-        weight_sq = sum((a * w) ** 2 for a, w, _ in contribs)
-        xbar[g] = sum((a * w) ** 2 / lam for a, w, lam in contribs) / weight_sq
-        r_theta = sum(w * a / lam for a, w, lam in contribs)
-        relevance[g] = abs(r_theta)
-        paper_arg[g] = 2.0 * r_theta / len(contribs)
-
-    kept = [g for g in terms if relevance[g] >= filter_threshold]
+    sums = {g: sum(ab / lam for ab, lam in contribs) for g, contribs in terms.items()}
+    kept = sorted(g for g in terms if abs(sums[g]) >= 2.0**-k)
     if not kept:
         raise EmptyPlanError("every rotation fell below the relevance filter")
 
     clamp_events = 0
     rotations = []
     if angle_policy == "least-squares":
-        largest = max(abs(xbar[g]) for g in kept)
+        xbar = {
+            g: sum(ab**2 / lam for ab, lam in terms[g]) / sum(ab**2 for ab, _ in terms[g])
+            for g in kept
+        }
+        largest = max(abs(x) for x in xbar.values())
         constant = 1.0 / largest
-        for g in sorted(kept):
-            h, clamped = _clamp(xbar[g] / largest)
-            clamp_events += clamped
-            rotations.append((g % 2**k, 2.0 * math.asin(h)))
+        # |xbar[g]| <= largest, so the rounded ratio never leaves [-1, 1]
+        rotations = [(g % 2**k, 2.0 * math.asin(xbar[g] / largest)) for g in kept]
     else:
-        constant = lambda_ref
-        for g in sorted(kept):
-            z, clamped = _clamp(paper_arg[g])
-            clamp_events += clamped
+        constant = min(abs(e.lambda_tilde) for e in entries)
+        for g in kept:
+            z = 2.0 * sums[g] / len(terms[g])
+            if abs(z) > 1.0:
+                z = math.copysign(1.0, z)
+                clamp_events += 1
             rotations.append((g % 2**k, math.asin(z)))
 
     rotations.sort()

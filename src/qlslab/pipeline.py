@@ -21,8 +21,9 @@ Fidelity semantics: the exact readout reports the expectation of the
 projector onto the classical solution over the surviving register state,
 i.e. the squared overlap; the swap-test readout reports the square of its
 overlap estimate, so the two agree up to shot noise. The direct readout
-compares measured probabilities and reports the resulting distribution
-overlap. Every mode satisfies error = sqrt(2 (1 - fidelity)).
+compares measured probabilities and reports the unsquared, sign-blind
+overlap sum_i sqrt(f_i) |x_i|, so its error reads lower. Every mode
+satisfies error = sqrt(2 (1 - fidelity)).
 """
 from __future__ import annotations
 
@@ -306,28 +307,25 @@ def direct_distribution_error(counts, x) -> float:
     return error_from_fidelity(overlap)
 
 
-def _resolve_t0(qlsp: QLSP, config: RunConfig, signed: bool) -> float:
+def _resolve_t0(qlsp: QLSP, config: RunConfig) -> float:
     if config.t0_mode == "explicit":
         return float(config.t0_value)
     if config.t0_mode == "iterative":
-        return _searched_t0(
-            qlsp, config.clock_bits, signed, config.preprocess_shots, config.preprocess_seed
-        )
+        shots, seed = config.preprocess_shots, config.preprocess_seed
+        return _searched_t0(qlsp, config.clock_bits, shots, seed)
     # 1.0 is the norm bound that QLSP's rescaling guarantees
-    return fixed_t0(1.0, config.clock_bits, signed)
+    return fixed_t0(1.0, config.clock_bits, qlsp.has_negative_eigenvalues)
 
 
 @functools.lru_cache(maxsize=1)
-def _searched_t0(
-    qlsp: QLSP, clock_bits: int, signed: bool, shots: int | None, seed: int
-) -> float:
+def _searched_t0(qlsp: QLSP, clock_bits: int, shots: int | None, seed: int) -> float:
     """``iterative_t0`` for one problem and search setting.
 
     The hybrid and enhanced variants of a problem run back to back with the
     same search, so one slot serves the second from the first. A search that
     raises leaves nothing cached, and the next variant searches again.
     """
-    return iterative_t0(qlsp, clock_bits, signed, shots=shots, seed=seed)
+    return iterative_t0(qlsp, clock_bits, shots=shots, seed=seed)
 
 
 def run(qlsp: QLSP, config: RunConfig) -> RunResult:
@@ -336,21 +334,15 @@ def run(qlsp: QLSP, config: RunConfig) -> RunResult:
     l = config.preprocess_bits
     for _, width in _widths(config, qlsp.num_qubits):
         check_capacity(width)
-    signed = qlsp.has_negative_eigenvalues
-    t0 = _resolve_t0(qlsp, config, signed)
+    t0 = _resolve_t0(qlsp, config)
 
     estimates = None
     if config.variant == "canonical":
-        plan = plan_canonical(k, t0, signed_mode=signed)
+        plan = plan_canonical(k, t0, signed_mode=qlsp.has_negative_eigenvalues)
     else:
         t0_fine = t0 * 2 ** (l - k)
         estimates = run_preprocessing(
-            qlsp,
-            l,
-            t0_fine,
-            shots=config.preprocess_shots,
-            seed=config.preprocess_seed,
-            signed_mode=signed,
+            qlsp, l, t0_fine, shots=config.preprocess_shots, seed=config.preprocess_seed
         )
         if config.variant == "hybrid":
             # at most one rotation per eigenvalue can carry solution weight

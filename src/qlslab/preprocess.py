@@ -208,23 +208,19 @@ def qpe_histogram(
 
 
 def estimates_from_probabilities(
-    probabilities,
-    bit_width: int,
-    time_scale: float,
-    threshold: float | None = None,
-    signed_mode: bool = False,
+    probabilities, bit_width: int, time_scale: float, signed_mode: bool = False
 ) -> EigenEstimateSet:
     """Decode a clock distribution into weighted eigenvalue estimates.
 
-    Weights are amplitudes, the square roots of the bin probabilities, and
-    the threshold (default ``2**-bit_width``) applies to the amplitude.
+    Weights are amplitudes, the square roots of the bin probabilities; a bin
+    is kept when its amplitude reaches the fixed relevance threshold
+    ``2**-bit_width``.
     """
+    if bit_width < 1:
+        raise ValueError("bit_width must be at least 1")
     if not (math.isfinite(time_scale) and time_scale > 0):
         raise ValueError(f"time scale must be finite and positive, not {time_scale}")
-    if threshold is None:
-        threshold = 2.0**-bit_width
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie in (0, 1)")
+    threshold = 2.0**-bit_width
     probabilities = np.asarray(probabilities, dtype=float)
     if probabilities.shape != (2**bit_width,):
         raise ValueError("probability vector does not match the bit width")
@@ -255,22 +251,16 @@ def _clock_probabilities(
 
 
 def run_preprocessing(
-    qlsp: QLSP,
-    bit_width: int,
-    t0: float,
-    *,
-    shots: int | None = None,
-    seed: int | None = None,
-    threshold: float | None = None,
-    signed_mode: bool = False,
+    qlsp: QLSP, bit_width: int, t0: float, *, shots: int | None = None, seed: int | None = None
 ) -> EigenEstimateSet:
     """One preprocessing pass: QPE, then estimate extraction.
 
     With ``shots=None`` the exact Born weights are used, which is the
-    shot-noise-free setting for reproducing ideal-simulator results.
+    shot-noise-free setting for reproducing ideal-simulator results. The grid
+    decodes as two's complement when the problem has a negative eigenvalue.
     """
     probs = _clock_probabilities(qlsp, bit_width, t0, shots, seed)
-    return estimates_from_probabilities(probs, bit_width, t0, threshold, signed_mode)
+    return estimates_from_probabilities(probs, bit_width, t0, qlsp.has_negative_eigenvalues)
 
 
 def fixed_t0(lambda_max: float, bit_width: int, signed: bool = False) -> float:
@@ -302,12 +292,7 @@ def _strong_coordinates(est: EigenEstimateSet) -> list[int]:
 
 
 def _dominant_coordinate(
-    qlsp: QLSP,
-    bit_width: int,
-    t0: float,
-    signed: bool,
-    shots: int | None,
-    seed: int | None,
+    qlsp: QLSP, bit_width: int, t0: float, shots: int | None, seed: int | None
 ) -> float:
     """Sub-grid coordinate magnitude of the largest strong eigenvalue branch.
 
@@ -315,7 +300,7 @@ def _dominant_coordinate(
     kernel's weight ratio, which is accurate to a few percent of a grid step.
     """
     probs = _clock_probabilities(qlsp, bit_width, t0, shots, seed)
-    est = estimates_from_probabilities(probs, bit_width, t0, signed_mode=signed)
+    est = estimates_from_probabilities(probs, bit_width, t0, qlsp.has_negative_eigenvalues)
     d_star = max(_strong_coordinates(est), key=abs)
     size = 2**bit_width
     weights = np.sqrt(np.clip(probs, 0.0, None))
@@ -332,7 +317,6 @@ def _dominant_coordinate(
 def iterative_t0(
     qlsp: QLSP,
     bit_width: int,
-    signed: bool = False,
     *,
     shots: int | None = None,
     seed: int | None = None,
@@ -348,14 +332,16 @@ def iterative_t0(
     sub-grid coordinate. A final verification pass at a strongly reduced
     scale confirms the spectrum was not aliased by a whole grid period;
     failure raises ``AliasingError`` so the caller can restart with a
-    smaller initial scale.
+    smaller initial scale. Problems with a negative eigenvalue search on the
+    signed grid.
     """
+    signed = qlsp.has_negative_eigenvalues
     target = 2 ** (bit_width - 1) - 1 if signed else 2**bit_width - 1
     overflow_marker = 2 ** (bit_width - 1) if signed else None
 
     def peak(t: float) -> int:
         """Largest |grid value| among the strong estimates at scale ``t``."""
-        est = run_preprocessing(qlsp, bit_width, t, shots=shots, seed=seed, signed_mode=signed)
+        est = run_preprocessing(qlsp, bit_width, t, shots=shots, seed=seed)
         return max(abs(d) for d in _strong_coordinates(est))
 
     t = float(initial_t0) if initial_t0 is not None else math.pi / 2.0
@@ -393,7 +379,7 @@ def iterative_t0(
     # enough to place the eigenvalue onto the coarse grid value exactly.
     fine_bits = bit_width + 3
     coord_fine = _dominant_coordinate(
-        qlsp, fine_bits, lo * 2 ** (fine_bits - bit_width), signed, shots, seed
+        qlsp, fine_bits, lo * 2 ** (fine_bits - bit_width), shots, seed
     )
     lam_hat = TWO_PI * coord_fine / (lo * 2 ** (fine_bits - bit_width))
     result = TWO_PI * target / lam_hat
@@ -405,7 +391,7 @@ def iterative_t0(
     # eigenvalue sits at coordinate 0.35, the dominant estimate rounds to
     # zero, while a spectrum aliased by a grid period lands at 0.7 or above.
     verify_t = 0.35 * result / target
-    est = run_preprocessing(qlsp, bit_width, verify_t, shots=shots, seed=seed, signed_mode=signed)
+    est = run_preprocessing(qlsp, bit_width, verify_t, shots=shots, seed=seed)
     if est.entries[0].grid_int != 0:
         raise AliasingError("verification run still decodes a nonzero estimate")
     return result

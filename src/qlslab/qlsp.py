@@ -81,6 +81,8 @@ class QLSP:
             eigenvectors=vectors,
             projections=projections,
             condition_number=float(np.max(abs_eigs) / np.min(abs_eigs)),
+            # read on every preprocessing pass, so computed once here
+            has_negative_eigenvalues=bool(np.any(eigenvalues < 0)),
         )
 
     def __setattr__(self, name, value):  # immutable: callers key caches on identity
@@ -93,10 +95,6 @@ class QLSP:
     @property
     def num_qubits(self) -> int:
         return self.dimension.bit_length() - 1
-
-    @property
-    def has_negative_eigenvalues(self) -> bool:
-        return bool(np.any(self.eigenvalues < 0))
 
     def to_json(self) -> str:
         def pairs(z):

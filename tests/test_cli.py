@@ -194,6 +194,27 @@ def test_config_rejects_mistyped_values(tmp_path, capsys, doc):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, doc, flags",
+    [
+        ("sweep", {"lambdas": [0.1, 0.2]}, []),
+        ("sweep", {"eigenvalues": [-0.5, -0.25, 0.25, 0.5]}, []),
+        ("n4", {"count": 3, "lambda_min": 0.1}, []),
+        ("set", {"basis_seed": 3}, []),
+        ("sweep", {"source": "n2-set", "count": 3}, []),
+        ("n4", {"path": "problem.json"}, []),
+        ("sweep", {"source": "n4-set"}, ["--count", "3"]),
+    ],
+)
+def test_config_rejects_keys_the_source_never_reads(tmp_path, capsys, command, doc, flags):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", str(config), "--out", str(out)] + flags) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_accepts_int_for_float_and_null_where_default_is_none(tmp_path):
     config = tmp_path / "config.json"
     doc = {"noise_p": 0, "t0_mode": None, "lambdas": None, "count": 2}
@@ -513,6 +534,9 @@ GOLDEN_SPECS = {
     "n4_pairs01_direct_noisy.csv": dict(
         name="n4-set", source="n4-set", pairs="0-1", readout="direct", noise_p=0.01
     ),  # n4 --pairs 0-1 --readout direct --noise-p 0.01
+    "sweep_count5_paper_exact.csv": dict(
+        name="n2-sweep", source="n2-sweep", count=5, angle_policy="paper", alpha_model="exact"
+    ),  # sweep --count 5 --angle-policy paper --alpha exact
 }
 
 

@@ -128,6 +128,13 @@ def test_hybrid_rotation_cap():
     assert {p for p, _ in plan.rotations} == {3, 6}
 
 
+@pytest.mark.parametrize("cap", [0, -5, 1.9])
+def test_hybrid_rejects_a_cap_it_cannot_honour(cap):
+    estimates = _estimates(3, 18 * math.pi, [(3, 0.7), (6, 0.6)])
+    with pytest.raises(ValueError, match="max_rotations"):
+        plan_hybrid(estimates, max_rotations=cap)
+
+
 def test_hybrid_empty_plan():
     with pytest.raises(EmptyPlanError):
         plan_hybrid(_estimates(3, 6.0, [(0, 0.9)]))
@@ -174,17 +181,17 @@ def test_enhanced_support_is_adjacent_and_bounded():
 def test_enhanced_second_filter_drops_weak_patterns():
     t0 = 18 * math.pi
     estimates = _estimates(5, 4 * t0, [(24, 0.9), (13, 0.05)])
-    plan = plan_enhanced(estimates, 3, filter_threshold=0.12)
+    plan = plan_enhanced(estimates, 3)  # filter threshold 2^-3 = 0.125
     assert {p for p, _ in plan.rotations} == {6}
     with pytest.raises(EmptyPlanError):
-        plan_enhanced(estimates, 3, filter_threshold=10.0)
+        plan_enhanced(_estimates(5, 4 * t0, [(24, 0.001)]), 3)
 
 
 def test_enhanced_skips_zero_and_overflow_neighbors():
     t0 = 18 * math.pi
     # coarse coordinates 0.25 and 7.25: neighbors 0 and 8 are unusable
     estimates = _estimates(5, 4 * t0, [(1, 0.7), (29, 0.7)])
-    plan = plan_enhanced(estimates, 3, filter_threshold=1e-6)
+    plan = plan_enhanced(estimates, 3)
     assert {p for p, _ in plan.rotations} == {1, 7}
 
 
@@ -192,7 +199,7 @@ def test_enhanced_signed_patterns():
     t0 = 6 * math.pi
     # fine signed grid: value -10.5 sits between coarse -3 and -2
     estimates = _estimates(5, 4 * t0, [(22, 0.7), (3, 0.7)], signed=True)
-    plan = plan_enhanced(estimates, 3, filter_threshold=1e-6)
+    plan = plan_enhanced(estimates, 3)
     patterns = {p for p, _ in plan.rotations}
     assert patterns == {5, 6, 1}  # two's complement -3, -2, and +1
     angles = dict(plan.rotations)
@@ -208,12 +215,17 @@ def test_enhanced_paper_policy_clamps_in_degenerate_case():
 
 
 def test_enhanced_least_squares_never_clamps_on_sweep():
-    """Regression: default policy stays inside the arcsin domain on the sweep."""
+    """Regression: default policy stays inside the arcsin domain on the sweep.
+
+    Each angle is 2 arcsin(xbar / largest) with |xbar| <= largest, so the
+    largest rotation is exactly a half turn and no argument needs clamping.
+    """
     t0 = 18 * math.pi
     for lam in [round(0.02 * i, 3) for i in range(1, 25)]:
         estimates = run_preprocessing(generate_n2(lam), 5, 4 * t0)
         plan = plan_enhanced(estimates, 3)
         assert plan.clamp_events == 0
+        assert max(abs(theta) for _, theta in plan.rotations) == math.pi
 
 
 def test_build_inversion_circuit_counts():

@@ -275,7 +275,12 @@ def test_threshold_removes_small_bins():
 
 def test_estimates_empty_cases():
     with pytest.raises(EmptyEstimateError):
-        estimates_from_probabilities(_bins(3, {1: 0.5, 2: 0.5}), 3, 6 * math.pi, threshold=0.99)
+        estimates_from_probabilities(_bins(3, {}), 3, 6 * math.pi)
+
+
+def test_estimates_reject_a_zero_bit_width():
+    with pytest.raises(ValueError, match="bit_width"):
+        estimates_from_probabilities([1.0], 0, 1.0)
 
 
 def test_estimates_reject_a_nan_bin():
@@ -301,8 +306,8 @@ def test_qpe_state_rejects_a_non_finite_t0(t0):
 
 def test_estimates_sorted_and_deterministic():
     probabilities = _bins(3, {1: 100 / 1024, 2: 800 / 1024, 3: 124 / 1024})
-    a = estimates_from_probabilities(probabilities, 3, 6 * math.pi, threshold=0.05)
-    b = estimates_from_probabilities(probabilities, 3, 6 * math.pi, threshold=0.05)
+    a = estimates_from_probabilities(probabilities, 3, 6 * math.pi)
+    b = estimates_from_probabilities(probabilities, 3, 6 * math.pi)
     assert [e.grid_int for e in a.entries] == [2, 3, 1]
     assert a == b
 
@@ -366,7 +371,7 @@ def _brute_force_top_scale(lam, bits):
 def test_iterative_t0_single_eigenvalue_against_scan():
     lam = 0.37
     qlsp = QLSP(np.diag([lam, lam]), [1.0, 0.0])
-    found = iterative_t0(qlsp, 5, signed=False)
+    found = iterative_t0(qlsp, 5)
     scan_max = _brute_force_top_scale(lam, 5)
     assert found <= scan_max * 1.01
     assert found >= scan_max / 2  # within one doubling step of the boundary
@@ -376,7 +381,7 @@ def test_iterative_t0_single_eigenvalue_against_scan():
 
 def test_iterative_t0_family_targets_top_value():
     qlsp = generate_n2(1 / 3)
-    t0 = iterative_t0(qlsp, 3, signed=False)
+    t0 = iterative_t0(qlsp, 3)
     coord = (2 / 3) * t0 / TWO_PI
     assert round(coord) == 7
     assert coord == pytest.approx(7.0, abs=0.05)
@@ -384,7 +389,7 @@ def test_iterative_t0_family_targets_top_value():
 
 def test_iterative_t0_signed_problem():
     qlsp = generate_n4((-21 / 24, -20 / 24, 5 / 24, 6 / 24), (0, 2), seed=7)
-    t0 = iterative_t0(qlsp, 3, signed=True)
+    t0 = iterative_t0(qlsp, 3)
     coord = (21 / 24) * t0 / TWO_PI
     assert coord == pytest.approx(3.0, abs=0.05)
 
@@ -395,7 +400,7 @@ def test_iterative_t0_detects_aliased_start():
     qlsp = QLSP(np.diag([lam, lam]), [1.0, 0.0])
     aliased = TWO_PI * 8 / lam  # coordinate exactly 2^3, reads as zero
     with pytest.raises(AliasingError):
-        iterative_t0(qlsp, 3, signed=False, initial_t0=aliased, max_doublings=3)
+        iterative_t0(qlsp, 3, initial_t0=aliased, max_doublings=3)
 
 
 @pytest.mark.parametrize(
@@ -405,10 +410,20 @@ def test_iterative_t0_detects_aliased_start():
 )
 def test_iterative_t0_sampled(lam, expected):
     qlsp = generate_n2(lam)
-    t0 = iterative_t0(qlsp, 3, signed=False, shots=4096, seed=5)
+    t0 = iterative_t0(qlsp, 3, shots=4096, seed=5)
     assert (1 - lam) * t0 / TWO_PI == pytest.approx(7.0, abs=0.1)
     assert t0 == pytest.approx(expected, rel=1e-12)
-    assert iterative_t0(qlsp, 3, signed=False, shots=4096, seed=5) == t0
+    assert iterative_t0(qlsp, 3, shots=4096, seed=5) == t0
+
+
+def test_run_preprocessing_reads_the_sign_mode_from_the_problem():
+    signed = generate_n4((-21 / 24, -20 / 24, 5 / 24, 6 / 24), (0, 2), seed=7)
+    estimates = run_preprocessing(signed, 5, 24 * math.pi)
+    assert estimates.signed_mode is True
+    assert any(e.lambda_tilde < 0 for e in estimates.entries)
+    estimates = run_preprocessing(generate_n2(1 / 3), 5, 72 * math.pi)
+    assert estimates.signed_mode is False
+    assert all(e.lambda_tilde > 0 for e in estimates.entries)
 
 
 def test_run_preprocessing_exact_matches_sampled_limit():
