@@ -17,7 +17,7 @@ from .pipeline import (
     RunConfig,
     RunResult,
     assemble_hhl,
-    direct_distribution_error,
+    direct_fidelity,
     error_from_fidelity,
     run,
     swap_test_fidelity,

@@ -1,18 +1,21 @@
 """Eigenvalue-inversion plans for the three solver variants.
 
-A plan is a list of ``(clock pattern, rotation angle)`` pairs. The canonical
-plan rotates every nonzero pattern, the hybrid plan only the patterns that
-preprocessing found relevant, and the enhanced plan redistributes
-higher-precision estimates onto the coarse grid before choosing angles.
+A plan is a list of ``(clock pattern, rotation angle)`` pairs. The variants
+differ only in the inverse-eigenvalue estimate x each pattern gets, and one
+rule turns those estimates into angles: theta = 2 arcsin(x / max|x|), with
+the constant C = 1 / max|x| that sends the largest |x| to a half turn. The
+canonical plan gives every nonzero pattern its grid value's inverse, the
+hybrid plan only the patterns that preprocessing found relevant, and the
+enhanced plan a weighted mean of the finer estimates that spread onto each
+coarse pattern.
 
 Angle policies for the enhanced plan:
 
-* ``least-squares`` (default): for each touched pattern, take the weighted
-  average of the inverse estimates with the squared overlap-amplitude weights
-  ``(alpha * beta)**2``, scale by a constant that pins the largest rotation
-  to a half turn, and set theta = 2 arcsin(C * xbar). This is the minimizer
-  of the per-pattern residual and degenerates exactly to the hybrid plan
-  when every estimate sits on the coarse grid.
+* ``least-squares`` (default): for each touched pattern, x is the weighted
+  average of the inverse estimates with the squared overlap-amplitude
+  weights ``(alpha * beta)**2``, and the shared rule sets the angle. This is
+  the minimizer of the per-pattern residual and degenerates exactly to the
+  hybrid plan when every estimate sits on the coarse grid.
 * ``paper``: theta = arcsin((2 / r) * sum(alpha * beta / lambda)) with ``r``
   the number of contributing estimates, argument clamped to [-1, 1]. Clamping
   events are counted on the returned plan; this policy does not reproduce the
@@ -53,13 +56,15 @@ class InversionPlan:
             raise ValueError(f"the constant must be finite and positive, not {self.constant_c}")
 
 
-def inversion_amplitude(lambda_tilde: float, c: float) -> float:
-    """Target |1>-amplitude c / lambda, zero strictly below the cutoff."""
-    if c <= 0:
-        raise ValueError("the rotation constant must be positive")
-    if abs(lambda_tilde) < c:
-        return 0.0
-    return c / lambda_tilde
+def _plan(bit_width: int, inverses: dict[int, float]) -> InversionPlan:
+    """Rotate each pattern by 2 arcsin(x / max|x|) for its inverse estimate x.
+
+    The constant is C = 1 / max|x|; every ratio lies in [-1, 1] after
+    rounding, so no angle needs a clamp.
+    """
+    largest = max(abs(x) for x in inverses.values())
+    rotations = sorted((p, 2.0 * math.asin(x / largest)) for p, x in inverses.items())
+    return InversionPlan(bit_width, tuple(rotations), 1.0 / largest)
 
 
 def alpha_overlap(delta: float, model: str = "linear", big_t: int | None = None) -> float:
@@ -93,31 +98,29 @@ def alpha_overlap(delta: float, model: str = "linear", big_t: int | None = None)
 def plan_canonical(bit_width: int, t0: float, signed_mode: bool = False) -> InversionPlan:
     """Uniformly controlled rotation over all 2**k - 1 nonzero patterns.
 
-    The constant is the smallest nonzero grid value 2 pi / t0, so the
-    smallest positive pattern rotates by a full half turn.
+    Each pattern's x is the inverse of its grid value 2 pi g / t0, so the
+    constant is the smallest nonzero grid value 2 pi / t0 and the smallest
+    positive pattern rotates by a full half turn.
     """
     if bit_width < 1:
         raise ValueError("bit_width must be at least 1")
-    if t0 <= 0:
-        raise ValueError("t0 must be positive")
-    c = TWO_PI / t0
-    rotations = []
-    for pattern in range(1, 2**bit_width):
-        decoded = decode_grid_int(pattern, bit_width, signed_mode)
-        lam = TWO_PI * decoded / t0
-        theta = 2.0 * math.asin(inversion_amplitude(lam, c))
-        rotations.append((pattern, theta))
-    return InversionPlan(bit_width, tuple(rotations), float(c))
+    if not (math.isfinite(t0) and t0 > 0):
+        raise ValueError(f"t0 must be finite and positive, not {t0}")
+    inverses = {
+        pattern: 1.0 / (TWO_PI * decode_grid_int(pattern, bit_width, signed_mode) / t0)
+        for pattern in range(1, 2**bit_width)
+    }
+    return _plan(bit_width, inverses)
 
 
 def plan_hybrid(estimates: EigenEstimateSet, max_rotations: int | None = None) -> InversionPlan:
     """Rotations only at the grid patterns preprocessing found relevant.
 
-    The constant is the smallest kept estimate magnitude, so that estimate
-    rotates by a full half turn. ``max_rotations``, an integer of at least 1,
-    caps the plan at the most relevant estimates; the solver passes the
-    problem dimension here, since at most that many eigenvalues carry
-    solution weight.
+    Each kept pattern's x is the inverse of its estimate, so the constant is
+    the smallest kept estimate magnitude and that estimate rotates by a full
+    half turn. ``max_rotations``, an integer of at least 1, caps the plan at
+    the most relevant estimates; the solver passes the problem dimension
+    here, since at most that many eigenvalues carry solution weight.
     """
     entries = [e for e in estimates.entries if e.grid_int != 0]
     if max_rotations is not None:
@@ -126,13 +129,7 @@ def plan_hybrid(estimates: EigenEstimateSet, max_rotations: int | None = None) -
         entries = entries[:max_rotations]
     if not entries:
         raise EmptyPlanError("no relevant nonzero estimate to invert")
-    c = min(abs(e.lambda_tilde) for e in entries)
-    rotations = []
-    for e in entries:
-        theta = 2.0 * math.asin(inversion_amplitude(e.lambda_tilde, c))
-        rotations.append((e.grid_int, theta))
-    rotations.sort()
-    return InversionPlan(estimates.bit_width, tuple(rotations), float(c))
+    return _plan(estimates.bit_width, {e.grid_int: 1.0 / e.lambda_tilde for e in entries})
 
 
 def plan_enhanced(
@@ -146,7 +143,9 @@ def plan_enhanced(
     Each relevant estimate spreads over its two adjacent coarse grid values
     with overlap amplitudes from ``alpha_model``. A touched pattern is kept
     when its relevance |sum alpha beta / lambda| reaches the fixed filter
-    threshold 2**-k, and then receives one rotation under ``angle_policy``.
+    threshold 2**-k, and then receives one rotation under ``angle_policy``:
+    the least-squares x is the mean of the contributions' inverse estimates
+    weighted by (alpha beta)**2, turned into an angle by the shared rule.
     """
     if angle_policy not in ANGLE_POLICIES:
         raise ValueError(f"unknown angle policy {angle_policy!r}")
@@ -184,31 +183,27 @@ def plan_enhanced(
         raise EmptyPlanError("every candidate rotation fell outside the clock grid")
 
     sums = {g: sum(ab / lam for ab, lam in contribs) for g, contribs in terms.items()}
-    kept = sorted(g for g in terms if abs(sums[g]) >= 2.0**-k)
+    kept = [g for g in terms if abs(sums[g]) >= 2.0**-k]
     if not kept:
         raise EmptyPlanError("every rotation fell below the relevance filter")
 
-    clamp_events = 0
-    rotations = []
     if angle_policy == "least-squares":
         xbar = {
-            g: sum(ab**2 / lam for ab, lam in terms[g]) / sum(ab**2 for ab, _ in terms[g])
+            g % 2**k: sum(ab**2 / lam for ab, lam in terms[g]) / sum(ab**2 for ab, _ in terms[g])
             for g in kept
         }
-        largest = max(abs(x) for x in xbar.values())
-        constant = 1.0 / largest
-        # |xbar[g]| <= largest, so the rounded ratio never leaves [-1, 1]
-        rotations = [(g % 2**k, 2.0 * math.asin(xbar[g] / largest)) for g in kept]
-    else:
-        constant = min(abs(e.lambda_tilde) for e in entries)
-        for g in kept:
-            z = 2.0 * sums[g] / len(terms[g])
-            if abs(z) > 1.0:
-                z = math.copysign(1.0, z)
-                clamp_events += 1
-            rotations.append((g % 2**k, math.asin(z)))
+        return _plan(k, xbar)
 
+    clamp_events = 0
+    rotations = []
+    for g in kept:
+        z = 2.0 * sums[g] / len(terms[g])
+        if abs(z) > 1.0:
+            z = math.copysign(1.0, z)
+            clamp_events += 1
+        rotations.append((g % 2**k, math.asin(z)))
     rotations.sort()
+    constant = min(abs(e.lambda_tilde) for e in entries)
     return InversionPlan(k, tuple(rotations), float(constant), clamp_events)
 
 

@@ -17,13 +17,15 @@ counts of the whole circuit. Consecutive runs on one problem share its
 prepare + QPE block and its iterative t0 search through one-slot memos
 (``_qpe_blocks``, ``_searched_t0``).
 
-Fidelity semantics: the exact readout reports the expectation of the
-projector onto the classical solution over the surviving register state,
-i.e. the squared overlap; the swap-test readout reports the square of its
-overlap estimate, so the two agree up to shot noise. The direct readout
-compares measured probabilities and reports the unsquared, sign-blind
-overlap sum_i sqrt(f_i) |x_i|, so its error reads lower. Every mode
-satisfies error = sqrt(2 (1 - fidelity)).
+Fidelity semantics: each readout returns the value a run reports as its
+fidelity, and the run derives its error through ``error_from_fidelity``
+alone, so every mode satisfies error = sqrt(2 (1 - fidelity)). The exact
+readout returns the expectation of the projector onto the classical
+solution over the surviving register state, i.e. the squared overlap; the
+swap-test readout returns its shot estimate of that squared overlap, so the
+two agree up to shot noise. The direct readout compares measured
+probabilities and returns the unsquared, sign-blind overlap
+sum_i sqrt(f_i) |x_i|, so its error reads lower.
 """
 from __future__ import annotations
 
@@ -234,17 +236,18 @@ def _noiseless_state(qlsp: QLSP, clock_bits: int, t0: float, circuit: Circuit) -
 
 
 def projection_fidelity(state: StateVector, qubits, target) -> float:
-    """sqrt of the probability that the register matches ``target``.
+    """Expectation of the projector onto ``target`` over the register ``qubits``.
 
-    Equals |<target|x>| for a pure register state and extends to states with
-    residual entanglement as the square root of the projector expectation.
+    Equals |<target|x>|^2 for a pure register state x, and extends to
+    states with residual entanglement as the probability that the register
+    is found in ``target``.
     """
     target = np.asarray(target, dtype=complex).reshape(-1)
     matrix = register_matrix(state.amplitudes, qubits)
     if matrix.shape[0] != target.shape[0]:
         raise ValueError("target length does not match the register")
     overlap = target.conj() @ matrix
-    return float(np.linalg.norm(overlap))
+    return float(np.vdot(overlap, overlap).real)
 
 
 def _swap_test_probabilities(state: StateVector, register, ancilla: int, x) -> np.ndarray:
@@ -271,10 +274,10 @@ def _swap_test_probabilities(state: StateVector, register, ancilla: int, x) -> n
 def swap_test_fidelity(
     state: StateVector, register, ancilla: int, x, shots: int, seed: int | None = None
 ) -> float:
-    """Estimate |<x~|x>| from swap-test statistics on ``register`` of ``state``.
+    """Estimate |<x~|x>|^2 from swap-test statistics on ``register`` of ``state``.
 
     Shots are conditioned on ``ancilla`` reading 1; the estimator inverts
-    P(1) = (1 - overlap^2) / 2 on the conditioned shots.
+    P(1) = (1 - |<x~|x>|^2) / 2 on the conditioned shots.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
@@ -283,28 +286,28 @@ def swap_test_fidelity(
     total = int(counts[1] + counts[3])
     if total == 0:
         raise InsufficientShotsError("no shot survived ancilla conditioning")
-    return math.sqrt(max(0.0, 1.0 - 2.0 * int(counts[3]) / total))
+    return max(0.0, 1.0 - 2.0 * int(counts[3]) / total)
 
 
-def direct_distribution_error(counts, x) -> float:
-    """Error from direct register measurement, with signs borrowed from ``x``.
+def direct_fidelity(
+    state: StateVector, register, ancilla: int, x, shots: int, seed: int | None = None
+) -> float:
+    """Overlap sum_i sqrt(f_i) |x_i| from measuring ``register`` of ``state`` directly.
 
-    ``counts[i]`` shots read basis state ``i``. Amplitude magnitudes are the square
-    roots of observed frequencies, so the recovered overlap is sum_i sqrt(f_i) |x_i|.
+    Shots are conditioned on ``ancilla`` reading 1, and f_i is the frequency
+    of basis state i among them. Amplitude magnitudes are the square roots
+    of those frequencies and their signs are borrowed from ``x``, so the
+    overlap is unsquared and blind to sign errors.
     """
-    counts = np.asarray(counts)
     x = np.asarray(x, dtype=complex).reshape(-1)
-    if counts.shape != x.shape:
-        raise ValueError(f"counts of shape {counts.shape} do not match a register of {x.shape[0]}")
-    if (counts < 0).any():
-        raise ValueError("counts must be non-negative")
+    if x.shape[0] != 2 ** len(register):
+        raise ValueError("x length does not match the register")
+    probabilities = marginal_probabilities(state, (ancilla,) + tuple(register))
+    counts = sample(probabilities, shots, seed)[1::2]  # the ancilla is bit 0 of an outcome
     total = int(counts.sum())
     if total == 0:
-        raise ValueError("the counts hold no shots")
-    overlap = 0.0
-    for count, amplitude in zip(counts.tolist(), x):
-        overlap += math.sqrt(count / total) * abs(amplitude)
-    return error_from_fidelity(overlap)
+        raise InsufficientShotsError("no shot survived ancilla conditioning")
+    return float(sum(math.sqrt(c / total) * abs(a) for c, a in zip(counts.tolist(), x)))
 
 
 def _resolve_t0(qlsp: QLSP, config: RunConfig) -> float:
@@ -367,22 +370,12 @@ def run(qlsp: QLSP, config: RunConfig) -> RunResult:
     except ZeroProbabilityError as exc:
         raise DegenerateRunError("the inversion ancilla never reads 1") from exc
 
-    solution = classical_solution(qlsp)
+    solution = classical_solution(qlsp).state_x
     if config.readout == "exact":
-        fidelity = projection_fidelity(post, breg, solution.state_x) ** 2
-    elif config.readout == "swap":
-        overlap = swap_test_fidelity(
-            state, breg, ancilla, solution.state_x, config.shots, config.seed
-        )
-        fidelity = overlap**2
+        fidelity = projection_fidelity(post, breg, solution)
     else:
-        probabilities = marginal_probabilities(state, (ancilla,) + breg)
-        counts = sample(probabilities, config.shots, config.seed)
-        kept = counts[1::2]  # the ancilla is bit 0 of an outcome
-        if not kept.any():
-            raise InsufficientShotsError("no shot survived ancilla conditioning")
-        return_error = direct_distribution_error(kept, solution.state_x)
-        fidelity = 1.0 - 0.5 * return_error**2
+        readout = swap_test_fidelity if config.readout == "swap" else direct_fidelity
+        fidelity = readout(state, breg, ancilla, solution, config.shots, config.seed)
 
     return RunResult(
         variant=config.variant,

@@ -201,10 +201,8 @@ def qpe_grid_probabilities(qlsp: QLSP, bit_width: int, t0: float) -> np.ndarray:
 def qpe_histogram(
     qlsp: QLSP, bit_width: int, t0: float, shots: int, seed: int | None = None
 ) -> np.ndarray:
-    """Shot counts over clock-register integers."""
-    state = qpe_state(qlsp, bit_width, t0)
-    clock = range(qlsp.num_qubits, state.num_qubits)
-    return sample(marginal_probabilities(state, clock), shots, seed)
+    """Shot counts over clock-register integers, drawn from ``qpe_grid_probabilities``."""
+    return sample(qpe_grid_probabilities(qlsp, bit_width, t0), shots, seed)
 
 
 def estimates_from_probabilities(
@@ -315,24 +313,20 @@ def _dominant_coordinate(
 
 
 def iterative_t0(
-    qlsp: QLSP,
-    bit_width: int,
-    *,
-    shots: int | None = None,
-    seed: int | None = None,
-    initial_t0: float | None = None,
-    max_doublings: int = 12,
+    qlsp: QLSP, bit_width: int, *, shots: int | None = None, seed: int | None = None
 ) -> float:
     """Search for the time scale that pins the largest eigenvalue to the top
     grid value without overflowing.
 
-    Starts from a scale where every estimate decodes to zero, doubles until
-    the peak estimate wraps (bracketing the overflow boundary), then places
-    the dominant eigenvalue onto the top grid value by interpolating its
-    sub-grid coordinate. A final verification pass at a strongly reduced
-    scale confirms the spectrum was not aliased by a whole grid period;
-    failure raises ``AliasingError`` so the caller can restart with a
-    smaller initial scale. Problems with a negative eigenvalue search on the
+    Starts from pi / 2, where every |lam| <= 1 sits at coordinate at most
+    0.25 and so decodes to zero (halving on while sampled estimates say
+    otherwise), doubles up to 12 times until the peak estimate wraps
+    (bracketing the overflow boundary), then places the dominant eigenvalue
+    onto the top grid value by interpolating its sub-grid coordinate. A
+    final verification pass at a strongly reduced scale confirms the
+    spectrum was not aliased by a whole grid period. Each failure, a
+    spectrum too small to wrap within the doublings among them, raises
+    ``AliasingError``. Problems with a negative eigenvalue search on the
     signed grid.
     """
     signed = qlsp.has_negative_eigenvalues
@@ -344,7 +338,7 @@ def iterative_t0(
         est = run_preprocessing(qlsp, bit_width, t, shots=shots, seed=seed)
         return max(abs(d) for d in _strong_coordinates(est))
 
-    t = float(initial_t0) if initial_t0 is not None else math.pi / 2.0
+    t = math.pi / 2.0
     for _ in range(64):
         if peak(t) == 0:
             break
@@ -357,18 +351,16 @@ def iterative_t0(
     # the peak coordinate up to rounding, so a shortfall means a wrap even
     # when another eigenvalue branch aliases onto a nonzero value.
     lo, lo_peak = t, 0
-    bracketed = False
-    for _ in range(max(1, max_doublings)):
+    for _ in range(12):
         cand = lo * 2.0
         m = peak(cand)
         wrapped = (lo_peak > 0 and m < 2 * lo_peak - 1.5) or (
             overflow_marker is not None and m >= overflow_marker
         )
         if wrapped:
-            bracketed = True
             break
         lo, lo_peak = cand, m
-    if not bracketed:
+    else:
         raise AliasingError("no overflow was observed within the doubling budget")
     if lo_peak == 0:
         raise AliasingError("the peak estimate wrapped before leaving zero")

@@ -1,15 +1,16 @@
-"""Inversion-plan tests: amplitudes, overlap models, plan builders, circuits."""
+"""Inversion-plan tests: overlap models, plan builders, circuits."""
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlslab.errors import EmptyPlanError
 from qlslab.inversion import (
     InversionPlan,
     alpha_overlap,
     build_inversion_circuit,
-    inversion_amplitude,
     plan_canonical,
     plan_enhanced,
     plan_hybrid,
@@ -27,15 +28,6 @@ def _estimates(bits, t0, pairs, signed=False):
         for g, w in pairs
     )
     return EigenEstimateSet(bits, t0, signed, entries)
-
-
-def test_inversion_amplitude_cases():
-    assert inversion_amplitude(0.5, 0.5) == pytest.approx(1.0)
-    assert inversion_amplitude(1.0, 0.5) == pytest.approx(0.5)
-    assert inversion_amplitude(0.3, 0.5) == 0.0
-    assert inversion_amplitude(-0.5, 0.25) == pytest.approx(-0.5)
-    with pytest.raises(ValueError):
-        inversion_amplitude(1.0, 0.0)
 
 
 def test_alpha_linear_values():
@@ -82,6 +74,12 @@ def test_canonical_plan_angles_and_size():
     assert plan.constant_c == pytest.approx(TWO_PI / t0)
 
 
+@pytest.mark.parametrize("t0", [math.inf, math.nan, 0.0, -1.0])
+def test_canonical_rejects_a_scale_that_gives_no_grid(t0):
+    with pytest.raises(ValueError, match="finite and positive"):
+        plan_canonical(3, t0)
+
+
 def test_canonical_angle_monotonicity():
     plan = plan_canonical(4, 10.0)
     angles = [theta for _, theta in plan.rotations]
@@ -95,6 +93,27 @@ def test_canonical_signed_patterns():
     assert angles[1] == pytest.approx(math.pi)  # lambda = +c
     assert angles[7] == pytest.approx(-math.pi)  # two's complement -1
     assert angles[5] == pytest.approx(2 * math.asin(-1 / 3))  # decoded -3
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(1, 5), st.floats(0.5, 500.0), st.booleans(), st.data())
+def test_canonical_and_hybrid_plans_share_one_rule(k, t0, signed, data):
+    """The canonical plan is the hybrid plan over every nonzero grid value,
+    and a hybrid plan rotates each estimate by 2 arcsin(min|lambda| / lambda)."""
+    every = [(g, 1.0) for g in range(1, 2**k)]
+    canonical = plan_canonical(k, t0, signed_mode=signed)
+    hybrid = plan_hybrid(_estimates(k, t0, every, signed))
+    assert hybrid.rotations == canonical.rotations
+    assert hybrid.constant_c == canonical.constant_c
+
+    kept = data.draw(st.lists(st.sampled_from(every), min_size=1, unique=True))
+    estimates = _estimates(k, t0, kept, signed)
+    c = min(abs(e.lambda_tilde) for e in estimates.entries)
+    expected = {e.grid_int: 2.0 * math.asin(c / e.lambda_tilde) for e in estimates.entries}
+    plan = plan_hybrid(estimates)
+    assert [p for p, _ in plan.rotations] == sorted(expected)
+    for pattern, theta in plan.rotations:
+        assert abs(theta - expected[pattern]) <= 1e-12
 
 
 def test_hybrid_plan_basic():

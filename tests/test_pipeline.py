@@ -23,7 +23,7 @@ from qlslab.pipeline import (
     _swap_test_probabilities,
     _widths,
     assemble_hhl,
-    direct_distribution_error,
+    direct_fidelity,
     error_from_fidelity,
     projection_fidelity,
     run,
@@ -119,7 +119,7 @@ def test_noiseless_runs_match_the_dense_simulation(case):
     nb = qlsp.num_qubits
     post, success = postselect(dense, nb + k, 1)
     x = classical_solution(qlsp).state_x
-    fidelity = projection_fidelity(post, range(nb), x) ** 2
+    fidelity = projection_fidelity(post, range(nb), x)
     assert abs(result.success_probability - success) < 1e-12
     assert abs(result.fidelity - fidelity) < 1e-12
 
@@ -184,7 +184,7 @@ def test_swap_test_known_overlap():
     assert probabilities[3] == pytest.approx((1 - 0.8**2) / 2, abs=1e-12)
     estimate = swap_test_fidelity(state, register, ancilla, b, shots=4096, seed=3)
     sigma = math.sqrt(0.18 * 0.82 / 4096)
-    assert abs(estimate**2 - 0.64) <= 2 * 4 * sigma
+    assert abs(estimate - 0.64) <= 2 * 4 * sigma
 
 
 def _swap_reference(start, gates, register, ancilla, x):
@@ -291,36 +291,33 @@ def test_swap_test_insufficient_shots():
         swap_test_fidelity(state, register, ancilla, np.array([1.0, 0.0]), shots=64, seed=0)
 
 
-def test_direct_distribution_error_exact_distribution():
-    # sqrt(2 (1 - f)) amplifies float roundoff in f to ~1e-8; that is zero here
-    x = np.array([3.0, 1.0]) / math.sqrt(10.0)
-    counts = np.array([9000, 1000])
-    assert direct_distribution_error(counts, x) == pytest.approx(0.0, abs=1e-6)
+def test_direct_fidelity_is_sign_blind():
+    """A register that always reads the solution's basis state scores 1,
+    whatever sign or phase the solution carries there."""
+    state, register, ancilla = _flagged([0.0, 1.0])
+    x = np.array([0.0, -1j])
+    assert direct_fidelity(state, register, ancilla, x, shots=64, seed=0) == 1.0
 
 
-def test_direct_distribution_error_uniform_closed_form():
-    x = np.array([1.0, 0.0])
-    counts = np.array([500, 500])
-    expected = math.sqrt(2 * (1 - 1 / math.sqrt(2)))
-    assert direct_distribution_error(counts, x) == pytest.approx(expected, abs=1e-12)
+def test_direct_fidelity_uniform_closed_form():
+    """Every shot reads |0>, so the overlap is sqrt(1) * |x_0| = 1 / sqrt(2)."""
+    state, register, ancilla = _flagged([1.0, 0.0])
+    x = np.array([1.0, 1.0]) / math.sqrt(2)
+    estimate = direct_fidelity(state, register, ancilla, x, shots=64, seed=0)
+    assert estimate == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
 
-def test_direct_distribution_error_validation():
-    # no counts, and a count for basis state 2 of a one-qubit register
-    with pytest.raises(ValueError, match="do not match"):
-        direct_distribution_error([], np.array([1.0, 0.0]))
-    with pytest.raises(ValueError, match="do not match"):
-        direct_distribution_error([0, 0, 4], np.array([1.0, 0.0]))
+def test_direct_fidelity_rejects_a_target_of_the_wrong_length():
+    state, register, ancilla = _flagged([1.0, 0.0])
+    with pytest.raises(ValueError, match="x length does not match the register"):
+        direct_fidelity(state, register, ancilla, np.ones(4) / 2, shots=64, seed=0)
 
 
-@pytest.mark.parametrize(
-    "counts, message",
-    [([0, 0], "no shots"), ([-5, 10], "non-negative")],
-    ids=["all-zero", "negative"],
-)
-def test_direct_distribution_error_rejects_zero_and_negative_counts(counts, message):
-    with pytest.raises(ValueError, match=message):
-        direct_distribution_error(np.array(counts), np.array([1.0, 0.0]))
+def test_direct_fidelity_insufficient_shots():
+    # the ancilla stays |0>, so conditioning discards everything
+    state, register, ancilla = _flagged(np.array([1.0, 1.0]) / math.sqrt(2), ancilla_bit=0)
+    with pytest.raises(InsufficientShotsError):
+        direct_fidelity(state, register, ancilla, np.array([1.0, 0.0]), shots=64, seed=0)
 
 
 def test_direct_mode_ranks_variants_like_exact_mode():
@@ -362,11 +359,10 @@ def test_degenerate_run_error():
 
 
 def test_projection_fidelity_pure_state():
+    """A pure register state scores its squared overlap with the target."""
     state = StateVector(2, np.array([0.6, 0.8, 0.0, 0.0]))
-    target = np.array([0.6, 0.8])
-    assert projection_fidelity(state, (0,), target) == pytest.approx(
-        abs(0.6 * 0.6 + 0.8 * 0.8), abs=1e-12
-    )
+    assert projection_fidelity(state, (0,), np.array([0.6, 0.8])) == pytest.approx(1.0, abs=1e-12)
+    assert projection_fidelity(state, (0,), np.array([1.0, 0.0])) == pytest.approx(0.36, abs=1e-12)
 
 
 def test_signed_grid_aligned_run_is_exact():

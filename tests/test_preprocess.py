@@ -395,12 +395,13 @@ def test_iterative_t0_signed_problem():
 
 
 def test_iterative_t0_detects_aliased_start():
-    """A start where every eigenvalue wraps to zero must be rejected."""
-    lam = 0.4
-    qlsp = QLSP(np.diag([lam, lam]), [1.0, 0.0])
-    aliased = TWO_PI * 8 / lam  # coordinate exactly 2^3, reads as zero
-    with pytest.raises(AliasingError):
-        iterative_t0(qlsp, 3, initial_t0=aliased, max_doublings=3)
+    """A spectrum too small to wrap within the doubling budget raises
+    ``AliasingError``, unsigned or signed. The search starts at pi / 2, where
+    every |lam| <= 1 sits at coordinate at most 0.25, so no start is aliased."""
+    for eigenvalues in ((0.001, 0.0005), (-0.002, 0.001)):
+        qlsp = QLSP(np.diag(eigenvalues), [1.0, 1.0])
+        with pytest.raises(AliasingError, match="doubling budget"):
+            iterative_t0(qlsp, 3)
 
 
 @pytest.mark.parametrize(
