@@ -9,13 +9,17 @@ once for every readout mode; the swap-test readout takes its outcome
 probabilities from that state in closed form and samples them, so it
 simulates no test register.
 
-Noiseless runs take the prepare + QPE block and its uncompute in closed form
-from A's eigenbasis (``qpe_state``, ``qpe_uncompute``) and simulate only the
-inversion block gate by gate; noisy runs simulate the whole circuit gate by
-gate, since noise lands between individual gates. Both report the gate
-counts of the whole circuit. Consecutive runs on one problem share its
-prepare + QPE block and its iterative t0 search through one-slot memos
-(``_qpe_blocks``, ``_searched_t0``).
+One executor runs noiseless and noisy circuits alike. It splits the QPE
+block and its uncompute into stages (Hadamard layer, controlled-power
+ladder, Fourier transform) and applies each stage that no inserted Pauli
+lands in by its closed form from ``preprocess``; when the whole prefix is
+Pauli-free, its cached output (``qpe_state``) stands in for it. The
+inversion block, every stage a Pauli lands in and the Paulis themselves are
+simulated gate by gate, so a noiseless run simulates only the inversion
+block. Every run reports the gate counts of the whole noiseless circuit.
+Consecutive runs on one problem share its prepare + QPE block and its
+iterative t0 search through one-slot memos (``_qpe_blocks``,
+``_searched_t0``).
 
 Fidelity semantics: each readout returns the value a run reports as its
 fidelity, and the run derives its error through ``error_from_fidelity``
@@ -29,6 +33,7 @@ sum_i sqrt(f_i) |x_i|, so its error reads lower.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -52,10 +57,12 @@ from .inversion import (
 from .preprocess import (
     EigenEstimateSet,
     build_qpe_circuit,
+    clock_hadamards,
+    clock_powers,
+    clock_qft,
     fixed_t0,
     iterative_t0,
     qpe_state,
-    qpe_uncompute,
     run_preprocessing,
 )
 from .qlsp import QLSP, classical_solution
@@ -223,16 +230,66 @@ def assemble_hhl(qlsp: QLSP, clock_bits: int, t0: float, plan: InversionPlan) ->
     return circuit
 
 
-def _noiseless_state(qlsp: QLSP, clock_bits: int, t0: float, circuit: Circuit) -> StateVector:
-    """Output of ``assemble_hhl``'s ``circuit`` on |0>, without noise.
+def _solver_state(
+    qlsp: QLSP, clock_bits: int, t0: float, circuit: Circuit, executed: Circuit
+) -> StateVector:
+    """Output of ``executed`` on |0>: ``assemble_hhl``'s ``circuit`` with any
+    Paulis that ``inject_noise`` inserted after its gates.
 
-    The prepare + QPE block and its uncompute come in closed form; only the
-    inversion block between them is simulated gate by gate.
+    The circuit runs in stages: state preparation, the QPE block's Hadamard
+    layer, controlled-power ladder and inverse QFT, the inversion block, and
+    the uncompute's QFT, adjoint ladder and Hadamard layer. Each QPE stage
+    with no Pauli before its last gate is applied in closed form, and a
+    Pauli after that gate is simulated after it. When no Pauli comes before
+    the prefix's last gate, the prefix's cached output state stands in for
+    its four stages. Everything else, Paulis included, is simulated gate by
+    gate, in as few ``apply_circuit`` calls as the closed forms allow.
     """
     prefix, uncompute, prepared = _qpe_blocks(qlsp, clock_bits, t0)
-    inversion = Circuit(circuit.num_qubits)
-    inversion.gates = circuit.gates[len(prefix) : len(circuit.gates) - len(uncompute)]
-    return qpe_uncompute(qlsp, clock_bits, t0, apply_circuit(prepared, inversion))
+    gates, noisy = circuit.gates, executed.gates
+    after = []  # the index in gates of the gate each Pauli follows
+    if len(noisy) > len(gates):
+        originals = set(map(id, gates))
+        inserted = (j for j, gate in enumerate(noisy) if id(gate) not in originals)
+        after = [j - m - 1 for m, j in enumerate(inserted)]
+
+    def where(i: int) -> int:
+        """The index in noisy of gates[i]; len(noisy) for i = len(gates)."""
+        return i + bisect.bisect_left(after, i)
+
+    k, n, width = clock_bits, len(gates), circuit.num_qubits
+    stages = (  # (end in gates, closed form or None), in circuit order
+        (1, None),
+        (1 + k, clock_hadamards),
+        (1 + 2 * k, functools.partial(clock_powers, qlsp, t0)),
+        (len(prefix), functools.partial(clock_qft, inverse=True)),
+        (n - len(uncompute), None),
+        (n - 2 * k, clock_qft),
+        (n - k, functools.partial(clock_powers, qlsp, t0, adjoint=True)),
+        (n, clock_hadamards),
+    )
+    pending = Circuit(width)  # gates to simulate before the next closed form
+    if where(len(prefix) - 1) == len(prefix) - 1:
+        # no Pauli before the prefix's last gate: start from its cached output,
+        # after its four stages
+        amplitudes, start, stages = prepared.amplitudes, len(prefix), stages[4:]
+        pending.gates = noisy[start : where(start)]
+    else:
+        amplitudes, start = StateVector.zero(width).amplitudes, 0
+    # each stage consumes noisy[where(start) : where(end)], the Paulis after it included
+    for end, closed in stages:
+        first, last = where(start), where(end - 1)
+        if closed is None or last - first != end - 1 - start:
+            pending.gates.extend(noisy[first : where(end)])
+        else:
+            if pending.gates:
+                state = StateVector(width, amplitudes, validate=False)
+                amplitudes = apply_circuit(state, pending).amplitudes
+            amplitudes = closed(amplitudes.reshape(-1, 2**k, qlsp.dimension)).reshape(-1)
+            pending.gates = noisy[last + 1 : where(end)]
+        start = end
+    state = StateVector(width, amplitudes, validate=False)
+    return apply_circuit(state, pending) if pending.gates else state
 
 
 def projection_fidelity(state: StateVector, qubits, target) -> float:
@@ -357,11 +414,8 @@ def run(qlsp: QLSP, config: RunConfig) -> RunResult:
 
     circuit = assemble_hhl(qlsp, k, t0, plan)
     report = gate_report(circuit)
-    if config.noise:
-        executed = inject_noise(circuit, config.noise)
-        state = apply_circuit(StateVector.zero(executed.num_qubits), executed)
-    else:
-        state = _noiseless_state(qlsp, k, t0, circuit)
+    executed = inject_noise(circuit, config.noise) if config.noise else circuit
+    state = _solver_state(qlsp, k, t0, circuit, executed)
 
     breg = tuple(range(qlsp.num_qubits))
     ancilla = qlsp.num_qubits + k

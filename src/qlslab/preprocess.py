@@ -3,9 +3,12 @@
 Preprocessing is noiseless, so its clock distributions are computed in A's
 eigenbasis (``qpe_state``) rather than by simulating the circuit that
 ``build_qpe_circuit`` returns. The solver circuit reuses that circuit's
-gates; a noiseless solver run takes the block's output state and its
-uncompute (``qpe_uncompute``) in closed form too, and a noisy one simulates
-the gates (``pipeline``).
+gates, and each stage of its QPE block has a closed form on amplitudes laid
+out as [rest, clock, b]: the Hadamard layer (``clock_hadamards``), the
+controlled-power ladder (``clock_powers``) and the Fourier transform
+(``clock_qft``), each with its adjoint. ``qpe_uncompute`` composes the
+adjoints; ``pipeline`` applies every stage that no noise lands in by its
+closed form and simulates the rest.
 
 The time scale ``t0`` maps an eigenvalue ``lam`` to the clock-grid coordinate
 ``lam * t0 / (2 pi)``; adjacent grid points are one coordinate unit (a phase
@@ -38,6 +41,7 @@ from .sim import (
 
 TWO_PI = 2.0 * math.pi
 _BUTTERFLY = np.array([[1, 1], [1, -1]], dtype=complex)  # sqrt(2) H
+_WALSH_BITS = 6  # clock bits per Walsh factor, so a factor is at most 2^6 x 2^6
 
 
 @dataclass(frozen=True)
@@ -158,17 +162,63 @@ def qpe_state(qlsp: QLSP, bit_width: int, t0: float) -> StateVector:
     return StateVector(qlsp.num_qubits + bit_width, amplitudes.reshape(-1), validate=False)
 
 
+def clock_hadamards(blocks: np.ndarray) -> np.ndarray:
+    """A Hadamard on every clock qubit of ``blocks``, laid out [rest, clock, b].
+
+    Applies H^k as one cached Walsh factor per chunk of at most
+    ``_WALSH_BITS`` clock bits, so no 2^k x 2^k operator is built.
+    """
+    rest, size, dimension = blocks.shape
+    bits = size.bit_length() - 1
+    low = 0
+    while low < bits:
+        chunk = min(_WALSH_BITS, bits - low)
+        # axis 1 holds clock bits low .. low + chunk - 1
+        blocks = _walsh(chunk) @ blocks.reshape(-1, 1 << chunk, dimension << low)
+        low += chunk
+    return blocks.reshape(rest, size, dimension)
+
+
+@functools.lru_cache(maxsize=_WALSH_BITS)
+def _walsh(bits: int) -> np.ndarray:
+    """H^(x bits) as a read-only 2^bits x 2^bits matrix."""
+    signs = functools.reduce(np.kron, [_BUTTERFLY] * bits)
+    factor = signs * 2.0 ** (-bits / 2)
+    factor.setflags(write=False)
+    return factor
+
+
+def clock_powers(qlsp: QLSP, t0: float, blocks: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """The controlled-power ladder of ``qpe_gates`` on ``blocks``, laid out [rest, clock x, b].
+
+    The ladder applies U^x to b with U = exp(i A t0 / T): in A's eigenbasis
+    it multiplies eigenpair j by exp(i lam_j t0 x / T), or by the conjugate
+    phase for the ``adjoint``.
+    """
+    size = blocks.shape[1]
+    rate = (-1j if adjoint else 1j) * float(t0) / size
+    phases = np.exp(np.outer(np.arange(size), qlsp.eigenvalues * rate))
+    vectors = qlsp.eigenvectors
+    return ((blocks @ vectors.conj()) * phases) @ vectors.T
+
+
+def clock_qft(blocks: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """``qft_gates`` on the clock of ``blocks``, laid out [rest, clock, b]; with
+    ``inverse``, ``inverse_qft_gates``.
+
+    numpy's unitary inverse FFT has the sign of ``qft_gates``.
+    """
+    transform = np.fft.fft if inverse else np.fft.ifft
+    return transform(blocks, axis=1, norm="ortho")
+
+
 def qpe_uncompute(qlsp: QLSP, bit_width: int, t0: float, state: StateVector) -> StateVector:
     """``state`` after the adjoint of the ``qpe_gates`` block, in closed form.
 
     The block acts as in ``build_qpe_circuit``: b on the low qubits, the
     clock above it; qubits above the clock are left alone, so the amplitudes
-    are laid out as [rest, clock m, b i]. In A's eigenbasis the adjoint is
-    (H^k (x) I) sum_x |x><x| (x) U^-x (QFT (x) I) with U = exp(i A t0 / T):
-    one change of basis, one FFT along the clock with the sign of
-    ``qft_gates``, one phase exp(-i lam_j t0 x / T) per (x, j), the change
-    back, and k Walsh-Hadamard butterflies. No operator on the whole register
-    is built.
+    are laid out as [rest, clock, b]. The adjoint is the QFT, the adjoint
+    ladder and the Hadamard layer, each applied by its stage transform.
     """
     _check_block(qlsp, bit_width, t0)
     nb = qlsp.num_qubits
@@ -176,20 +226,9 @@ def qpe_uncompute(qlsp: QLSP, bit_width: int, t0: float, state: StateVector) -> 
         raise ValueError(
             f"a {state.num_qubits}-qubit state cannot hold {nb} b and {bit_width} clock qubit(s)"
         )
-    big_t = 2**bit_width
-    vectors = qlsp.eigenvectors
-    # numpy's inverse FFT has the sign of qft_gates; its 1/T scale is the
-    # QFT's 1/sqrt(T) times the butterflies', which skip their 1/sqrt(2)
-    coefficients = np.fft.ifft(
-        state.amplitudes.reshape(-1, big_t, qlsp.dimension) @ vectors.conj(), axis=1
-    )
-    coefficients *= np.exp(np.outer(np.arange(big_t), qlsp.eigenvalues * (-1j * t0 / big_t)))
-    amplitudes = coefficients @ vectors.T
-    for r in range(bit_width):  # clock bit r pairs the indices 2^r apart
-        amplitudes = _BUTTERFLY @ amplitudes.reshape(
-            -1, big_t >> (r + 1), 2, (1 << r) * qlsp.dimension
-        )
-    return StateVector(state.num_qubits, amplitudes.reshape(-1), validate=False)
+    blocks = clock_qft(state.amplitudes.reshape(-1, 2**bit_width, qlsp.dimension))
+    blocks = clock_hadamards(clock_powers(qlsp, t0, blocks, adjoint=True))
+    return StateVector(state.num_qubits, blocks.reshape(-1), validate=False)
 
 
 def qpe_grid_probabilities(qlsp: QLSP, bit_width: int, t0: float) -> np.ndarray:

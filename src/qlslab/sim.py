@@ -538,7 +538,8 @@ def state_preparation_matrix(vector) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Stochastic Pauli insertion after each gate; one trajectory per seed."""
+    """Pauli noise: a Pauli after each gate with probability p (``inject_noise``);
+    one trajectory per seed."""
 
     per_gate_pauli_probability: float
     rng_seed: int = 0
@@ -556,7 +557,13 @@ _PAULI_KINDS = (GateKind.PAULI_X, GateKind.PAULI_Y, GateKind.PAULI_Z)
 
 
 def inject_noise(circuit: Circuit, spec: NoiseSpec) -> Circuit:
-    """Insert a uniformly chosen Pauli on one involved qubit after each gate."""
+    """After each gate, with probability p = ``spec.per_gate_pauli_probability``,
+    insert X, Y or Z on one of the gate's qubits, both chosen uniformly.
+
+    One seeded stream draws every choice in gate order, so a seed fixes the
+    trajectory. The circuit's own gate objects are kept; each Pauli is a new
+    gate.
+    """
     rng = np.random.default_rng(spec.rng_seed)
     noisy = Circuit(circuit.num_qubits)
     # every gate, and so every qubit a Pauli lands on, already fits this width

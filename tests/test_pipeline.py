@@ -103,9 +103,9 @@ def _noiseless_case(draw):
 @settings(derandomize=True, deadline=None)
 @given(_noiseless_case())
 def test_noiseless_runs_match_the_dense_simulation(case):
-    """The closed-form QPE block and uncompute around the simulated inversion
-    give the state, fidelity and success probability of the whole circuit
-    simulated gate by gate."""
+    """With no Paulis, the executor's closed-form QPE stages around the
+    simulated inversion give the state, fidelity and success probability of
+    the whole circuit simulated gate by gate."""
     qlsp, config = case
     try:
         result = run(qlsp, config)
@@ -114,7 +114,7 @@ def test_noiseless_runs_match_the_dense_simulation(case):
     k = config.clock_bits
     circuit = assemble_hhl(qlsp, k, result.t0, result.plan)
     dense = apply_circuit(StateVector.zero(circuit.num_qubits), circuit)
-    closed = pipeline._noiseless_state(qlsp, k, result.t0, circuit)
+    closed = pipeline._solver_state(qlsp, k, result.t0, circuit, circuit)
     assert np.max(np.abs(closed.amplitudes - dense.amplitudes)) < 1e-12
     nb = qlsp.num_qubits
     post, success = postselect(dense, nb + k, 1)
@@ -122,6 +122,101 @@ def test_noiseless_runs_match_the_dense_simulation(case):
     fidelity = projection_fidelity(post, range(nb), x)
     assert abs(result.success_probability - success) < 1e-12
     assert abs(result.fidelity - fidelity) < 1e-12
+
+
+@st.composite
+def _noisy_case(draw):
+    """(problem, config, noise): a ``_noiseless_case`` and Pauli noise at
+    p = 0, p in (0, 0.3] or p = 1, with any seed."""
+    qlsp, config = draw(_noiseless_case())
+    p = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3, exclude_min=True), st.just(1.0)))
+    return qlsp, config, NoiseSpec(p, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_noisy_case())
+def test_the_executor_matches_the_noisy_circuit_simulated_gate_by_gate(case):
+    qlsp, config, noise = case
+    try:
+        result = run(qlsp, config)
+    except (EmptyPlanError, DegenerateRunError):
+        reject()
+    circuit = assemble_hhl(qlsp, config.clock_bits, result.t0, result.plan)
+    executed = inject_noise(circuit, noise)
+    dense = apply_circuit(StateVector.zero(circuit.num_qubits), executed)
+    state = pipeline._solver_state(qlsp, config.clock_bits, result.t0, circuit, executed)
+    assert np.max(np.abs(state.amplitudes - dense.amplitudes)) < 1e-12
+
+
+QPE_STAGES = ("hadamards", "powers", "inverse-qft", "qft", "powers-adjoint", "uncompute-hadamards")
+
+
+def _stage_bounds(circuit, k, prefix_length, uncompute_length):
+    """QPE stage -> its [start, end) in ``circuit.gates``, in circuit order."""
+    n = len(circuit.gates)
+    starts = (1, 1 + k, 1 + 2 * k, n - uncompute_length, n - 2 * k, n - k)
+    ends = (1 + k, 1 + 2 * k, prefix_length, n - 2 * k, n - k, n)
+    return dict(zip(QPE_STAGES, zip(starts, ends)))
+
+
+@pytest.mark.parametrize(
+    "stage, where", [(s, w) for s in QPE_STAGES for w in ("inside", "after")] + [(None, None)]
+)
+def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where):
+    """One Pauli after the first gate of a QPE stage lands inside it, and only
+    that stage runs gate by gate; one after the stage's last gate leaves the
+    stage in closed form. Counters on the transforms and on the simulated
+    gates see every other stage run in closed form."""
+    qlsp, k, t0 = generate_n4(PAPER_N4_EIGENVALUES, (0, 1), 7), 3, 11.0
+    circuit = assemble_hhl(qlsp, k, t0, plan_canonical(k, t0, signed_mode=True))
+    prefix, uncompute, _ = pipeline._qpe_blocks(qlsp, k, t0)
+    noisy = list(circuit.gates)
+    simulated = len(circuit.gates) - len(prefix) - len(uncompute)  # the inversion block
+    transforms = 3  # the uncompute's; the cached prefix state stands in for the prefix's
+    if stage is not None:
+        start, end = _stage_bounds(circuit, k, len(prefix), len(uncompute))[stage]
+        after = start if where == "inside" else end - 1
+        noisy.insert(after + 1, Gate(GateKind.PAULI_X, (circuit.gates[after].qubits()[0],)))
+        simulated += 1
+        if where == "inside":
+            simulated += end - start
+            transforms -= 1
+        if after < len(prefix) - 1:  # the prefix is not Pauli-free: prepare and transform
+            simulated += 1
+            transforms += 3
+    executed = Circuit(circuit.num_qubits)
+    executed.gates = noisy
+
+    calls, gates = [], []
+    for name in ("clock_hadamards", "clock_powers", "clock_qft"):
+
+        def counted(*args, _original=getattr(pipeline, name), **kwargs):
+            calls.append(_original)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counted)
+
+    def counted_apply(state, part):
+        gates.extend(part.gates)
+        return apply_circuit(state, part)
+
+    monkeypatch.setattr(pipeline, "apply_circuit", counted_apply)
+    state = pipeline._solver_state(qlsp, k, t0, circuit, executed)
+    dense = apply_circuit(StateVector.zero(circuit.num_qubits), executed)
+    assert np.max(np.abs(state.amplitudes - dense.amplitudes)) < 1e-12
+    assert len(calls) == transforms
+    assert len(gates) == simulated
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("variant", pipeline.VARIANTS)
+def test_zero_probability_noise_runs_the_noiseless_circuit(variant, seed):
+    qlsp = generate_n4(PAPER_N4_EIGENVALUES, (1, 2), seed)
+    config = RunConfig(variant=variant, clock_bits=4, readout="exact")
+    clean = run(qlsp, config)
+    noisy = run(qlsp, dataclasses.replace(config, noise=NoiseSpec(0.0, seed)))
+    assert noisy.fidelity == clean.fidelity
+    assert noisy.success_probability == clean.success_probability
 
 
 def test_grid_aligned_canonical_run_is_exact():

@@ -1,15 +1,20 @@
 """Preprocessing tests: QPE circuits, estimate decoding, time-scale search."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlslab import preprocess
 from qlslab.errors import AliasingError, CapacityError, EmptyEstimateError
 from qlslab.inversion import plan_hybrid
 from qlslab.preprocess import (
     build_qpe_circuit,
+    clock_hadamards,
+    clock_powers,
+    clock_qft,
     decode_grid_int,
     estimates_from_probabilities,
     fixed_t0,
@@ -183,6 +188,69 @@ def test_qpe_uncompute_matches_the_inverted_gates(case):
     closed = qpe_uncompute(qlsp, bits, t0, state)
     assert closed.num_qubits == state.num_qubits
     assert np.max(np.abs(closed.amplitudes - circuit_matrix(circuit) @ state.amplitudes)) < 1e-12
+
+
+def _ladder_gates(qlsp, clock, breg, t0):
+    """The controlled powers of ``qpe_gates``, between its Hadamards and inverse QFT."""
+    return qpe_gates(qlsp, clock, breg, t0)[len(clock) : 2 * len(clock)]
+
+
+# stage -> (its gates for (problem, clock, b register, t0), its closed form)
+STAGES = {
+    "hadamards": (
+        lambda qlsp, clock, breg, t0: qpe_gates(qlsp, clock, breg, t0)[: len(clock)],
+        lambda qlsp, t0, blocks: clock_hadamards(blocks),
+    ),
+    "powers": (_ladder_gates, lambda qlsp, t0, blocks: clock_powers(qlsp, t0, blocks)),
+    "powers-adjoint": (
+        lambda qlsp, clock, breg, t0: inverted_gates(_ladder_gates(qlsp, clock, breg, t0)),
+        lambda qlsp, t0, blocks: clock_powers(qlsp, t0, blocks, adjoint=True),
+    ),
+    "qft": (
+        lambda qlsp, clock, breg, t0: qft_gates(clock),
+        lambda qlsp, t0, blocks: clock_qft(blocks),
+    ),
+    "inverse-qft": (
+        lambda qlsp, clock, breg, t0: inverse_qft_gates(clock),
+        lambda qlsp, t0, blocks: clock_qft(blocks, inverse=True),
+    ),
+}
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+@pytest.mark.parametrize("stage", sorted(STAGES))
+def test_stage_transforms_match_their_gates(stage, bits):
+    """Each closed form is the matrix of its stage's gates; 7 and 8 clock bits
+    take the Hadamard layer past one Walsh factor."""
+    gates_of, transform = STAGES[stage]
+    # a signed 4x4 problem; past 6 clock bits a 2x2 one keeps the circuit matrix small
+    qlsp = generate_n4((-0.8, -0.3, 0.4, 0.9), (0, 2), 5) if bits <= 6 else generate_n2(0.3)
+    nb, t0 = qlsp.num_qubits, 11.0
+    circuit = Circuit(nb + bits)
+    circuit.extend(gates_of(qlsp, range(nb, nb + bits), range(nb), t0))
+    dim = 2**circuit.num_qubits
+    # each basis state is one entry of the rest axis, so row r is the image of state r
+    rows = transform(qlsp, t0, np.eye(dim, dtype=complex).reshape(dim, 2**bits, qlsp.dimension))
+    assert np.max(np.abs(rows.reshape(dim, dim).T - circuit_matrix(circuit))) < 1e-12
+
+
+@pytest.mark.parametrize("stage", sorted(STAGES))
+def test_stage_transforms_build_no_clock_sized_operator(stage):
+    """At 12 clock bits a 2^12 x 2^12 operator takes 256 MB; each transform,
+    its cached Walsh factors included, stays within a few copies of the
+    128 kB state, so its footprint tracks the state up to the qubit budget."""
+    qlsp, bits = generate_n2(0.3), 12
+    rng = np.random.default_rng(3)
+    blocks = rng.standard_normal((1, 2**bits, 2)) + 1j * rng.standard_normal((1, 2**bits, 2))
+    transform = STAGES[stage][1]
+    preprocess._walsh.cache_clear()  # a cached factor counts too
+    tracemalloc.start()
+    try:
+        transform(qlsp, 7.0, blocks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * blocks.nbytes
 
 
 def test_qpe_uncompute_rejects_a_state_without_room_for_the_clock():
