@@ -13,10 +13,11 @@ One executor runs noiseless and noisy circuits alike. It splits the QPE
 block and its uncompute into stages (Hadamard layer, controlled-power
 ladder, Fourier transform) and applies each stage that no inserted Pauli
 lands in by its closed form from ``preprocess``; when the whole prefix is
-Pauli-free, its cached output (``qpe_state``) stands in for it. The
-inversion block, every stage a Pauli lands in and the Paulis themselves are
-simulated gate by gate, so a noiseless run simulates only the inversion
-block. Every run reports the gate counts of the whole noiseless circuit.
+Pauli-free, its cached output (``qpe_state``) stands in for it. A Pauli
+inside a Hadamard layer or ladder splits that stage into closed forms on the
+clock bits either side. The inversion block, a Fourier transform a Pauli
+lands in and the Paulis themselves are simulated gate by gate, so a
+noiseless run simulates only the inversion block. Every run reports the gate counts of the whole noiseless circuit.
 Consecutive runs on one problem share its prepare + QPE block and its
 iterative t0 search through one-slot memos (``_qpe_blocks``,
 ``_searched_t0``).
@@ -240,10 +241,13 @@ def _solver_state(
     layer, controlled-power ladder and inverse QFT, the inversion block, and
     the uncompute's QFT, adjoint ladder and Hadamard layer. Each QPE stage
     with no Pauli before its last gate is applied in closed form, and a
-    Pauli after that gate is simulated after it. When no Pauli comes before
-    the prefix's last gate, the prefix's cached output state stands in for
-    its four stages. Everything else, Paulis included, is simulated gate by
-    gate, in as few ``apply_circuit`` calls as the closed forms allow.
+    Pauli after that gate is simulated after it. A Hadamard layer or ladder
+    is a product of commuting factors, one gate per clock bit, so a Pauli
+    inside it splits it into closed forms on the clock bits either side.
+    When no Pauli comes before the prefix's last gate, the prefix's cached
+    output state stands in for its four stages. Everything else, Paulis
+    included, is simulated gate by gate, in as few ``apply_circuit`` calls
+    as the closed forms allow.
     """
     prefix, uncompute, prepared = _qpe_blocks(qlsp, clock_bits, t0)
     gates, noisy = circuit.gates, executed.gates
@@ -258,15 +262,17 @@ def _solver_state(
         return i + bisect.bisect_left(after, i)
 
     k, n, width = clock_bits, len(gates), circuit.num_qubits
-    stages = (  # (end in gates, closed form or None), in circuit order
-        (1, None),
-        (1 + k, clock_hadamards),
-        (1 + 2 * k, functools.partial(clock_powers, qlsp, t0)),
-        (len(prefix), functools.partial(clock_qft, inverse=True)),
-        (n - len(uncompute), None),
-        (n - 2 * k, clock_qft),
-        (n - k, functools.partial(clock_powers, qlsp, t0, adjoint=True)),
-        (n, clock_hadamards),
+    # (end in gates, closed form or None, order), in circuit order; a stage
+    # with an order has one gate per clock bit, ascending (1) or descending (-1)
+    stages = (
+        (1, None, None),
+        (1 + k, clock_hadamards, 1),
+        (1 + 2 * k, functools.partial(clock_powers, qlsp, t0), 1),
+        (len(prefix), functools.partial(clock_qft, inverse=True), None),
+        (n - len(uncompute), None, None),
+        (n - 2 * k, clock_qft, None),
+        (n - k, functools.partial(clock_powers, qlsp, t0, adjoint=True), -1),
+        (n, clock_hadamards, -1),
     )
     pending = Circuit(width)  # gates to simulate before the next closed form
     if where(len(prefix) - 1) == len(prefix) - 1:
@@ -277,17 +283,28 @@ def _solver_state(
     else:
         amplitudes, start = StateVector.zero(width).amplitudes, 0
     # each stage consumes noisy[where(start) : where(end)], the Paulis after it included
-    for end, closed in stages:
-        first, last = where(start), where(end - 1)
-        if closed is None or last - first != end - 1 - start:
-            pending.gates.extend(noisy[first : where(end)])
-        else:
+    for end, closed, order in stages:
+        # the stage's gates that a Pauli follows, its last gate excluded
+        inside = after[bisect.bisect_left(after, start) : bisect.bisect_left(after, end - 1)]
+        cuts = sorted(set(inside))
+        if closed is None or (cuts and order is None):
+            pending.gates.extend(noisy[where(start) : where(end)])
+            start = end
+            continue
+        for stop in [cut + 1 for cut in cuts] + [end]:  # closed-form segments [start, stop)
             if pending.gates:
                 state = StateVector(width, amplitudes, validate=False)
                 amplitudes = apply_circuit(state, pending).amplitudes
-            amplitudes = closed(amplitudes.reshape(-1, 2**k, qlsp.dimension)).reshape(-1)
-            pending.gates = noisy[last + 1 : where(end)]
-        start = end
+            blocks = amplitudes.reshape(-1, 2**k, qlsp.dimension)
+            if order is None:
+                blocks = closed(blocks)
+            elif order > 0:  # gates end - k .. end - 1 act on clock bits 0 .. k - 1
+                blocks = closed(blocks, low=start - (end - k), high=stop - (end - k))
+            else:  # gates end - k .. end - 1 act on clock bits k - 1 .. 0
+                blocks = closed(blocks, low=end - stop, high=end - start)
+            amplitudes = blocks.reshape(-1)
+            pending.gates = noisy[where(stop - 1) + 1 : where(stop)]
+            start = stop
     state = StateVector(width, amplitudes, validate=False)
     return apply_circuit(state, pending) if pending.gates else state
 

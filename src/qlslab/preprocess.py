@@ -6,8 +6,9 @@ eigenbasis (``qpe_state``) rather than by simulating the circuit that
 gates, and each stage of its QPE block has a closed form on amplitudes laid
 out as [rest, clock, b]: the Hadamard layer (``clock_hadamards``), the
 controlled-power ladder (``clock_powers``) and the Fourier transform
-(``clock_qft``), each with its adjoint. ``qpe_uncompute`` composes the
-adjoints; ``pipeline`` applies every stage that no noise lands in by its
+(``clock_qft``), each with its adjoint; the first two also act on a range
+of clock bits. ``qpe_uncompute`` composes the adjoints; ``pipeline``
+applies every stage, or part of a stage, that no noise lands in by its
 closed form and simulates the rest.
 
 The time scale ``t0`` maps an eigenvalue ``lam`` to the clock-grid coordinate
@@ -162,17 +163,17 @@ def qpe_state(qlsp: QLSP, bit_width: int, t0: float) -> StateVector:
     return StateVector(qlsp.num_qubits + bit_width, amplitudes.reshape(-1), validate=False)
 
 
-def clock_hadamards(blocks: np.ndarray) -> np.ndarray:
-    """A Hadamard on every clock qubit of ``blocks``, laid out [rest, clock, b].
+def clock_hadamards(blocks: np.ndarray, low: int = 0, high: int | None = None) -> np.ndarray:
+    """A Hadamard on each clock bit ``low`` to ``high - 1`` (default: every
+    clock bit) of ``blocks``, laid out [rest, clock, b].
 
-    Applies H^k as one cached Walsh factor per chunk of at most
+    Applies them as one cached Walsh factor per chunk of at most
     ``_WALSH_BITS`` clock bits, so no 2^k x 2^k operator is built.
     """
     rest, size, dimension = blocks.shape
-    bits = size.bit_length() - 1
-    low = 0
-    while low < bits:
-        chunk = min(_WALSH_BITS, bits - low)
+    high = size.bit_length() - 1 if high is None else high
+    while low < high:
+        chunk = min(_WALSH_BITS, high - low)
         # axis 1 holds clock bits low .. low + chunk - 1
         blocks = _walsh(chunk) @ blocks.reshape(-1, 1 << chunk, dimension << low)
         low += chunk
@@ -188,16 +189,28 @@ def _walsh(bits: int) -> np.ndarray:
     return factor
 
 
-def clock_powers(qlsp: QLSP, t0: float, blocks: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """The controlled-power ladder of ``qpe_gates`` on ``blocks``, laid out [rest, clock x, b].
+def clock_powers(
+    qlsp: QLSP,
+    t0: float,
+    blocks: np.ndarray,
+    adjoint: bool = False,
+    low: int = 0,
+    high: int | None = None,
+) -> np.ndarray:
+    """The controlled powers of ``qpe_gates`` whose controls are clock bits
+    ``low`` to ``high - 1`` (default: the whole ladder) on ``blocks``, laid
+    out [rest, clock x, b].
 
-    The ladder applies U^x to b with U = exp(i A t0 / T): in A's eigenbasis
-    it multiplies eigenpair j by exp(i lam_j t0 x / T), or by the conjugate
-    phase for the ``adjoint``.
+    The whole ladder applies U^x to b with U = exp(i A t0 / T), and the
+    bits' part of it U^y, where y keeps the bits of x in the range: in A's
+    eigenbasis it multiplies eigenpair j by exp(i lam_j t0 y / T), or by the
+    conjugate phase for the ``adjoint``.
     """
     size = blocks.shape[1]
+    high = size.bit_length() - 1 if high is None else high
     rate = (-1j if adjoint else 1j) * float(t0) / size
-    phases = np.exp(np.outer(np.arange(size), qlsp.eigenvalues * rate))
+    powers = np.arange(size) & ((1 << high) - (1 << low))
+    phases = np.exp(np.outer(powers, qlsp.eigenvalues * rate))
     vectors = qlsp.eigenvectors
     return ((blocks @ vectors.conj()) * phases) @ vectors.T
 
@@ -251,31 +264,45 @@ def estimates_from_probabilities(
 
     Weights are amplitudes, the square roots of the bin probabilities; a bin
     is kept when its amplitude reaches the fixed relevance threshold
-    ``2**-bit_width``.
+    ``2**-bit_width``. Bins below it never become estimates: they are
+    dropped before any per-bin work. A negative probability raises
+    ``ValueError``.
     """
+    return _decode(probabilities, bit_width, time_scale, signed_mode)[0]
+
+
+def _decode(
+    probabilities, bit_width: int, time_scale: float, signed_mode: bool
+) -> tuple[EigenEstimateSet, np.ndarray]:
+    """``estimates_from_probabilities`` and the weights of every bin."""
     if bit_width < 1:
         raise ValueError("bit_width must be at least 1")
     if not (math.isfinite(time_scale) and time_scale > 0):
         raise ValueError(f"time scale must be finite and positive, not {time_scale}")
-    threshold = 2.0**-bit_width
     probabilities = np.asarray(probabilities, dtype=float)
-    if probabilities.shape != (2**bit_width,):
+    size = 2**bit_width
+    if probabilities.shape != (size,):
         raise ValueError("probability vector does not match the bit width")
-    if not np.isfinite(probabilities).all():
+    lowest, highest = probabilities.min(), probabilities.max()  # a NaN propagates to both
+    if not (math.isfinite(lowest) and math.isfinite(highest)):
         raise ValueError("probabilities must be finite")
-    entries = []
-    for g, p in enumerate(probabilities):
-        weight = math.sqrt(max(float(p), 0.0))
-        if weight < threshold:
-            continue
-        decoded = decode_grid_int(g, bit_width, signed_mode)
-        entries.append(EigenEstimate(g, TWO_PI * decoded / time_scale, weight))
-    if not entries:
+    if lowest < 0.0:
+        raise ValueError("probabilities must be non-negative")
+    weights = np.sqrt(probabilities)
+    kept = (weights >= 2.0**-bit_width).nonzero()[0]
+    if not kept.size:
         raise EmptyEstimateError("no estimate reached the relevance threshold")
+    negative = size // 2 if signed_mode else size  # two's complement from here up
+    scale = float(time_scale)
+    entries = [
+        EigenEstimate(g, TWO_PI * (g - size if g >= negative else g) / scale, w)
+        for g, w in zip(kept.tolist(), weights[kept].tolist())
+    ]
     # weights equal in exact arithmetic can differ in the last bits: rank on
     # 12 decimals so that such ties go to the smaller grid value
     entries.sort(key=lambda e: (-round(e.weight, 12), e.grid_int))
-    return EigenEstimateSet(bit_width, float(time_scale), bool(signed_mode), tuple(entries))
+    estimates = EigenEstimateSet(bit_width, scale, bool(signed_mode), tuple(entries))
+    return estimates, weights
 
 
 def _clock_probabilities(
@@ -337,10 +364,9 @@ def _dominant_coordinate(
     kernel's weight ratio, which is accurate to a few percent of a grid step.
     """
     probs = _clock_probabilities(qlsp, bit_width, t0, shots, seed)
-    est = estimates_from_probabilities(probs, bit_width, t0, qlsp.has_negative_eigenvalues)
+    est, weights = _decode(probs, bit_width, t0, qlsp.has_negative_eigenvalues)
     d_star = max(_strong_coordinates(est), key=abs)
     size = 2**bit_width
-    weights = np.sqrt(np.clip(probs, 0.0, None))
     w_star = weights[d_star % size]
     w_up = weights[(d_star + 1) % size]
     w_down = weights[(d_star - 1) % size]

@@ -149,6 +149,7 @@ def test_the_executor_matches_the_noisy_circuit_simulated_gate_by_gate(case):
 
 
 QPE_STAGES = ("hadamards", "powers", "inverse-qft", "qft", "powers-adjoint", "uncompute-hadamards")
+SPLIT_STAGES = {"hadamards", "powers", "powers-adjoint", "uncompute-hadamards"}  # one gate per bit
 
 
 def _stage_bounds(circuit, k, prefix_length, uncompute_length):
@@ -163,10 +164,11 @@ def _stage_bounds(circuit, k, prefix_length, uncompute_length):
     "stage, where", [(s, w) for s in QPE_STAGES for w in ("inside", "after")] + [(None, None)]
 )
 def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where):
-    """One Pauli after the first gate of a QPE stage lands inside it, and only
-    that stage runs gate by gate; one after the stage's last gate leaves the
-    stage in closed form. Counters on the transforms and on the simulated
-    gates see every other stage run in closed form."""
+    """One Pauli after the first gate of a QPE stage lands inside it: a
+    Fourier transform then runs gate by gate, and a Hadamard layer or ladder
+    splits into two closed forms around the Pauli. One after the stage's
+    last gate leaves the stage in closed form. Counters on the transforms
+    and on the simulated gates see every other stage run in closed form."""
     qlsp, k, t0 = generate_n4(PAPER_N4_EIGENVALUES, (0, 1), 7), 3, 11.0
     circuit = assemble_hhl(qlsp, k, t0, plan_canonical(k, t0, signed_mode=True))
     prefix, uncompute, _ = pipeline._qpe_blocks(qlsp, k, t0)
@@ -178,7 +180,9 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
         after = start if where == "inside" else end - 1
         noisy.insert(after + 1, Gate(GateKind.PAULI_X, (circuit.gates[after].qubits()[0],)))
         simulated += 1
-        if where == "inside":
+        if where == "inside" and stage in SPLIT_STAGES:
+            transforms += 1
+        elif where == "inside":
             simulated += end - start
             transforms -= 1
         if after < len(prefix) - 1:  # the prefix is not Pauli-free: prepare and transform

@@ -190,55 +190,88 @@ def test_qpe_uncompute_matches_the_inverted_gates(case):
     assert np.max(np.abs(closed.amplitudes - circuit_matrix(circuit) @ state.amplitudes)) < 1e-12
 
 
-def _ladder_gates(qlsp, clock, breg, t0):
-    """The controlled powers of ``qpe_gates``, between its Hadamards and inverse QFT."""
-    return qpe_gates(qlsp, clock, breg, t0)[len(clock) : 2 * len(clock)]
+def _ladder_gates(qlsp, clock, breg, t0, bits):
+    """The controlled powers of ``qpe_gates`` whose controls are clock bits ``bits``."""
+    return [qpe_gates(qlsp, clock, breg, t0)[len(clock) + r] for r in bits]
 
 
-# stage -> (its gates for (problem, clock, b register, t0), its closed form)
+# stage -> (its gates on clock bits ``bits`` for (problem, clock, b register,
+# t0, bits), its closed form on clock bits low to high - 1 for (problem, t0,
+# blocks, low, high)); a Fourier transform is one stage on the whole clock
 STAGES = {
     "hadamards": (
-        lambda qlsp, clock, breg, t0: qpe_gates(qlsp, clock, breg, t0)[: len(clock)],
-        lambda qlsp, t0, blocks: clock_hadamards(blocks),
+        lambda qlsp, clock, breg, t0, bits: [qpe_gates(qlsp, clock, breg, t0)[b] for b in bits],
+        lambda qlsp, t0, blocks, low, high: clock_hadamards(blocks, low, high),
     ),
-    "powers": (_ladder_gates, lambda qlsp, t0, blocks: clock_powers(qlsp, t0, blocks)),
+    "powers": (
+        _ladder_gates,
+        lambda qlsp, t0, blocks, low, high: clock_powers(qlsp, t0, blocks, low=low, high=high),
+    ),
     "powers-adjoint": (
-        lambda qlsp, clock, breg, t0: inverted_gates(_ladder_gates(qlsp, clock, breg, t0)),
-        lambda qlsp, t0, blocks: clock_powers(qlsp, t0, blocks, adjoint=True),
+        lambda qlsp, clock, breg, t0, bits: inverted_gates(
+            _ladder_gates(qlsp, clock, breg, t0, bits)
+        ),
+        lambda qlsp, t0, blocks, low, high: clock_powers(
+            qlsp, t0, blocks, adjoint=True, low=low, high=high
+        ),
     ),
     "qft": (
-        lambda qlsp, clock, breg, t0: qft_gates(clock),
-        lambda qlsp, t0, blocks: clock_qft(blocks),
+        lambda qlsp, clock, breg, t0, bits: qft_gates(clock),
+        lambda qlsp, t0, blocks, low, high: clock_qft(blocks),
     ),
     "inverse-qft": (
-        lambda qlsp, clock, breg, t0: inverse_qft_gates(clock),
-        lambda qlsp, t0, blocks: clock_qft(blocks, inverse=True),
+        lambda qlsp, clock, breg, t0, bits: inverse_qft_gates(clock),
+        lambda qlsp, t0, blocks, low, high: clock_qft(blocks, inverse=True),
     ),
 }
+PER_BIT_STAGES = ("hadamards", "powers", "powers-adjoint")  # one commuting gate per clock bit
+# (clock bits, low, high) below the whole clock; 8 bits from bit 1 up cross a Walsh factor
+BIT_RANGES = (
+    (2, 0, 1), (2, 1, 2), (3, 1, 2), (5, 1, 4), (6, 0, 3), (6, 3, 6), (8, 1, 8), (8, 2, 7)
+)
 
 
-@pytest.mark.parametrize("bits", range(1, 9))
-@pytest.mark.parametrize("stage", sorted(STAGES))
-def test_stage_transforms_match_their_gates(stage, bits):
-    """Each closed form is the matrix of its stage's gates; 7 and 8 clock bits
-    take the Hadamard layer past one Walsh factor."""
+@pytest.mark.parametrize(
+    "stage, bits, low, high",
+    [
+        pytest.param(s, bits, 0, None, id=f"{s}-{bits}")
+        for s in sorted(STAGES)
+        for bits in range(1, 9)
+    ]
+    + [
+        pytest.param(s, bits, low, high, id=f"{s}-{bits}-bits-{low}-{high}")
+        for s in PER_BIT_STAGES
+        for bits, low, high in BIT_RANGES
+    ],
+)
+def test_stage_transforms_match_their_gates(stage, bits, low, high):
+    """Each closed form is the matrix of its stage's gates, on the whole clock
+    (``high`` None) or on clock bits ``low`` to ``high - 1``; 7 and 8 clock
+    bits take the Hadamard layer past one Walsh factor."""
     gates_of, transform = STAGES[stage]
     # a signed 4x4 problem; past 6 clock bits a 2x2 one keeps the circuit matrix small
     qlsp = generate_n4((-0.8, -0.3, 0.4, 0.9), (0, 2), 5) if bits <= 6 else generate_n2(0.3)
     nb, t0 = qlsp.num_qubits, 11.0
     circuit = Circuit(nb + bits)
-    circuit.extend(gates_of(qlsp, range(nb, nb + bits), range(nb), t0))
+    span = range(low, bits if high is None else high)
+    circuit.extend(gates_of(qlsp, range(nb, nb + bits), range(nb), t0, span))
     dim = 2**circuit.num_qubits
     # each basis state is one entry of the rest axis, so row r is the image of state r
-    rows = transform(qlsp, t0, np.eye(dim, dtype=complex).reshape(dim, 2**bits, qlsp.dimension))
+    basis = np.eye(dim, dtype=complex).reshape(dim, 2**bits, qlsp.dimension)
+    rows = transform(qlsp, t0, basis, low, high)
     assert np.max(np.abs(rows.reshape(dim, dim).T - circuit_matrix(circuit))) < 1e-12
 
 
-@pytest.mark.parametrize("stage", sorted(STAGES))
-def test_stage_transforms_build_no_clock_sized_operator(stage):
+@pytest.mark.parametrize(
+    "stage, low, high",
+    [pytest.param(s, 0, None, id=s) for s in sorted(STAGES)]
+    + [pytest.param(s, 3, 11, id=f"{s}-bits-3-11") for s in PER_BIT_STAGES],
+)
+def test_stage_transforms_build_no_clock_sized_operator(stage, low, high):
     """At 12 clock bits a 2^12 x 2^12 operator takes 256 MB; each transform,
-    its cached Walsh factors included, stays within a few copies of the
-    128 kB state, so its footprint tracks the state up to the qubit budget."""
+    on the whole clock or on a range of its bits, its cached Walsh factors
+    included, stays within a few copies of the 128 kB state, so its
+    footprint tracks the state up to the qubit budget."""
     qlsp, bits = generate_n2(0.3), 12
     rng = np.random.default_rng(3)
     blocks = rng.standard_normal((1, 2**bits, 2)) + 1j * rng.standard_normal((1, 2**bits, 2))
@@ -246,7 +279,7 @@ def test_stage_transforms_build_no_clock_sized_operator(stage):
     preprocess._walsh.cache_clear()  # a cached factor counts too
     tracemalloc.start()
     try:
-        transform(qlsp, 7.0, blocks)
+        transform(qlsp, 7.0, blocks, low, high)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -355,6 +388,92 @@ def test_estimates_reject_a_nan_bin():
     probabilities = [0.5, math.nan, 0.5, 0.0]
     with pytest.raises(ValueError, match="finite"):
         estimates_from_probabilities(probabilities, 2, 1.0)
+
+
+@pytest.mark.parametrize("bad", [-1e-18, -0.25, -math.inf])
+def test_estimates_reject_a_negative_probability(bad):
+    """A negative bin is not clipped to zero; -0.0 is zero and stays accepted."""
+    with pytest.raises(ValueError, match="non-negative" if math.isfinite(bad) else "finite"):
+        estimates_from_probabilities([0.5, bad, 0.5, 0.0], 2, 1.0)
+    estimates = estimates_from_probabilities([0.5, -0.0, 0.5, 0.0], 2, 1.0)
+    assert [e.grid_int for e in estimates.entries] == [0, 2]
+
+
+def _decode_by_loop(probabilities, bit_width, time_scale, signed_mode=False):
+    """Reference decode: every bin visited in a Python loop, with the checks
+    of ``estimates_from_probabilities``."""
+    if bit_width < 1:
+        raise ValueError("bit_width must be at least 1")
+    if not (math.isfinite(time_scale) and time_scale > 0):
+        raise ValueError(f"time scale must be finite and positive, not {time_scale}")
+    probabilities = np.asarray(probabilities, dtype=float)
+    if probabilities.shape != (2**bit_width,):
+        raise ValueError("probability vector does not match the bit width")
+    if not np.isfinite(probabilities).all():
+        raise ValueError("probabilities must be finite")
+    if (probabilities < 0.0).any():
+        raise ValueError("probabilities must be non-negative")
+    entries = []
+    for g, p in enumerate(probabilities):
+        weight = math.sqrt(float(p))
+        if weight < 2.0**-bit_width:
+            continue
+        decoded = decode_grid_int(g, bit_width, signed_mode)
+        entries.append(preprocess.EigenEstimate(g, TWO_PI * decoded / time_scale, weight))
+    if not entries:
+        raise EmptyEstimateError("no estimate reached the relevance threshold")
+    entries.sort(key=lambda e: (-round(e.weight, 12), e.grid_int))
+    return preprocess.EigenEstimateSet(
+        bit_width, float(time_scale), bool(signed_mode), tuple(entries)
+    )
+
+
+@st.composite
+def _clock_distribution(draw):
+    """(probabilities, bits, t0, signed) for 1 to 12 clock bits: a random
+    distribution, shot frequencies (exact ties), or bins at the relevance
+    threshold and one ulp either side of it, with weights that tie on 12
+    decimals but differ in their last bits. Now and then one bin is made
+    negative, -0.0 or non-finite."""
+    bits = draw(st.integers(1, 12))
+    size = 2**bits
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "shots", "edge"]))
+    if kind == "random":
+        probabilities = rng.dirichlet(np.full(size, draw(st.sampled_from([0.05, 0.5, 2.0]))))
+    elif kind == "shots":
+        shots = draw(st.sampled_from([1, 5, 64, 1000, 4096]))
+        counts = rng.multinomial(shots, rng.dirichlet(np.full(size, 0.3)))
+        probabilities = counts / shots
+    else:
+        edge = 4.0**-bits  # a bin is kept when its probability reaches this
+        tie = draw(st.floats(0.01, 0.3))
+        values = [0.0, edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0), tie]
+        values += [np.nextafter(tie, 0.0), np.nextafter(tie, 1.0), tie * (1 + 1e-13)]
+        probabilities = rng.choice(values, size)
+    bad = draw(st.sampled_from([None] * 15 + [-1e-300, -0.5, -0.0, math.nan, math.inf]))
+    if bad is not None:
+        probabilities[draw(st.integers(0, size - 1))] = bad
+    t0 = draw(st.floats(0.01, 1000.0))
+    return probabilities, bits, t0, draw(st.booleans())
+
+
+def _outcome(decode, case):
+    """What ``decode`` gives on ``case``, exactly: the estimates' grid
+    values, lambda and weight bits in rank order, or the exception raised."""
+    try:
+        estimates = decode(*case)
+    except (ValueError, EmptyEstimateError) as exc:
+        return type(exc), str(exc)
+    entries = [(e.grid_int, e.lambda_tilde.hex(), e.weight.hex()) for e in estimates.entries]
+    header = (estimates.bit_width, estimates.time_scale.hex(), estimates.signed_mode)
+    return header, entries
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_clock_distribution())
+def test_decode_matches_the_per_bin_loop(case):
+    assert _outcome(estimates_from_probabilities, case) == _outcome(_decode_by_loop, case)
 
 
 @pytest.mark.parametrize("time_scale", [math.nan, math.inf])
