@@ -389,8 +389,9 @@ _SOURCE_FIELDS = {
 def _spec_from_args(args) -> ExperimentSpec:
     """Command defaults, then the config file, then the flags actually given.
 
-    A config key or flag that only another problem source reads raises
-    ``ValueError`` rather than being ignored.
+    A config key or flag that only another problem source, or only an
+    unselected variant, reads raises ``ValueError`` rather than being
+    ignored.
     """
     values = dict(EXPERIMENT_COMMANDS[args.command])
     config = _spec_from_config(args.config) if args.config else {}
@@ -405,6 +406,8 @@ def _spec_from_args(args) -> ExperimentSpec:
     unread = sorted(set().union(*other) & (config.keys() | given.keys()))
     if unread:
         raise ValueError(f"source {spec.source!r} does not read {unread}")
+    if "enhanced" not in spec.variants and "preprocess_bits" in config.keys() | given.keys():
+        raise ValueError("only the enhanced variant reads preprocess_bits (--l)")
     return spec
 
 

@@ -9,18 +9,19 @@ once for every readout mode; the swap-test readout takes its outcome
 probabilities from that state in closed form and samples them, so it
 simulates no test register.
 
-One executor runs noiseless and noisy circuits alike. It splits the QPE
-block and its uncompute into stages (Hadamard layer, controlled-power
-ladder, Fourier transform) and applies each stage that no inserted Pauli
-lands in by its closed form from ``preprocess``; when the whole prefix is
-Pauli-free, its cached output (``qpe_state``) stands in for it. A Pauli
-inside a Hadamard layer or ladder splits that stage into closed forms on the
-clock bits either side. The inversion block, a Fourier transform a Pauli
-lands in and the Paulis themselves are simulated gate by gate, so a
-noiseless run simulates only the inversion block. Every run reports the gate counts of the whole noiseless circuit.
-Consecutive runs on one problem share its prepare + QPE block and its
-iterative t0 search through one-slot memos (``_qpe_blocks``,
-``_searched_t0``).
+One executor runs noiseless and noisy circuits alike. It walks the stage
+records of ``preprocess.qpe_stages`` (Hadamard layer, controlled-power
+ladder, Fourier transform, and their adjoints in the uncompute) and applies
+each run of a stage's gates that no inserted Pauli interrupts by the
+stage's closed form, where it has one for that run; when the whole prefix
+is Pauli-free, its cached output (``qpe_state``) stands in for it. So a
+Pauli inside a Hadamard layer or ladder splits that stage into closed forms
+on the clock bits either side. The inversion block, a Fourier transform a
+Pauli lands in and the Paulis themselves are simulated gate by gate, so a
+noiseless run simulates only the inversion block. Every run reports the
+gate counts of the whole noiseless circuit. Consecutive runs on one problem
+share its stage records, prefix state and iterative t0 search through
+one-slot memos (``_qpe_blocks``, ``_searched_t0``).
 
 Fidelity semantics: each readout returns the value a run reports as its
 fidelity, and the run derives its error through ``error_from_fidelity``
@@ -34,7 +35,6 @@ sum_i sqrt(f_i) |x_i|, so its error reads lower.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -57,12 +57,10 @@ from .inversion import (
 )
 from .preprocess import (
     EigenEstimateSet,
-    build_qpe_circuit,
-    clock_hadamards,
-    clock_powers,
-    clock_qft,
+    Stage,
     fixed_t0,
     iterative_t0,
+    qpe_stages,
     qpe_state,
     run_preprocessing,
 )
@@ -77,7 +75,6 @@ from .sim import (
     check_capacity,
     gate_report,
     inject_noise,
-    inverted_gates,
     marginal_probabilities,
     postselect,
     register_matrix,
@@ -133,8 +130,9 @@ class RunConfig:
             self.preprocess_bits = max(default_l, 5 if self.variant == "enhanced" else 1)
         if self.preprocess_bits < 1:
             raise ValueError(f"preprocess_bits must be at least 1, not {self.preprocess_bits}")
-        if self.variant == "hybrid" and self.preprocess_bits != self.clock_bits:
-            raise ValueError("the hybrid variant preprocesses at the clock bit width")
+        if self.variant != "enhanced" and self.preprocess_bits != self.clock_bits:
+            # canonical runs report l = k, and hybrid runs preprocess at it
+            raise ValueError(f"the {self.variant} variant needs preprocess_bits = clock_bits")
         if self.variant == "enhanced" and self.preprocess_bits <= self.clock_bits:
             raise ValueError("the enhanced variant needs preprocess_bits > clock_bits")
         for name, width in _widths(self, 1):
@@ -196,8 +194,9 @@ def error_from_fidelity(fidelity: float) -> float:
 @functools.lru_cache(maxsize=1)
 def _qpe_blocks(
     qlsp: QLSP, clock_bits: int, t0: float
-) -> tuple[tuple[Gate, ...], tuple[Gate, ...], StateVector]:
-    """Prepare b + QPE gates, the QPE's uncompute, and the solver state after the gates.
+) -> tuple[tuple[Stage, ...], tuple[Stage, ...], StateVector]:
+    """``qpe_stages`` of the solver's prefix (prepare b + QPE) and uncompute,
+    and the solver state after the prefix.
 
     The state is ``qpe_state`` with the ancilla, the solver's top qubit, at
     |0>. A batch runs a problem's variants back to back and they share the
@@ -205,11 +204,10 @@ def _qpe_blocks(
     key holds the problem by identity, which is safe because ``QLSP`` is
     immutable.
     """
-    prefix = tuple(build_qpe_circuit(qlsp, clock_bits, t0).gates)
+    prefix, uncompute = qpe_stages(qlsp, clock_bits, t0)
     prepared = qpe_state(qlsp, clock_bits, t0)
     start = np.concatenate((prepared.amplitudes, np.zeros_like(prepared.amplitudes)))
-    state = StateVector(prepared.num_qubits + 1, start, validate=False)
-    return prefix, tuple(inverted_gates(prefix[1:])), state
+    return prefix, uncompute, StateVector(prepared.num_qubits + 1, start, validate=False)
 
 
 def assemble_hhl(qlsp: QLSP, clock_bits: int, t0: float, plan: InversionPlan) -> Circuit:
@@ -220,14 +218,13 @@ def assemble_hhl(qlsp: QLSP, clock_bits: int, t0: float, plan: InversionPlan) ->
     total = nb + clock_bits + 1
     check_capacity(total)
     clock = tuple(range(nb, nb + clock_bits))
-    ancilla = nb + clock_bits
     circuit = Circuit(total)
     prefix, uncompute, _ = _qpe_blocks(qlsp, clock_bits, t0)
+    inversion = Stage(build_inversion_circuit(plan, clock, nb + clock_bits).gates)
     # each block was built in a circuit no wider than this one, whose add
     # already checked that every gate fits
-    circuit.gates.extend(prefix)
-    circuit.gates.extend(build_inversion_circuit(plan, clock, ancilla).gates)
-    circuit.gates.extend(uncompute)
+    for stage in (*prefix, inversion, *uncompute):
+        circuit.gates.extend(stage.gates)
     return circuit
 
 
@@ -237,76 +234,58 @@ def _solver_state(
     """Output of ``executed`` on |0>: ``assemble_hhl``'s ``circuit`` with any
     Paulis that ``inject_noise`` inserted after its gates.
 
-    The circuit runs in stages: state preparation, the QPE block's Hadamard
-    layer, controlled-power ladder and inverse QFT, the inversion block, and
-    the uncompute's QFT, adjoint ladder and Hadamard layer. Each QPE stage
-    with no Pauli before its last gate is applied in closed form, and a
-    Pauli after that gate is simulated after it. A Hadamard layer or ladder
-    is a product of commuting factors, one gate per clock bit, so a Pauli
-    inside it splits it into closed forms on the clock bits either side.
+    Walks the stage records of ``_qpe_blocks`` around the inversion block.
+    Each run of a stage's gates that no Pauli interrupts goes to the stage's
+    closed form where it has one for that run; all else, Paulis included, is
+    simulated in as few ``apply_circuit`` calls as the closed forms allow.
     When no Pauli comes before the prefix's last gate, the prefix's cached
-    output state stands in for its four stages. Everything else, Paulis
-    included, is simulated gate by gate, in as few ``apply_circuit`` calls
-    as the closed forms allow.
+    output state stands in for its stages.
     """
     prefix, uncompute, prepared = _qpe_blocks(qlsp, clock_bits, t0)
-    gates, noisy = circuit.gates, executed.gates
-    after = []  # the index in gates of the gate each Pauli follows
-    if len(noisy) > len(gates):
-        originals = set(map(id, gates))
-        inserted = (j for j, gate in enumerate(noisy) if id(gate) not in originals)
-        after = [j - m - 1 for m, j in enumerate(inserted)]
-
-    def where(i: int) -> int:
-        """The index in noisy of gates[i]; len(noisy) for i = len(gates)."""
-        return i + bisect.bisect_left(after, i)
-
-    k, n, width = clock_bits, len(gates), circuit.num_qubits
-    # (end in gates, closed form or None, order), in circuit order; a stage
-    # with an order has one gate per clock bit, ascending (1) or descending (-1)
-    stages = (
-        (1, None, None),
-        (1 + k, clock_hadamards, 1),
-        (1 + 2 * k, functools.partial(clock_powers, qlsp, t0), 1),
-        (len(prefix), functools.partial(clock_qft, inverse=True), None),
-        (n - len(uncompute), None, None),
-        (n - 2 * k, clock_qft, None),
-        (n - k, functools.partial(clock_powers, qlsp, t0, adjoint=True), -1),
-        (n, clock_hadamards, -1),
-    )
-    pending = Circuit(width)  # gates to simulate before the next closed form
-    if where(len(prefix) - 1) == len(prefix) - 1:
-        # no Pauli before the prefix's last gate: start from its cached output,
-        # after its four stages
-        amplitudes, start, stages = prepared.amplitudes, len(prefix), stages[4:]
-        pending.gates = noisy[start : where(start)]
+    gates, width = circuit.gates, circuit.num_qubits
+    opening = sum(len(stage.gates) for stage in prefix)
+    closing = len(gates) - sum(len(stage.gates) for stage in uncompute)
+    follows: dict[int, list[Gate]] = {}  # index in gates -> the Paulis inserted after it
+    if len(executed.gates) > len(gates):
+        originals, i = set(map(id, gates)), -1
+        for gate in executed.gates:
+            if id(gate) in originals:
+                i += 1
+            else:
+                follows.setdefault(i, []).append(gate)
+    if min(follows, default=opening) >= opening - 1:
+        amplitudes, start = prepared.amplitudes, opening
+        pending = list(follows.get(opening - 1, ()))  # gates to simulate before a closed form
     else:
-        amplitudes, start = StateVector.zero(width).amplitudes, 0
-    # each stage consumes noisy[where(start) : where(end)], the Paulis after it included
-    for end, closed, order in stages:
-        # the stage's gates that a Pauli follows, its last gate excluded
-        inside = after[bisect.bisect_left(after, start) : bisect.bisect_left(after, end - 1)]
-        cuts = sorted(set(inside))
-        if closed is None or (cuts and order is None):
-            pending.gates.extend(noisy[where(start) : where(end)])
-            start = end
-            continue
-        for stop in [cut + 1 for cut in cuts] + [end]:  # closed-form segments [start, stop)
-            if pending.gates:
-                state = StateVector(width, amplitudes, validate=False)
-                amplitudes = apply_circuit(state, pending).amplitudes
-            blocks = amplitudes.reshape(-1, 2**k, qlsp.dimension)
-            if order is None:
-                blocks = closed(blocks)
-            elif order > 0:  # gates end - k .. end - 1 act on clock bits 0 .. k - 1
-                blocks = closed(blocks, low=start - (end - k), high=stop - (end - k))
-            else:  # gates end - k .. end - 1 act on clock bits k - 1 .. 0
-                blocks = closed(blocks, low=end - stop, high=end - start)
-            amplitudes = blocks.reshape(-1)
-            pending.gates = noisy[where(stop - 1) + 1 : where(stop)]
+        amplitudes, start, pending = StateVector.zero(width).amplitudes, 0, []
+    end = 0
+    for stage in (*prefix, Stage(gates[opening:closing]), *uncompute):
+        offset, end = end, end + len(stage.gates)
+        if end <= start:
+            continue  # the cached prefix state stands in for this stage
+        # the stage's runs [start, stop) that no Pauli interrupts
+        for stop in sorted({i + 1 for i in follows if start <= i < end - 1}) + [end]:
+            closed = stage.closed_form(start - offset, stop - offset)
+            if closed is None:
+                pending += gates[start:stop]
+            else:
+                if pending:
+                    amplitudes = _simulate(amplitudes, width, pending).amplitudes
+                blocks = closed(amplitudes.reshape(-1, 2**clock_bits, qlsp.dimension))
+                amplitudes, pending = blocks.reshape(-1), []
+            pending += follows.get(stop - 1, ())
             start = stop
+    return _simulate(amplitudes, width, pending)
+
+
+def _simulate(amplitudes: np.ndarray, width: int, gates: list[Gate]) -> StateVector:
+    """``gates`` applied to ``amplitudes`` on ``width`` qubits; no call for no gates."""
     state = StateVector(width, amplitudes, validate=False)
-    return apply_circuit(state, pending) if pending.gates else state
+    if not gates:
+        return state
+    part = Circuit(width)
+    part.gates = gates
+    return apply_circuit(state, part)
 
 
 def projection_fidelity(state: StateVector, qubits, target) -> float:

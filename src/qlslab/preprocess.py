@@ -2,14 +2,12 @@
 
 Preprocessing is noiseless, so its clock distributions are computed in A's
 eigenbasis (``qpe_state``) rather than by simulating the circuit that
-``build_qpe_circuit`` returns. The solver circuit reuses that circuit's
-gates, and each stage of its QPE block has a closed form on amplitudes laid
-out as [rest, clock, b]: the Hadamard layer (``clock_hadamards``), the
-controlled-power ladder (``clock_powers``) and the Fourier transform
-(``clock_qft``), each with its adjoint; the first two also act on a range
-of clock bits. ``qpe_uncompute`` composes the adjoints; ``pipeline``
-applies every stage, or part of a stage, that no noise lands in by its
-closed form and simulates the rest.
+``build_qpe_circuit`` returns. ``qpe_stages`` cuts that circuit, and its QPE
+block's uncompute, into ``Stage`` records that carry each stage's closed
+form on amplitudes laid out as [rest, clock, b] (``clock_hadamards``,
+``clock_powers``, ``clock_qft``); a Hadamard layer or ladder also acts on a
+range of clock bits. ``pipeline`` walks the records, applying every stage,
+or part of a stage, that no noise lands in by its closed form.
 
 The time scale ``t0`` maps an eigenvalue ``lam`` to the clock-grid coordinate
 ``lam * t0 / (2 pi)``; adjacent grid points are one coordinate unit (a phase
@@ -22,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,15 +137,6 @@ def build_qpe_circuit(qlsp: QLSP, bit_width: int, t0: float) -> Circuit:
     return circuit
 
 
-def _check_block(qlsp: QLSP, bit_width: int, t0: float) -> None:
-    """Arguments of a closed-form QPE block; raises before anything is allocated."""
-    if bit_width < 1:
-        raise ValueError("bit_width must be at least 1")
-    if not math.isfinite(t0):
-        raise ValueError(f"t0 must be finite, not {t0}")
-    check_capacity(qlsp.num_qubits + bit_width)
-
-
 def qpe_state(qlsp: QLSP, bit_width: int, t0: float) -> StateVector:
     """Output state of ``build_qpe_circuit(qlsp, bit_width, t0)`` in closed form.
 
@@ -155,7 +145,11 @@ def qpe_state(qlsp: QLSP, bit_width: int, t0: float) -> StateVector:
     the state is sum_j beta_j c_j (x) u_j, with b on the low qubits as in the
     circuit. One FFT over x gives every c_j.
     """
-    _check_block(qlsp, bit_width, t0)
+    if bit_width < 1:
+        raise ValueError("bit_width must be at least 1")
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, not {t0}")
+    check_capacity(qlsp.num_qubits + bit_width)  # before anything is allocated
     big_t = 2**bit_width
     phases = np.exp(1j * np.outer(qlsp.eigenvalues * (float(t0) / big_t), np.arange(big_t)))
     clock = np.fft.fft(phases, axis=1) / big_t  # clock[j, m] = c_j[m]
@@ -225,23 +219,46 @@ def clock_qft(blocks: np.ndarray, inverse: bool = False) -> np.ndarray:
     return transform(blocks, axis=1, norm="ortho")
 
 
-def qpe_uncompute(qlsp: QLSP, bit_width: int, t0: float, state: StateVector) -> StateVector:
-    """``state`` after the adjoint of the ``qpe_gates`` block, in closed form.
+@dataclass(frozen=True)
+class Stage:
+    """One stage of ``qpe_stages``: its ``gates``, their ``closed`` form on
+    amplitudes laid out [rest, clock, b] (None where they must be simulated)
+    and, for a product of commuting one-bit factors, each gate's clock bit;
+    ``closed`` then takes clock bits ``low`` to ``high - 1`` as well."""
 
-    The block acts as in ``build_qpe_circuit``: b on the low qubits, the
-    clock above it; qubits above the clock are left alone, so the amplitudes
-    are laid out as [rest, clock, b]. The adjoint is the QFT, the adjoint
-    ladder and the Hadamard layer, each applied by its stage transform.
-    """
-    _check_block(qlsp, bit_width, t0)
-    nb = qlsp.num_qubits
-    if state.num_qubits < nb + bit_width:
-        raise ValueError(
-            f"a {state.num_qubits}-qubit state cannot hold {nb} b and {bit_width} clock qubit(s)"
-        )
-    blocks = clock_qft(state.amplitudes.reshape(-1, 2**bit_width, qlsp.dimension))
-    blocks = clock_hadamards(clock_powers(qlsp, t0, blocks, adjoint=True))
-    return StateVector(state.num_qubits, blocks.reshape(-1), validate=False)
+    gates: Sequence[Gate]
+    closed: Callable[..., np.ndarray] | None = None
+    bits: tuple[int, ...] | None = None
+
+    def closed_form(self, start: int, stop: int) -> Callable[..., np.ndarray] | None:
+        """The closed form of ``gates[start:stop]``, or None where they must be simulated."""
+        if self.closed is None or (start, stop) == (0, len(self.gates)):
+            return self.closed
+        if self.bits is None:
+            return None
+        span = self.bits[start:stop]  # a run of gates covers a run of clock bits
+        return functools.partial(self.closed, low=min(span), high=max(span) + 1)
+
+
+def qpe_stages(qlsp: QLSP, bit_width: int, t0: float) -> tuple[tuple[Stage, ...], ...]:
+    """``build_qpe_circuit(qlsp, bit_width, t0)`` cut into state preparation,
+    Hadamard layer, controlled-power ladder and inverse QFT, and its QPE
+    block's uncompute, ``inverted_gates`` of the block, cut into QFT, adjoint
+    ladder and Hadamard layer."""
+    k, partial = bit_width, functools.partial
+    gates = tuple(build_qpe_circuit(qlsp, k, t0).gates)
+    undo = tuple(inverted_gates(gates[1:]))
+    up, down, qft = tuple(range(k)), tuple(range(k - 1, -1, -1)), len(undo) - 2 * k
+    return (
+        Stage(gates[:1]),
+        Stage(gates[1 : 1 + k], clock_hadamards, up),
+        Stage(gates[1 + k : 1 + 2 * k], partial(clock_powers, qlsp, t0), up),
+        Stage(gates[1 + 2 * k :], partial(clock_qft, inverse=True)),
+    ), (
+        Stage(undo[:qft], clock_qft),
+        Stage(undo[qft : qft + k], partial(clock_powers, qlsp, t0, adjoint=True), down),
+        Stage(undo[qft + k :], clock_hadamards, down),
+    )
 
 
 def qpe_grid_probabilities(qlsp: QLSP, bit_width: int, t0: float) -> np.ndarray:

@@ -467,6 +467,27 @@ def test_cli_rejects_an_enhanced_l_not_above_k(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "doc, flags",
+    [
+        ({}, ["--variant", "hybrid", "--l", "7"]),
+        ({}, ["--variant", "canonical,hybrid", "--l", "3"]),
+        ({"preprocess_bits": 7, "variants": ["canonical"]}, []),
+        ({"preprocess_bits": 7}, ["--variant", "hybrid"]),
+    ],
+    ids=["flag-hybrid", "flag-at-k", "config-canonical", "config-with-variant-flag"],
+)
+def test_cli_rejects_an_l_that_no_row_reads(tmp_path, capsys, doc, flags):
+    """Only enhanced rows read preprocess_bits; the others report l = k."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "bad.csv"
+    argv = ["sweep", "--count", "2", "--config", str(config), "--out", str(out)] + flags
+    assert main(argv) == 2
+    assert "only the enhanced variant reads preprocess_bits" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("variant", ["canonical", "hybrid", "enhanced"])
 def test_unset_run_settings_take_the_run_config_defaults(variant):
     config = _run_config(ExperimentSpec(), variant)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
-from test_preprocess import random_problem
+from test_preprocess import RECORDS, random_problem
 
-from qlslab import pipeline
+from qlslab import pipeline, preprocess
 from qlslab.cli import PAPER_N4_EIGENVALUES, ExperimentSpec, run_experiment
 from qlslab.errors import (
     AliasingError,
@@ -148,64 +148,62 @@ def test_the_executor_matches_the_noisy_circuit_simulated_gate_by_gate(case):
     assert np.max(np.abs(state.amplitudes - dense.amplitudes)) < 1e-12
 
 
-QPE_STAGES = ("hadamards", "powers", "inverse-qft", "qft", "powers-adjoint", "uncompute-hadamards")
-SPLIT_STAGES = {"hadamards", "powers", "powers-adjoint", "uncompute-hadamards"}  # one gate per bit
-
-
-def _stage_bounds(circuit, k, prefix_length, uncompute_length):
-    """QPE stage -> its [start, end) in ``circuit.gates``, in circuit order."""
-    n = len(circuit.gates)
-    starts = (1, 1 + k, 1 + 2 * k, n - uncompute_length, n - 2 * k, n - k)
-    ends = (1 + k, 1 + 2 * k, prefix_length, n - 2 * k, n - k, n)
-    return dict(zip(QPE_STAGES, zip(starts, ends)))
-
-
 @pytest.mark.parametrize(
-    "stage, where", [(s, w) for s in QPE_STAGES for w in ("inside", "after")] + [(None, None)]
+    "stage, where", [(s, w) for s in RECORDS for w in ("inside", "after")] + [(None, None)]
 )
 def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where):
     """One Pauli after the first gate of a QPE stage lands inside it: a
     Fourier transform then runs gate by gate, and a Hadamard layer or ladder
     splits into two closed forms around the Pauli. One after the stage's
     last gate leaves the stage in closed form. Counters on the transforms
-    and on the simulated gates see every other stage run in closed form."""
-    qlsp, k, t0 = generate_n4(PAPER_N4_EIGENVALUES, (0, 1), 7), 3, 11.0
-    circuit = assemble_hhl(qlsp, k, t0, plan_canonical(k, t0, signed_mode=True))
-    prefix, uncompute, _ = pipeline._qpe_blocks(qlsp, k, t0)
-    noisy = list(circuit.gates)
-    simulated = len(circuit.gates) - len(prefix) - len(uncompute)  # the inversion block
-    transforms = 3  # the uncompute's; the cached prefix state stands in for the prefix's
-    if stage is not None:
-        start, end = _stage_bounds(circuit, k, len(prefix), len(uncompute))[stage]
-        after = start if where == "inside" else end - 1
-        noisy.insert(after + 1, Gate(GateKind.PAULI_X, (circuit.gates[after].qubits()[0],)))
-        simulated += 1
-        if where == "inside" and stage in SPLIT_STAGES:
-            transforms += 1
-        elif where == "inside":
-            simulated += end - start
-            transforms -= 1
-        if after < len(prefix) - 1:  # the prefix is not Pauli-free: prepare and transform
-            simulated += 1
-            transforms += 3
-    executed = Circuit(circuit.num_qubits)
-    executed.gates = noisy
-
+    that the stage records call, and on the simulated gates, see every
+    other stage run in closed form."""
     calls, gates = [], []
     for name in ("clock_hadamards", "clock_powers", "clock_qft"):
 
-        def counted(*args, _original=getattr(pipeline, name), **kwargs):
+        def counted(*args, _original=getattr(preprocess, name), **kwargs):
             calls.append(_original)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, name, counted)
+        monkeypatch.setattr(preprocess, name, counted)
 
     def counted_apply(state, part):
         gates.extend(part.gates)
         return apply_circuit(state, part)
 
     monkeypatch.setattr(pipeline, "apply_circuit", counted_apply)
+    pipeline._qpe_blocks.cache_clear()  # so that the records call the counters
+    qlsp, k, t0 = generate_n4(PAPER_N4_EIGENVALUES, (0, 1), 7), 3, 11.0
+    circuit = assemble_hhl(qlsp, k, t0, plan_canonical(k, t0, signed_mode=True))
+    prefix, uncompute, _ = pipeline._qpe_blocks(qlsp, k, t0)
+    opening = sum(len(record.gates) for record in prefix)
+    closing = len(circuit.gates) - sum(len(record.gates) for record in uncompute)
+    noisy = list(circuit.gates)
+    simulated = closing - opening  # the inversion block
+    transforms = 3  # the uncompute's; the cached prefix state stands in for the prefix's
+    if stage is not None:
+        block, position = RECORDS[stage]
+        record = (prefix, uncompute)[block][position]
+        if block == 0:
+            start = sum(len(r.gates) for r in prefix[:position])
+        else:
+            start = closing + sum(len(r.gates) for r in uncompute[:position])
+        end = start + len(record.gates)
+        after = start if where == "inside" else end - 1
+        noisy.insert(after + 1, Gate(GateKind.PAULI_X, (circuit.gates[after].qubits()[0],)))
+        simulated += 1
+        if where == "inside" and record.bits is not None:
+            transforms += 1
+        elif where == "inside":
+            simulated += end - start
+            transforms -= 1
+        if after < opening - 1:  # the prefix is not Pauli-free: prepare and transform
+            simulated += 1
+            transforms += 3
+    executed = Circuit(circuit.num_qubits)
+    executed.gates = noisy
     state = pipeline._solver_state(qlsp, k, t0, circuit, executed)
+    pipeline._qpe_blocks.cache_clear()
     dense = apply_circuit(StateVector.zero(circuit.num_qubits), executed)
     assert np.max(np.abs(state.amplitudes - dense.amplitudes)) < 1e-12
     assert len(calls) == transforms
@@ -530,6 +528,8 @@ def test_run_config_rejects_a_time_scale_its_mode_ignores(fields, name):
         ({"variant": "enhanced", "preprocess_bits": 20}, "preprocess_bits"),
         # the t0 search's fine grid: 1 + 17 + 3 qubits
         ({"variant": "hybrid", "clock_bits": 17, "t0_mode": "iterative"}, "clock_bits"),
+        # canonical rows report l = k, which the CSV's bound columns read
+        ({"variant": "canonical", "preprocess_bits": 25}, "preprocess_bits = clock_bits"),
     ],
 )
 def test_run_config_rejects_bad_and_unfittable_widths(fields, name):
@@ -723,13 +723,13 @@ def test_a_failed_search_is_not_cached(monkeypatch):
 @pytest.mark.parametrize("t0_mode, scales", [(None, 1), ("iterative", 2)])
 def test_run_experiment_builds_each_qpe_prefix_once(monkeypatch, tmp_path, t0_mode, scales):
     built = []
-    build = pipeline.build_qpe_circuit
+    build = preprocess.build_qpe_circuit
 
     def counted(qlsp, bit_width, t0):
         built.append((id(qlsp), bit_width, t0))
         return build(qlsp, bit_width, t0)
 
-    monkeypatch.setattr(pipeline, "build_qpe_circuit", counted)
+    monkeypatch.setattr(preprocess, "build_qpe_circuit", counted)  # what qpe_stages calls
     _clear_memos()
     spec = ExperimentSpec(
         source="n2-set", lambdas=[0.2, 0.4], t0_mode=t0_mode, out=str(tmp_path / "x.csv")

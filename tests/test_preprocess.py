@@ -12,9 +12,6 @@ from qlslab.errors import AliasingError, CapacityError, EmptyEstimateError
 from qlslab.inversion import plan_hybrid
 from qlslab.preprocess import (
     build_qpe_circuit,
-    clock_hadamards,
-    clock_powers,
-    clock_qft,
     decode_grid_int,
     estimates_from_probabilities,
     fixed_t0,
@@ -22,10 +19,9 @@ from qlslab.preprocess import (
     iterative_t0,
     qft_gates,
     qpe_grid_probabilities,
-    qpe_gates,
     qpe_histogram,
+    qpe_stages,
     qpe_state,
-    qpe_uncompute,
     run_preprocessing,
 )
 from qlslab.qlsp import QLSP, generate_n2, generate_n4, hermitian_dilation
@@ -126,10 +122,10 @@ def _dense_qpe_state(qlsp, bits, t0):
 
 
 @st.composite
-def random_problem(draw):
-    """A random Hermitian system of dimension 2, 4 or 8 with a positive or a
-    signed spectrum, or the Hermitian dilation of a random general system."""
-    dim = draw(st.sampled_from([2, 4, 8]))
+def random_problem(draw, dims=(2, 4, 8)):
+    """A random Hermitian system of a dimension in ``dims`` with a positive or
+    a signed spectrum, or the Hermitian dilation of a random general system."""
+    dim = draw(st.sampled_from(dims))
     kind = draw(st.sampled_from(["positive", "signed", "dilation"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "dilation":
@@ -165,77 +161,104 @@ def test_qpe_state_matches_dense_simulation(case):
     assert np.max(np.abs(closed.amplitudes - dense.amplitudes)) < 1e-12
 
 
-@st.composite
-def _uncompute_case(draw):
-    """(problem, bits, t0, state): a random state on the problem's b and clock
-    qubits, with or without one qubit above the clock."""
-    qlsp = draw(random_problem())
-    bits = draw(st.integers(1, 4))
-    t0 = draw(st.floats(0.0, 60.0))
-    width = qlsp.num_qubits + bits + draw(st.integers(0, 1))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    amplitudes = rng.standard_normal(2**width) + 1j * rng.standard_normal(2**width)
-    return qlsp, bits, t0, StateVector(width, amplitudes / np.linalg.norm(amplitudes))
-
-
-@settings(derandomize=True, deadline=None)
-@given(_uncompute_case())
-def test_qpe_uncompute_matches_the_inverted_gates(case):
-    qlsp, bits, t0, state = case
-    nb = qlsp.num_qubits
-    circuit = Circuit(state.num_qubits)
-    circuit.extend(inverted_gates(qpe_gates(qlsp, range(nb, nb + bits), range(nb), t0)))
-    closed = qpe_uncompute(qlsp, bits, t0, state)
-    assert closed.num_qubits == state.num_qubits
-    assert np.max(np.abs(closed.amplitudes - circuit_matrix(circuit) @ state.amplitudes)) < 1e-12
-
-
-def _ladder_gates(qlsp, clock, breg, t0, bits):
-    """The controlled powers of ``qpe_gates`` whose controls are clock bits ``bits``."""
-    return [qpe_gates(qlsp, clock, breg, t0)[len(clock) + r] for r in bits]
-
-
-# stage -> (its gates on clock bits ``bits`` for (problem, clock, b register,
-# t0, bits), its closed form on clock bits low to high - 1 for (problem, t0,
-# blocks, low, high)); a Fourier transform is one stage on the whole clock
-STAGES = {
-    "hadamards": (
-        lambda qlsp, clock, breg, t0, bits: [qpe_gates(qlsp, clock, breg, t0)[b] for b in bits],
-        lambda qlsp, t0, blocks, low, high: clock_hadamards(blocks, low, high),
-    ),
-    "powers": (
-        _ladder_gates,
-        lambda qlsp, t0, blocks, low, high: clock_powers(qlsp, t0, blocks, low=low, high=high),
-    ),
-    "powers-adjoint": (
-        lambda qlsp, clock, breg, t0, bits: inverted_gates(
-            _ladder_gates(qlsp, clock, breg, t0, bits)
-        ),
-        lambda qlsp, t0, blocks, low, high: clock_powers(
-            qlsp, t0, blocks, adjoint=True, low=low, high=high
-        ),
-    ),
-    "qft": (
-        lambda qlsp, clock, breg, t0, bits: qft_gates(clock),
-        lambda qlsp, t0, blocks, low, high: clock_qft(blocks),
-    ),
-    "inverse-qft": (
-        lambda qlsp, clock, breg, t0, bits: inverse_qft_gates(clock),
-        lambda qlsp, t0, blocks, low, high: clock_qft(blocks, inverse=True),
-    ),
+# stage name -> (block, position) of its record in ``qpe_stages``' (prefix,
+# uncompute); the prefix's first record is the state preparation
+RECORDS = {
+    "hadamards": (0, 1),
+    "powers": (0, 2),
+    "inverse-qft": (0, 3),
+    "qft": (1, 0),
+    "powers-adjoint": (1, 1),
+    "uncompute-hadamards": (1, 2),
 }
-PER_BIT_STAGES = ("hadamards", "powers", "powers-adjoint")  # one commuting gate per clock bit
+
+
+def _gate_key(gate):
+    """What a gate does, for comparing gates that are not the same object."""
+    matrix = None if gate.matrix is None else gate.matrix.tobytes()
+    return gate.kind, gate.targets, gate.controls, gate.angle, matrix
+
+
+def _closed_form_error(qlsp, bits, record, start, stop):
+    """Largest entry of the record's closed form of ``gates[start:stop]`` minus
+    ``circuit_matrix`` of those gates, on ``bits`` clock bits."""
+    circuit = Circuit(qlsp.num_qubits + bits)
+    circuit.extend(record.gates[start:stop])
+    dim = 2**circuit.num_qubits
+    # each basis state is one entry of the rest axis, so row r is the image of state r
+    basis = np.eye(dim, dtype=complex).reshape(dim, 2**bits, qlsp.dimension)
+    rows = record.closed_form(start, stop)(basis)
+    return np.max(np.abs(rows.reshape(dim, dim).T - circuit_matrix(circuit)))
+
+
+@st.composite
+def _stages_case(draw):
+    """(problem, clock bits, t0, states): a ``random_problem``, 1 to 8 clock
+    bits on at most 9 qubits, so that each circuit matrix stays small, and
+    two random states on them."""
+    bits = draw(st.integers(1, 8))
+    qlsp = draw(random_problem([dim for dim in (2, 4, 8) if dim.bit_length() + bits <= 10]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (2, 2**bits, qlsp.dimension)
+    states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return qlsp, bits, draw(st.floats(0.0, 60.0)), states
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(_stages_case())
+def test_stage_records_match_their_gates(case):
+    """The prefix records cut ``build_qpe_circuit``'s gates, the uncompute
+    records hold ``inverted_gates`` of its QPE block, and each closed form is
+    its gates' action: the ``circuit_matrix`` of a whole stage, and the
+    gate-by-gate simulation of every contiguous run of a one-bit stage."""
+    qlsp, bits, t0, states = case
+    prefix, uncompute = qpe_stages(qlsp, bits, t0)
+    gates = build_qpe_circuit(qlsp, bits, t0).gates
+    assert [_gate_key(g) for r in prefix for g in r.gates] == list(map(_gate_key, gates))
+    undo = [_gate_key(g) for r in uncompute for g in r.gates]
+    assert undo == list(map(_gate_key, inverted_gates(gates[1:])))
+    assert prefix[0].closed is None and prefix[0].bits is None  # state preparation
+    width = qlsp.num_qubits + bits
+    for record in prefix[1:] + uncompute:
+        size = len(record.gates)
+        assert _closed_form_error(qlsp, bits, record, 0, size) < 1e-12
+        if record.bits is None:
+            assert size == 1 or record.closed_form(0, size - 1) is None  # a Fourier transform
+            continue
+        assert sorted(record.bits) == list(range(bits)) and size == bits
+        for start in range(size):
+            for stop in range(start + 1, size + 1):
+                circuit = Circuit(width)
+                circuit.extend(record.gates[start:stop])
+                closed = record.closed_form(start, stop)(states)
+                for state, image in zip(states, closed):
+                    vector = StateVector(width, state.reshape(-1), validate=False)
+                    simulated = apply_circuit(vector, circuit).amplitudes
+                    assert np.max(np.abs(image.reshape(-1) - simulated)) < 1e-12
+
+
 # (clock bits, low, high) below the whole clock; 8 bits from bit 1 up cross a Walsh factor
 BIT_RANGES = (
     (2, 0, 1), (2, 1, 2), (3, 1, 2), (5, 1, 4), (6, 0, 3), (6, 3, 6), (8, 1, 8), (8, 2, 7)
 )
+STAGE_NAMES = ("hadamards", "inverse-qft", "powers", "powers-adjoint", "qft")
+PER_BIT_STAGES = ("hadamards", "powers", "powers-adjoint")
+
+
+def _run(record, low, high):
+    """[start, stop) of the record's gates on clock bits ``low`` to ``high - 1``,
+    or of all its gates for ``high`` None."""
+    if high is None:
+        return 0, len(record.gates)
+    inside = [i for i, bit in enumerate(record.bits) if low <= bit < high]
+    return inside[0], inside[-1] + 1
 
 
 @pytest.mark.parametrize(
     "stage, bits, low, high",
     [
         pytest.param(s, bits, 0, None, id=f"{s}-{bits}")
-        for s in sorted(STAGES)
+        for s in STAGE_NAMES
         for bits in range(1, 9)
     ]
     + [
@@ -245,62 +268,49 @@ BIT_RANGES = (
     ],
 )
 def test_stage_transforms_match_their_gates(stage, bits, low, high):
-    """Each closed form is the matrix of its stage's gates, on the whole clock
-    (``high`` None) or on clock bits ``low`` to ``high - 1``; 7 and 8 clock
-    bits take the Hadamard layer past one Walsh factor."""
-    gates_of, transform = STAGES[stage]
-    # a signed 4x4 problem; past 6 clock bits a 2x2 one keeps the circuit matrix small
+    """A record's closed form on a signed 4x4 problem, on the whole clock
+    (``high`` None) or on clock bits ``low`` to ``high - 1``, is the matrix
+    of its gates there; 7 and 8 clock bits take the Hadamard layer past one
+    Walsh factor."""
+    # past 6 clock bits a 2x2 problem keeps the circuit matrix small
     qlsp = generate_n4((-0.8, -0.3, 0.4, 0.9), (0, 2), 5) if bits <= 6 else generate_n2(0.3)
-    nb, t0 = qlsp.num_qubits, 11.0
-    circuit = Circuit(nb + bits)
-    span = range(low, bits if high is None else high)
-    circuit.extend(gates_of(qlsp, range(nb, nb + bits), range(nb), t0, span))
-    dim = 2**circuit.num_qubits
-    # each basis state is one entry of the rest axis, so row r is the image of state r
-    basis = np.eye(dim, dtype=complex).reshape(dim, 2**bits, qlsp.dimension)
-    rows = transform(qlsp, t0, basis, low, high)
-    assert np.max(np.abs(rows.reshape(dim, dim).T - circuit_matrix(circuit))) < 1e-12
+    block, position = RECORDS[stage]
+    record = qpe_stages(qlsp, bits, 11.0)[block][position]
+    assert _closed_form_error(qlsp, bits, record, *_run(record, low, high)) < 1e-12
 
 
 @pytest.mark.parametrize(
     "stage, low, high",
-    [pytest.param(s, 0, None, id=s) for s in sorted(STAGES)]
+    [pytest.param(s, 0, None, id=s) for s in STAGE_NAMES]
     + [pytest.param(s, 3, 11, id=f"{s}-bits-3-11") for s in PER_BIT_STAGES],
 )
 def test_stage_transforms_build_no_clock_sized_operator(stage, low, high):
-    """At 12 clock bits a 2^12 x 2^12 operator takes 256 MB; each transform,
-    on the whole clock or on a range of its bits, its cached Walsh factors
-    included, stays within a few copies of the 128 kB state, so its
-    footprint tracks the state up to the qubit budget."""
+    """At 12 clock bits a 2^12 x 2^12 operator takes 256 MB; each record's
+    closed form, on the whole clock or on a range of its bits, its cached
+    Walsh factors included, stays within a few copies of the 128 kB state,
+    so its footprint tracks the state up to the qubit budget."""
     qlsp, bits = generate_n2(0.3), 12
     rng = np.random.default_rng(3)
     blocks = rng.standard_normal((1, 2**bits, 2)) + 1j * rng.standard_normal((1, 2**bits, 2))
-    transform = STAGES[stage][1]
+    block, position = RECORDS[stage]
+    record = qpe_stages(qlsp, bits, 7.0)[block][position]
+    transform = record.closed_form(*_run(record, low, high))
     preprocess._walsh.cache_clear()  # a cached factor counts too
     tracemalloc.start()
     try:
-        transform(qlsp, 7.0, blocks, low, high)
+        transform(blocks)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 8 * blocks.nbytes
 
 
-def test_qpe_uncompute_rejects_a_state_without_room_for_the_clock():
-    with pytest.raises(ValueError, match="clock"):
-        qpe_uncompute(generate_n2(0.3), 3, 1.0, StateVector.zero(3))
-
-
-@pytest.mark.parametrize("block", ["qpe_state", "qpe_uncompute"])
+@pytest.mark.parametrize("block", ["qpe_state"])
 def test_qpe_blocks_over_the_budget_raise_before_allocating(block):
     """A 2x2 problem with MAX_QUBITS clock bits is one qubit over the budget;
     unchecked, the block would allocate 2^21 amplitudes (32 MB)."""
-    qlsp = generate_n2(0.3)
     with pytest.raises(CapacityError, match=f"{MAX_QUBITS + 1} qubits"):
-        if block == "qpe_state":
-            qpe_state(qlsp, MAX_QUBITS, 1.0)
-        else:
-            qpe_uncompute(qlsp, MAX_QUBITS, 1.0, StateVector.zero(1))
+        getattr(preprocess, block)(generate_n2(0.3), MAX_QUBITS, 1.0)
 
 
 def test_qpe_state_rejects_empty_clock():
