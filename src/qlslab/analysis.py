@@ -19,6 +19,8 @@ class BoundInputs:
             raise ValueError(f"kappa must be finite and at least 1, not {self.kappa}")
         if not 0.0 < self.t0 < math.inf:
             raise ValueError(f"t0 must be finite and positive, not {self.t0}")
+        if self.clock_bits < 1:
+            raise ValueError(f"the clock needs at least 1 bit, not {self.clock_bits}")
         if self.precision_bits < self.clock_bits:
             raise ValueError("precision_bits must be at least clock_bits")
 

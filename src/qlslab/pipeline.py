@@ -149,8 +149,8 @@ class RunConfig:
             )
         for name in ("seed", "preprocess_seed"):
             value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be non-negative, not {value}")
+            if not isinstance(value, (int, np.integer)) or value < 0:
+                raise ValueError(f"{name} must be non-negative and an int, not {value!r}")
 
 
 def _widths(config: RunConfig, nb: int) -> list[tuple[str, int]]:

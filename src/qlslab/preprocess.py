@@ -285,13 +285,6 @@ def estimates_from_probabilities(
     dropped before any per-bin work. A negative probability raises
     ``ValueError``.
     """
-    return _decode(probabilities, bit_width, time_scale, signed_mode)[0]
-
-
-def _decode(
-    probabilities, bit_width: int, time_scale: float, signed_mode: bool
-) -> tuple[EigenEstimateSet, np.ndarray]:
-    """``estimates_from_probabilities`` and the weights of every bin."""
     if bit_width < 1:
         raise ValueError("bit_width must be at least 1")
     if not (math.isfinite(time_scale) and time_scale > 0):
@@ -318,8 +311,7 @@ def _decode(
     # weights equal in exact arithmetic can differ in the last bits: rank on
     # 12 decimals so that such ties go to the smaller grid value
     entries.sort(key=lambda e: (-round(e.weight, 12), e.grid_int))
-    estimates = EigenEstimateSet(bit_width, scale, bool(signed_mode), tuple(entries))
-    return estimates, weights
+    return EigenEstimateSet(bit_width, scale, bool(signed_mode), tuple(entries))
 
 
 def _clock_probabilities(
@@ -381,7 +373,8 @@ def _dominant_coordinate(
     kernel's weight ratio, which is accurate to a few percent of a grid step.
     """
     probs = _clock_probabilities(qlsp, bit_width, t0, shots, seed)
-    est, weights = _decode(probs, bit_width, t0, qlsp.has_negative_eigenvalues)
+    est = estimates_from_probabilities(probs, bit_width, t0, qlsp.has_negative_eigenvalues)
+    weights = np.sqrt(probs)  # decoding rejected any negative bin
     d_star = max(_strong_coordinates(est), key=abs)
     size = 2**bit_width
     w_star = weights[d_star % size]

@@ -3,24 +3,22 @@
 Conventions:
     * Qubit 0 is the least significant bit of a basis-state index, so basis
       index ``i`` assigns qubit ``q`` the bit ``(i >> q) & 1``.
-    * A gate acts on a view of the amplitudes reshaped to split only at the
-      gate's own qubits: one axis of 2 per qubit, most significant first,
-      and one axis for each run of untouched qubits around them.
     * Register outcomes are indexed the same way: ``qubits[i]`` is bit ``i``
-      of an outcome index in ``marginal_probabilities``; ``sample`` counts
-      are indexed like the probabilities it draws from.
+      of a row of ``register_matrix`` and an outcome of
+      ``marginal_probabilities``; ``sample`` counts are indexed like the
+      probabilities it draws from.
 
-``Circuit.multiplexed_ry`` builds a uniformly controlled RY as one RY gate
-per control pattern. ``apply_circuit`` applies each run of consecutive RY
-gates on one target and one ordered control tuple, firing on distinct
-patterns, as one gather, stacked 2x2 product and scatter; every other gate is
-applied on its own. That kernel takes its view from a plan cached per gate
-structure (width, trailing axes, targets, controls): the split shape, the
-index that fixes the controls and the axis order that brings the targets to
-the front. A single-target gate with a diagonal matrix, such as the QFT's
-controlled phases and Pauli Z, scales each half of that view in place and
-skips a half whose entry is 1; any other gate is one transpose, product and
-assignment. ``circuit_matrix`` stays gate by gate as the reference.
+``_gate_plan`` alone maps qubits to array axes: one cached view plan per
+qubit structure (width, trailing axes, targets, controls) splits the
+amplitudes only at those qubits, fixes the controls and brings the targets
+to the front. Gates, RY runs, ``register_matrix`` and ``postselect`` all
+work on such views. ``apply_circuit`` applies each run of RY gates that
+``_ry_run_end`` finds (``Circuit.multiplexed_ry`` builds them) as one
+stacked 2x2 product on the fired control patterns, and every other gate on
+its own: a single-target diagonal gate, such as the QFT's controlled phases
+and Pauli Z, scales each half of its view in place and skips a half whose
+entry is 1; any other gate is one transpose, product and assignment.
+``circuit_matrix`` stays gate by gate as the reference.
 
 States are immutable and every operation returns a new value. Circuits are
 mutable builders, but simulation never modifies them. RNG state is always a
@@ -306,10 +304,10 @@ def inverted_gates(gates: Sequence[Gate]) -> list[Gate]:
 def _gate_plan(
     n: int, trailing: int, targets: tuple[int, ...], controls: tuple[tuple[int, int], ...]
 ) -> tuple[tuple, tuple, tuple, tuple]:
-    """View plan of one gate structure on ``n`` qubits with ``trailing`` extra axes.
+    """View plan of one qubit structure on ``n`` qubits with ``trailing`` extra axes.
 
     Returns ``(shape, index, order, halves)``. ``shape`` splits the amplitude
-    axis only at the gate's qubits: one axis of 2 per qubit, and one axis for
+    axis only at the structure's qubits: one axis of 2 per qubit, and one axis for
     each run of untouched qubits above, between and below them, most
     significant first.
     ``index`` fixes each control axis at its polarity, which is basic
@@ -383,31 +381,27 @@ def _ry_run_end(gates: Sequence[Gate], start: int) -> int:
 
 
 def _apply_ry_run(vec: np.ndarray, run: Sequence[Gate]) -> None:
-    """Apply a run from ``_ry_run_end`` in place as one gather, product and scatter.
+    """Apply a run from ``_ry_run_end`` in place as one stacked 2x2 product.
 
     Like ``_apply_gate``, amplitudes lie on axis 0 with any trailing axes.
-    Each gate's 2x2 matrix is the one ``resolved_matrix`` builds.
+    The plan of the run's qubits with no control fixed leads with the control
+    pattern (``controls[0]`` its LSB) and then the target; only the patterns
+    the run fires are multiplied, each by the matrix ``resolved_matrix`` builds.
     """
     n = vec.shape[0].bit_length() - 1
-    target = run[0].targets[0]
-    involved = set(run[0].qubits())
-    # basis-index offsets of every assignment of the qubits no gate touches
-    free = np.zeros(1, dtype=np.intp)
-    for q in range(n):
-        if q not in involved:
-            free = np.concatenate((free, free + (1 << q)))
-    fired = np.array([sum(1 << q for q, p in g.controls if p) for g in run], dtype=np.intp)
-    index = fired[:, None, None] + np.array([[0], [1 << target]], dtype=np.intp) + free
+    shape, _, order, _ = _gate_plan(n, vec.ndim - 1, run[0].qubits(), ())
+    view = vec.reshape(shape + vec.shape[1:]).transpose(order)
+    width = len(run[0].controls)
+    grid = view.reshape(1 << width, 2, -1)
+    bits = np.array([p for g in run for _, p in g.controls], dtype=np.intp)
+    fired = bits.reshape(len(run), width) @ (1 << np.arange(width))
     halves = [0.5 * g.angle for g in run]
     cos = np.array([math.cos(h) for h in halves])
     sin = np.array([math.sin(h) for h in halves])
-    matrices = np.empty((len(run), 2, 2), dtype=complex)
-    matrices[:, 0, 0] = cos
-    matrices[:, 0, 1] = -sin
-    matrices[:, 1, 0] = sin
-    matrices[:, 1, 1] = cos
-    block = vec[index].reshape(len(run), 2, -1)
-    vec[index] = (matrices @ block).reshape(index.shape + vec.shape[1:])
+    matrices = np.array([cos, -sin, sin, cos], dtype=complex).T.reshape(-1, 2, 2)
+    grid[fired] = matrices @ grid[fired]
+    if not np.may_share_memory(grid, vec):  # the reshape had to copy
+        view[...] = grid.reshape(view.shape)
 
 
 def _apply_gates(vec: np.ndarray, gates: Sequence[Gate]) -> None:
@@ -452,16 +446,15 @@ def postselect(state: StateVector, qubit: int, outcome: int) -> tuple[StateVecto
         raise ValueError(f"qubit {qubit} out of range")
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
-    # axis 1 of this view is the qubit; axes 0 and 2 are the bits above and below it
-    split = (2 ** (state.num_qubits - 1 - qubit), 2, 2**qubit)
-    kept = state.amplitudes.reshape(split)[:, outcome, :]
+    shape, _, _, halves = _gate_plan(state.num_qubits, 0, (qubit,), ())
+    kept = state.amplitudes.reshape(shape)[halves[outcome]]
     prob = float(np.sum(np.abs(kept) ** 2))
     if prob < 1e-15:
         raise ZeroProbabilityError(
             f"outcome {outcome} on qubit {qubit} has probability {prob:.3e}"
         )
-    new = np.zeros(split, dtype=complex)
-    new[:, outcome, :] = kept / math.sqrt(prob)
+    new = np.zeros(shape, dtype=complex)
+    new[halves[outcome]] = kept / math.sqrt(prob)
     return StateVector(state.num_qubits, new.reshape(-1), validate=False), prob
 
 
@@ -469,8 +462,8 @@ def register_matrix(values: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
     """Per-basis-state values reshaped to (register outcomes, everything else).
 
     ``values`` holds one entry per basis state, such as amplitudes or
-    probabilities. ``qubits[i]`` contributes bit ``i`` of the row index,
-    matching the global least-significant-first convention.
+    probabilities. ``qubits[i]`` is bit ``i`` of the row index; the other
+    qubits index the columns in ascending order, the highest varying slowest.
     """
     n = values.shape[0].bit_length() - 1
     qubits = tuple(int(q) for q in qubits)
@@ -480,10 +473,8 @@ def register_matrix(values: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
         raise ValueError("qubits must be unique")
     if any(q < 0 or q >= n for q in qubits):
         raise ValueError("qubit index out of range")
-    # axis (n - 1 - q) holds qubit q; order kept axes most-significant-first
-    front = [n - 1 - q for q in reversed(qubits)]
-    rest = [ax for ax in range(n) if ax not in front]
-    return np.transpose(values.reshape([2] * n), front + rest).reshape(2 ** len(qubits), -1)
+    shape, _, order, _ = _gate_plan(n, 0, qubits, ())
+    return values.reshape(shape).transpose(order).reshape(2 ** len(qubits), -1)
 
 
 def marginal_probabilities(state: StateVector, qubits: Sequence[int]) -> np.ndarray:

@@ -86,6 +86,9 @@ def test_bound_inputs_validation():
     for t0 in (math.nan, math.inf):
         with pytest.raises(ValueError, match="t0 must be finite"):
             BoundInputs(kappa=2.0, t0=t0, clock_bits=3, precision_bits=3)
+    for k, l in ((-3, 2), (0, 0)):
+        with pytest.raises(ValueError, match="at least 1 bit"):
+            BoundInputs(kappa=2.0, t0=10.0, clock_bits=k, precision_bits=l)
 
 
 def test_aggregate_means_and_ordering():

@@ -233,6 +233,9 @@ def test_cli_bounds_and_describe(capsys):
 def test_cli_bounds_rejects_non_finite_input(capsys):
     assert main(["bounds", "--kappa", "nan", "--t0", "1"]) == 2
     assert "error: kappa must be finite" in capsys.readouterr().err
+    assert main(["bounds", "--kappa", "2", "--t0", "10", "--k", "-3", "--l", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "error: the clock needs at least 1 bit" in captured.err and not captured.out
 
 
 @pytest.mark.parametrize(

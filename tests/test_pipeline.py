@@ -565,7 +565,14 @@ def test_run_checks_the_qubit_budget_before_any_work(monkeypatch, config):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("preprocess_shots", 0), ("preprocess_shots", -3), ("seed", -1), ("preprocess_seed", -1)],
+    [
+        ("preprocess_shots", 0),
+        ("preprocess_shots", -3),
+        ("seed", -1),
+        ("preprocess_seed", -1),
+        ("seed", None),
+        ("preprocess_seed", None),
+    ],
 )
 def test_run_config_rejects_bad_shots_and_seeds(field, value):
     with pytest.raises(ValueError, match=field):

@@ -23,6 +23,7 @@ from qlslab.sim import (
     inverted_gates,
     marginal_probabilities,
     postselect,
+    register_matrix,
     sample,
     state_preparation_matrix,
 )
@@ -445,6 +446,43 @@ def test_marginal_probabilities_subset():
     bell = apply_circuit(StateVector.zero(2), Circuit(2).add(_h(0)).add(_x(1, controls=((0, 1),))))
     probs = marginal_probabilities(bell, [1])
     assert np.allclose(probs, [0.5, 0.5])
+
+
+@st.composite
+def _register_case(draw):
+    """(state, ordered qubit subset, postselected qubit) on 1 to 8 qubits."""
+    n = draw(st.integers(1, 8))
+    qubits = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    return StateVector(n, amps / np.linalg.norm(amps)), qubits, draw(st.integers(0, n - 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_register_case())
+def test_register_views_match_index_arithmetic(case):
+    """``register_matrix``, ``marginal_probabilities`` and ``postselect`` agree
+    with references that read every basis index bit by bit: ``qubits[r]`` is
+    bit r of the row, and the other qubits, in ascending order, are the bits
+    of the column, so the most significant of them varies slowest."""
+    state, qubits, qubit = case
+    n = state.num_qubits
+    rest = [q for q in range(n) if q not in qubits]
+    expected = np.zeros((2 ** len(qubits), 2 ** len(rest)), dtype=complex)
+    for i, amp in enumerate(state.amplitudes):
+        row = sum(((i >> q) & 1) << r for r, q in enumerate(qubits))
+        column = sum(((i >> q) & 1) << c for c, q in enumerate(rest))
+        expected[row, column] = amp
+    assert np.array_equal(register_matrix(state.amplitudes, qubits), expected)
+    marginal = marginal_probabilities(state, qubits)
+    assert np.allclose(marginal, (np.abs(expected) ** 2).sum(axis=1), rtol=0, atol=1e-14)
+    for outcome in (0, 1):
+        kept = np.array([(i >> qubit) & 1 == outcome for i in range(2**n)])
+        prob = float(np.sum(np.abs(state.amplitudes[kept]) ** 2))
+        conditional, reported = postselect(state, qubit, outcome)
+        assert reported == pytest.approx(prob, rel=1e-13)
+        reference = np.where(kept, state.amplitudes, 0) / math.sqrt(prob)
+        assert np.allclose(conditional.amplitudes, reference, rtol=0, atol=1e-14)
 
 
 def test_gate_validation_names_the_fault():
