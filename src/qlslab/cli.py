@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .analysis import BoundInputs, aggregate, canonical_bound, enhanced_bound
 from .errors import QlsLabError
-from .pipeline import RunConfig, RunResult, run
+from .pipeline import RunConfig, RunResult, _check_count, run
 from .qlsp import QLSP, classical_solution, generate_n2, generate_n4
 from .sim import NoiseSpec
 
@@ -82,8 +82,7 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.source not in ("n2-sweep", "n2-set", "n4-set", "file"):
             raise ValueError(f"unknown problem source {self.source!r}")
-        if self.count < 1:
-            raise ValueError("count must be at least 1")
+        _check_count("count", self.count, 1)
         if not self.variants:
             raise ValueError("the variant list is empty")
         if len(set(self.variants)) != len(self.variants):
@@ -492,7 +491,7 @@ def _dispatch(args) -> int:
             from .preprocess import run_preprocessing
 
             bits = args.estimates
-            fine_t0 = args.t0 * 2 ** max(0, bits - args.k)
+            fine_t0 = args.t0 * 2 ** (bits - args.k)
             parts.append(run_preprocessing(qlsp, bits, fine_t0).to_json())
         print("\n".join(parts))
         return 0

@@ -4,10 +4,15 @@ A run prepares the right-hand side, performs phase estimation onto the clock
 register, applies the inversion plan, undoes phase estimation, post-selects
 the ancilla on |1>, and scores the surviving register state against the exact
 classical solution. Register layout (least significant first): solution
-register ``b``, clock ``c``, ancilla ``a``. The solver circuit is simulated
-once for every readout mode; the swap-test readout takes its outcome
-probabilities from that state in closed form and samples them, so it
-simulates no test register.
+register ``b``, clock ``c``, ancilla ``a``. So the solver's 2^(nb + k + 1)
+amplitudes, reshaped to an array of shape (2, 2^k, N) indexed
+[ancilla, clock, b], are its two ancilla branches M_0 and M_1, each a
+[clock, b] matrix. The executor hands the run this array, and every readout
+is a function of it and the target x alone: the exact readout reads M_1 of
+the post-selected state, and the swap and direct readouts read both branches
+of the unnormalised state. The solver circuit is simulated once for every
+readout mode; the swap-test readout takes its outcome probabilities from the
+branches in closed form and samples them, so it simulates no test register.
 
 One executor runs noiseless and noisy circuits alike. It walks the stage
 records of ``preprocess.qpe_stages`` (Hadamard layer, controlled-power
@@ -75,9 +80,7 @@ from .sim import (
     check_capacity,
     gate_report,
     inject_noise,
-    marginal_probabilities,
     postselect,
-    register_matrix,
     sample,
 )
 
@@ -111,8 +114,11 @@ class RunConfig:
             raise ValueError(f"unknown angle policy {self.angle_policy!r}")
         if self.alpha_model not in ALPHA_MODELS:
             raise ValueError(f"unknown alpha model {self.alpha_model!r}")
-        if self.clock_bits < 1:
-            raise ValueError("clock_bits must be at least 1")
+        optional = ("preprocess_bits", "preprocess_shots")  # None picks the default
+        for name in ("clock_bits", *optional, "shots", "seed", "preprocess_seed"):
+            value = getattr(self, name)
+            if value is not None or name not in optional:
+                _check_count(name, value, 0 if name.endswith("seed") else 1)
         if self.t0_mode not in ("fixed", "iterative", "explicit"):
             raise ValueError(f"unknown t0 mode {self.t0_mode!r}")
         if self.t0_mode == "explicit" and not 0 < (self.t0_value or 0) < math.inf:
@@ -128,8 +134,6 @@ class RunConfig:
         if self.preprocess_bits is None:
             default_l = self.clock_bits + 2 if self.variant == "enhanced" else self.clock_bits
             self.preprocess_bits = max(default_l, 5 if self.variant == "enhanced" else 1)
-        if self.preprocess_bits < 1:
-            raise ValueError(f"preprocess_bits must be at least 1, not {self.preprocess_bits}")
         if self.variant != "enhanced" and self.preprocess_bits != self.clock_bits:
             # canonical runs report l = k, and hybrid runs preprocess at it
             raise ValueError(f"the {self.variant} variant needs preprocess_bits = clock_bits")
@@ -141,16 +145,16 @@ class RunConfig:
                     f"{name} = {getattr(self, name)} needs {width} qubits even on a 2x2"
                     f" problem, over the simulator budget of {MAX_QUBITS}"
                 )
-        if self.shots < 1:
-            raise ValueError("shots must be at least 1")
-        if self.preprocess_shots is not None and self.preprocess_shots < 1:
-            raise ValueError(
-                f"preprocess_shots must be at least 1, not {self.preprocess_shots}"
-            )
-        for name in ("seed", "preprocess_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 0:
-                raise ValueError(f"{name} must be non-negative and an int, not {value!r}")
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Reject ``value`` for the field ``name`` unless it is an int of at least ``least``.
+
+    Python and numpy ints pass; bools, floats and None do not, whatever their value.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound} and an int, not {value!r}")
 
 
 def _widths(config: RunConfig, nb: int) -> list[tuple[str, int]]:
@@ -230,9 +234,10 @@ def assemble_hhl(qlsp: QLSP, clock_bits: int, t0: float, plan: InversionPlan) ->
 
 def _solver_state(
     qlsp: QLSP, clock_bits: int, t0: float, circuit: Circuit, executed: Circuit
-) -> StateVector:
-    """Output of ``executed`` on |0>: ``assemble_hhl``'s ``circuit`` with any
-    Paulis that ``inject_noise`` inserted after its gates.
+) -> np.ndarray:
+    """Output of ``executed`` on |0> as the ancilla branches, shape (2, 2^k, N):
+    ``executed`` is ``assemble_hhl``'s ``circuit`` with any Paulis that
+    ``inject_noise`` inserted after its gates.
 
     Walks the stage records of ``_qpe_blocks`` around the inversion block.
     Each run of a stage's gates that no Pauli interrupts goes to the stage's
@@ -243,6 +248,7 @@ def _solver_state(
     """
     prefix, uncompute, prepared = _qpe_blocks(qlsp, clock_bits, t0)
     gates, width = circuit.gates, circuit.num_qubits
+    layout = (2, 2**clock_bits, qlsp.dimension)  # [ancilla, clock, b]
     opening = sum(len(stage.gates) for stage in prefix)
     closing = len(gates) - sum(len(stage.gates) for stage in uncompute)
     follows: dict[int, list[Gate]] = {}  # index in gates -> the Paulis inserted after it
@@ -269,94 +275,87 @@ def _solver_state(
             if closed is None:
                 pending += gates[start:stop]
             else:
-                if pending:
-                    amplitudes = _simulate(amplitudes, width, pending).amplitudes
-                blocks = closed(amplitudes.reshape(-1, 2**clock_bits, qlsp.dimension))
-                amplitudes, pending = blocks.reshape(-1), []
+                amplitudes = _simulate(amplitudes, width, pending)
+                amplitudes, pending = closed(amplitudes.reshape(layout)).reshape(-1), []
             pending += follows.get(stop - 1, ())
             start = stop
-    return _simulate(amplitudes, width, pending)
+    return _simulate(amplitudes, width, pending).reshape(layout)
 
 
-def _simulate(amplitudes: np.ndarray, width: int, gates: list[Gate]) -> StateVector:
+def _simulate(amplitudes: np.ndarray, width: int, gates: list[Gate]) -> np.ndarray:
     """``gates`` applied to ``amplitudes`` on ``width`` qubits; no call for no gates."""
-    state = StateVector(width, amplitudes, validate=False)
     if not gates:
-        return state
+        return amplitudes
     part = Circuit(width)
     part.gates = gates
-    return apply_circuit(state, part)
+    return apply_circuit(StateVector(width, amplitudes, validate=False), part).amplitudes
 
 
-def projection_fidelity(state: StateVector, qubits, target) -> float:
-    """Expectation of the projector onto ``target`` over the register ``qubits``.
+def _target(x, branches: np.ndarray) -> np.ndarray:
+    """``x`` as a complex vector, checked against the b axis of ``branches``."""
+    x = np.asarray(x, dtype=complex).reshape(-1)
+    if x.shape[0] != branches.shape[-1]:
+        raise ValueError("x length does not match the b register")
+    return x
 
-    Equals |<target|x>|^2 for a pure register state x, and extends to
-    states with residual entanglement as the probability that the register
-    is found in ``target``.
+
+def projection_fidelity(branches: np.ndarray, x) -> float:
+    """Expectation of the projector onto ``x`` over the b register of the
+    ancilla-1 branch M_1 of a post-selected state: ||M_1 x^*||^2.
+
+    ``branches`` are that state's ancilla branches, shape (2, 2^k, N). The
+    value equals |<x|b>|^2 for a pure b register state, and extends to states
+    with residual entanglement as the probability that the register is found
+    in ``x``.
     """
-    target = np.asarray(target, dtype=complex).reshape(-1)
-    matrix = register_matrix(state.amplitudes, qubits)
-    if matrix.shape[0] != target.shape[0]:
-        raise ValueError("target length does not match the register")
-    overlap = target.conj() @ matrix
+    overlap = branches[1] @ _target(x, branches).conj()
     return float(np.vdot(overlap, overlap).real)
 
 
-def _swap_test_probabilities(state: StateVector, register, ancilla: int, x) -> np.ndarray:
-    """Outcome probabilities of a swap test of ``register`` against ``x``.
+def _swap_test_probabilities(branches: np.ndarray, x) -> np.ndarray:
+    """Outcome probabilities of a swap test of the b register against ``x``.
 
-    Bit 0 of an outcome is ``ancilla``, bit 1 the swap-test control. With the
-    state split by ancilla value a into branches M_a (register outcome by the
-    other qubits), the test reads P(a, c) = (P(a) +- <x|rho_a|x>) / 2, with
-    P(a) = ||M_a||^2 and <x|rho_a|x> = ||x^dagger M_a||^2, so no test register
-    is simulated.
+    Bit 0 of an outcome is the ancilla, bit 1 the swap-test control. From
+    the unnormalised branches M_a, shape (2, 2^k, N), the test reads
+    P(a, c) = (P(a) +- <x|rho_a|x>) / 2, with P(a) = ||M_a||^2 and
+    <x|rho_a|x> = ||M_a x^*||^2, so no test register is simulated.
     """
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    if x.shape[0] != 2 ** len(register):
-        raise ValueError("x length does not match the register")
-    branches = register_matrix(state.amplitudes, tuple(register) + (ancilla,))
-    branches = branches.reshape(2, x.shape[0], -1)  # [a, register outcome, rest]
+    x = _target(x, branches)
     weights = np.sum(np.abs(branches) ** 2, axis=(1, 2))
-    overlaps = np.sum(np.abs(x.conj() @ branches) ** 2, axis=1)
+    overlaps = np.sum(np.abs(branches @ x.conj()) ** 2, axis=1)
     # rows are the control's value, columns the ancilla's
     probabilities = np.stack((weights + overlaps, weights - overlaps)) / 2
     return np.clip(probabilities, 0.0, None).reshape(-1)
 
 
-def swap_test_fidelity(
-    state: StateVector, register, ancilla: int, x, shots: int, seed: int | None = None
-) -> float:
-    """Estimate |<x~|x>|^2 from swap-test statistics on ``register`` of ``state``.
+def swap_test_fidelity(branches: np.ndarray, x, shots: int, seed: int | None = None) -> float:
+    """Estimate |<x~|x>|^2 from swap-test statistics on the b register of the
+    unnormalised ancilla branches ``branches``, shape (2, 2^k, N).
 
-    Shots are conditioned on ``ancilla`` reading 1; the estimator inverts
+    Shots are conditioned on the ancilla reading 1; the estimator inverts
     P(1) = (1 - |<x~|x>|^2) / 2 on the conditioned shots.
     """
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
     # bit 0 of an outcome is the ancilla, bit 1 the swap-test control
-    counts = sample(_swap_test_probabilities(state, register, ancilla, x), shots, seed)
+    counts = sample(_swap_test_probabilities(branches, x), shots, seed)
     total = int(counts[1] + counts[3])
     if total == 0:
         raise InsufficientShotsError("no shot survived ancilla conditioning")
     return max(0.0, 1.0 - 2.0 * int(counts[3]) / total)
 
 
-def direct_fidelity(
-    state: StateVector, register, ancilla: int, x, shots: int, seed: int | None = None
-) -> float:
-    """Overlap sum_i sqrt(f_i) |x_i| from measuring ``register`` of ``state`` directly.
+def direct_fidelity(branches: np.ndarray, x, shots: int, seed: int | None = None) -> float:
+    """Overlap sum_i sqrt(f_i) |x_i| from measuring the ancilla and the b
+    register of the unnormalised ancilla branches ``branches``, shape (2, 2^k, N).
 
-    Shots are conditioned on ``ancilla`` reading 1, and f_i is the frequency
+    Shots are conditioned on the ancilla reading 1, and f_i is the frequency
     of basis state i among them. Amplitude magnitudes are the square roots
     of those frequencies and their signs are borrowed from ``x``, so the
     overlap is unsquared and blind to sign errors.
     """
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    if x.shape[0] != 2 ** len(register):
-        raise ValueError("x length does not match the register")
-    probabilities = marginal_probabilities(state, (ancilla,) + tuple(register))
-    counts = sample(probabilities, shots, seed)[1::2]  # the ancilla is bit 0 of an outcome
+    x = _target(x, branches)
+    # outcome a + 2 i: the ancilla is bit 0, as when both are measured as one register
+    probabilities = np.sum(np.abs(branches) ** 2, axis=1).T
+    counts = sample(probabilities, shots, seed)[1::2]
     total = int(counts.sum())
     if total == 0:
         raise InsufficientShotsError("no shot survived ancilla conditioning")
@@ -411,21 +410,20 @@ def run(qlsp: QLSP, config: RunConfig) -> RunResult:
     circuit = assemble_hhl(qlsp, k, t0, plan)
     report = gate_report(circuit)
     executed = inject_noise(circuit, config.noise) if config.noise else circuit
-    state = _solver_state(qlsp, k, t0, circuit, executed)
+    branches = _solver_state(qlsp, k, t0, circuit, executed)
 
-    breg = tuple(range(qlsp.num_qubits))
-    ancilla = qlsp.num_qubits + k
+    state = StateVector(circuit.num_qubits, branches.reshape(-1), validate=False)
     try:
-        post, success = postselect(state, ancilla, 1)
+        post, success = postselect(state, qlsp.num_qubits + k, 1)  # the ancilla
     except ZeroProbabilityError as exc:
         raise DegenerateRunError("the inversion ancilla never reads 1") from exc
 
-    solution = classical_solution(qlsp).state_x
+    x = classical_solution(qlsp).state_x
     if config.readout == "exact":
-        fidelity = projection_fidelity(post, breg, solution)
+        fidelity = projection_fidelity(post.amplitudes.reshape(branches.shape), x)
     else:
         readout = swap_test_fidelity if config.readout == "swap" else direct_fidelity
-        fidelity = readout(state, breg, ancilla, solution, config.shots, config.seed)
+        fidelity = readout(branches, x, config.shots, config.seed)
 
     return RunResult(
         variant=config.variant,

@@ -268,6 +268,16 @@ def test_cli_describe_estimate_dump(capsys):
     assert {entry[0] for entry in payload["entries"]} == {12, 24}
 
 
+@pytest.mark.parametrize("bits", [1, 2, 4, 5, 7])
+def test_cli_describe_estimates_run_at_the_scaled_t0(capsys, bits):
+    """L-bit estimates run at t0 * 2^(L-k), below k as well as above it:
+    at L = 2 < k = 5, lambda = 0.75 then reads 0.889 on the coarse grid,
+    not an aliased 0.333 at the unscaled t0."""
+    assert main(["describe", "--lambda", "0.25", "--k", "5", "--estimates", str(bits)]) == 0
+    payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert payload["t0"] == N2_SWEEP_T0 * 2 ** (bits - 5)
+
+
 MALFORMED_PROBLEMS = {
     "not-an-object": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
     "no-matrix": {"vector_b": [[1, 0], [0, 0]]},
@@ -507,6 +517,12 @@ def test_cli_rejects_a_width_over_the_qubit_budget_before_running(tmp_path, caps
 def test_cli_describe_estimates_over_the_qubit_budget_fails_cleanly(capsys):
     assert main(["describe", "--lambda", "1/3", "--estimates", "40"]) == 3
     assert "41 qubits exceed the simulator budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [0, -2, 2.5, True, None, "3"])
+def test_spec_rejects_a_count_that_is_not_a_positive_int(count):
+    with pytest.raises(ValueError, match="count must be at least 1 and an int"):
+        ExperimentSpec(count=count)
 
 
 def test_spec_validation():

@@ -43,6 +43,8 @@ from qlslab.sim import (
     inverted_gates,
     marginal_probabilities,
     postselect,
+    register_matrix,
+    sample,
     state_preparation_matrix,
 )
 
@@ -115,11 +117,11 @@ def test_noiseless_runs_match_the_dense_simulation(case):
     circuit = assemble_hhl(qlsp, k, result.t0, result.plan)
     dense = apply_circuit(StateVector.zero(circuit.num_qubits), circuit)
     closed = pipeline._solver_state(qlsp, k, result.t0, circuit, circuit)
-    assert np.max(np.abs(closed.amplitudes - dense.amplitudes)) < 1e-12
+    assert np.max(np.abs(closed.reshape(-1) - dense.amplitudes)) < 1e-12
     nb = qlsp.num_qubits
     post, success = postselect(dense, nb + k, 1)
-    x = classical_solution(qlsp).state_x
-    fidelity = projection_fidelity(post, range(nb), x)
+    overlap = classical_solution(qlsp).state_x.conj() @ register_matrix(post.amplitudes, range(nb))
+    fidelity = np.vdot(overlap, overlap).real
     assert abs(result.success_probability - success) < 1e-12
     assert abs(result.fidelity - fidelity) < 1e-12
 
@@ -144,8 +146,8 @@ def test_the_executor_matches_the_noisy_circuit_simulated_gate_by_gate(case):
     circuit = assemble_hhl(qlsp, config.clock_bits, result.t0, result.plan)
     executed = inject_noise(circuit, noise)
     dense = apply_circuit(StateVector.zero(circuit.num_qubits), executed)
-    state = pipeline._solver_state(qlsp, config.clock_bits, result.t0, circuit, executed)
-    assert np.max(np.abs(state.amplitudes - dense.amplitudes)) < 1e-12
+    branches = pipeline._solver_state(qlsp, config.clock_bits, result.t0, circuit, executed)
+    assert np.max(np.abs(branches.reshape(-1) - dense.amplitudes)) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -202,10 +204,10 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
             transforms += 3
     executed = Circuit(circuit.num_qubits)
     executed.gates = noisy
-    state = pipeline._solver_state(qlsp, k, t0, circuit, executed)
+    branches = pipeline._solver_state(qlsp, k, t0, circuit, executed)
     pipeline._qpe_blocks.cache_clear()
     dense = apply_circuit(StateVector.zero(circuit.num_qubits), executed)
-    assert np.max(np.abs(state.amplitudes - dense.amplitudes)) < 1e-12
+    assert np.max(np.abs(branches.reshape(-1) - dense.amplitudes)) < 1e-12
     assert len(calls) == transforms
     assert len(gates) == simulated
 
@@ -251,35 +253,30 @@ def test_run_result_error_fidelity_relation():
 
 
 def _flagged(register_amplitudes, ancilla_bit=1):
-    """Register state on the low qubits with the conditioning ancilla above it."""
+    """Ancilla branches, shape (2, 1, N), of a register state that the ancilla
+    flags with ``ancilla_bit``; no clock sits between them."""
     register = np.asarray(register_amplitudes, dtype=complex)
-    n = register.shape[0].bit_length() - 1
-    state = StateVector(n + 1, np.kron(np.eye(2)[ancilla_bit], register))
-    return state, tuple(range(n)), n
+    return np.eye(2)[ancilla_bit][:, None, None] * register
 
 
 def test_swap_test_identical_states():
     amplitudes = np.array([0.5, 0.5, 0.5, 0.5])
-    state, register, ancilla = _flagged(amplitudes)
-    estimate = swap_test_fidelity(state, register, ancilla, amplitudes, shots=4096, seed=1)
+    estimate = swap_test_fidelity(_flagged(amplitudes), amplitudes, shots=4096, seed=1)
     assert estimate == pytest.approx(1.0, abs=1e-12)
 
 
 def test_swap_test_orthogonal_states():
-    state, register, ancilla = _flagged([1.0, 0.0])
-    estimate = swap_test_fidelity(
-        state, register, ancilla, np.array([0.0, 1.0]), shots=8192, seed=2
-    )
+    estimate = swap_test_fidelity(_flagged([1.0, 0.0]), np.array([0.0, 1.0]), shots=8192, seed=2)
     assert estimate == pytest.approx(0.0, abs=0.08)
 
 
 def test_swap_test_known_overlap():
     """Overlap 0.8 gives P(a = 1, st_a = 1) = 0.18 exactly."""
     b = np.array([0.8, 0.6])
-    state, register, ancilla = _flagged([1.0, 0.0])
-    probabilities = _swap_test_probabilities(state, register, ancilla, b)
+    branches = _flagged([1.0, 0.0])
+    probabilities = _swap_test_probabilities(branches, b)
     assert probabilities[3] == pytest.approx((1 - 0.8**2) / 2, abs=1e-12)
-    estimate = swap_test_fidelity(state, register, ancilla, b, shots=4096, seed=3)
+    estimate = swap_test_fidelity(branches, b, shots=4096, seed=3)
     sigma = math.sqrt(0.18 * 0.82 / 4096)
     assert abs(estimate - 0.64) <= 2 * 4 * sigma
 
@@ -322,21 +319,73 @@ def test_swap_readout_matches_full_circuit_reference():
             assert len(executed) > len(circuit)  # at least one Pauli error was drawn
             zero = StateVector.zero(executed.num_qubits)
             want = _swap_reference(zero, executed.gates, breg, ancilla, x)
-            got = _swap_test_probabilities(apply_circuit(zero, executed), breg, ancilla, x)
+            solved = apply_circuit(zero, executed).amplitudes
+            got = _swap_test_probabilities(solved.reshape(2, 2**k, qlsp.dimension), x)
             assert np.max(np.abs(got - want)) < 1e-12
 
     # a flagged state whose ancilla-0 branch is empty
     x = np.array([0.8, 0.6j])
-    state, register, ancilla = _flagged(np.array([1.0, 1.0]) / math.sqrt(2), ancilla_bit=1)
-    got = _swap_test_probabilities(state, register, ancilla, x)
+    branches = _flagged(np.array([1.0, 1.0]) / math.sqrt(2), ancilla_bit=1)
+    got = _swap_test_probabilities(branches, x)
     assert got[0] == got[2] == 0.0
-    assert np.max(np.abs(got - _swap_reference(state, [], register, ancilla, x))) < 1e-12
+    want = _swap_reference(StateVector(2, branches.reshape(-1)), [], (0,), 1, x)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@st.composite
+def _layout_case(draw):
+    """(state, nb, k, x): a random normalised state on nb b qubits, k clock
+    bits and the ancilla, whose ancilla-0 branch may be empty, and a random
+    normalised target x."""
+    nb, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = 2 ** (nb + k + 1)
+    amplitudes = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    if draw(st.booleans()):
+        amplitudes[: size // 2] = 0.0  # the ancilla is the top qubit
+    x = rng.standard_normal(2**nb) + 1j * rng.standard_normal(2**nb)
+    state = StateVector(nb + k + 1, amplitudes / np.linalg.norm(amplitudes))
+    return state, nb, k, x / np.linalg.norm(x)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_layout_case())
+def test_readouts_read_the_branches_as_the_qubit_index_oracle(case):
+    """Every readout reads the branches of shape (2, 2^k, N), indexed
+    [ancilla, clock, b], as the qubit-index helpers read the same state with b
+    on the low qubits and the ancilla on the top one: the exact readout the
+    post-selected register, the swap test the gate-level circuit, and the
+    direct readout the (ancilla, b) outcomes in the order they are sampled."""
+    state, nb, k, x = case
+    breg, ancilla, shape = tuple(range(nb)), nb + k, (2, 2**k, 2**nb)
+    post, _ = postselect(state, ancilla, 1)
+    overlap = x.conj() @ register_matrix(post.amplitudes, breg)
+    got = projection_fidelity(post.amplitudes.reshape(shape), x)
+    assert abs(got - np.vdot(overlap, overlap).real) < 1e-12
+    branches = state.amplitudes.reshape(shape)
+    want = _swap_reference(state, [], breg, ancilla, x)
+    assert np.max(np.abs(_swap_test_probabilities(branches, x) - want)) < 1e-12
+    counts = sample(marginal_probabilities(state, (ancilla, *breg)), 4096, 5)[1::2]
+    want = sum(math.sqrt(c / counts.sum()) * abs(a) for c, a in zip(counts, x))
+    assert abs(direct_fidelity(branches, x, shots=4096, seed=5) - want) < 1e-12
+
+
+WRONG_LENGTH = "x length does not match the b register"
+
+
+def test_projection_fidelity_rejects_a_target_of_the_wrong_length():
+    with pytest.raises(ValueError, match=WRONG_LENGTH):
+        projection_fidelity(_flagged([1.0, 0.0]), np.ones(4) / 2)
 
 
 def test_swap_test_rejects_a_target_of_the_wrong_length():
-    state, register, ancilla = _flagged([1.0, 0.0])
-    with pytest.raises(ValueError, match="x length does not match the register"):
-        swap_test_fidelity(state, register, ancilla, np.ones(4) / 2, shots=64, seed=0)
+    with pytest.raises(ValueError, match=WRONG_LENGTH):
+        swap_test_fidelity(_flagged([1.0, 0.0]), np.ones(4) / 2, shots=64, seed=0)
+
+
+def test_direct_fidelity_rejects_a_target_of_the_wrong_length():
+    with pytest.raises(ValueError, match=WRONG_LENGTH):
+        direct_fidelity(_flagged([1.0, 0.0]), np.ones(4) / 2, shots=64, seed=0)
 
 
 def test_swap_readout_simulates_solver_once(monkeypatch):
@@ -383,38 +432,30 @@ def test_swap_and_exact_readouts_agree():
 
 def test_swap_test_insufficient_shots():
     # the ancilla stays |0>, so conditioning discards everything
-    state, register, ancilla = _flagged(np.array([1.0, 1.0]) / math.sqrt(2), ancilla_bit=0)
+    branches = _flagged(np.array([1.0, 1.0]) / math.sqrt(2), ancilla_bit=0)
     with pytest.raises(InsufficientShotsError):
-        swap_test_fidelity(state, register, ancilla, np.array([1.0, 0.0]), shots=64, seed=0)
+        swap_test_fidelity(branches, np.array([1.0, 0.0]), shots=64, seed=0)
 
 
 def test_direct_fidelity_is_sign_blind():
     """A register that always reads the solution's basis state scores 1,
     whatever sign or phase the solution carries there."""
-    state, register, ancilla = _flagged([0.0, 1.0])
     x = np.array([0.0, -1j])
-    assert direct_fidelity(state, register, ancilla, x, shots=64, seed=0) == 1.0
+    assert direct_fidelity(_flagged([0.0, 1.0]), x, shots=64, seed=0) == 1.0
 
 
 def test_direct_fidelity_uniform_closed_form():
     """Every shot reads |0>, so the overlap is sqrt(1) * |x_0| = 1 / sqrt(2)."""
-    state, register, ancilla = _flagged([1.0, 0.0])
     x = np.array([1.0, 1.0]) / math.sqrt(2)
-    estimate = direct_fidelity(state, register, ancilla, x, shots=64, seed=0)
+    estimate = direct_fidelity(_flagged([1.0, 0.0]), x, shots=64, seed=0)
     assert estimate == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-
-
-def test_direct_fidelity_rejects_a_target_of_the_wrong_length():
-    state, register, ancilla = _flagged([1.0, 0.0])
-    with pytest.raises(ValueError, match="x length does not match the register"):
-        direct_fidelity(state, register, ancilla, np.ones(4) / 2, shots=64, seed=0)
 
 
 def test_direct_fidelity_insufficient_shots():
     # the ancilla stays |0>, so conditioning discards everything
-    state, register, ancilla = _flagged(np.array([1.0, 1.0]) / math.sqrt(2), ancilla_bit=0)
+    branches = _flagged(np.array([1.0, 1.0]) / math.sqrt(2), ancilla_bit=0)
     with pytest.raises(InsufficientShotsError):
-        direct_fidelity(state, register, ancilla, np.array([1.0, 0.0]), shots=64, seed=0)
+        direct_fidelity(branches, np.array([1.0, 0.0]), shots=64, seed=0)
 
 
 def test_direct_mode_ranks_variants_like_exact_mode():
@@ -457,9 +498,9 @@ def test_degenerate_run_error():
 
 def test_projection_fidelity_pure_state():
     """A pure register state scores its squared overlap with the target."""
-    state = StateVector(2, np.array([0.6, 0.8, 0.0, 0.0]))
-    assert projection_fidelity(state, (0,), np.array([0.6, 0.8])) == pytest.approx(1.0, abs=1e-12)
-    assert projection_fidelity(state, (0,), np.array([1.0, 0.0])) == pytest.approx(0.36, abs=1e-12)
+    branches = _flagged([0.6, 0.8])
+    assert projection_fidelity(branches, np.array([0.6, 0.8])) == pytest.approx(1.0, abs=1e-12)
+    assert projection_fidelity(branches, np.array([1.0, 0.0])) == pytest.approx(0.36, abs=1e-12)
 
 
 def test_signed_grid_aligned_run_is_exact():
@@ -572,6 +613,15 @@ def test_run_checks_the_qubit_budget_before_any_work(monkeypatch, config):
         ("preprocess_seed", -1),
         ("seed", None),
         ("preprocess_seed", None),
+        ("shots", 2.5),
+        ("shots", True),
+        ("shots", None),
+        ("preprocess_shots", 1.5),
+        ("clock_bits", 2.5),
+        ("clock_bits", True),
+        ("seed", 1.5),
+        ("seed", False),
+        ("preprocess_seed", np.float64(2.0)),
     ],
 )
 def test_run_config_rejects_bad_shots_and_seeds(field, value):
