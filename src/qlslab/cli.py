@@ -24,9 +24,9 @@ from pathlib import Path
 
 from .analysis import BoundInputs, aggregate, canonical_bound, enhanced_bound
 from .errors import QlsLabError
-from .pipeline import RunConfig, RunResult, _check_count, run
+from .pipeline import RunConfig, RunResult, run
 from .qlsp import QLSP, classical_solution, generate_n2, generate_n4
-from .sim import NoiseSpec
+from .sim import NoiseSpec, check_count
 
 N2_SWEEP_T0 = 18.0 * math.pi
 
@@ -82,7 +82,7 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.source not in ("n2-sweep", "n2-set", "n4-set", "file"):
             raise ValueError(f"unknown problem source {self.source!r}")
-        _check_count("count", self.count, 1)
+        check_count("count", self.count, 1)
         if not self.variants:
             raise ValueError("the variant list is empty")
         if len(set(self.variants)) != len(self.variants):

@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EmptyPlanError
 from .preprocess import EigenEstimateSet, decode_grid_int
 from .sim import Circuit
@@ -218,3 +220,23 @@ def build_inversion_circuit(plan: InversionPlan, clock, ancilla: int) -> Circuit
         raise ValueError("clock register size does not match the plan")
     circuit = Circuit(max(clock + (int(ancilla),)) + 1)
     return circuit.multiplexed_ry(int(ancilla), clock, plan.rotations)
+
+
+def rotate_branches(
+    plan: InversionPlan, blocks: np.ndarray, low: int = 0, high: int | None = None
+) -> np.ndarray:
+    """Gates ``low`` to ``high - 1`` (default: all) of ``build_inversion_circuit``
+    in closed form on ``blocks``, laid out [..., ancilla, clock, b] with
+    ``clock[r]`` as bit r of the clock axis. Rotation (m, theta) is an
+    RY(theta) on the ancilla that fires on clock value m, so it rotates the
+    pair (blocks[..., 0, m, :], blocks[..., 1, m, :]) and nothing else; the
+    gates act on disjoint patterns, so a run of them is its own rotations,
+    one stacked 2x2 product over the run's patterns."""
+    rotations = plan.rotations[low:high]
+    patterns = [m for m, _ in rotations]
+    cos, sin = ([f(0.5 * theta) for _, theta in rotations] for f in (math.cos, math.sin))
+    matrices = np.array([cos, np.negative(sin), sin, cos], dtype=complex).T.reshape(-1, 2, 2)
+    rotated = np.array(blocks, dtype=complex)
+    pairs = rotated.swapaxes(-3, -2)  # a view laid out [..., clock, ancilla, b]
+    pairs[..., patterns, :, :] = matrices @ pairs[..., patterns, :, :]
+    return rotated

@@ -15,16 +15,18 @@ readout mode; the swap-test readout takes its outcome probabilities from the
 branches in closed form and samples them, so it simulates no test register.
 
 One executor runs noiseless and noisy circuits alike. It walks the stage
-records of ``preprocess.qpe_stages`` (Hadamard layer, controlled-power
-ladder, Fourier transform, and their adjoints in the uncompute) and applies
-each run of a stage's gates that no inserted Pauli interrupts by the
-stage's closed form, where it has one for that run; when the whole prefix
-is Pauli-free, its cached output (``qpe_state``) stands in for it. So a
-Pauli inside a Hadamard layer or ladder splits that stage into closed forms
-on the clock bits either side. The inversion block, a Fourier transform a
-Pauli lands in and the Paulis themselves are simulated gate by gate, so a
-noiseless run simulates only the inversion block. Every run reports the
-gate counts of the whole noiseless circuit. Consecutive runs on one problem
+records of ``preprocess.qpe_stages`` (state preparation, Hadamard layer,
+controlled-power ladder, Fourier transform, and their adjoints in the
+uncompute) and of the inversion block (``inversion.rotate_branches``), and
+applies each run of a stage's gates that no inserted Pauli interrupts by
+the stage's closed form. Every stage except state preparation runs in
+closed form, split at any Pauli: a Pauli inside a Hadamard layer, ladder
+or inversion block splits it into closed forms either side, and only a
+Fourier transform that a Pauli lands in is simulated gate by gate, with
+state preparation and the Paulis themselves. When the whole prefix is
+Pauli-free, its cached walk stands in for it, so noiseless runs simulate
+state preparation once per problem and t0. Every run reports the gate
+counts of the whole noiseless circuit. Consecutive runs on one problem
 share its stage records, prefix state and iterative t0 search through
 one-slot memos (``_qpe_blocks``, ``_searched_t0``).
 
@@ -59,6 +61,7 @@ from .inversion import (
     plan_canonical,
     plan_enhanced,
     plan_hybrid,
+    rotate_branches,
 )
 from .preprocess import (
     EigenEstimateSet,
@@ -66,7 +69,6 @@ from .preprocess import (
     fixed_t0,
     iterative_t0,
     qpe_stages,
-    qpe_state,
     run_preprocessing,
 )
 from .qlsp import QLSP, classical_solution
@@ -78,6 +80,7 @@ from .sim import (
     StateVector,
     apply_circuit,
     check_capacity,
+    check_count,
     gate_report,
     inject_noise,
     postselect,
@@ -118,7 +121,7 @@ class RunConfig:
         for name in ("clock_bits", *optional, "shots", "seed", "preprocess_seed"):
             value = getattr(self, name)
             if value is not None or name not in optional:
-                _check_count(name, value, 0 if name.endswith("seed") else 1)
+                check_count(name, value, 0 if name.endswith("seed") else 1)
         if self.t0_mode not in ("fixed", "iterative", "explicit"):
             raise ValueError(f"unknown t0 mode {self.t0_mode!r}")
         if self.t0_mode == "explicit" and not 0 < (self.t0_value or 0) < math.inf:
@@ -145,16 +148,6 @@ class RunConfig:
                     f"{name} = {getattr(self, name)} needs {width} qubits even on a 2x2"
                     f" problem, over the simulator budget of {MAX_QUBITS}"
                 )
-
-
-def _check_count(name: str, value, least: int) -> None:
-    """Reject ``value`` for the field ``name`` unless it is an int of at least ``least``.
-
-    Python and numpy ints pass; bools, floats and None do not, whatever their value.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        bound = "non-negative" if least == 0 else f"at least {least}"
-        raise ValueError(f"{name} must be {bound} and an int, not {value!r}")
 
 
 def _widths(config: RunConfig, nb: int) -> list[tuple[str, int]]:
@@ -198,20 +191,22 @@ def error_from_fidelity(fidelity: float) -> float:
 @functools.lru_cache(maxsize=1)
 def _qpe_blocks(
     qlsp: QLSP, clock_bits: int, t0: float
-) -> tuple[tuple[Stage, ...], tuple[Stage, ...], StateVector]:
+) -> tuple[tuple[Stage, ...], tuple[Stage, ...], np.ndarray]:
     """``qpe_stages`` of the solver's prefix (prepare b + QPE) and uncompute,
-    and the solver state after the prefix.
+    and the solver's amplitudes after the prefix, laid out [ancilla, clock, b].
 
-    The state is ``qpe_state`` with the ancilla, the solver's top qubit, at
-    |0>. A batch runs a problem's variants back to back and they share the
-    block whenever they share t0, so one slot holds every reuse there is. The
-    key holds the problem by identity, which is safe because ``QLSP`` is
-    immutable.
+    The amplitudes are ``_walk`` of the Pauli-free prefix from |0>: state
+    preparation simulated, then the Hadamard layer, ladder and inverse QFT
+    in closed form. A batch runs a problem's variants back to back and they
+    share the block whenever they share t0, so one slot holds every reuse
+    there is. The key holds the problem by identity, which is safe because
+    ``QLSP`` is immutable.
     """
     prefix, uncompute = qpe_stages(qlsp, clock_bits, t0)
-    prepared = qpe_state(qlsp, clock_bits, t0)
-    start = np.concatenate((prepared.amplitudes, np.zeros_like(prepared.amplitudes)))
-    return prefix, uncompute, StateVector(prepared.num_qubits + 1, start, validate=False)
+    zero = StateVector.zero(qlsp.num_qubits + clock_bits + 1).amplitudes
+    prepared = _walk(zero.reshape(2, 2**clock_bits, qlsp.dimension), prefix, {})
+    prepared.setflags(write=False)
+    return prefix, uncompute, prepared
 
 
 def assemble_hhl(qlsp: QLSP, clock_bits: int, t0: float, plan: InversionPlan) -> Circuit:
@@ -219,12 +214,10 @@ def assemble_hhl(qlsp: QLSP, clock_bits: int, t0: float, plan: InversionPlan) ->
     if plan.bit_width != clock_bits:
         raise ValueError("plan bit width does not match the clock register")
     nb = qlsp.num_qubits
-    total = nb + clock_bits + 1
-    check_capacity(total)
-    clock = tuple(range(nb, nb + clock_bits))
-    circuit = Circuit(total)
+    circuit = Circuit(nb + clock_bits + 1)
+    check_capacity(circuit.num_qubits)
     prefix, uncompute, _ = _qpe_blocks(qlsp, clock_bits, t0)
-    inversion = Stage(build_inversion_circuit(plan, clock, nb + clock_bits).gates)
+    inversion = build_inversion_circuit(plan, range(nb, nb + clock_bits), nb + clock_bits)
     # each block was built in a circuit no wider than this one, whose add
     # already checked that every gate fits
     for stage in (*prefix, inversion, *uncompute):
@@ -233,24 +226,23 @@ def assemble_hhl(qlsp: QLSP, clock_bits: int, t0: float, plan: InversionPlan) ->
 
 
 def _solver_state(
-    qlsp: QLSP, clock_bits: int, t0: float, circuit: Circuit, executed: Circuit
+    qlsp: QLSP, t0: float, plan: InversionPlan, circuit: Circuit, executed: Circuit
 ) -> np.ndarray:
     """Output of ``executed`` on |0> as the ancilla branches, shape (2, 2^k, N):
-    ``executed`` is ``assemble_hhl``'s ``circuit`` with any Paulis that
-    ``inject_noise`` inserted after its gates.
+    ``executed`` is ``assemble_hhl(qlsp, k, t0, plan)``'s ``circuit`` with any
+    Paulis that ``inject_noise`` inserted after its gates.
 
-    Walks the stage records of ``_qpe_blocks`` around the inversion block.
-    Each run of a stage's gates that no Pauli interrupts goes to the stage's
-    closed form where it has one for that run; all else, Paulis included, is
-    simulated in as few ``apply_circuit`` calls as the closed forms allow.
-    When no Pauli comes before the prefix's last gate, the prefix's cached
-    output state stands in for its stages.
+    Walks the stage records of ``_qpe_blocks`` and the inversion block
+    (``rotate_branches``): every stage except state preparation runs in
+    closed form, split at any Pauli. When no Pauli comes before the prefix's
+    last gate, the cached walk of the prefix stands in for its stages.
     """
-    prefix, uncompute, prepared = _qpe_blocks(qlsp, clock_bits, t0)
-    gates, width = circuit.gates, circuit.num_qubits
-    layout = (2, 2**clock_bits, qlsp.dimension)  # [ancilla, clock, b]
+    prefix, uncompute, prepared = _qpe_blocks(qlsp, plan.bit_width, t0)
+    gates = circuit.gates
     opening = sum(len(stage.gates) for stage in prefix)
     closing = len(gates) - sum(len(stage.gates) for stage in uncompute)
+    rotations = tuple(range(closing - opening))  # gate i is the plan's rotation i
+    inversion = Stage(gates[opening:closing], functools.partial(rotate_branches, plan), rotations)
     follows: dict[int, list[Gate]] = {}  # index in gates -> the Paulis inserted after it
     if len(executed.gates) > len(gates):
         originals, i = set(map(id, gates)), -1
@@ -260,35 +252,42 @@ def _solver_state(
             else:
                 follows.setdefault(i, []).append(gate)
     if min(follows, default=opening) >= opening - 1:
-        amplitudes, start = prepared.amplitudes, opening
-        pending = list(follows.get(opening - 1, ()))  # gates to simulate before a closed form
-    else:
-        amplitudes, start, pending = StateVector.zero(width).amplitudes, 0, []
-    end = 0
-    for stage in (*prefix, Stage(gates[opening:closing]), *uncompute):
+        follows = {i - opening: paulis for i, paulis in follows.items()}
+        return _walk(prepared, (inversion, *uncompute), follows)
+    zero = StateVector.zero(circuit.num_qubits).amplitudes.reshape(prepared.shape)
+    return _walk(zero, (*prefix, inversion, *uncompute), follows)
+
+
+def _walk(blocks: np.ndarray, stages, follows: dict[int, list[Gate]]) -> np.ndarray:
+    """``stages`` applied to the amplitudes ``blocks``, laid out [ancilla, clock, b],
+    with ``follows[i]``, the Paulis inserted after gate i of the stages' joint
+    gate list (i = -1: before the first). Each run of a stage's gates that no
+    Pauli interrupts goes to the stage's closed form where it has one for that
+    run; all else, Paulis included, is simulated in as few ``apply_circuit``
+    calls as the closed forms allow."""
+    pending, end = list(follows.get(-1, ())), 0  # gates to simulate before a closed form
+    for stage in (stage for stage in stages if stage.gates):
         offset, end = end, end + len(stage.gates)
-        if end <= start:
-            continue  # the cached prefix state stands in for this stage
         # the stage's runs [start, stop) that no Pauli interrupts
-        for stop in sorted({i + 1 for i in follows if start <= i < end - 1}) + [end]:
+        stops = sorted({i + 1 for i in follows if offset <= i < end - 1}) + [end]
+        for start, stop in zip([offset] + stops, stops):
             closed = stage.closed_form(start - offset, stop - offset)
             if closed is None:
-                pending += gates[start:stop]
+                pending += stage.gates[start - offset : stop - offset]
             else:
-                amplitudes = _simulate(amplitudes, width, pending)
-                amplitudes, pending = closed(amplitudes.reshape(layout)).reshape(-1), []
+                blocks, pending = closed(_simulate(blocks, pending)), []
             pending += follows.get(stop - 1, ())
-            start = stop
-    return _simulate(amplitudes, width, pending).reshape(layout)
+    return _simulate(blocks, pending)
 
 
-def _simulate(amplitudes: np.ndarray, width: int, gates: list[Gate]) -> np.ndarray:
-    """``gates`` applied to ``amplitudes`` on ``width`` qubits; no call for no gates."""
+def _simulate(blocks: np.ndarray, gates: list[Gate]) -> np.ndarray:
+    """``gates`` applied to the amplitudes ``blocks``; no call for no gates."""
     if not gates:
-        return amplitudes
-    part = Circuit(width)
+        return blocks
+    part = Circuit(blocks.size.bit_length() - 1)
     part.gates = gates
-    return apply_circuit(StateVector(width, amplitudes, validate=False), part).amplitudes
+    state = StateVector(part.num_qubits, blocks.reshape(-1), validate=False)
+    return apply_circuit(state, part).amplitudes.reshape(blocks.shape)
 
 
 def _target(x, branches: np.ndarray) -> np.ndarray:
@@ -410,7 +409,7 @@ def run(qlsp: QLSP, config: RunConfig) -> RunResult:
     circuit = assemble_hhl(qlsp, k, t0, plan)
     report = gate_report(circuit)
     executed = inject_noise(circuit, config.noise) if config.noise else circuit
-    branches = _solver_state(qlsp, k, t0, circuit, executed)
+    branches = _solver_state(qlsp, t0, plan, circuit, executed)
 
     state = StateVector(circuit.num_qubits, branches.reshape(-1), validate=False)
     try:

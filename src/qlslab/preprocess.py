@@ -221,22 +221,23 @@ def clock_qft(blocks: np.ndarray, inverse: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Stage:
-    """One stage of ``qpe_stages``: its ``gates``, their ``closed`` form on
+    """One stage of the solver circuit: its ``gates``, their ``closed`` form on
     amplitudes laid out [rest, clock, b] (None where they must be simulated)
-    and, for a product of commuting one-bit factors, each gate's clock bit;
-    ``closed`` then takes clock bits ``low`` to ``high - 1`` as well."""
+    and, for a product of commuting factors, each gate's factor (its clock bit
+    in a Hadamard layer or ladder, its rotation's index in the inversion
+    block); ``closed`` then takes factors ``low`` to ``high - 1`` as well."""
 
     gates: Sequence[Gate]
     closed: Callable[..., np.ndarray] | None = None
-    bits: tuple[int, ...] | None = None
+    factors: tuple[int, ...] | None = None
 
     def closed_form(self, start: int, stop: int) -> Callable[..., np.ndarray] | None:
         """The closed form of ``gates[start:stop]``, or None where they must be simulated."""
         if self.closed is None or (start, stop) == (0, len(self.gates)):
             return self.closed
-        if self.bits is None:
+        if self.factors is None:
             return None
-        span = self.bits[start:stop]  # a run of gates covers a run of clock bits
+        span = self.factors[start:stop]  # a run of gates covers a run of factors
         return functools.partial(self.closed, low=min(span), high=max(span) + 1)
 
 

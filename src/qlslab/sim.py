@@ -11,14 +11,14 @@ Conventions:
 ``_gate_plan`` alone maps qubits to array axes: one cached view plan per
 qubit structure (width, trailing axes, targets, controls) splits the
 amplitudes only at those qubits, fixes the controls and brings the targets
-to the front. Gates, RY runs, ``register_matrix`` and ``postselect`` all
-work on such views. ``apply_circuit`` applies each run of RY gates that
-``_ry_run_end`` finds (``Circuit.multiplexed_ry`` builds them) as one
-stacked 2x2 product on the fired control patterns, and every other gate on
-its own: a single-target diagonal gate, such as the QFT's controlled phases
-and Pauli Z, scales each half of its view in place and skips a half whose
-entry is 1; any other gate is one transpose, product and assignment.
-``circuit_matrix`` stays gate by gate as the reference.
+to the front. Gates, ``register_matrix`` and ``postselect`` all work on
+such views. ``apply_circuit`` and ``circuit_matrix`` apply one gate at a
+time, and so are the gate-by-gate reference for every closed form: a
+single-target diagonal gate, such as the QFT's controlled phases and
+Pauli Z, scales each half of its view in place and skips a half whose entry
+is 1; any other gate is one transpose, product and assignment. The solver's
+executor runs every stage except state preparation in closed form, split
+at any Pauli, and simulates only what that leaves.
 
 States are immutable and every operation returns a new value. Circuits are
 mutable builders, but simulation never modifies them. RNG state is always a
@@ -47,6 +47,16 @@ def check_capacity(num_qubits: int) -> None:
     """Raise ``CapacityError`` when a ``num_qubits`` state would exceed ``MAX_QUBITS``."""
     if num_qubits > MAX_QUBITS:
         raise CapacityError(f"{num_qubits} qubits exceed the simulator budget of {MAX_QUBITS}")
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Reject ``value`` for the field ``name`` unless it is an int of at least ``least``.
+
+    Python and numpy ints pass; bools, floats and None do not, whatever their value.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound} and an int, not {value!r}")
 
 
 class GateKind(Enum):
@@ -358,64 +368,6 @@ def _apply_gate(vec: np.ndarray, gate: Gate) -> None:
     block[...] = (matrix @ block.reshape(span, -1)).reshape(block.shape)
 
 
-def _ry_run_end(gates: Sequence[Gate], start: int) -> int:
-    """End of the longest run from ``start`` that one ``_apply_ry_run`` call may apply.
-
-    A run is consecutive RY gates on the same target and the same ordered
-    control qubits that fire on distinct patterns. They touch disjoint
-    amplitudes, so they commute. A gate that starts no run ends at ``start + 1``.
-    """
-    first = gates[start]
-    end = start + 1
-    if first.kind is not GateKind.RY:
-        return end
-    qubits = first.qubits()
-    seen = {first.controls}
-    while end < len(gates):
-        gate = gates[end]
-        if gate.kind is not GateKind.RY or gate.qubits() != qubits or gate.controls in seen:
-            break
-        seen.add(gate.controls)
-        end += 1
-    return end
-
-
-def _apply_ry_run(vec: np.ndarray, run: Sequence[Gate]) -> None:
-    """Apply a run from ``_ry_run_end`` in place as one stacked 2x2 product.
-
-    Like ``_apply_gate``, amplitudes lie on axis 0 with any trailing axes.
-    The plan of the run's qubits with no control fixed leads with the control
-    pattern (``controls[0]`` its LSB) and then the target; only the patterns
-    the run fires are multiplied, each by the matrix ``resolved_matrix`` builds.
-    """
-    n = vec.shape[0].bit_length() - 1
-    shape, _, order, _ = _gate_plan(n, vec.ndim - 1, run[0].qubits(), ())
-    view = vec.reshape(shape + vec.shape[1:]).transpose(order)
-    width = len(run[0].controls)
-    grid = view.reshape(1 << width, 2, -1)
-    bits = np.array([p for g in run for _, p in g.controls], dtype=np.intp)
-    fired = bits.reshape(len(run), width) @ (1 << np.arange(width))
-    halves = [0.5 * g.angle for g in run]
-    cos = np.array([math.cos(h) for h in halves])
-    sin = np.array([math.sin(h) for h in halves])
-    matrices = np.array([cos, -sin, sin, cos], dtype=complex).T.reshape(-1, 2, 2)
-    grid[fired] = matrices @ grid[fired]
-    if not np.may_share_memory(grid, vec):  # the reshape had to copy
-        view[...] = grid.reshape(view.shape)
-
-
-def _apply_gates(vec: np.ndarray, gates: Sequence[Gate]) -> None:
-    """Apply ``gates`` in order, in place; each RY run is one kernel call."""
-    start = 0
-    while start < len(gates):
-        end = _ry_run_end(gates, start)
-        if end - start > 1:
-            _apply_ry_run(vec, gates[start:end])
-        else:
-            _apply_gate(vec, gates[start])
-        start = end
-
-
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Apply the circuit's gates in order; returns the exact output state."""
     if state.num_qubits != circuit.num_qubits:
@@ -423,7 +375,8 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
             f"state has {state.num_qubits} qubit(s) but circuit expects {circuit.num_qubits}"
         )
     vec = np.array(state.amplitudes, dtype=complex)
-    _apply_gates(vec, circuit.gates)
+    for gate in circuit.gates:
+        _apply_gate(vec, gate)
     return StateVector(circuit.num_qubits, vec, validate=False)
 
 
@@ -489,8 +442,7 @@ def sample(probabilities, shots: int, seed: int | None = None) -> np.ndarray:
     draw, so outcomes that tie in exact arithmetic draw the same counts at
     one seed whichever last bits the arithmetic left them.
     """
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
+    check_count("shots", shots, 1)
     probs = np.asarray(probabilities, dtype=float).reshape(-1)
     if probs.size == 0:
         raise ValueError("no outcome probabilities to sample")
@@ -539,8 +491,7 @@ class NoiseSpec:
         p = float(self.per_gate_pauli_probability)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability must lie in [0, 1], not {p}")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be non-negative, not {self.rng_seed}")
+        check_count("rng_seed", self.rng_seed, 0)
         object.__setattr__(self, "per_gate_pauli_probability", p)
 
 

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
+from test_preprocess import random_problem
 
 from qlslab.errors import EmptyPlanError
 from qlslab.inversion import (
@@ -14,10 +15,11 @@ from qlslab.inversion import (
     plan_canonical,
     plan_enhanced,
     plan_hybrid,
+    rotate_branches,
 )
 from qlslab.preprocess import EigenEstimate, EigenEstimateSet, run_preprocessing
 from qlslab.qlsp import generate_n2
-from qlslab.sim import StateVector, apply_circuit
+from qlslab.sim import Circuit, StateVector, apply_circuit
 
 TWO_PI = 2.0 * math.pi
 
@@ -269,6 +271,63 @@ def test_inversion_circuit_control_polarities():
     start[3] = 1.0
     out = apply_circuit(StateVector(3, start), circuit)
     assert abs(out.amplitudes[3]) == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def _inversion_case(draw):
+    """(plan, nb, states): a plan of any variant and angle policy, or an empty
+    one, for a ``random_problem`` with a positive, signed or dilated spectrum
+    on nb b qubits and k <= 5 clock bits, and two random states laid out
+    [state, ancilla, clock, b]."""
+    qlsp = draw(random_problem((2, 4)))
+    k = draw(st.integers(1, 5))
+    t0 = draw(st.floats(5.0, 80.0))
+    signed = qlsp.has_negative_eigenvalues
+    kind = draw(st.sampled_from(["canonical", "hybrid", "least-squares", "paper", "empty"]))
+    try:
+        if kind == "canonical":
+            plan = plan_canonical(k, t0, signed_mode=signed)
+        elif kind == "hybrid":
+            plan = plan_hybrid(run_preprocessing(qlsp, k, t0))
+        elif kind == "empty":
+            plan = InversionPlan(k, (), 1.0)
+        else:
+            estimates = run_preprocessing(qlsp, k + 2, 4 * t0)
+            plan = plan_enhanced(estimates, k, angle_policy=kind)
+    except EmptyPlanError:
+        reject()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (2, 2, 2**k, qlsp.dimension)
+    states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    norms = np.linalg.norm(states.reshape(2, -1), axis=1)
+    return plan, qlsp.num_qubits, states / norms[:, None, None, None]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_inversion_case())
+def test_rotate_branches_matches_every_run_of_its_gates(case):
+    """``rotate_branches`` of rotations [start, stop) is the gate-by-gate
+    simulation of ``build_inversion_circuit``'s gates [start, stop), for
+    every run, and of all its gates by default."""
+    plan, nb, states = case
+    k = plan.bit_width
+    gates = build_inversion_circuit(plan, range(nb, nb + k), nb + k).gates
+    assert np.max(np.abs(rotate_branches(plan, states) - _simulated(states, gates))) < 1e-12
+    for start in range(len(gates)):
+        reference = states
+        for stop in range(start + 1, len(gates) + 1):
+            reference = _simulated(reference, gates[stop - 1 : stop])
+            closed = rotate_branches(plan, states, start, stop)
+            assert np.max(np.abs(closed - reference)) < 1e-12
+
+
+def _simulated(states, gates):
+    """Each of ``states`` with ``gates`` applied by ``apply_circuit``."""
+    width = states[0].size.bit_length() - 1
+    circuit = Circuit(width)
+    circuit.gates = list(gates)
+    images = [apply_circuit(StateVector(width, s.reshape(-1)), circuit) for s in states]
+    return np.stack([image.amplitudes.reshape(states.shape[1:]) for image in images])
 
 
 def test_plan_validation():

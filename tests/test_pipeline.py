@@ -105,9 +105,9 @@ def _noiseless_case(draw):
 @settings(derandomize=True, deadline=None)
 @given(_noiseless_case())
 def test_noiseless_runs_match_the_dense_simulation(case):
-    """With no Paulis, the executor's closed-form QPE stages around the
-    simulated inversion give the state, fidelity and success probability of
-    the whole circuit simulated gate by gate."""
+    """With no Paulis, the executor's simulated state preparation and
+    closed-form QPE and inversion stages give the state, fidelity and
+    success probability of the whole circuit simulated gate by gate."""
     qlsp, config = case
     try:
         result = run(qlsp, config)
@@ -116,7 +116,7 @@ def test_noiseless_runs_match_the_dense_simulation(case):
     k = config.clock_bits
     circuit = assemble_hhl(qlsp, k, result.t0, result.plan)
     dense = apply_circuit(StateVector.zero(circuit.num_qubits), circuit)
-    closed = pipeline._solver_state(qlsp, k, result.t0, circuit, circuit)
+    closed = pipeline._solver_state(qlsp, result.t0, result.plan, circuit, circuit)
     assert np.max(np.abs(closed.reshape(-1) - dense.amplitudes)) < 1e-12
     nb = qlsp.num_qubits
     post, success = postselect(dense, nb + k, 1)
@@ -146,28 +146,34 @@ def test_the_executor_matches_the_noisy_circuit_simulated_gate_by_gate(case):
     circuit = assemble_hhl(qlsp, config.clock_bits, result.t0, result.plan)
     executed = inject_noise(circuit, noise)
     dense = apply_circuit(StateVector.zero(circuit.num_qubits), executed)
-    branches = pipeline._solver_state(qlsp, config.clock_bits, result.t0, circuit, executed)
+    branches = pipeline._solver_state(qlsp, result.t0, result.plan, circuit, executed)
     assert np.max(np.abs(branches.reshape(-1) - dense.amplitudes)) < 1e-12
 
 
 @pytest.mark.parametrize(
-    "stage, where", [(s, w) for s in RECORDS for w in ("inside", "after")] + [(None, None)]
+    "stage, where",
+    [(s, w) for s in (*RECORDS, "inversion") for w in ("inside", "after")] + [(None, None)],
 )
 def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where):
-    """One Pauli after the first gate of a QPE stage lands inside it: a
-    Fourier transform then runs gate by gate, and a Hadamard layer or ladder
-    splits into two closed forms around the Pauli. One after the stage's
-    last gate leaves the stage in closed form. Counters on the transforms
-    that the stage records call, and on the simulated gates, see every
-    other stage run in closed form."""
+    """One Pauli after the first gate of a stage lands inside it: a Fourier
+    transform then runs gate by gate, and a Hadamard layer, ladder or
+    inversion block splits into two closed forms around the Pauli. One after
+    the stage's last gate leaves the stage in closed form. Counters on the
+    closed forms that the stages call, and on the simulated gates, see every
+    other stage run in closed form and no RY gate simulated."""
     calls, gates = [], []
-    for name in ("clock_hadamards", "clock_powers", "clock_qft"):
+    for module, name in (
+        (preprocess, "clock_hadamards"),
+        (preprocess, "clock_powers"),
+        (preprocess, "clock_qft"),
+        (pipeline, "rotate_branches"),
+    ):
 
-        def counted(*args, _original=getattr(preprocess, name), **kwargs):
+        def counted(*args, _original=getattr(module, name), **kwargs):
             calls.append(_original)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(preprocess, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
     def counted_apply(state, part):
         gates.extend(part.gates)
@@ -176,25 +182,33 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
     monkeypatch.setattr(pipeline, "apply_circuit", counted_apply)
     pipeline._qpe_blocks.cache_clear()  # so that the records call the counters
     qlsp, k, t0 = generate_n4(PAPER_N4_EIGENVALUES, (0, 1), 7), 3, 11.0
-    circuit = assemble_hhl(qlsp, k, t0, plan_canonical(k, t0, signed_mode=True))
+    plan = plan_canonical(k, t0, signed_mode=True)
+    circuit = assemble_hhl(qlsp, k, t0, plan)
     prefix, uncompute, _ = pipeline._qpe_blocks(qlsp, k, t0)
+    # the cached walk of the prefix: prepare b, then three closed forms
+    assert len(gates) == 1 and len(calls) == 3
+    gates.clear()
+    calls.clear()
     opening = sum(len(record.gates) for record in prefix)
     closing = len(circuit.gates) - sum(len(record.gates) for record in uncompute)
     noisy = list(circuit.gates)
-    simulated = closing - opening  # the inversion block
-    transforms = 3  # the uncompute's; the cached prefix state stands in for the prefix's
+    simulated = 0
+    transforms = 4  # the inversion's and the uncompute's; the cached walk stands in for the prefix
     if stage is not None:
-        block, position = RECORDS[stage]
-        record = (prefix, uncompute)[block][position]
-        if block == 0:
-            start = sum(len(r.gates) for r in prefix[:position])
+        if stage == "inversion":
+            start, end, split = opening, closing, True
         else:
-            start = closing + sum(len(r.gates) for r in uncompute[:position])
-        end = start + len(record.gates)
+            block, position = RECORDS[stage]
+            record = (prefix, uncompute)[block][position]
+            if block == 0:
+                start = sum(len(r.gates) for r in prefix[:position])
+            else:
+                start = closing + sum(len(r.gates) for r in uncompute[:position])
+            end, split = start + len(record.gates), record.factors is not None
         after = start if where == "inside" else end - 1
         noisy.insert(after + 1, Gate(GateKind.PAULI_X, (circuit.gates[after].qubits()[0],)))
         simulated += 1
-        if where == "inside" and record.bits is not None:
+        if where == "inside" and split:
             transforms += 1
         elif where == "inside":
             simulated += end - start
@@ -204,12 +218,13 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
             transforms += 3
     executed = Circuit(circuit.num_qubits)
     executed.gates = noisy
-    branches = pipeline._solver_state(qlsp, k, t0, circuit, executed)
+    branches = pipeline._solver_state(qlsp, t0, plan, circuit, executed)
     pipeline._qpe_blocks.cache_clear()
     dense = apply_circuit(StateVector.zero(circuit.num_qubits), executed)
     assert np.max(np.abs(branches.reshape(-1) - dense.amplitudes)) < 1e-12
     assert len(calls) == transforms
     assert len(gates) == simulated
+    assert all(gate.kind is not GateKind.RY for gate in gates)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -389,21 +404,28 @@ def test_direct_fidelity_rejects_a_target_of_the_wrong_length():
 
 
 def test_swap_readout_simulates_solver_once(monkeypatch):
-    """The solver's simulation carries only the inversion rotations (its QPE
-    block and uncompute are closed-form), and the readout simulates nothing."""
-    gate_counts = []
+    """Only state preparation is simulated, once per miss of the prefix memo:
+    every other stage of the solver runs in closed form and the swap-test
+    readout simulates nothing, so a second run at the same t0 simulates no
+    gate at all."""
+    simulated = []
 
     def counting_apply(state, circuit):
-        gate_counts.append(len(circuit))
+        simulated.extend(circuit.gates)
         return apply_circuit(state, circuit)
 
     monkeypatch.setattr(pipeline, "apply_circuit", counting_apply)
+    pipeline._qpe_blocks.cache_clear()
     qlsp = generate_n2(0.3)
     config = RunConfig(
         variant="canonical", t0_mode="explicit", t0_value=ON_GRID_T0, readout="swap"
     )
-    result = run(qlsp, config)
-    assert gate_counts == [len(result.plan.rotations)]
+    run(qlsp, config)
+    (preparation,) = simulated
+    assert preparation is pipeline._qpe_blocks(qlsp, 3, ON_GRID_T0)[0][0].gates[0]
+    simulated.clear()
+    run(qlsp, dataclasses.replace(config, variant="hybrid", seed=12))
+    assert simulated == []
 
 
 def test_swap_and_exact_readouts_agree():

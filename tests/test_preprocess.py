@@ -217,15 +217,15 @@ def test_stage_records_match_their_gates(case):
     assert [_gate_key(g) for r in prefix for g in r.gates] == list(map(_gate_key, gates))
     undo = [_gate_key(g) for r in uncompute for g in r.gates]
     assert undo == list(map(_gate_key, inverted_gates(gates[1:])))
-    assert prefix[0].closed is None and prefix[0].bits is None  # state preparation
+    assert prefix[0].closed is None and prefix[0].factors is None  # state preparation
     width = qlsp.num_qubits + bits
     for record in prefix[1:] + uncompute:
         size = len(record.gates)
         assert _closed_form_error(qlsp, bits, record, 0, size) < 1e-12
-        if record.bits is None:
+        if record.factors is None:
             assert size == 1 or record.closed_form(0, size - 1) is None  # a Fourier transform
             continue
-        assert sorted(record.bits) == list(range(bits)) and size == bits
+        assert sorted(record.factors) == list(range(bits)) and size == bits
         for start in range(size):
             for stop in range(start + 1, size + 1):
                 circuit = Circuit(width)
@@ -250,7 +250,7 @@ def _run(record, low, high):
     or of all its gates for ``high`` None."""
     if high is None:
         return 0, len(record.gates)
-    inside = [i for i, bit in enumerate(record.bits) if low <= bit < high]
+    inside = [i for i, bit in enumerate(record.factors) if low <= bit < high]
     return inside[0], inside[-1] + 1
 
 

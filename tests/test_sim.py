@@ -13,9 +13,6 @@ from qlslab.sim import (
     GateKind,
     NoiseSpec,
     StateVector,
-    _apply_gate,
-    _apply_gates,
-    _ry_run_end,
     apply_circuit,
     circuit_matrix,
     gate_report,
@@ -150,10 +147,12 @@ def test_sample_index_order():
 
 
 def test_sample_requires_qubits_and_shots():
+    """A float or bool count of shots is rejected, not truncated or read as 0 or 1."""
     with pytest.raises(ValueError, match="no outcome"):
         sample([], 10)
-    with pytest.raises(ValueError, match="shots"):
-        sample([1.0], 0)
+    for shots in (0, 2.5, True, None):
+        with pytest.raises(ValueError, match="shots must be at least 1 and an int"):
+            sample([0.5, 0.5], shots, 0)
 
 
 @pytest.mark.parametrize(
@@ -420,10 +419,13 @@ def test_inject_noise_deterministic():
 
 
 def test_noise_spec_validation():
+    """A float seed would fail only when ``inject_noise`` seeds its stream,
+    and a bool would run as seed 0 or 1."""
     with pytest.raises(ValueError):
         NoiseSpec(1.5)
-    with pytest.raises(ValueError, match="rng_seed"):
-        NoiseSpec(0.01, rng_seed=-1)
+    for seed in (-1, 1.5, True, None):
+        with pytest.raises(ValueError, match="rng_seed must be non-negative and an int"):
+            NoiseSpec(0.1, seed)
 
 
 def test_gate_report_empty():
@@ -555,83 +557,3 @@ def test_multiplexed_ry_rejects_qubits_outside_the_circuit():
     with pytest.raises(InvalidCircuitError):
         circuit.multiplexed_ry(0, (1, 3), [(1, 0.5)])
     assert circuit.gates == []
-
-
-def _run_bounds(gates):
-    bounds, start = [0], 0
-    while start < len(gates):
-        start = _ry_run_end(gates, start)
-        bounds.append(start)
-    return bounds
-
-
-def test_ry_runs_end_at_a_repeat_a_reorder_or_another_gate():
-    circuit = Circuit(4)
-    circuit.multiplexed_ry(0, (1, 2), [(0, 0.1), (3, 0.2), (1, 0.3)])  # one run
-    circuit.add(_ry(0, 0.4, ((1, 1), (2, 1))))  # repeats pattern 3
-    circuit.add(_ry(0, 0.5, ((2, 0), (1, 0))))  # same controls in another order
-    circuit.add(_ry(0, 0.6, ((2, 1), (1, 0))))  # fuses with the previous gate
-    circuit.add(_ry(3, 0.7, ((1, 0), (2, 0))))  # another target
-    circuit.add(_x(0))  # not an RY
-    circuit.add(_ry(0, 0.8)).add(_ry(0, 0.9))  # uncontrolled RYs repeat the empty pattern
-    circuit.add(_ry(0, 1.0, ((1, 1),))).add(_ry(0, 1.1, ((1, 0),)))  # one run
-    assert _run_bounds(circuit.gates) == [0, 3, 4, 6, 7, 8, 9, 10, 12]
-
-
-@st.composite
-def _ry_run_circuit(draw):
-    """Circuits of multi-controlled RY runs with interleaved other gates."""
-    n = draw(st.integers(1, 6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    circuit = Circuit(n)
-    for _ in range(draw(st.integers(1, 4))):
-        order = [int(q) for q in draw(st.permutations(range(n)))]
-        target, rest = order[0], order[1:]
-        segment = draw(st.sampled_from(["run", "run", "run", "other", "plain ry"]))
-        if segment == "other":
-            kind = draw(st.sampled_from([GateKind.HADAMARD, GateKind.PAULI_Y, GateKind.UNITARY]))
-            matrix = _random_unitary(rng, 2) if kind is GateKind.UNITARY else None
-            controls = tuple((q, draw(st.integers(0, 1))) for q in rest[: draw(st.integers(0, 2))])
-            circuit.add(Gate(kind, (target,), controls, matrix=matrix))
-            continue
-        if segment == "plain ry":
-            circuit.add(_ry(target, float(rng.uniform(-7, 7))))
-            continue
-        controls = rest[: draw(st.integers(0, len(rest)))]
-        width = 2 ** len(controls)
-        patterns = draw(
-            st.lists(st.integers(0, width - 1), min_size=1, max_size=width, unique=True)
-        )
-        if draw(st.booleans()):  # a repeated pattern must split the run
-            patterns.insert(draw(st.integers(1, len(patterns))), draw(st.sampled_from(patterns)))
-        if draw(st.booleans()):  # the same controls in another order must not fuse
-            patterns += [-1] + draw(st.lists(st.integers(0, width - 1), max_size=3))
-        order_now = list(controls)
-        for pattern in patterns:
-            if pattern == -1:
-                order_now = [int(q) for q in draw(st.permutations(controls))]
-                continue
-            polarities = tuple((q, (pattern >> r) & 1) for r, q in enumerate(order_now))
-            circuit.add(_ry(target, float(rng.uniform(-7, 7)), polarities))
-    amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    return circuit, StateVector(n, amps / np.linalg.norm(amps))
-
-
-@settings(derandomize=True, deadline=None)
-@given(_ry_run_circuit())
-def test_fused_ry_runs_match_gate_by_gate(case):
-    """Runs applied as one kernel call agree with ``_apply_gate`` gate by gate.
-
-    The stacked product may round differently from the per-gate product, so
-    the comparison is to 1e-12, not bitwise. The unitary comparison runs the
-    kernel on a matrix, which covers its trailing axes.
-    """
-    circuit, state = case
-    reference = np.array(state.amplitudes)
-    for gate in circuit.gates:
-        _apply_gate(reference, gate)
-    out = apply_circuit(state, circuit)
-    assert np.max(np.abs(out.amplitudes - reference)) < 1e-12
-    fused = np.eye(2**circuit.num_qubits, dtype=complex)
-    _apply_gates(fused, circuit.gates)
-    assert np.max(np.abs(fused - circuit_matrix(circuit))) < 1e-12
