@@ -19,6 +19,8 @@ from .pipeline import (
     assemble_hhl,
     direct_fidelity,
     error_from_fidelity,
+    execute,
+    plan_run,
     run,
     swap_test_fidelity,
 )

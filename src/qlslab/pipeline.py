@@ -1,20 +1,22 @@
-"""End-to-end solver runs: assembly, execution, and readout modes.
+"""End-to-end solver runs in three steps: plan, execute, read out.
 
-A run prepares the right-hand side, performs phase estimation onto the clock
-register, applies the inversion plan, undoes phase estimation, post-selects
-the ancilla on |1>, and scores the surviving register state against the exact
-classical solution. Register layout (least significant first): solution
-register ``b``, clock ``c``, ancilla ``a``. So the solver's 2^(nb + k + 1)
-amplitudes, reshaped to an array of shape (2, 2^k, N) indexed
-[ancilla, clock, b], are its two ancilla branches M_0 and M_1, each a
-[clock, b] matrix. The executor hands the run this array, and every readout
-is a function of it and the target x alone: the exact readout reads M_1 of
-the post-selected state, and the swap and direct readouts read both branches
-of the unnormalised state. The solver circuit is simulated once for every
-readout mode; the swap-test readout takes its outcome probabilities from the
-branches in closed form and samples them, so it simulates no test register.
+``run`` is ``plan_run``, then ``execute``, then one readout. ``plan_run`` is
+the classical step in which the variants differ: it checks the qubit budget,
+resolves the time scale t0, preprocesses at t0 2^(l - k) (hybrid, enhanced)
+and calls the variant's planner. ``execute`` assembles the solver circuit
+(prepare b, phase estimation onto the clock register, the inversion plan,
+phase estimation undone), inserts any Pauli noise and simulates it from |0>.
+Register layout (least significant first): solution register ``b``, clock
+``c``, ancilla ``a``, so the 2^(nb + k + 1) amplitudes, shaped (2, 2^k, N)
+and indexed [ancilla, clock, b], are the two ancilla branches M_0 and M_1,
+each a [clock, b] matrix. ``execute`` returns this array, and every readout
+reads it and the target x alone: the exact readout M_1 of the state
+post-selected on the ancilla, the swap and direct readouts both branches of
+the unnormalised state. So the solver circuit is simulated once for every
+readout mode; the swap-test readout samples outcome probabilities taken from
+the branches in closed form and simulates no test register.
 
-One executor runs noiseless and noisy circuits alike. It walks the stage
+``execute`` runs noiseless and noisy circuits alike. It walks the stage
 records of ``preprocess.qpe_stages`` (state preparation, Hadamard layer,
 controlled-power ladder, Fourier transform, and their adjoints in the
 uncompute) and of the inversion block (``inversion.rotate_branches``), and
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +79,7 @@ from .sim import (
     MAX_QUBITS,
     Circuit,
     Gate,
+    GateReport,
     NoiseSpec,
     StateVector,
     apply_circuit,
@@ -91,7 +95,7 @@ VARIANTS = ("canonical", "hybrid", "enhanced")
 READOUTS = ("exact", "swap", "direct")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     variant: str = "canonical"
     clock_bits: int = 3
@@ -124,19 +128,20 @@ class RunConfig:
                 check_count(name, value, 0 if name.endswith("seed") else 1)
         if self.t0_mode not in ("fixed", "iterative", "explicit"):
             raise ValueError(f"unknown t0 mode {self.t0_mode!r}")
-        if self.t0_mode == "explicit" and not 0 < (self.t0_value or 0) < math.inf:
-            raise ValueError(
-                f"explicit t0 mode needs a finite positive t0_value, not {self.t0_value}"
-            )
-        if self.t0_value is not None and self.t0_mode != "explicit":
-            raise ValueError(
-                f"t0_value is only used with t0_mode 'explicit', not {self.t0_mode!r}"
-            )
+        value = self.t0_value
+        if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+            raise ValueError(f"t0_value must be a real number, not {value!r}")
+        if self.noise is not None and not isinstance(self.noise, NoiseSpec):
+            raise ValueError(f"noise must be a NoiseSpec or None, not {self.noise!r}")
+        if self.t0_mode == "explicit" and not 0 < (value or 0) < math.inf:
+            raise ValueError(f"explicit t0 mode needs a finite positive t0_value, not {value}")
+        if value is not None and self.t0_mode != "explicit":
+            raise ValueError(f"t0_value is only used with t0_mode 'explicit', not {self.t0_mode!r}")
         if self.t0_mode == "iterative" and self.variant == "canonical":
             raise ValueError("the canonical variant has no preprocessing to guide an iterative t0")
         if self.preprocess_bits is None:
-            default_l = self.clock_bits + 2 if self.variant == "enhanced" else self.clock_bits
-            self.preprocess_bits = max(default_l, 5 if self.variant == "enhanced" else 1)
+            l = max(self.clock_bits + 2, 5) if self.variant == "enhanced" else self.clock_bits
+            object.__setattr__(self, "preprocess_bits", l)  # clock_bits >= 1 is checked
         if self.variant != "enhanced" and self.preprocess_bits != self.clock_bits:
             # canonical runs report l = k, and hybrid runs preprocess at it
             raise ValueError(f"the {self.variant} variant needs preprocess_bits = clock_bits")
@@ -225,18 +230,22 @@ def assemble_hhl(qlsp: QLSP, clock_bits: int, t0: float, plan: InversionPlan) ->
     return circuit
 
 
-def _solver_state(
-    qlsp: QLSP, t0: float, plan: InversionPlan, circuit: Circuit, executed: Circuit
-) -> np.ndarray:
-    """Output of ``executed`` on |0> as the ancilla branches, shape (2, 2^k, N):
-    ``executed`` is ``assemble_hhl(qlsp, k, t0, plan)``'s ``circuit`` with any
-    Paulis that ``inject_noise`` inserted after its gates.
+def execute(
+    qlsp: QLSP, t0: float, plan: InversionPlan, noise: NoiseSpec | None = None
+) -> tuple[np.ndarray, GateReport]:
+    """The solver's output on |0> as its ancilla branches, shape (2, 2^k, N),
+    and the gate counts of its noiseless circuit, with k = ``plan.bit_width``.
 
-    Walks the stage records of ``_qpe_blocks`` and the inversion block
-    (``rotate_branches``): every stage except state preparation runs in
-    closed form, split at any Pauli. When no Pauli comes before the prefix's
-    last gate, the cached walk of the prefix stands in for its stages.
+    Assembles ``assemble_hhl(qlsp, k, t0, plan)``, inserts the Paulis of
+    ``noise`` through ``inject_noise``, and walks the stage records of
+    ``_qpe_blocks`` and the inversion block (``rotate_branches``): every
+    stage except state preparation runs in closed form, split at any Pauli.
+    When no Pauli comes before the prefix's last gate, the cached walk of
+    the prefix stands in for its stages.
     """
+    circuit = assemble_hhl(qlsp, plan.bit_width, t0, plan)
+    report = gate_report(circuit)
+    executed = inject_noise(circuit, noise) if noise else circuit
     prefix, uncompute, prepared = _qpe_blocks(qlsp, plan.bit_width, t0)
     gates = circuit.gates
     opening = sum(len(stage.gates) for stage in prefix)
@@ -253,9 +262,9 @@ def _solver_state(
                 follows.setdefault(i, []).append(gate)
     if min(follows, default=opening) >= opening - 1:
         follows = {i - opening: paulis for i, paulis in follows.items()}
-        return _walk(prepared, (inversion, *uncompute), follows)
+        return _walk(prepared, (inversion, *uncompute), follows), report
     zero = StateVector.zero(circuit.num_qubits).amplitudes.reshape(prepared.shape)
-    return _walk(zero, (*prefix, inversion, *uncompute), follows)
+    return _walk(zero, (*prefix, inversion, *uncompute), follows), report
 
 
 def _walk(blocks: np.ndarray, stages, follows: dict[int, list[Gate]]) -> np.ndarray:
@@ -361,16 +370,6 @@ def direct_fidelity(branches: np.ndarray, x, shots: int, seed: int | None = None
     return float(sum(math.sqrt(c / total) * abs(a) for c, a in zip(counts.tolist(), x)))
 
 
-def _resolve_t0(qlsp: QLSP, config: RunConfig) -> float:
-    if config.t0_mode == "explicit":
-        return float(config.t0_value)
-    if config.t0_mode == "iterative":
-        shots, seed = config.preprocess_shots, config.preprocess_seed
-        return _searched_t0(qlsp, config.clock_bits, shots, seed)
-    # 1.0 is the norm bound that QLSP's rescaling guarantees
-    return fixed_t0(1.0, config.clock_bits, qlsp.has_negative_eigenvalues)
-
-
 @functools.lru_cache(maxsize=1)
 def _searched_t0(qlsp: QLSP, clock_bits: int, shots: int | None, seed: int) -> float:
     """``iterative_t0`` for one problem and search setting.
@@ -382,38 +381,39 @@ def _searched_t0(qlsp: QLSP, clock_bits: int, shots: int | None, seed: int) -> f
     return iterative_t0(qlsp, clock_bits, shots=shots, seed=seed)
 
 
-def run(qlsp: QLSP, config: RunConfig) -> RunResult:
-    """Execute one solver variant on one problem; deterministic per seeds."""
-    k = config.clock_bits
-    l = config.preprocess_bits
+def plan_run(qlsp: QLSP, config: RunConfig) -> tuple[float, EigenEstimateSet | None, InversionPlan]:
+    """The classical step of a run: its time scale t0, its eigenvalue estimates
+    (None for the canonical variant) and its inversion plan. Checks the qubit
+    budget before any work, resolves t0 by the config's mode, preprocesses at
+    t0 2^(l - k) and calls the variant's planner."""
+    k, l = config.clock_bits, config.preprocess_bits
     for _, width in _widths(config, qlsp.num_qubits):
         check_capacity(width)
-    t0 = _resolve_t0(qlsp, config)
-
-    estimates = None
+    signed = qlsp.has_negative_eigenvalues
+    if config.t0_mode == "explicit":
+        t0 = float(config.t0_value)
+    elif config.t0_mode == "iterative":
+        t0 = _searched_t0(qlsp, k, config.preprocess_shots, config.preprocess_seed)
+    else:  # 1.0 is the norm bound that QLSP's rescaling guarantees
+        t0 = fixed_t0(1.0, k, signed)
     if config.variant == "canonical":
-        plan = plan_canonical(k, t0, signed_mode=qlsp.has_negative_eigenvalues)
-    else:
-        t0_fine = t0 * 2 ** (l - k)
-        estimates = run_preprocessing(
-            qlsp, l, t0_fine, shots=config.preprocess_shots, seed=config.preprocess_seed
-        )
-        if config.variant == "hybrid":
-            # at most one rotation per eigenvalue can carry solution weight
-            plan = plan_hybrid(estimates, max_rotations=qlsp.dimension)
-        else:
-            plan = plan_enhanced(
-                estimates, k, angle_policy=config.angle_policy, alpha_model=config.alpha_model
-            )
+        return t0, None, plan_canonical(k, t0, signed_mode=signed)
+    estimates = run_preprocessing(
+        qlsp, l, t0 * 2 ** (l - k), shots=config.preprocess_shots, seed=config.preprocess_seed
+    )
+    if config.variant == "hybrid":
+        # at most one rotation per eigenvalue can carry solution weight
+        return t0, estimates, plan_hybrid(estimates, max_rotations=qlsp.dimension)
+    return t0, estimates, plan_enhanced(estimates, k, config.angle_policy, config.alpha_model)
 
-    circuit = assemble_hhl(qlsp, k, t0, plan)
-    report = gate_report(circuit)
-    executed = inject_noise(circuit, config.noise) if config.noise else circuit
-    branches = _solver_state(qlsp, t0, plan, circuit, executed)
 
-    state = StateVector(circuit.num_qubits, branches.reshape(-1), validate=False)
+def run(qlsp: QLSP, config: RunConfig) -> RunResult:
+    """Execute one solver variant on one problem; deterministic per seeds."""
+    t0, estimates, plan = plan_run(qlsp, config)
+    branches, report = execute(qlsp, t0, plan, config.noise)
+    state = StateVector(branches.size.bit_length() - 1, branches.reshape(-1), validate=False)
     try:
-        post, success = postselect(state, qlsp.num_qubits + k, 1)  # the ancilla
+        post, success = postselect(state, state.num_qubits - 1, 1)  # the ancilla, axis 0
     except ZeroProbabilityError as exc:
         raise DegenerateRunError("the inversion ancilla never reads 1") from exc
 
@@ -433,8 +433,8 @@ def run(qlsp: QLSP, config: RunConfig) -> RunResult:
         two_qubit_count=report.two_qubit_count,
         depth=report.depth,
         t0=t0,
-        clock_bits=k,
-        preprocess_bits=l,
+        clock_bits=config.clock_bits,
+        preprocess_bits=config.preprocess_bits,
         plan=plan,
         estimates=estimates,
     )

@@ -47,6 +47,8 @@ class QLSP:
     """
 
     def __init__(self, matrix_a, vector_b, scale: float = 1.0):
+        if not 0 < float(scale) < math.inf:
+            raise InvalidProblemError(f"scale must be finite and positive, not {scale}")
         a, b = _system_arrays(matrix_a, vector_b)
         n = a.shape[0]
         if n < 2 or n & (n - 1):

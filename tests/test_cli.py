@@ -282,6 +282,14 @@ MALFORMED_PROBLEMS = {
     "not-an-object": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
     "no-matrix": {"vector_b": [[1, 0], [0, 0]]},
     "not-pairs": {"matrix": [[1, 0], [0, 1]], "vector_b": [[1, 0], [0, 0]]},
+    **{
+        f"{name}-scale": {
+            "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+            "vector_b": [[1, 0], [0, 0]],
+            "scale": scale,
+        }
+        for name, scale in (("nan", math.nan), ("negative", -3), ("infinite", math.inf))
+    },
 }
 
 

@@ -25,6 +25,7 @@ from qlslab.pipeline import (
     assemble_hhl,
     direct_fidelity,
     error_from_fidelity,
+    execute,
     projection_fidelity,
     run,
     swap_test_fidelity,
@@ -39,6 +40,7 @@ from qlslab.sim import (
     StateVector,
     apply_circuit,
     circuit_matrix,
+    gate_report,
     inject_noise,
     inverted_gates,
     marginal_probabilities,
@@ -116,8 +118,9 @@ def test_noiseless_runs_match_the_dense_simulation(case):
     k = config.clock_bits
     circuit = assemble_hhl(qlsp, k, result.t0, result.plan)
     dense = apply_circuit(StateVector.zero(circuit.num_qubits), circuit)
-    closed = pipeline._solver_state(qlsp, result.t0, result.plan, circuit, circuit)
+    closed, report = execute(qlsp, result.t0, result.plan)
     assert np.max(np.abs(closed.reshape(-1) - dense.amplitudes)) < 1e-12
+    assert report == gate_report(circuit)
     nb = qlsp.num_qubits
     post, success = postselect(dense, nb + k, 1)
     overlap = classical_solution(qlsp).state_x.conj() @ register_matrix(post.amplitudes, range(nb))
@@ -146,7 +149,7 @@ def test_the_executor_matches_the_noisy_circuit_simulated_gate_by_gate(case):
     circuit = assemble_hhl(qlsp, config.clock_bits, result.t0, result.plan)
     executed = inject_noise(circuit, noise)
     dense = apply_circuit(StateVector.zero(circuit.num_qubits), executed)
-    branches = pipeline._solver_state(qlsp, result.t0, result.plan, circuit, executed)
+    branches, _ = execute(qlsp, result.t0, result.plan, noise)
     assert np.max(np.abs(branches.reshape(-1) - dense.amplitudes)) < 1e-12
 
 
@@ -191,7 +194,7 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
     calls.clear()
     opening = sum(len(record.gates) for record in prefix)
     closing = len(circuit.gates) - sum(len(record.gates) for record in uncompute)
-    noisy = list(circuit.gates)
+    pauli = None  # (index in the circuit's gates, the Pauli inserted there)
     simulated = 0
     transforms = 4  # the inversion's and the uncompute's; the cached walk stands in for the prefix
     if stage is not None:
@@ -206,7 +209,7 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
                 start = closing + sum(len(r.gates) for r in uncompute[:position])
             end, split = start + len(record.gates), record.factors is not None
         after = start if where == "inside" else end - 1
-        noisy.insert(after + 1, Gate(GateKind.PAULI_X, (circuit.gates[after].qubits()[0],)))
+        pauli = (after + 1, Gate(GateKind.PAULI_X, (circuit.gates[after].qubits()[0],)))
         simulated += 1
         if where == "inside" and split:
             transforms += 1
@@ -217,8 +220,15 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
             simulated += 1
             transforms += 3
     executed = Circuit(circuit.num_qubits)
-    executed.gates = noisy
-    branches = pipeline._solver_state(qlsp, t0, plan, circuit, executed)
+
+    def placed(solver, noise):  # the hand-placed Pauli, in the circuit that execute assembled
+        executed.gates = list(solver.gates)
+        if pauli is not None:
+            executed.gates.insert(*pauli)
+        return executed
+
+    monkeypatch.setattr(pipeline, "inject_noise", placed)
+    branches, _ = execute(qlsp, t0, plan, NoiseSpec(0.0))
     pipeline._qpe_blocks.cache_clear()
     dense = apply_circuit(StateVector.zero(circuit.num_qubits), executed)
     assert np.max(np.abs(branches.reshape(-1) - dense.amplitudes)) < 1e-12
@@ -552,15 +562,28 @@ def test_run_config_validation():
         RunConfig(readout="telepathy")
     with pytest.raises(ValueError):
         RunConfig(variant="canonical", t0_mode="iterative")
-    for bad in (math.nan, math.inf, -1.0, 0.0):
+    for bad in (math.nan, math.inf, -1.0, 0.0, True, "5"):
         with pytest.raises(ValueError, match="t0_value"):
             RunConfig(t0_mode="explicit", t0_value=bad)
+    for bad in (0.1, "p=0.1"):
+        with pytest.raises(ValueError, match="noise"):
+            RunConfig(noise=bad)
     # every variant checks the enhanced planner's names, so none runs with a bad one
     for variant in ("canonical", "hybrid", "enhanced"):
         with pytest.raises(ValueError, match="unknown angle policy 'bogus'"):
             RunConfig(variant=variant, angle_policy="bogus")
         with pytest.raises(ValueError, match="unknown alpha model 'bogus'"):
             RunConfig(variant=variant, alpha_model="bogus")
+
+
+def test_run_config_is_frozen():
+    """A field set after construction would skip every check; ``replace`` reruns them."""
+    config = RunConfig(readout="swap")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.readout = "bogus"
+    with pytest.raises(ValueError, match="unknown readout 'bogus'"):
+        dataclasses.replace(config, readout="bogus")
+    assert dataclasses.replace(config, variant="hybrid").preprocess_bits == config.clock_bits
 
 
 @pytest.mark.parametrize(
@@ -617,7 +640,7 @@ def test_run_checks_the_qubit_budget_before_any_work(monkeypatch, config):
     def forbidden(*args, **kwargs):
         raise AssertionError("work started before the qubit budget was checked")
 
-    for name in ("_resolve_t0", "plan_canonical", "run_preprocessing", "assemble_hhl"):
+    for name in ("_searched_t0", "fixed_t0", "plan_canonical", "run_preprocessing", "assemble_hhl"):
         monkeypatch.setattr(pipeline, name, forbidden)
     with pytest.raises(CapacityError, match=f"{pipeline.MAX_QUBITS + 1} qubits"):
         run(generate_n4(PAPER_N4_EIGENVALUES, (0, 1), 7), config)

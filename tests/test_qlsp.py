@@ -17,6 +17,7 @@ from qlslab.qlsp import (
 
 PAPER_N4_EIGENVALUES = (-21 / 24, -20 / 24, 5 / 24, 6 / 24)
 NAN, INF = float("nan"), float("inf")
+IDENTITY_DOC = {"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "vector_b": [[1, 0], [0, 0]]}
 
 
 def _random_orthonormal(rng, dim):
@@ -250,8 +251,14 @@ def test_json_round_trip():
         ({"matrix": [[1, 0], [0, 1]], "vector_b": [[1, 0], [0, 0]]}, r"\[re, im\] number pairs"),
         ({"matrix": [[["1", 0]]], "vector_b": [[1, 0]]}, r"\[re, im\] number pairs"),
         ({"matrix": [[[1, 0]]], "vector_b": [[1, 0]], "scale": None}, "scale a number"),
+        ({**IDENTITY_DOC, "scale": math.nan}, "scale must be finite and positive"),
+        ({**IDENTITY_DOC, "scale": -3}, "scale must be finite and positive"),
+        ({**IDENTITY_DOC, "scale": INF}, "scale must be finite and positive"),
     ],
-    ids=["not-an-object", "no-vector", "not-pairs", "string-entry", "null-scale"],
+    ids=[
+        "not-an-object", "no-vector", "not-pairs", "string-entry", "null-scale",
+        "nan-scale", "negative-scale", "infinite-scale",
+    ],
 )
 def test_from_json_rejects_malformed_documents(doc, message):
     with pytest.raises(InvalidProblemError, match=message):
@@ -267,6 +274,9 @@ def test_rejects_invalid_problems():
         QLSP(np.eye(2), [0, 0])  # zero right-hand side
     with pytest.raises(SingularProblemError):
         QLSP(np.diag([1.0, 0.0]), [1, 0])
+    for scale in (NAN, INF, -3.0, 0.0):
+        with pytest.raises(InvalidProblemError, match="scale must be finite and positive"):
+            QLSP(np.eye(2), [1, 0], scale=scale)
 
 
 def test_has_negative_eigenvalues_flag():
