@@ -9,6 +9,12 @@ form on amplitudes laid out as [rest, clock, b] (``clock_hadamards``,
 range of clock bits. ``pipeline`` walks the records, applying every stage,
 or part of a stage, that no noise lands in by its closed form.
 
+The time-scale search ``iterative_t0`` computes its probes in three batched
+passes of the same closed form (the doubling ladder, the fine-grid probe,
+and the placement and verification probes), each a table of clock
+distributions that one rule ranks as ``estimates_from_probabilities`` ranks
+a single distribution.
+
 The time scale ``t0`` maps an eigenvalue ``lam`` to the clock-grid coordinate
 ``lam * t0 / (2 pi)``; adjacent grid points are one coordinate unit (a phase
 distance of 2 pi) apart, and an ``l``-bit register resolves integers in
@@ -138,23 +144,32 @@ def build_qpe_circuit(qlsp: QLSP, bit_width: int, t0: float) -> Circuit:
 
 
 def qpe_state(qlsp: QLSP, bit_width: int, t0: float) -> StateVector:
-    """Output state of ``build_qpe_circuit(qlsp, bit_width, t0)`` in closed form.
+    """Output state of ``build_qpe_circuit(qlsp, bit_width, t0)`` in closed form,
+    with b on the low qubits as in the circuit."""
+    amplitudes = _qpe_amplitudes(qlsp, bit_width, t0)  # [m, i]
+    return StateVector(qlsp.num_qubits + bit_width, amplitudes.reshape(-1), validate=False)
+
+
+def _qpe_amplitudes(qlsp: QLSP, bit_width: int, t0) -> np.ndarray:
+    """Amplitudes of ``qpe_state`` laid out [..., clock m, b i], at a scale
+    ``t0`` or at each scale of an array of them.
 
     Eigenpair (lam, u, beta) leaves the clock in F^dagger D H |0>, whose
     amplitude on bin m is c[m] = (1/T) sum_x exp(i x (lam t0 - 2 pi m) / T);
-    the state is sum_j beta_j c_j (x) u_j, with b on the low qubits as in the
-    circuit. One FFT over x gives every c_j.
+    the state is sum_j beta_j c_j (x) u_j. One FFT over x gives every c_j.
     """
     if bit_width < 1:
         raise ValueError("bit_width must be at least 1")
-    if not math.isfinite(t0):
-        raise ValueError(f"t0 must be finite, not {t0}")
+    scales = np.asarray(t0, dtype=float)[..., None]  # [..., 1]
+    for scale in scales.ravel().tolist():
+        if not math.isfinite(scale):
+            raise ValueError(f"t0 must be finite, not {scale}")
     check_capacity(qlsp.num_qubits + bit_width)  # before anything is allocated
     big_t = 2**bit_width
-    phases = np.exp(1j * np.outer(qlsp.eigenvalues * (float(t0) / big_t), np.arange(big_t)))
-    clock = np.fft.fft(phases, axis=1) / big_t  # clock[j, m] = c_j[m]
-    amplitudes = (clock.T * qlsp.projections) @ qlsp.eigenvectors.T  # [m, i]
-    return StateVector(qlsp.num_qubits + bit_width, amplitudes.reshape(-1), validate=False)
+    rates = scales / big_t * qlsp.eigenvalues
+    phases = np.exp(1j * (rates[..., None] * np.arange(big_t)))
+    clock = np.fft.fft(phases) / big_t  # clock[..., j, m] = c_j[m]
+    return (clock.swapaxes(-1, -2) * qlsp.projections) @ qlsp.eigenvectors.T
 
 
 def clock_hadamards(blocks: np.ndarray, low: int = 0, high: int | None = None) -> np.ndarray:
@@ -275,6 +290,17 @@ def qpe_histogram(
     return sample(qpe_grid_probabilities(qlsp, bit_width, t0), shots, seed)
 
 
+def _weights(probabilities: np.ndarray) -> np.ndarray:
+    """Amplitude weights, the square roots of ``probabilities``; a NaN,
+    infinite or negative probability raises ``ValueError``."""
+    lowest, highest = probabilities.min(), probabilities.max()  # a NaN propagates to both
+    if not (math.isfinite(lowest) and math.isfinite(highest)):
+        raise ValueError("probabilities must be finite")
+    if lowest < 0.0:
+        raise ValueError("probabilities must be non-negative")
+    return np.sqrt(probabilities)
+
+
 def estimates_from_probabilities(
     probabilities, bit_width: int, time_scale: float, signed_mode: bool = False
 ) -> EigenEstimateSet:
@@ -294,12 +320,7 @@ def estimates_from_probabilities(
     size = 2**bit_width
     if probabilities.shape != (size,):
         raise ValueError("probability vector does not match the bit width")
-    lowest, highest = probabilities.min(), probabilities.max()  # a NaN propagates to both
-    if not (math.isfinite(lowest) and math.isfinite(highest)):
-        raise ValueError("probabilities must be finite")
-    if lowest < 0.0:
-        raise ValueError("probabilities must be non-negative")
-    weights = np.sqrt(probabilities)
+    weights = _weights(probabilities)
     kept = (weights >= 2.0**-bit_width).nonzero()[0]
     if not kept.size:
         raise EmptyEstimateError("no estimate reached the relevance threshold")
@@ -315,15 +336,6 @@ def estimates_from_probabilities(
     return EigenEstimateSet(bit_width, scale, bool(signed_mode), tuple(entries))
 
 
-def _clock_probabilities(
-    qlsp: QLSP, bit_width: int, t0: float, shots: int | None, seed: int | None
-) -> np.ndarray:
-    """Clock distribution: exact Born weights with ``shots=None``, else shot frequencies."""
-    if shots is None:
-        return qpe_grid_probabilities(qlsp, bit_width, t0)
-    return qpe_histogram(qlsp, bit_width, t0, shots, seed) / shots
-
-
 def run_preprocessing(
     qlsp: QLSP, bit_width: int, t0: float, *, shots: int | None = None, seed: int | None = None
 ) -> EigenEstimateSet:
@@ -333,7 +345,10 @@ def run_preprocessing(
     shot-noise-free setting for reproducing ideal-simulator results. The grid
     decodes as two's complement when the problem has a negative eigenvalue.
     """
-    probs = _clock_probabilities(qlsp, bit_width, t0, shots, seed)
+    if shots is None:
+        probs = qpe_grid_probabilities(qlsp, bit_width, t0)
+    else:
+        probs = qpe_histogram(qlsp, bit_width, t0, shots, seed) / shots
     return estimates_from_probabilities(probs, bit_width, t0, qlsp.has_negative_eigenvalues)
 
 
@@ -351,40 +366,79 @@ def fixed_t0(lambda_max: float, bit_width: int, signed: bool = False) -> float:
     return TWO_PI * top / float(lambda_max)
 
 
-def _strong_coordinates(est: EigenEstimateSet) -> list[int]:
-    """Decoded grid values of the entries within half the top weight.
+def _probe_table(
+    qlsp: QLSP, bit_width: int, scales, shots: int | None, seed: int | None
+) -> np.ndarray:
+    """The clock distribution at each of ``scales``, one row each: exact Born
+    weights, equal to ``qpe_grid_probabilities``, with ``shots=None``, else
+    shot frequencies drawn row by row as ``qpe_histogram`` draws them."""
+    probabilities = (np.abs(_qpe_amplitudes(qlsp, bit_width, scales)) ** 2).sum(axis=-1)
+    if shots is None:
+        return probabilities
+    return np.array([sample(row, shots, seed) for row in probabilities]) / shots
 
-    Weaker entries are ignored so that kernel tails never drag the tracked
-    coordinate away from the strongest eigenvalue branches.
+
+def _branches(
+    probabilities: np.ndarray, bit_width: int, signed: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rank each row of a table of clock distributions as
+    ``estimates_from_probabilities`` ranks one, with its checks, and return
+    the table's weights and, per row, the top entry's grid value, the
+    strong-branch peak and the dominant coordinate.
+
+    The strong entries are the kept ones within half the top entry's weight,
+    so that kernel tails never drag the tracked coordinate away from the
+    strongest eigenvalue branches. The peak is their largest |decoded grid
+    value|, and the dominant coordinate the decoded value of the first strong
+    entry, in rank order, that reaches it.
     """
-    cutoff = 0.5 * est.entries[0].weight
-    return [
-        decode_grid_int(e.grid_int, est.bit_width, est.signed_mode)
-        for e in est.entries
-        if e.weight >= cutoff
-    ]
+    weights = _weights(probabilities)
+    threshold = 2.0**-bit_width
+    heaviest = weights.max(axis=1)
+    if heaviest.min() < threshold:
+        raise EmptyEstimateError("no estimate reached the relevance threshold")
+    # Rank on 12 decimals, ties to the smaller grid value. Rounding is
+    # monotonic, so only kept weights within 2e-12 of a row's heaviest can
+    # rank with it, and Python's round decides between them.
+    top = weights.argmax(axis=1)
+    near = weights >= np.maximum(heaviest - 2e-12, threshold)[:, None]
+    for r in np.flatnonzero(near.sum(axis=1) > 1).tolist():
+        best = round(float(heaviest[r]), 12)
+        tied = (g for g in near[r].nonzero()[0].tolist() if round(float(weights[r, g]), 12) == best)
+        top[r] = next(tied)
+    rows, size = np.arange(len(weights)), weights.shape[1]
+    strong = weights >= np.maximum(0.5 * weights[rows, top], threshold)[:, None]
+    grid = np.arange(size)
+    magnitude = np.minimum(grid, size - grid) if signed else grid
+    peak = np.where(strong, magnitude, -1).max(axis=1)
+    dominant = peak.copy()
+    if signed:  # +peak decodes from grid value peak, -peak from size - peak
+        plus = strong[rows, peak] & (peak < size // 2)
+        minus = strong[rows, (size - peak) % size] & (peak > 0)
+        dominant[~plus] *= -1
+        # where both are strong, +peak ranks first unless it weighs less on 12 decimals
+        for r in np.flatnonzero(plus & minus).tolist():
+            p = int(peak[r])
+            if round(float(weights[r, size - p]), 12) > round(float(weights[r, p]), 12):
+                dominant[r] = -p
+    return weights, top, peak, dominant
 
 
-def _dominant_coordinate(
-    qlsp: QLSP, bit_width: int, t0: float, shots: int | None, seed: int | None
-) -> float:
-    """Sub-grid coordinate magnitude of the largest strong eigenvalue branch.
+def _dominant_coordinate(weights: np.ndarray, dominant: int) -> float:
+    """Sub-grid coordinate magnitude of the eigenvalue branch at decoded grid
+    value ``dominant``, given a distribution's ``weights``.
 
     Interpolates between the branch's bin and its heavier neighbor using the
     kernel's weight ratio, which is accurate to a few percent of a grid step.
     """
-    probs = _clock_probabilities(qlsp, bit_width, t0, shots, seed)
-    est = estimates_from_probabilities(probs, bit_width, t0, qlsp.has_negative_eigenvalues)
-    weights = np.sqrt(probs)  # decoding rejected any negative bin
-    d_star = max(_strong_coordinates(est), key=abs)
-    size = 2**bit_width
-    w_star = weights[d_star % size]
-    w_up = weights[(d_star + 1) % size]
-    w_down = weights[(d_star - 1) % size]
+    size = weights.shape[0]
+    w_star = weights[dominant % size]
+    w_up = weights[(dominant + 1) % size]
+    w_down = weights[(dominant - 1) % size]
     if w_up >= w_down:
-        coord = d_star + w_up / (w_up + w_star)
+        coord = dominant + w_up / (w_up + w_star)
     else:
-        coord = d_star - w_down / (w_down + w_star)
+        coord = dominant - w_down / (w_down + w_star)
     return float(abs(coord))
 
 
@@ -394,29 +448,38 @@ def iterative_t0(
     """Search for the time scale that pins the largest eigenvalue to the top
     grid value without overflowing.
 
-    Starts from pi / 2, where every |lam| <= 1 sits at coordinate at most
-    0.25 and so decodes to zero (halving on while sampled estimates say
-    otherwise), doubles up to 12 times until the peak estimate wraps
-    (bracketing the overflow boundary), then places the dominant eigenvalue
-    onto the top grid value by interpolating its sub-grid coordinate. A
-    final verification pass at a strongly reduced scale confirms the
-    spectrum was not aliased by a whole grid period. Each failure, a
-    spectrum too small to wrap within the doublings among them, raises
-    ``AliasingError``. Problems with a negative eigenvalue search on the
-    signed grid.
+    The search reads its probes in three passes, each one table of clock
+    distributions ranked by one rule (``_branches``):
+
+    1. The doubling ladder: pi / 2 and its 12 doublings. At pi / 2 every
+       |lam| <= 1 sits at coordinate at most 0.25 and so decodes to zero;
+       while sampled estimates say otherwise the start halves, up to 64
+       starts, and the ladder is taken again. The last doubling before the
+       peak estimate wraps brackets the overflow boundary.
+    2. The fine-grid probe, three bits finer at that doubling's scale, which
+       places the dominant eigenvalue onto the top grid value by
+       interpolating its sub-grid coordinate.
+    3. The placement check at that scale, and a verification probe at a
+       strongly reduced scale for it and for the half-step back-off that a
+       failed check takes; the one used confirms the spectrum was not
+       aliased by a whole grid period.
+
+    Each failure, a spectrum too small to wrap within the doublings among
+    them, raises ``AliasingError``. Problems with a negative eigenvalue
+    search on the signed grid.
     """
     signed = qlsp.has_negative_eigenvalues
     target = 2 ** (bit_width - 1) - 1 if signed else 2**bit_width - 1
     overflow_marker = 2 ** (bit_width - 1) if signed else None
 
-    def peak(t: float) -> int:
-        """Largest |grid value| among the strong estimates at scale ``t``."""
-        est = run_preprocessing(qlsp, bit_width, t, shots=shots, seed=seed)
-        return max(abs(d) for d in _strong_coordinates(est))
+    def probes(bits: int, scales) -> tuple[np.ndarray, ...]:
+        return _branches(_probe_table(qlsp, bits, scales, shots, seed), bits, signed)
 
     t = math.pi / 2.0
     for _ in range(64):
-        if peak(t) == 0:
+        scales = np.ldexp(t, np.arange(13))  # t 2^i for i = 0 .. 12, exactly
+        _, _, peaks, _ = probes(bit_width, scales)
+        if peaks[0] == 0:
             break
         t *= 0.5
     else:
@@ -427,9 +490,7 @@ def iterative_t0(
     # the peak coordinate up to rounding, so a shortfall means a wrap even
     # when another eigenvalue branch aliases onto a nonzero value.
     lo, lo_peak = t, 0
-    for _ in range(12):
-        cand = lo * 2.0
-        m = peak(cand)
+    for cand, m in zip(scales[1:].tolist(), peaks[1:].tolist()):
         wrapped = (lo_peak > 0 and m < 2 * lo_peak - 1.5) or (
             overflow_marker is not None and m >= overflow_marker
         )
@@ -446,20 +507,22 @@ def iterative_t0(
     # sit many fine bins away there, so the interpolated coordinate is clean
     # enough to place the eigenvalue onto the coarse grid value exactly.
     fine_bits = bit_width + 3
-    coord_fine = _dominant_coordinate(
-        qlsp, fine_bits, lo * 2 ** (fine_bits - bit_width), shots, seed
-    )
-    lam_hat = TWO_PI * coord_fine / (lo * 2 ** (fine_bits - bit_width))
+    fine_t = lo * 2 ** (fine_bits - bit_width)
+    weights, _, _, dominant = probes(fine_bits, [fine_t])
+    lam_hat = TWO_PI * _dominant_coordinate(weights[0], int(dominant[0])) / fine_t
     result = TWO_PI * target / lam_hat
-    if peak(result) < target - 1:
-        # A biased interpolation can push past the wrap; back off half a step.
-        result *= target / (target + 0.5)
 
-    # Confirm there was no aliasing: at a scale where the believed largest
-    # eigenvalue sits at coordinate 0.35, the dominant estimate rounds to
-    # zero, while a spectrum aliased by a grid period lands at 0.7 or above.
-    verify_t = 0.35 * result / target
-    est = run_preprocessing(qlsp, bit_width, verify_t, shots=shots, seed=seed)
-    if est.entries[0].grid_int != 0:
+    # A biased interpolation can push past the wrap; the placement check then
+    # backs off half a step. Verification confirms there was no aliasing: at
+    # a scale where the believed largest eigenvalue sits at coordinate 0.35,
+    # the dominant estimate rounds to zero, while a spectrum aliased by a
+    # grid period lands at 0.7 or above.
+    backed_off = result * (target / (target + 0.5))
+    checks = [result, 0.35 * result / target, 0.35 * backed_off / target]
+    _, top, peaks, _ = probes(bit_width, checks)
+    placed = peaks[0] >= target - 1
+    if not placed:
+        result = backed_off
+    if top[1 if placed else 2] != 0:
         raise AliasingError("verification run still decodes a nonzero estimate")
     return result

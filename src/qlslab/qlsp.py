@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,8 @@ class QLSP:
     """
 
     def __init__(self, matrix_a, vector_b, scale: float = 1.0):
+        if isinstance(scale, bool) or not isinstance(scale, numbers.Real):
+            raise InvalidProblemError(f"scale must be a real number, not {scale!r}")
         if not 0 < float(scale) < math.inf:
             raise InvalidProblemError(f"scale must be finite and positive, not {scale}")
         a, b = _system_arrays(matrix_a, vector_b)
@@ -119,7 +122,9 @@ class QLSP:
         try:
             matrix = [[complex(re, im) for re, im in row] for row in doc["matrix"]]
             vector = [complex(re, im) for re, im in doc["vector_b"]]
-            scale = float(doc.get("scale", 1.0))
+            scale = doc.get("scale", 1.0)
+            if isinstance(scale, bool) or not isinstance(scale, (int, float)):
+                raise TypeError(f"scale is {scale!r}")  # a JSON number loads as int or float
         except KeyError as exc:
             raise InvalidProblemError(f"problem document lacks {exc}") from exc
         except (TypeError, ValueError) as exc:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -488,7 +489,10 @@ class NoiseSpec:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        p = float(self.per_gate_pauli_probability)
+        p = self.per_gate_pauli_probability
+        if isinstance(p, bool) or not isinstance(p, numbers.Real):
+            raise ValueError(f"per_gate_pauli_probability must be a real number, not {p!r}")
+        p = float(p)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability must lie in [0, 1], not {p}")
         check_count("rng_seed", self.rng_seed, 0)

@@ -288,7 +288,13 @@ MALFORMED_PROBLEMS = {
             "vector_b": [[1, 0], [0, 0]],
             "scale": scale,
         }
-        for name, scale in (("nan", math.nan), ("negative", -3), ("infinite", math.inf))
+        for name, scale in (
+            ("nan", math.nan),
+            ("negative", -3),
+            ("infinite", math.inf),
+            ("bool", True),
+            ("string", "2"),
+        )
     },
 }
 

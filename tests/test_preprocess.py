@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlslab import preprocess
-from qlslab.errors import AliasingError, CapacityError, EmptyEstimateError
+from qlslab.errors import AliasingError, CapacityError, EmptyEstimateError, QlsLabError
 from qlslab.inversion import plan_hybrid
 from qlslab.preprocess import (
     build_qpe_circuit,
@@ -631,3 +631,252 @@ def test_run_preprocessing_exact_matches_sampled_limit():
     exact_map = {e.grid_int: e.weight for e in exact.entries}
     for entry in sampled.entries:
         assert entry.weight == pytest.approx(exact_map[entry.grid_int], abs=0.02)
+
+
+# The probe-by-probe search as it stood before its probes were batched: one
+# full preprocessing pass, and one EigenEstimateSet, per probe. The batched
+# search must return the same float, or raise the same error, on every problem.
+
+
+def _reference_clock_probabilities(qlsp, bit_width, t0, shots, seed):
+    if shots is None:
+        return qpe_grid_probabilities(qlsp, bit_width, t0)
+    return qpe_histogram(qlsp, bit_width, t0, shots, seed) / shots
+
+
+def _reference_strong_coordinates(est):
+    cutoff = 0.5 * est.entries[0].weight
+    return [
+        decode_grid_int(e.grid_int, est.bit_width, est.signed_mode)
+        for e in est.entries
+        if e.weight >= cutoff
+    ]
+
+
+def _reference_dominant_coordinate(qlsp, bit_width, t0, shots, seed):
+    probs = _reference_clock_probabilities(qlsp, bit_width, t0, shots, seed)
+    est = estimates_from_probabilities(probs, bit_width, t0, qlsp.has_negative_eigenvalues)
+    weights = np.sqrt(probs)
+    d_star = max(_reference_strong_coordinates(est), key=abs)
+    size = 2**bit_width
+    w_star = weights[d_star % size]
+    w_up = weights[(d_star + 1) % size]
+    w_down = weights[(d_star - 1) % size]
+    if w_up >= w_down:
+        coord = d_star + w_up / (w_up + w_star)
+    else:
+        coord = d_star - w_down / (w_down + w_star)
+    return float(abs(coord))
+
+
+def _reference_t0(qlsp, bit_width, *, shots=None, seed=None):
+    signed = qlsp.has_negative_eigenvalues
+    target = 2 ** (bit_width - 1) - 1 if signed else 2**bit_width - 1
+    overflow_marker = 2 ** (bit_width - 1) if signed else None
+
+    def peak(t):
+        est = run_preprocessing(qlsp, bit_width, t, shots=shots, seed=seed)
+        return max(abs(d) for d in _reference_strong_coordinates(est))
+
+    t = math.pi / 2.0
+    for _ in range(64):
+        if peak(t) == 0:
+            break
+        t *= 0.5
+    else:
+        raise AliasingError("no starting scale with all-zero estimates was found")
+    lo, lo_peak = t, 0
+    for _ in range(12):
+        cand = lo * 2.0
+        m = peak(cand)
+        wrapped = (lo_peak > 0 and m < 2 * lo_peak - 1.5) or (
+            overflow_marker is not None and m >= overflow_marker
+        )
+        if wrapped:
+            break
+        lo, lo_peak = cand, m
+    else:
+        raise AliasingError("no overflow was observed within the doubling budget")
+    if lo_peak == 0:
+        raise AliasingError("the peak estimate wrapped before leaving zero")
+    fine_bits = bit_width + 3
+    coord_fine = _reference_dominant_coordinate(
+        qlsp, fine_bits, lo * 2 ** (fine_bits - bit_width), shots, seed
+    )
+    lam_hat = TWO_PI * coord_fine / (lo * 2 ** (fine_bits - bit_width))
+    result = TWO_PI * target / lam_hat
+    if peak(result) < target - 1:
+        result *= target / (target + 0.5)
+    verify_t = 0.35 * result / target
+    est = run_preprocessing(qlsp, bit_width, verify_t, shots=shots, seed=seed)
+    if est.entries[0].grid_int != 0:
+        raise AliasingError("verification run still decodes a nonzero estimate")
+    return result
+
+
+def _search_outcome(search, qlsp, bit_width, shots, seed):
+    """The returned float's hex, or the raised error's type and message."""
+    try:
+        return float.hex(search(qlsp, bit_width, shots=shots, seed=seed))
+    except (QlsLabError, ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _rotated(eigenvalues, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    u = np.array([[c, -s], [s, c]])
+    return u @ np.diag(eigenvalues) @ u.T
+
+
+@st.composite
+def _search_problems(draw):
+    kind = draw(st.sampled_from(["n2", "unsigned", "signed", "dilation", "n4"]))
+    angle = st.floats(0.0, math.pi)
+    if kind == "n2":
+        qlsp = generate_n2(draw(st.floats(0.005, 0.495)))
+    elif kind == "n4":
+        pair = draw(st.sampled_from([(i, j) for i in range(4) for j in range(i + 1, 4)]))
+        qlsp = generate_n4((-21 / 24, -20 / 24, 5 / 24, 6 / 24), pair, draw(st.integers(0, 999)))
+    elif kind == "dilation":  # eigenvalues +-|m| with equal weights: exact ties
+        magnitude, phase = draw(st.floats(0.05, 1.0)), draw(angle)
+        qlsp = hermitian_dilation([[magnitude * complex(math.cos(phase), math.sin(phase))]], [1.0])
+    else:
+        first = st.floats(-1.0, -0.02) if kind == "signed" else st.floats(0.02, 1.0)
+        eigenvalues = [draw(first), draw(st.floats(0.02, 1.0))]
+        beta = draw(angle)
+        qlsp = QLSP(_rotated(eigenvalues, draw(angle)), [math.cos(beta), math.sin(beta)])
+    return qlsp
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    qlsp=_search_problems(),
+    bit_width=st.integers(2, 5),
+    sampling=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+)
+def test_iterative_t0_matches_the_probe_by_probe_search(qlsp, bit_width, sampling):
+    shots, seed = (None, None) if sampling is None else (4096, sampling)
+    expected = _search_outcome(_reference_t0, qlsp, bit_width, shots, seed)
+    assert _search_outcome(iterative_t0, qlsp, bit_width, shots, seed) == expected
+
+
+@pytest.mark.parametrize("shots", [None, 4096])
+def test_iterative_t0_matches_the_probe_by_probe_search_on_the_sweep(shots):
+    """Every lambda of ``qlslab sweep --count 99``, at the sweep's k = 3."""
+    for i in range(99):
+        qlsp = generate_n2(0.005 + i * (0.495 - 0.005) / 98)
+        expected = _search_outcome(_reference_t0, qlsp, 3, shots, i)
+        assert _search_outcome(iterative_t0, qlsp, 3, shots, i) == expected
+
+
+@pytest.mark.parametrize("dimension", [2, 4, 8])
+@pytest.mark.parametrize("bits", range(1, 7))
+def test_probe_table_rows_equal_the_single_probe_distributions(dimension, bits):
+    rng = np.random.default_rng(10 * dimension + bits)
+    m = rng.normal(size=(dimension, dimension)) + 1j * rng.normal(size=(dimension, dimension))
+    qlsp = QLSP(m + m.conj().T, rng.normal(size=dimension))
+    scales = [*np.ldexp(math.pi / 2, np.arange(13)).tolist(), *rng.uniform(0.1, 300.0, 4).tolist()]
+    exact = preprocess._probe_table(qlsp, bits, scales, None, None)
+    sampled = preprocess._probe_table(qlsp, bits, scales, 4096, 7)
+    assert exact.shape == sampled.shape == (len(scales), 2**bits)
+    for t, row, frequencies in zip(scales, exact, sampled):
+        assert np.array_equal(row, qpe_grid_probabilities(qlsp, bits, t))
+        assert np.array_equal(frequencies, qpe_histogram(qlsp, bits, t, 4096, 7) / 4096)
+
+
+def test_probe_table_keeps_the_single_probe_checks():
+    qlsp = generate_n2(0.3)
+    with pytest.raises(ValueError, match="t0 must be finite, not inf"):
+        preprocess._probe_table(qlsp, 3, [1.0, math.inf], None, None)
+    with pytest.raises(ValueError, match="bit_width"):
+        preprocess._probe_table(qlsp, 0, [1.0], None, None)
+    with pytest.raises(CapacityError):
+        preprocess._probe_table(qlsp, MAX_QUBITS, [1.0], None, None)
+
+
+def _reference_branches(probabilities, bit_width, signed):
+    """Top grid value, strong-branch peak and dominant coordinate of one
+    distribution, read off ``estimates_from_probabilities``."""
+    est = estimates_from_probabilities(probabilities, bit_width, 1.0, signed)
+    strong = _reference_strong_coordinates(est)
+    return est.entries[0].grid_int, max(abs(d) for d in strong), max(strong, key=abs)
+
+
+def _branch_outcome(rule, table, bit_width, signed):
+    try:
+        return rule(table, bit_width, signed)
+    except (ValueError, EmptyEstimateError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_branches_match(table, bit_width, signed):
+    table = np.asarray(table, dtype=float)
+    expected = [_branch_outcome(_reference_branches, row, bit_width, signed) for row in table]
+    failures = [e for e in expected if isinstance(e[0], str)]
+    outcome = _branch_outcome(preprocess._branches, table, bit_width, signed)
+    if failures:
+        assert outcome == failures[0]
+        return
+    weights, top, peak, dominant = outcome
+    assert np.array_equal(weights, np.sqrt(table))
+    assert list(zip(top.tolist(), peak.tolist(), dominant.tolist())) == expected
+
+
+# weights that tie on 12 decimals but not in the last bits
+_TIED = {
+    "ranked top, not raw top, sets the cutoff": (3, {1: 0.5, 2: 0.5 + 1e-15, 5: 0.25}),
+    "heavier last bits at the larger grid value": (3, {2: 0.5, 6: 0.5 + 1e-15}),
+    "heavier last bits at the smaller grid value": (3, {2: 0.5 + 1e-15, 6: 0.5}),
+    "three-way tie": (4, {3: 0.4 + 4e-16, 9: 0.4, 13: 0.4 + 8e-16, 1: 0.2}),
+    "tie below half the top": (2, {0: 0.8, 1: 0.4, 3: 0.4 + 1e-15}),
+}
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("case", _TIED.values(), ids=list(_TIED))
+def test_branch_rule_ranks_ties_on_12_decimals(case, signed):
+    bit_width, weights = case
+    row = _bins(bit_width, {g: w**2 for g, w in weights.items()})
+    _assert_branches_match([row], bit_width, signed)
+
+
+_PALETTE = (0.0, 1e-3, 0.125, 0.25, 0.25 + 5e-17, 0.3, 0.5 - 1e-15, 0.5, 0.5 + 1e-15, 0.9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bit_width=st.integers(1, 4),
+    signed=st.booleans(),
+    data=st.data(),
+)
+def test_branch_rule_matches_the_estimate_ranking(bit_width, signed, data):
+    """Every row of a table, ranked at once, as ``estimates_from_probabilities``
+    ranks it alone; a row with no kept entry raises for the whole table."""
+    row = st.lists(st.sampled_from(_PALETTE), min_size=2**bit_width, max_size=2**bit_width)
+    table = np.array(data.draw(st.lists(row, min_size=1, max_size=4))) ** 2
+    _assert_branches_match(table, bit_width, signed)
+
+
+@pytest.mark.parametrize(
+    "bad, message", [(math.nan, "finite"), (math.inf, "finite"), (-1e-18, "non-negative")]
+)
+def test_branch_rule_keeps_the_decoding_checks(bad, message):
+    table = np.array([[0.5, 0.5, 0.0, 0.0], [0.5, bad, 0.5, 0.0]])
+    with pytest.raises(ValueError, match=message):
+        preprocess._branches(table, 2, False)
+    with pytest.raises(EmptyEstimateError):
+        preprocess._branches(np.full((2, 8), 1 / 8) * [[1], [0]], 3, False)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AliasingError,
+    reason="the doubling test reads only the peak branch, so the bracket ends a doubling late"
+    " and verification decodes a nonzero estimate (ROADMAP item 2)",
+)
+def test_iterative_t0_places_a_close_pair():
+    """Eigenvalues 0.465 and 0.535, |beta|^2 = 0.19 and 0.81: the search must
+    yield a t0 that puts no eigenvalue more than half a step over the top."""
+    qlsp = QLSP([[0.5129, 0.0326], [0.0326, 0.4871]], [0.9899, 0.1416])
+    t0 = iterative_t0(qlsp, 3)
+    assert max(qlsp.eigenvalues) * t0 / TWO_PI <= 7.5

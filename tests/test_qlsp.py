@@ -254,10 +254,12 @@ def test_json_round_trip():
         ({**IDENTITY_DOC, "scale": math.nan}, "scale must be finite and positive"),
         ({**IDENTITY_DOC, "scale": -3}, "scale must be finite and positive"),
         ({**IDENTITY_DOC, "scale": INF}, "scale must be finite and positive"),
+        ({**IDENTITY_DOC, "scale": True}, "scale a number"),
+        ({**IDENTITY_DOC, "scale": "2"}, "scale a number"),
     ],
     ids=[
         "not-an-object", "no-vector", "not-pairs", "string-entry", "null-scale",
-        "nan-scale", "negative-scale", "infinite-scale",
+        "nan-scale", "negative-scale", "infinite-scale", "bool-scale", "string-scale",
     ],
 )
 def test_from_json_rejects_malformed_documents(doc, message):
@@ -276,6 +278,9 @@ def test_rejects_invalid_problems():
         QLSP(np.diag([1.0, 0.0]), [1, 0])
     for scale in (NAN, INF, -3.0, 0.0):
         with pytest.raises(InvalidProblemError, match="scale must be finite and positive"):
+            QLSP(np.eye(2), [1, 0], scale=scale)
+    for scale in (True, "2"):  # would read 1.0 and 2.0
+        with pytest.raises(InvalidProblemError, match="scale must be a real number"):
             QLSP(np.eye(2), [1, 0], scale=scale)
 
 

@@ -423,6 +423,9 @@ def test_noise_spec_validation():
     and a bool would run as seed 0 or 1."""
     with pytest.raises(ValueError):
         NoiseSpec(1.5)
+    for p in (True, "0.1"):  # would run as p = 1.0 and p = 0.1
+        with pytest.raises(ValueError, match="per_gate_pauli_probability must be a real number"):
+            NoiseSpec(p, 0)
     for seed in (-1, 1.5, True, None):
         with pytest.raises(ValueError, match="rng_seed must be non-negative and an int"):
             NoiseSpec(0.1, seed)
