@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyPlanError
-from .preprocess import EigenEstimateSet, decode_grid_int
-from .sim import Circuit
+from .preprocess import EigenEstimateSet, decode_grid_int, grid_range
+from .sim import Circuit, check_count
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,16 +46,21 @@ class InversionPlan:
     clamp_events: int = 0
 
     def __post_init__(self) -> None:
+        check_count("bit_width", self.bit_width, 1)
         patterns = [p for p, _ in self.rotations]
+        size = 2**self.bit_width
+        for pattern in patterns:
+            check_count("rotation pattern", pattern, 0)
+            if pattern >= size:
+                raise ValueError("control pattern does not fit the clock register")
         if len(set(patterns)) != len(patterns):
             raise ValueError("control patterns must be unique")
-        if any(not 0 <= p < 2**self.bit_width for p in patterns):
-            raise ValueError("control pattern does not fit the clock register")
         # written so that NaN fails: every comparison with NaN is false
         if not all(abs(angle) <= math.pi + 1e-12 for _, angle in self.rotations):
             raise ValueError("rotation angles must be finite with |theta| <= pi")
         if not (math.isfinite(self.constant_c) and self.constant_c > 0):
             raise ValueError(f"the constant must be finite and positive, not {self.constant_c}")
+        check_count("clamp_events", self.clamp_events, 0)
 
 
 def _plan(bit_width: int, inverses: dict[int, float]) -> InversionPlan:
@@ -78,8 +83,8 @@ def alpha_overlap(delta: float, model: str = "linear", big_t: int | None = None)
     states, normalized so that alpha(0) = 1; its removable singularity at
     delta = pi is evaluated by the analytic limit.
     """
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"delta must be finite and non-negative, not {delta}")
     if model == "linear":
         return max(0.0, 1.0 - delta / TWO_PI)
     if model != "exact":
@@ -104,8 +109,7 @@ def plan_canonical(bit_width: int, t0: float, signed_mode: bool = False) -> Inve
     constant is the smallest nonzero grid value 2 pi / t0 and the smallest
     positive pattern rotates by a full half turn.
     """
-    if bit_width < 1:
-        raise ValueError("bit_width must be at least 1")
+    check_count("bit_width", bit_width, 1)
     if not (math.isfinite(t0) and t0 > 0):
         raise ValueError(f"t0 must be finite and positive, not {t0}")
     inverses = {
@@ -126,8 +130,7 @@ def plan_hybrid(estimates: EigenEstimateSet, max_rotations: int | None = None) -
     """
     entries = [e for e in estimates.entries if e.grid_int != 0]
     if max_rotations is not None:
-        if not (isinstance(max_rotations, int) and max_rotations >= 1):
-            raise ValueError(f"max_rotations must be an integer >= 1, not {max_rotations!r}")
+        check_count("max_rotations", max_rotations, 1)
         entries = entries[:max_rotations]
     if not entries:
         raise EmptyPlanError("no relevant nonzero estimate to invert")
@@ -153,15 +156,13 @@ def plan_enhanced(
         raise ValueError(f"unknown angle policy {angle_policy!r}")
     if alpha_model not in ALPHA_MODELS:
         raise ValueError(f"unknown alpha model {alpha_model!r}")
-    k = int(bit_width)
-    l = estimates.bit_width
+    signed = estimates.signed_mode
+    lo_bound, hi_bound = grid_range(bit_width, signed)  # checks bit_width
+    k, l = int(bit_width), estimates.bit_width
     if l < k:
         raise ValueError("estimates must carry at least as many bits as the plan")
-    signed = estimates.signed_mode
     stride = 2 ** (l - k)
     big_t = 2**k
-    lo_bound = -(2 ** (k - 1)) if signed else 0
-    hi_bound = 2 ** (k - 1) - 1 if signed else 2**k - 1
 
     entries = [e for e in estimates.entries if e.grid_int != 0]
     if not entries:

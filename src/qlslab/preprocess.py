@@ -9,17 +9,20 @@ form on amplitudes laid out as [rest, clock, b] (``clock_hadamards``,
 range of clock bits. ``pipeline`` walks the records, applying every stage,
 or part of a stage, that no noise lands in by its closed form.
 
-The time-scale search ``iterative_t0`` computes its probes in three batched
-passes of the same closed form (the doubling ladder, the fine-grid probe,
-and the placement and verification probes), each a table of clock
-distributions that one rule ranks as ``estimates_from_probabilities`` ranks
-a single distribution.
-
 The time scale ``t0`` maps an eigenvalue ``lam`` to the clock-grid coordinate
 ``lam * t0 / (2 pi)``; adjacent grid points are one coordinate unit (a phase
 distance of 2 pi) apart, and an ``l``-bit register resolves integers in
 ``[0, 2**l)``. Signed problems decode the upper half of the grid as two's
-complement.
+complement. One owner states each rule of the grid: ``grid_range`` its
+decoded range, ``decode_grid_int`` the decode, and ``_ranked`` the ranking of
+a distribution's kept bins, which ``estimates_from_probabilities`` wraps in
+estimates.
+
+The time-scale search ``iterative_t0`` computes its probes in three batched
+passes of the same closed form (the doubling ladder, the fine-grid probe,
+and the placement and verification probes), each a table of clock
+distributions; ``_branch`` reads each row the search needs through
+``_ranked``, and no other row is ranked.
 """
 from __future__ import annotations
 
@@ -39,6 +42,7 @@ from .sim import (
     GateKind,
     StateVector,
     check_capacity,
+    check_count,
     inverted_gates,
     marginal_probabilities,
     sample,
@@ -75,14 +79,23 @@ class EigenEstimateSet:
         )
 
 
+def grid_range(bit_width: int, signed_mode: bool) -> tuple[int, int]:
+    """Lowest and highest decoded value of a ``bit_width``-bit clock grid:
+    0 and 2**k - 1, or -2**(k-1) and 2**(k-1) - 1 in two's complement."""
+    check_count("bit_width", bit_width, 1)
+    size = 2**bit_width
+    return (-(size // 2), size // 2 - 1) if signed_mode else (0, size - 1)
+
+
 def decode_grid_int(grid_int: int, bit_width: int, signed_mode: bool) -> int:
-    """Two's-complement decode when signed, identity otherwise."""
-    g = int(grid_int)
-    if not 0 <= g < 2**bit_width:
-        raise ValueError(f"grid value {g} does not fit in {bit_width} bit(s)")
-    if signed_mode and g >= 2 ** (bit_width - 1):
-        return g - 2**bit_width
-    return g
+    """Two's-complement decode when signed, identity otherwise: a raw grid
+    value above the grid's highest decoded value stands for itself minus the
+    grid size."""
+    lowest, highest = grid_range(bit_width, signed_mode)
+    check_count("grid_int", grid_int, 0)
+    if grid_int > highest - lowest:
+        raise ValueError(f"grid_int {grid_int} does not fit in {bit_width} bit(s)")
+    return grid_int - (highest - lowest + 1) if grid_int > highest else grid_int
 
 
 def qft_gates(qubits) -> list[Gate]:
@@ -132,8 +145,7 @@ def qpe_gates(qlsp: QLSP, clock, breg, t0: float) -> list[Gate]:
 
 def build_qpe_circuit(qlsp: QLSP, bit_width: int, t0: float) -> Circuit:
     """Standalone preprocessing circuit: prepare b, then run QPE on the clock."""
-    if bit_width < 1:
-        raise ValueError("bit_width must be at least 1")
+    check_count("bit_width", bit_width, 1)
     nb = qlsp.num_qubits
     breg = tuple(range(nb))
     clock = tuple(range(nb, nb + bit_width))
@@ -158,8 +170,7 @@ def _qpe_amplitudes(qlsp: QLSP, bit_width: int, t0) -> np.ndarray:
     amplitude on bin m is c[m] = (1/T) sum_x exp(i x (lam t0 - 2 pi m) / T);
     the state is sum_j beta_j c_j (x) u_j. One FFT over x gives every c_j.
     """
-    if bit_width < 1:
-        raise ValueError("bit_width must be at least 1")
+    check_count("bit_width", bit_width, 1)
     scales = np.asarray(t0, dtype=float)[..., None]  # [..., 1]
     for scale in scales.ravel().tolist():
         if not math.isfinite(scale):
@@ -301,39 +312,43 @@ def _weights(probabilities: np.ndarray) -> np.ndarray:
     return np.sqrt(probabilities)
 
 
+def _ranked(weights: np.ndarray, bit_width: int) -> list[tuple[int, float]]:
+    """The kept ``(grid value, weight)`` entries of one distribution's amplitude
+    ``weights``, heaviest first. A bin is kept when its weight reaches the
+    fixed relevance threshold ``2**-bit_width``; no kept bin raises
+    ``EmptyEstimateError``."""
+    kept = (weights >= 2.0**-bit_width).nonzero()[0]
+    if not kept.size:
+        raise EmptyEstimateError("no estimate reached the relevance threshold")
+    # weights equal in exact arithmetic can differ in the last bits: rank on
+    # 12 decimals, and the stable sort sends such ties to the smaller grid value
+    entries = list(zip(kept.tolist(), weights[kept].tolist()))
+    entries.sort(key=lambda entry: -round(entry[1], 12))
+    return entries
+
+
 def estimates_from_probabilities(
     probabilities, bit_width: int, time_scale: float, signed_mode: bool = False
 ) -> EigenEstimateSet:
     """Decode a clock distribution into weighted eigenvalue estimates.
 
-    Weights are amplitudes, the square roots of the bin probabilities; a bin
-    is kept when its amplitude reaches the fixed relevance threshold
-    ``2**-bit_width``. Bins below it never become estimates: they are
-    dropped before any per-bin work. A negative probability raises
-    ``ValueError``.
+    Weights are amplitudes, the square roots of the bin probabilities; the
+    kept bins, ranked by ``_ranked``, become the estimates, and bins below
+    its threshold are dropped before any per-bin work. A negative
+    probability raises ``ValueError``.
     """
-    if bit_width < 1:
-        raise ValueError("bit_width must be at least 1")
+    check_count("bit_width", bit_width, 1)
     if not (math.isfinite(time_scale) and time_scale > 0):
         raise ValueError(f"time scale must be finite and positive, not {time_scale}")
     probabilities = np.asarray(probabilities, dtype=float)
-    size = 2**bit_width
-    if probabilities.shape != (size,):
+    if probabilities.shape != (2**bit_width,):
         raise ValueError("probability vector does not match the bit width")
-    weights = _weights(probabilities)
-    kept = (weights >= 2.0**-bit_width).nonzero()[0]
-    if not kept.size:
-        raise EmptyEstimateError("no estimate reached the relevance threshold")
-    negative = size // 2 if signed_mode else size  # two's complement from here up
     scale = float(time_scale)
-    entries = [
-        EigenEstimate(g, TWO_PI * (g - size if g >= negative else g) / scale, w)
-        for g, w in zip(kept.tolist(), weights[kept].tolist())
-    ]
-    # weights equal in exact arithmetic can differ in the last bits: rank on
-    # 12 decimals so that such ties go to the smaller grid value
-    entries.sort(key=lambda e: (-round(e.weight, 12), e.grid_int))
-    return EigenEstimateSet(bit_width, scale, bool(signed_mode), tuple(entries))
+    entries = tuple(
+        EigenEstimate(g, TWO_PI * decode_grid_int(g, bit_width, signed_mode) / scale, w)
+        for g, w in _ranked(_weights(probabilities), bit_width)
+    )
+    return EigenEstimateSet(bit_width, scale, bool(signed_mode), entries)
 
 
 def run_preprocessing(
@@ -360,7 +375,7 @@ def fixed_t0(lambda_max: float, bit_width: int, signed: bool = False) -> float:
     """
     if not (math.isfinite(lambda_max) and lambda_max > 0):
         raise ValueError(f"lambda_max must be finite and positive, not {lambda_max}")
-    top = 2 ** (bit_width - 1) - 1 if signed else 2**bit_width - 1
+    _, top = grid_range(bit_width, signed)
     if top < 1:
         raise ValueError("bit width leaves no nonzero grid value")
     return TWO_PI * top / float(lambda_max)
@@ -378,50 +393,22 @@ def _probe_table(
     return np.array([sample(row, shots, seed) for row in probabilities]) / shots
 
 
-def _branches(
-    probabilities: np.ndarray, bit_width: int, signed: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Rank each row of a table of clock distributions as
-    ``estimates_from_probabilities`` ranks one, with its checks, and return
-    the table's weights and, per row, the top entry's grid value, the
-    strong-branch peak and the dominant coordinate.
+def _branch(weights: np.ndarray, bit_width: int, signed: bool) -> tuple[int, int, int]:
+    """The top entry's grid value, the strong-branch peak and the dominant
+    decoded value of one distribution's amplitude ``weights``, ranked by
+    ``_ranked``.
 
     The strong entries are the kept ones within half the top entry's weight,
     so that kernel tails never drag the tracked coordinate away from the
     strongest eigenvalue branches. The peak is their largest |decoded grid
-    value|, and the dominant coordinate the decoded value of the first strong
-    entry, in rank order, that reaches it.
+    value|, and the dominant value the first strong entry, in rank order,
+    whose magnitude is the peak.
     """
-    weights = _weights(probabilities)
-    threshold = 2.0**-bit_width
-    heaviest = weights.max(axis=1)
-    if heaviest.min() < threshold:
-        raise EmptyEstimateError("no estimate reached the relevance threshold")
-    # Rank on 12 decimals, ties to the smaller grid value. Rounding is
-    # monotonic, so only kept weights within 2e-12 of a row's heaviest can
-    # rank with it, and Python's round decides between them.
-    top = weights.argmax(axis=1)
-    near = weights >= np.maximum(heaviest - 2e-12, threshold)[:, None]
-    for r in np.flatnonzero(near.sum(axis=1) > 1).tolist():
-        best = round(float(heaviest[r]), 12)
-        tied = (g for g in near[r].nonzero()[0].tolist() if round(float(weights[r, g]), 12) == best)
-        top[r] = next(tied)
-    rows, size = np.arange(len(weights)), weights.shape[1]
-    strong = weights >= np.maximum(0.5 * weights[rows, top], threshold)[:, None]
-    grid = np.arange(size)
-    magnitude = np.minimum(grid, size - grid) if signed else grid
-    peak = np.where(strong, magnitude, -1).max(axis=1)
-    dominant = peak.copy()
-    if signed:  # +peak decodes from grid value peak, -peak from size - peak
-        plus = strong[rows, peak] & (peak < size // 2)
-        minus = strong[rows, (size - peak) % size] & (peak > 0)
-        dominant[~plus] *= -1
-        # where both are strong, +peak ranks first unless it weighs less on 12 decimals
-        for r in np.flatnonzero(plus & minus).tolist():
-            p = int(peak[r])
-            if round(float(weights[r, size - p]), 12) > round(float(weights[r, p]), 12):
-                dominant[r] = -p
-    return weights, top, peak, dominant
+    entries = _ranked(weights, bit_width)
+    top, heaviest = entries[0]
+    strong = [decode_grid_int(g, bit_width, signed) for g, w in entries if w >= 0.5 * heaviest]
+    peak = max(abs(d) for d in strong)
+    return top, peak, next(d for d in strong if abs(d) == peak)
 
 
 def _dominant_coordinate(weights: np.ndarray, dominant: int) -> float:
@@ -449,7 +436,7 @@ def iterative_t0(
     grid value without overflowing.
 
     The search reads its probes in three passes, each one table of clock
-    distributions ranked by one rule (``_branches``):
+    distributions of which it ranks only the rows it reads (``_branch``):
 
     1. The doubling ladder: pi / 2 and its 12 doublings. At pi / 2 every
        |lam| <= 1 sits at coordinate at most 0.25 and so decodes to zero;
@@ -469,17 +456,16 @@ def iterative_t0(
     search on the signed grid.
     """
     signed = qlsp.has_negative_eigenvalues
-    target = 2 ** (bit_width - 1) - 1 if signed else 2**bit_width - 1
-    overflow_marker = 2 ** (bit_width - 1) if signed else None
+    _, target = grid_range(bit_width, signed)
 
-    def probes(bits: int, scales) -> tuple[np.ndarray, ...]:
-        return _branches(_probe_table(qlsp, bits, scales, shots, seed), bits, signed)
+    def probes(bits: int, scales) -> np.ndarray:
+        return _weights(_probe_table(qlsp, bits, scales, shots, seed))
 
     t = math.pi / 2.0
     for _ in range(64):
         scales = np.ldexp(t, np.arange(13))  # t 2^i for i = 0 .. 12, exactly
-        _, _, peaks, _ = probes(bit_width, scales)
-        if peaks[0] == 0:
+        ladder = probes(bit_width, scales)
+        if _branch(ladder[0], bit_width, signed)[1] == 0:
             break
         t *= 0.5
     else:
@@ -488,13 +474,13 @@ def iterative_t0(
     # Doubling phase: grow until the peak estimate stops tracking linear
     # growth, which brackets the wrap boundary. An honest doubling doubles
     # the peak coordinate up to rounding, so a shortfall means a wrap even
-    # when another eigenvalue branch aliases onto a nonzero value.
+    # when another eigenvalue branch aliases onto a nonzero value. A peak
+    # past the top grid value is the signed grid's lowest value, which only
+    # a wrap reaches.
     lo, lo_peak = t, 0
-    for cand, m in zip(scales[1:].tolist(), peaks[1:].tolist()):
-        wrapped = (lo_peak > 0 and m < 2 * lo_peak - 1.5) or (
-            overflow_marker is not None and m >= overflow_marker
-        )
-        if wrapped:
+    for cand, row in zip(scales[1:].tolist(), ladder[1:]):
+        _, m, _ = _branch(row, bit_width, signed)
+        if (lo_peak > 0 and m < 2 * lo_peak - 1.5) or m > target:
             break
         lo, lo_peak = cand, m
     else:
@@ -508,8 +494,9 @@ def iterative_t0(
     # enough to place the eigenvalue onto the coarse grid value exactly.
     fine_bits = bit_width + 3
     fine_t = lo * 2 ** (fine_bits - bit_width)
-    weights, _, _, dominant = probes(fine_bits, [fine_t])
-    lam_hat = TWO_PI * _dominant_coordinate(weights[0], int(dominant[0])) / fine_t
+    (weights,) = probes(fine_bits, [fine_t])
+    _, _, dominant = _branch(weights, fine_bits, signed)
+    lam_hat = TWO_PI * _dominant_coordinate(weights, dominant) / fine_t
     result = TWO_PI * target / lam_hat
 
     # A biased interpolation can push past the wrap; the placement check then
@@ -518,11 +505,10 @@ def iterative_t0(
     # the dominant estimate rounds to zero, while a spectrum aliased by a
     # grid period lands at 0.7 or above.
     backed_off = result * (target / (target + 0.5))
-    checks = [result, 0.35 * result / target, 0.35 * backed_off / target]
-    _, top, peaks, _ = probes(bit_width, checks)
-    placed = peaks[0] >= target - 1
+    checks = probes(bit_width, [result, 0.35 * result / target, 0.35 * backed_off / target])
+    placed = _branch(checks[0], bit_width, signed)[1] >= target - 1
     if not placed:
         result = backed_off
-    if top[1 if placed else 2] != 0:
+    if _branch(checks[1 if placed else 2], bit_width, signed)[0] != 0:
         raise AliasingError("verification run still decodes a nonzero estimate")
     return result

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidProblemError, SingularProblemError
+from .sim import check_count
 
 HERMITIAN_ATOL = 1e-10
 SINGULAR_ATOL = 1e-12
@@ -185,10 +186,13 @@ def generate_n4(eigenvalues, pair, seed: int) -> QLSP:
         raise ValueError("eigenvalues must be nonzero")
     if any(abs(v) > 1.0 + 1e-12 for v in eigs):
         raise ValueError("eigenvalues must have magnitude at most 1")
-    i, j = (int(p) for p in pair)
+    check_count("seed", seed, 0)
+    i, j = pair
+    check_count("pair index", i, 0)
+    check_count("pair index", j, 0)
     if i == j:
         raise ValueError("pair indices must be distinct")
-    if not (0 <= i < 4 and 0 <= j < 4):
+    if not (i < 4 and j < 4):
         raise ValueError("pair indices must select one of the four eigenvalues")
 
     rng = np.random.default_rng(seed)
@@ -201,6 +205,8 @@ def generate_n4(eigenvalues, pair, seed: int) -> QLSP:
 
 def evolution_unitary(qlsp: QLSP, time: float, power: int = 1, big_t: int = 1) -> np.ndarray:
     """exp(i A t power / big_t) built from the cached eigendecomposition."""
-    phases = np.exp(1j * qlsp.eigenvalues * float(time) * int(power) / int(big_t))
+    check_count("power", power, 0)
+    check_count("big_t", big_t, 1)
+    phases = np.exp(1j * qlsp.eigenvalues * float(time) * power / big_t)
     vectors = qlsp.eigenvectors
     return (vectors * phases) @ vectors.conj().T

@@ -55,6 +55,8 @@ def check_count(name: str, value, least: int) -> None:
 
     Python and numpy ints pass; bools, floats and None do not, whatever their value.
     """
+    if type(value) is int and value >= least:  # the common case, decided first
+        return
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         bound = "non-negative" if least == 0 else f"at least {least}"
         raise ValueError(f"{name} must be {bound} and an int, not {value!r}")

@@ -41,6 +41,13 @@ def test_alpha_linear_values():
         alpha_overlap(-0.1)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_alpha_rejects_a_non_finite_delta(delta):
+    for model in ("linear", "exact"):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            alpha_overlap(delta, model, big_t=8)
+
+
 def test_alpha_exact_normalized_and_bounded():
     assert alpha_overlap(0.0, "exact", big_t=8) == pytest.approx(1.0)
     # removable singularity at delta = pi evaluates to the analytic limit
@@ -149,7 +156,7 @@ def test_hybrid_rotation_cap():
     assert {p for p, _ in plan.rotations} == {3, 6}
 
 
-@pytest.mark.parametrize("cap", [0, -5, 1.9])
+@pytest.mark.parametrize("cap", [0, -5, 1.9, True, 2.0])
 def test_hybrid_rejects_a_cap_it_cannot_honour(cap):
     estimates = _estimates(3, 18 * math.pi, [(3, 0.7), (6, 0.6)])
     with pytest.raises(ValueError, match="max_rotations"):
@@ -328,6 +335,32 @@ def _simulated(states, gates):
     circuit.gates = list(gates)
     images = [apply_circuit(StateVector(width, s.reshape(-1)), circuit) for s in states]
     return np.stack([image.amplitudes.reshape(states.shape[1:]) for image in images])
+
+
+@pytest.mark.parametrize(
+    "fields, field",
+    [
+        ((0, (), 1.0), "bit_width"),
+        ((2.0, (), 1.0), "bit_width"),
+        ((True, (), 1.0), "bit_width"),
+        ((1, ((True, 0.5),), 1.0), "rotation pattern"),
+        ((2, ((1.0, 0.5),), 1.0), "rotation pattern"),
+        ((2, ((-1, 0.5),), 1.0), "rotation pattern"),
+        ((2, (), 1.0, -2.5), "clamp_events"),
+        ((2, (), 1.0, True), "clamp_events"),
+    ],
+)
+def test_plan_count_fields_accept_only_ints(fields, field):
+    with pytest.raises(ValueError, match=f"{field} must be .* an int"):
+        InversionPlan(*fields)
+
+
+def test_planners_accept_only_int_bit_widths():
+    estimates = _estimates(4, 36 * math.pi, [(6, 0.7), (12, 0.6)])
+    with pytest.raises(ValueError, match="bit_width must be .* an int"):
+        plan_enhanced(estimates, 2.5)
+    with pytest.raises(ValueError, match="bit_width must be .* an int"):
+        plan_canonical(3.0, 6 * math.pi)
 
 
 def test_plan_validation():

@@ -15,6 +15,7 @@ from qlslab.preprocess import (
     decode_grid_int,
     estimates_from_probabilities,
     fixed_t0,
+    grid_range,
     inverse_qft_gates,
     iterative_t0,
     qft_gates,
@@ -372,6 +373,35 @@ def test_decode_grid_int():
     assert decode_grid_int(4, 3, signed_mode=True) == -4
     assert decode_grid_int(3, 3, signed_mode=True) == 3
     assert decode_grid_int(7, 3, signed_mode=False) == 7
+
+
+def test_grid_range():
+    assert grid_range(3, False) == (0, 7)
+    assert grid_range(3, True) == (-4, 3)
+    assert grid_range(1, True) == (-1, 0)
+    assert [decode_grid_int(g, 3, True) for g in range(8)] == [0, 1, 2, 3, -4, -3, -2, -1]
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda: decode_grid_int(1.5, 2, False), "grid_int"),
+        (lambda: decode_grid_int(True, 2, False), "grid_int"),
+        (lambda: decode_grid_int(-1, 2, False), "grid_int"),
+        (lambda: decode_grid_int(4, 2, True), "grid_int"),
+        (lambda: decode_grid_int(1, 2.0, False), "bit_width"),
+        (lambda: grid_range(0, False), "bit_width"),
+        (lambda: fixed_t0(1.0, 2.5), "bit_width"),
+        (lambda: fixed_t0(1.0, True), "bit_width"),
+        (lambda: estimates_from_probabilities([0.5, 0.5], True, 1.0), "bit_width"),
+        (lambda: estimates_from_probabilities([0.25] * 4, 2.0, 1.0), "bit_width"),
+        (lambda: qpe_grid_probabilities(generate_n2(0.3), 2.0, 1.0), "bit_width"),
+        (lambda: build_qpe_circuit(generate_n2(0.3), 2.0, 1.0), "bit_width"),
+    ],
+)
+def test_grid_inputs_accept_only_ints(call, field):
+    with pytest.raises(ValueError, match=field):
+        call()
 
 
 def test_threshold_removes_small_bins():
@@ -784,6 +814,28 @@ def test_probe_table_rows_equal_the_single_probe_distributions(dimension, bits):
         assert np.array_equal(frequencies, qpe_histogram(qlsp, bits, t, 4096, 7) / 4096)
 
 
+@pytest.mark.parametrize("dimension", [2, 4, 8])
+@pytest.mark.parametrize("bits", range(1, 7))
+def test_every_probe_row_keeps_its_heaviest_bin(dimension, bits):
+    """Every row ``_probe_table`` returns, exact or sampled at 4096 shots,
+    holds a bin of weight at least 2^(-bits/2), since its probabilities sum
+    to one over 2^bits bins. That is above the relevance threshold 2^-bits,
+    so ``_branch`` never raises inside ``iterative_t0``, and ranking only the
+    rows the search reads changes no outcome. The 1e-12 slack covers the
+    exact rows' roundoff."""
+    rng = np.random.default_rng(100 * dimension + bits)
+    ladder = np.ldexp(math.pi / 2, np.arange(16)).tolist()  # the ladder's scales, and 8 times them
+    for seed in range(5):
+        m = rng.normal(size=(dimension, dimension)) + 1j * rng.normal(size=(dimension, dimension))
+        qlsp = QLSP(m + m.conj().T, rng.normal(size=dimension))
+        scales = [*ladder, *rng.uniform(1e-3, 6e4, 8).tolist()]
+        for shots in (None, 4096):
+            table = preprocess._probe_table(qlsp, bits, scales, shots, seed)
+            assert (np.sqrt(table.max(axis=1)) >= 2 ** (-bits / 2) * (1 - 1e-12)).all()
+            for row in table:
+                preprocess._branch(np.sqrt(row), bits, qlsp.has_negative_eigenvalues)
+
+
 def test_probe_table_keeps_the_single_probe_checks():
     qlsp = generate_n2(0.3)
     with pytest.raises(ValueError, match="t0 must be finite, not inf"):
@@ -802,24 +854,24 @@ def _reference_branches(probabilities, bit_width, signed):
     return est.entries[0].grid_int, max(abs(d) for d in strong), max(strong, key=abs)
 
 
-def _branch_outcome(rule, table, bit_width, signed):
+def _branch_outcome(rule, row, bit_width, signed):
     try:
-        return rule(table, bit_width, signed)
+        return rule(row, bit_width, signed)
     except (ValueError, EmptyEstimateError) as exc:
         return type(exc).__name__, str(exc)
 
 
+def _read_row(row, bit_width, signed):
+    """One distribution read as ``iterative_t0`` reads a row: checked weights, then ``_branch``."""
+    return preprocess._branch(preprocess._weights(row), bit_width, signed)
+
+
 def _assert_branches_match(table, bit_width, signed):
-    table = np.asarray(table, dtype=float)
-    expected = [_branch_outcome(_reference_branches, row, bit_width, signed) for row in table]
-    failures = [e for e in expected if isinstance(e[0], str)]
-    outcome = _branch_outcome(preprocess._branches, table, bit_width, signed)
-    if failures:
-        assert outcome == failures[0]
-        return
-    weights, top, peak, dominant = outcome
-    assert np.array_equal(weights, np.sqrt(table))
-    assert list(zip(top.tolist(), peak.tolist(), dominant.tolist())) == expected
+    """Each row of ``table`` read alone by ``_branch`` as ``_reference_branches``
+    reads it, failures included."""
+    for row in np.asarray(table, dtype=float):
+        expected = _branch_outcome(_reference_branches, row, bit_width, signed)
+        assert _branch_outcome(_read_row, row, bit_width, signed) == expected
 
 
 # weights that tie on 12 decimals but not in the last bits
@@ -850,8 +902,8 @@ _PALETTE = (0.0, 1e-3, 0.125, 0.25, 0.25 + 5e-17, 0.3, 0.5 - 1e-15, 0.5, 0.5 + 1
     data=st.data(),
 )
 def test_branch_rule_matches_the_estimate_ranking(bit_width, signed, data):
-    """Every row of a table, ranked at once, as ``estimates_from_probabilities``
-    ranks it alone; a row with no kept entry raises for the whole table."""
+    """Every row of a table, read alone by ``_branch``, as
+    ``estimates_from_probabilities`` ranks it; a row with no kept entry raises."""
     row = st.lists(st.sampled_from(_PALETTE), min_size=2**bit_width, max_size=2**bit_width)
     table = np.array(data.draw(st.lists(row, min_size=1, max_size=4))) ** 2
     _assert_branches_match(table, bit_width, signed)
@@ -862,10 +914,15 @@ def test_branch_rule_matches_the_estimate_ranking(bit_width, signed, data):
 )
 def test_branch_rule_keeps_the_decoding_checks(bad, message):
     table = np.array([[0.5, 0.5, 0.0, 0.0], [0.5, bad, 0.5, 0.0]])
+    _assert_branches_match(table, 2, False)
     with pytest.raises(ValueError, match=message):
-        preprocess._branches(table, 2, False)
+        preprocess._weights(table)  # iterative_t0 checks a whole table before it reads a row
+    with pytest.raises(ValueError, match=message):
+        _read_row(table[1], 2, False)
+    second_empty = np.full((2, 8), 1 / 8) * [[1], [0]]
+    _assert_branches_match(second_empty, 3, False)
     with pytest.raises(EmptyEstimateError):
-        preprocess._branches(np.full((2, 8), 1 / 8) * [[1], [0]], 3, False)
+        _read_row(second_empty[1], 3, False)
 
 
 @pytest.mark.xfail(

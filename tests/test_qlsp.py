@@ -177,6 +177,21 @@ def test_evolution_unitary_properties():
     assert np.max(np.abs(u @ qlsp.matrix_a - qlsp.matrix_a @ u)) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"power": 2.5}, "power"),
+        ({"power": True}, "power"),
+        ({"power": -1}, "power"),
+        ({"big_t": 0}, "big_t"),
+        ({"big_t": 8.0}, "big_t"),
+    ],
+)
+def test_evolution_unitary_accepts_only_int_powers(kwargs, field):
+    with pytest.raises(ValueError, match=f"{field} must be .* an int"):
+        evolution_unitary(generate_n2(0.3), 1.0, **kwargs)
+
+
 def test_generate_n4_spectrum_and_projections():
     qlsp = generate_n4(PAPER_N4_EIGENVALUES, (0, 2), seed=7)
     assert np.allclose(sorted(qlsp.eigenvalues), sorted(PAPER_N4_EIGENVALUES), atol=1e-10)
@@ -201,6 +216,22 @@ def test_generate_n4_validation():
         generate_n4((0.1, 0.1, 0.3, 0.4), (0, 1), seed=1)
     with pytest.raises(ValueError):
         generate_n4((0.0, 0.2, 0.3, 0.4), (0, 1), seed=1)
+
+
+@pytest.mark.parametrize(
+    "pair, seed, field",
+    [
+        ((0, 1), None, "seed"),
+        ((0, 1), 1.0, "seed"),
+        ((0, 1), -1, "seed"),
+        ((0.5, 1), 1, "pair index"),
+        ((0, True), 1, "pair index"),
+        ((-1, 1), 1, "pair index"),
+    ],
+)
+def test_generate_n4_accepts_only_int_seeds_and_pairs(pair, seed, field):
+    with pytest.raises(ValueError, match=f"{field} must be .* an int"):
+        generate_n4(PAPER_N4_EIGENVALUES, pair, seed)
 
 
 def test_n2_eigendecomposition_consistency():
