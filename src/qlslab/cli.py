@@ -295,8 +295,7 @@ def emit_plot_data(csv_path: str, out_path: str) -> int:
 
 def describe_problem(qlsp: QLSP, clock_bits: int, t0: float) -> str:
     """Human-readable spectrum report with grid alignment for the given scale."""
-    if clock_bits < 1:
-        raise ValueError(f"the clock needs at least 1 bit, not {clock_bits}")
+    check_count("clock_bits", clock_bits, 1)
     if not 0 < t0 < math.inf:
         raise ValueError(f"t0 must be finite and positive, not {t0}")
     lines = [

@@ -109,13 +109,12 @@ def plan_canonical(bit_width: int, t0: float, signed_mode: bool = False) -> Inve
     constant is the smallest nonzero grid value 2 pi / t0 and the smallest
     positive pattern rotates by a full half turn.
     """
-    check_count("bit_width", bit_width, 1)
+    lowest, highest = grid_range(bit_width, signed_mode)  # checks bit_width
     if not (math.isfinite(t0) and t0 > 0):
         raise ValueError(f"t0 must be finite and positive, not {t0}")
-    inverses = {
-        pattern: 1.0 / (TWO_PI * decode_grid_int(pattern, bit_width, signed_mode) / t0)
-        for pattern in range(1, 2**bit_width)
-    }
+    # patterns 1 .. 2**k - 1 decode to 1 .. highest, then wrap to lowest .. -1
+    decoded = [*range(1, highest + 1), *range(lowest, 0)]
+    inverses = {pattern: 1.0 / (TWO_PI * g / t0) for pattern, g in enumerate(decoded, 1)}
     return _plan(bit_width, inverses)
 
 

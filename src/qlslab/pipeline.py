@@ -16,8 +16,12 @@ the unnormalised state. So the solver circuit is simulated once for every
 readout mode; the swap-test readout samples outcome probabilities taken from
 the branches in closed form and simulates no test register.
 
-``execute`` runs noiseless and noisy circuits alike. It walks the stage
-records of ``preprocess.qpe_stages`` (state preparation, Hadamard layer,
+``execute`` takes one of two paths. A run into which ``inject_noise``
+inserts no Pauli (no noise, or noise whose draws insert none) takes the
+cached prefix output and runs the inversion block and the uncompute in one
+pass in A's eigenbasis (``_tail``), where they are block-diagonal; it
+simulates no gate. A run with a Pauli walks the stage records of
+``preprocess.qpe_stages`` (state preparation, Hadamard layer,
 controlled-power ladder, Fourier transform, and their adjoints in the
 uncompute) and of the inversion block (``inversion.rotate_branches``), and
 applies each run of a stage's gates that no inserted Pauli interrupts by
@@ -26,11 +30,14 @@ closed form, split at any Pauli: a Pauli inside a Hadamard layer, ladder
 or inversion block splits it into closed forms either side, and only a
 Fourier transform that a Pauli lands in is simulated gate by gate, with
 state preparation and the Paulis themselves. When the whole prefix is
-Pauli-free, its cached walk stands in for it, so noiseless runs simulate
-state preparation once per problem and t0. Every run reports the gate
-counts of the whole noiseless circuit. Consecutive runs on one problem
-share its stage records, prefix state and iterative t0 search through
-one-slot memos (``_qpe_blocks``, ``_searched_t0``).
+Pauli-free, its cached walk stands in for it, so state preparation is
+simulated once per problem and t0. Every run reports the gate counts of
+the whole noiseless circuit, added up block by block: the cached counts
+of the prefix and the uncompute and those of the inversion block, whose
+rotations each span the clock and the ancilla, so that depths add too.
+Consecutive runs on one problem share its stage records, prefix state,
+block counts and iterative t0 search through one-slot memos
+(``_qpe_blocks``, ``_searched_t0``).
 
 Fidelity semantics: each readout returns the value a run reports as its
 fidelity, and the run derives its error through ``error_from_fidelity``
@@ -48,6 +55,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +77,8 @@ from .inversion import (
 from .preprocess import (
     EigenEstimateSet,
     Stage,
+    clock_hadamards,
+    clock_qft,
     fixed_t0,
     iterative_t0,
     qpe_stages,
@@ -193,12 +203,22 @@ def error_from_fidelity(fidelity: float) -> float:
     return math.sqrt(max(0.0, 2.0 * (1.0 - fidelity)))
 
 
+class _Blocks(NamedTuple):
+    """What one problem's runs at one clock width and t0 share (``_qpe_blocks``)."""
+
+    prefix: tuple[Stage, ...]  # the stage records of prepare b + QPE
+    uncompute: tuple[Stage, ...]  # the stage records of the QPE block undone
+    prepared: np.ndarray  # the amplitudes after the prefix, [ancilla, clock, b]
+    eigen: np.ndarray  # prepared[0] in A's eigenbasis, [clock, eigenpair j]
+    phases: np.ndarray  # the adjoint ladder's exp(-i t0 x lam_j / T), [clock x, j]
+    reports: tuple[GateReport, GateReport]  # gate_report of the prefix, of the uncompute
+
+
 @functools.lru_cache(maxsize=1)
-def _qpe_blocks(
-    qlsp: QLSP, clock_bits: int, t0: float
-) -> tuple[tuple[Stage, ...], tuple[Stage, ...], np.ndarray]:
+def _qpe_blocks(qlsp: QLSP, clock_bits: int, t0: float) -> _Blocks:
     """``qpe_stages`` of the solver's prefix (prepare b + QPE) and uncompute,
-    and the solver's amplitudes after the prefix, laid out [ancilla, clock, b].
+    the solver's amplitudes after the prefix, and what ``_tail`` and the gate
+    counts of ``execute`` read of them.
 
     The amplitudes are ``_walk`` of the Pauli-free prefix from |0>: state
     preparation simulated, then the Hadamard layer, ladder and inverse QFT
@@ -208,10 +228,18 @@ def _qpe_blocks(
     ``QLSP`` is immutable.
     """
     prefix, uncompute = qpe_stages(qlsp, clock_bits, t0)
-    zero = StateVector.zero(qlsp.num_qubits + clock_bits + 1).amplitudes
-    prepared = _walk(zero.reshape(2, 2**clock_bits, qlsp.dimension), prefix, {})
-    prepared.setflags(write=False)
-    return prefix, uncompute, prepared
+    size, width = 2**clock_bits, qlsp.num_qubits + clock_bits + 1
+    zero = StateVector.zero(width).amplitudes
+    prepared = _walk(zero.reshape(2, size, qlsp.dimension), prefix, {})
+    eigen = prepared[0] @ qlsp.eigenvectors.conj()
+    phases = np.exp(np.outer(np.arange(size), qlsp.eigenvalues * (-1j * float(t0) / size)))
+    for array in (prepared, eigen, phases):
+        array.setflags(write=False)
+    head, tail = (
+        gate_report(_circuit(width, [gate for stage in stages for gate in stage.gates]))
+        for stages in (prefix, uncompute)
+    )
+    return _Blocks(prefix, uncompute, prepared, eigen, phases, (head, tail))
 
 
 def assemble_hhl(qlsp: QLSP, clock_bits: int, t0: float, plan: InversionPlan) -> Circuit:
@@ -221,11 +249,11 @@ def assemble_hhl(qlsp: QLSP, clock_bits: int, t0: float, plan: InversionPlan) ->
     nb = qlsp.num_qubits
     circuit = Circuit(nb + clock_bits + 1)
     check_capacity(circuit.num_qubits)
-    prefix, uncompute, _ = _qpe_blocks(qlsp, clock_bits, t0)
+    blocks = _qpe_blocks(qlsp, clock_bits, t0)
     inversion = build_inversion_circuit(plan, range(nb, nb + clock_bits), nb + clock_bits)
     # each block was built in a circuit no wider than this one, whose add
     # already checked that every gate fits
-    for stage in (*prefix, inversion, *uncompute):
+    for stage in (*blocks.prefix, inversion, *blocks.uncompute):
         circuit.gates.extend(stage.gates)
     return circuit
 
@@ -236,35 +264,82 @@ def execute(
     """The solver's output on |0> as its ancilla branches, shape (2, 2^k, N),
     and the gate counts of its noiseless circuit, with k = ``plan.bit_width``.
 
-    Assembles ``assemble_hhl(qlsp, k, t0, plan)``, inserts the Paulis of
-    ``noise`` through ``inject_noise``, and walks the stage records of
+    Assembles ``assemble_hhl(qlsp, k, t0, plan)`` and inserts the Paulis of
+    ``noise`` through ``inject_noise``. When it inserts none, ``_tail`` runs
+    the inversion block and the uncompute in one pass in A's eigenbasis on
+    the cached prefix output. Otherwise it walks the stage records of
     ``_qpe_blocks`` and the inversion block (``rotate_branches``): every
-    stage except state preparation runs in closed form, split at any Pauli.
-    When no Pauli comes before the prefix's last gate, the cached walk of
-    the prefix stands in for its stages.
+    stage except state preparation runs in closed form, split at any Pauli,
+    and when no Pauli comes before the prefix's last gate, the cached walk
+    of the prefix stands in for its stages.
+
+    The counts add up block by block: the cached reports of the prefix and
+    the uncompute, and ``gate_report`` of the inversion block. Depths add
+    too. Every inversion rotation spans all clock qubits and the ancilla, so
+    the block is a barrier. An empty plan leaves none, but the uncompute
+    mirrors the QPE block gate for gate, so the prefix's longest chain of
+    gates goes on through its mirror image and the depths still add.
     """
     circuit = assemble_hhl(qlsp, plan.bit_width, t0, plan)
-    report = gate_report(circuit)
+    blocks = _qpe_blocks(qlsp, plan.bit_width, t0)
+    head, tail = blocks.reports
+    inversion = circuit.gates[head.gate_count : len(circuit) - tail.gate_count]
+    middle = gate_report(_circuit(circuit.num_qubits, inversion))
+    report = GateReport(
+        head.gate_count + middle.gate_count + tail.gate_count,
+        head.two_qubit_count + middle.two_qubit_count + tail.two_qubit_count,
+        head.depth + middle.depth + tail.depth,
+    )
     executed = inject_noise(circuit, noise) if noise else circuit
-    prefix, uncompute, prepared = _qpe_blocks(qlsp, plan.bit_width, t0)
+    if len(executed) == len(circuit):  # no Pauli
+        return _tail(qlsp, plan, blocks), report
+    return _staged(plan, blocks, circuit, executed), report
+
+
+def _staged(
+    plan: InversionPlan, blocks: _Blocks, circuit: Circuit, executed: Circuit
+) -> np.ndarray:
+    """``executed``, the solver ``circuit`` with any Paulis inserted, on |0>:
+    ``_walk`` of the stage records of ``blocks`` and the inversion block,
+    from the cached prefix output when no Pauli comes before the prefix's
+    last gate."""
     gates = circuit.gates
-    opening = sum(len(stage.gates) for stage in prefix)
-    closing = len(gates) - sum(len(stage.gates) for stage in uncompute)
+    opening = blocks.reports[0].gate_count  # the prefix's gates
+    closing = len(gates) - blocks.reports[1].gate_count  # where the uncompute's begin
     rotations = tuple(range(closing - opening))  # gate i is the plan's rotation i
     inversion = Stage(gates[opening:closing], functools.partial(rotate_branches, plan), rotations)
     follows: dict[int, list[Gate]] = {}  # index in gates -> the Paulis inserted after it
-    if len(executed.gates) > len(gates):
-        originals, i = set(map(id, gates)), -1
-        for gate in executed.gates:
-            if id(gate) in originals:
-                i += 1
-            else:
-                follows.setdefault(i, []).append(gate)
+    originals, i = set(map(id, gates)), -1
+    for gate in executed.gates:
+        if id(gate) in originals:
+            i += 1
+        else:
+            follows.setdefault(i, []).append(gate)
     if min(follows, default=opening) >= opening - 1:
         follows = {i - opening: paulis for i, paulis in follows.items()}
-        return _walk(prepared, (inversion, *uncompute), follows), report
-    zero = StateVector.zero(circuit.num_qubits).amplitudes.reshape(prepared.shape)
-    return _walk(zero, (*prefix, inversion, *uncompute), follows), report
+        return _walk(blocks.prepared, (inversion, *blocks.uncompute), follows)
+    zero = StateVector.zero(circuit.num_qubits).amplitudes.reshape(blocks.prepared.shape)
+    return _walk(zero, (*blocks.prefix, inversion, *blocks.uncompute), follows)
+
+
+def _tail(qlsp: QLSP, plan: InversionPlan, blocks: _Blocks) -> np.ndarray:
+    """The inversion block and the uncompute, with no Pauli, on the cached
+    prefix output, in one pass in A's eigenbasis.
+
+    There every stage after the prefix is block-diagonal in the eigenpair:
+    the inversion scales each pattern's row of the ancilla-0 branch by the
+    cosine and sine of its half-angle (the ancilla-1 branch is still zero),
+    the QFT and the Hadamard layer act on the clock axis alone, and the
+    adjoint ladder is one phase per clock value and eigenpair. The last step
+    turns back to the computational basis.
+    """
+    patterns = [m for m, _ in plan.rotations]
+    halves = 0.5 * np.array([theta for _, theta in plan.rotations])
+    scales = np.zeros((2, blocks.eigen.shape[0], 1))
+    scales[0] = 1.0
+    scales[0, patterns, 0], scales[1, patterns, 0] = np.cos(halves), np.sin(halves)
+    transformed = clock_qft(scales * blocks.eigen) * blocks.phases
+    return clock_hadamards(transformed) @ qlsp.eigenvectors.T
 
 
 def _walk(blocks: np.ndarray, stages, follows: dict[int, list[Gate]]) -> np.ndarray:
@@ -293,10 +368,16 @@ def _simulate(blocks: np.ndarray, gates: list[Gate]) -> np.ndarray:
     """``gates`` applied to the amplitudes ``blocks``; no call for no gates."""
     if not gates:
         return blocks
-    part = Circuit(blocks.size.bit_length() - 1)
-    part.gates = gates
+    part = _circuit(blocks.size.bit_length() - 1, gates)
     state = StateVector(part.num_qubits, blocks.reshape(-1), validate=False)
     return apply_circuit(state, part).amplitudes.reshape(blocks.shape)
+
+
+def _circuit(num_qubits: int, gates: list[Gate]) -> Circuit:
+    """A circuit of ``gates``, each already checked to fit ``num_qubits`` qubits."""
+    circuit = Circuit(num_qubits)
+    circuit.gates = gates
+    return circuit
 
 
 def _target(x, branches: np.ndarray) -> np.ndarray:

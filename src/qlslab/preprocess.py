@@ -6,8 +6,10 @@ eigenbasis (``qpe_state``) rather than by simulating the circuit that
 block's uncompute, into ``Stage`` records that carry each stage's closed
 form on amplitudes laid out as [rest, clock, b] (``clock_hadamards``,
 ``clock_powers``, ``clock_qft``); a Hadamard layer or ladder also acts on a
-range of clock bits. ``pipeline`` walks the records, applying every stage,
-or part of a stage, that no noise lands in by its closed form.
+range of clock bits. ``pipeline`` walks the records of a run that noise
+lands in, applying every stage, or part of a stage, that no noise lands in
+by its closed form; a run without noise walks only the prefix, once per
+problem and t0, and takes the rest in one pass in A's eigenbasis.
 
 The time scale ``t0`` maps an eigenvalue ``lam`` to the clock-grid coordinate
 ``lam * t0 / (2 pi)``; adjacent grid points are one coordinate unit (a phase
@@ -130,12 +132,23 @@ def _inverse_qft_tuple(qubits: tuple[int, ...]) -> tuple[Gate, ...]:
     return tuple(inverted_gates(qft_gates(qubits)))
 
 
+@functools.lru_cache(maxsize=64)
+def _qft_tuple(qubits: tuple[int, ...]) -> tuple[Gate, ...]:
+    """The uncompute's Fourier transform, ``inverted_gates`` of the inverse QFT."""
+    return tuple(inverted_gates(_inverse_qft_tuple(qubits)))
+
+
+@functools.lru_cache(maxsize=64)
+def _hadamard_layer(qubits: tuple[int, ...]) -> tuple[Gate, ...]:
+    return tuple(Gate(GateKind.HADAMARD, (q,)) for q in qubits)
+
+
 def qpe_gates(qlsp: QLSP, clock, breg, t0: float) -> list[Gate]:
     """Phase-estimation block: clock Hadamards, controlled powers, inverse QFT."""
     clock = tuple(int(q) for q in clock)
     breg = tuple(int(q) for q in breg)
     big_t = 2 ** len(clock)
-    gates: list[Gate] = [Gate(GateKind.HADAMARD, (q,)) for q in clock]
+    gates: list[Gate] = list(_hadamard_layer(clock))
     for r, control in enumerate(clock):
         u = evolution_unitary(qlsp, t0, power=2**r, big_t=big_t)
         gates.append(Gate(GateKind.UNITARY, breg, ((control, 1),), matrix=u))
@@ -271,20 +284,23 @@ def qpe_stages(qlsp: QLSP, bit_width: int, t0: float) -> tuple[tuple[Stage, ...]
     """``build_qpe_circuit(qlsp, bit_width, t0)`` cut into state preparation,
     Hadamard layer, controlled-power ladder and inverse QFT, and its QPE
     block's uncompute, ``inverted_gates`` of the block, cut into QFT, adjoint
-    ladder and Hadamard layer."""
+    ladder and Hadamard layer. Only state preparation and the ladder depend
+    on the problem; the other gates are shared by every problem on the
+    same clock qubits."""
     k, partial = bit_width, functools.partial
     gates = tuple(build_qpe_circuit(qlsp, k, t0).gates)
-    undo = tuple(inverted_gates(gates[1:]))
-    up, down, qft = tuple(range(k)), tuple(range(k - 1, -1, -1)), len(undo) - 2 * k
+    hadamards, ladder = gates[1 : 1 + k], gates[1 + k : 1 + 2 * k]
+    clock = tuple(range(qlsp.num_qubits, qlsp.num_qubits + k))
+    up, down = tuple(range(k)), tuple(range(k - 1, -1, -1))
     return (
         Stage(gates[:1]),
-        Stage(gates[1 : 1 + k], clock_hadamards, up),
-        Stage(gates[1 + k : 1 + 2 * k], partial(clock_powers, qlsp, t0), up),
+        Stage(hadamards, clock_hadamards, up),
+        Stage(ladder, partial(clock_powers, qlsp, t0), up),
         Stage(gates[1 + 2 * k :], partial(clock_qft, inverse=True)),
     ), (
-        Stage(undo[:qft], clock_qft),
-        Stage(undo[qft : qft + k], partial(clock_powers, qlsp, t0, adjoint=True), down),
-        Stage(undo[qft + k :], clock_hadamards, down),
+        Stage(_qft_tuple(clock), clock_qft),
+        Stage(tuple(inverted_gates(ladder)), partial(clock_powers, qlsp, t0, adjoint=True), down),
+        Stage(hadamards[::-1], clock_hadamards, down),  # a Hadamard is its own adjoint
     )
 
 

@@ -62,6 +62,14 @@ def check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be {bound} and an int, not {value!r}")
 
 
+@functools.lru_cache(maxsize=8)
+def _identity(dim: int) -> np.ndarray:
+    """The read-only ``dim`` x ``dim`` identity that unitarity checks compare to."""
+    identity = np.eye(dim)
+    identity.setflags(write=False)
+    return identity
+
+
 class GateKind(Enum):
     HADAMARD = "h"
     PAULI_X = "x"
@@ -145,7 +153,7 @@ class Gate:
                 )
             if not np.isfinite(m).all():
                 raise InvalidGateError("matrix entries must be finite")
-            if abs(m.conj().T @ m - np.eye(dim)).max() > UNITARY_ATOL:
+            if abs(m.conj().T @ m - _identity(dim)).max() > UNITARY_ATOL:
                 raise InvalidGateError("matrix is not unitary within 1e-10")
             m.setflags(write=False)
             object.__setattr__(self, "matrix", m)

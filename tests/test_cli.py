@@ -125,6 +125,13 @@ def test_describe_report_contents():
     assert "delta 0.0000" in report
 
 
+@pytest.mark.parametrize("width", [0, -1, 2.5, 3.0, True, None])
+def test_describe_accepts_only_int_clock_widths(width):
+    message = f"clock_bits must be at least 1 and an int, not {width!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        describe_problem(generate_n2(0.3), width, 10.0)
+
+
 def test_describe_ill_conditioned():
     report = describe_problem(generate_n2(0.01), 3, 18 * math.pi)
     assert "condition number 99" in report

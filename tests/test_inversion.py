@@ -17,7 +17,7 @@ from qlslab.inversion import (
     plan_hybrid,
     rotate_branches,
 )
-from qlslab.preprocess import EigenEstimate, EigenEstimateSet, run_preprocessing
+from qlslab.preprocess import EigenEstimate, EigenEstimateSet, decode_grid_int, run_preprocessing
 from qlslab.qlsp import generate_n2
 from qlslab.sim import Circuit, StateVector, apply_circuit
 
@@ -102,6 +102,22 @@ def test_canonical_signed_patterns():
     assert angles[1] == pytest.approx(math.pi)  # lambda = +c
     assert angles[7] == pytest.approx(-math.pi)  # two's complement -1
     assert angles[5] == pytest.approx(2 * math.asin(-1 / 3))  # decoded -3
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_canonical_plan_decodes_every_pattern_as_decode_grid_int(k, signed):
+    """The canonical plan takes its grid values from ``grid_range`` in one
+    pass; it equals, bit for bit, the plan built from each pattern's
+    ``decode_grid_int``."""
+    for t0 in (0.7, 6 * math.pi, 123.456):
+        per_pattern = {
+            p: 1.0 / (TWO_PI * decode_grid_int(p, k, signed) / t0) for p in range(1, 2**k)
+        }
+        largest = max(abs(x) for x in per_pattern.values())
+        rotations = sorted((p, 2.0 * math.asin(x / largest)) for p, x in per_pattern.items())
+        plan = plan_canonical(k, t0, signed_mode=signed)
+        assert plan == InversionPlan(k, tuple(rotations), 1.0 / largest)
 
 
 @settings(derandomize=True, deadline=None)

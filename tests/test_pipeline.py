@@ -26,6 +26,7 @@ from qlslab.pipeline import (
     direct_fidelity,
     error_from_fidelity,
     execute,
+    plan_run,
     projection_fidelity,
     run,
     swap_test_fidelity,
@@ -130,6 +131,81 @@ def test_noiseless_runs_match_the_dense_simulation(case):
 
 
 @st.composite
+def _grid_case(draw):
+    """(problem, clock bits, t0): a ``random_problem`` with a signed or
+    unsigned spectrum, 1 to 5 clock bits and an arbitrary t0."""
+    return draw(random_problem()), draw(st.integers(1, 5)), draw(st.floats(5.0, 80.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_grid_case())
+def test_the_tail_kernel_matches_the_staged_walk(case):
+    """With no Pauli, the one-pass eigenbasis tail gives the state of the
+    staged walk and of the circuit simulated gate by gate, for every
+    variant's plan, and p = 0 noise runs it bit for bit."""
+    qlsp, k, t0 = case
+    plans = []
+    for variant in pipeline.VARIANTS:
+        config = RunConfig(variant=variant, clock_bits=k, t0_mode="explicit", t0_value=t0)
+        try:
+            plans.append(plan_run(qlsp, config)[2])
+        except EmptyPlanError:
+            pass
+    if not plans:
+        reject()
+    blocks = pipeline._qpe_blocks(qlsp, k, t0)
+    for plan in plans:
+        circuit = assemble_hhl(qlsp, k, t0, plan)
+        tail = pipeline._tail(qlsp, plan, blocks)
+        staged = pipeline._staged(plan, blocks, circuit, circuit)
+        dense = apply_circuit(StateVector.zero(circuit.num_qubits), circuit).amplitudes
+        assert np.max(np.abs(tail - staged)) < 1e-12
+        assert np.max(np.abs(tail.reshape(-1) - dense)) < 1e-12
+        noiseless, _ = execute(qlsp, t0, plan)
+        assert np.array_equal(noiseless, tail)
+        assert np.array_equal(execute(qlsp, t0, plan, NoiseSpec(0.0, 3))[0], noiseless)
+
+
+@st.composite
+def _plan_case(draw):
+    """(problem, t0, plan): a ``_grid_case`` and a hand-built plan of 0 to
+    2^k rotations on any patterns, pattern 0 included."""
+    qlsp, k, t0 = draw(_grid_case())
+    patterns = draw(st.lists(st.integers(0, 2**k - 1), max_size=2**k, unique=True))
+    angles = st.floats(-math.pi, math.pi)
+    rotations = tuple(sorted((p, draw(angles)) for p in patterns))
+    return qlsp, t0, InversionPlan(k, rotations, 1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(_plan_case())
+def test_counts_composed_per_block_match_the_whole_circuit(case):
+    """The prefix's report, the inversion block's and the uncompute's add
+    up to ``gate_report`` of the whole circuit, depth included, with or
+    without rotations, and the tail gives the state for any plan."""
+    qlsp, t0, plan = case
+    circuit = assemble_hhl(qlsp, plan.bit_width, t0, plan)
+    branches, report = execute(qlsp, t0, plan)
+    assert report == gate_report(circuit)
+    dense = apply_circuit(StateVector.zero(circuit.num_qubits), circuit).amplitudes
+    assert np.max(np.abs(branches.reshape(-1) - dense)) < 1e-12
+
+
+@pytest.mark.parametrize("rotations", [(), ((0, 0.3),), ((1, -2.0),), ((0, 1.0), (1, 0.5))])
+@pytest.mark.parametrize("problem", ["n2", "n4"])
+def test_one_bit_clock_counts_compose(problem, rotations):
+    """On a one-bit clock every rotation is a two-qubit gate, and with no
+    rotation no barrier parts the prefix from the uncompute; the composed
+    counts still equal the whole circuit's."""
+    qlsp = generate_n2(0.3) if problem == "n2" else generate_n4(PAPER_N4_EIGENVALUES, (0, 1), 7)
+    plan = InversionPlan(1, rotations, 1.0)
+    circuit = assemble_hhl(qlsp, 1, 11.0, plan)
+    _, report = execute(qlsp, 11.0, plan)
+    assert report == gate_report(circuit)
+    assert all(len(g.qubits()) == 2 for g in circuit.gates if g.kind is GateKind.RY)
+
+
+@st.composite
 def _noisy_case(draw):
     """(problem, config, noise): a ``_noiseless_case`` and Pauli noise at
     p = 0, p in (0, 0.3] or p = 1, with any seed."""
@@ -163,8 +239,10 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
     inversion block splits into two closed forms around the Pauli. One after
     the stage's last gate leaves the stage in closed form. Counters on the
     closed forms that the stages call, and on the simulated gates, see every
-    other stage run in closed form and no RY gate simulated."""
-    calls, gates = [], []
+    other stage run in closed form and no RY gate simulated. With no Pauli,
+    the tail kernel alone runs after the cached prefix: no stage's closed
+    form is called and no gate is simulated."""
+    calls, gates, tails = [], [], []
     for module, name in (
         (preprocess, "clock_hadamards"),
         (preprocess, "clock_powers"),
@@ -182,12 +260,18 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
         gates.extend(part.gates)
         return apply_circuit(state, part)
 
+    def counted_tail(*args, _original=pipeline._tail):
+        tails.append(args)
+        return _original(*args)
+
     monkeypatch.setattr(pipeline, "apply_circuit", counted_apply)
+    monkeypatch.setattr(pipeline, "_tail", counted_tail)
     pipeline._qpe_blocks.cache_clear()  # so that the records call the counters
     qlsp, k, t0 = generate_n4(PAPER_N4_EIGENVALUES, (0, 1), 7), 3, 11.0
     plan = plan_canonical(k, t0, signed_mode=True)
     circuit = assemble_hhl(qlsp, k, t0, plan)
-    prefix, uncompute, _ = pipeline._qpe_blocks(qlsp, k, t0)
+    blocks = pipeline._qpe_blocks(qlsp, k, t0)
+    prefix, uncompute = blocks.prefix, blocks.uncompute
     # the cached walk of the prefix: prepare b, then three closed forms
     assert len(gates) == 1 and len(calls) == 3
     gates.clear()
@@ -196,8 +280,10 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
     closing = len(circuit.gates) - sum(len(record.gates) for record in uncompute)
     pauli = None  # (index in the circuit's gates, the Pauli inserted there)
     simulated = 0
-    transforms = 4  # the inversion's and the uncompute's; the cached walk stands in for the prefix
+    transforms = 0  # with no Pauli, the tail kernel stands in for every stage
     if stage is not None:
+        # the inversion's and the uncompute's; the cached walk stands in for the prefix
+        transforms = 4
         if stage == "inversion":
             start, end, split = opening, closing, True
         else:
@@ -235,6 +321,7 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
     assert len(calls) == transforms
     assert len(gates) == simulated
     assert all(gate.kind is not GateKind.RY for gate in gates)
+    assert len(tails) == (stage is None)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -432,7 +519,7 @@ def test_swap_readout_simulates_solver_once(monkeypatch):
     )
     run(qlsp, config)
     (preparation,) = simulated
-    assert preparation is pipeline._qpe_blocks(qlsp, 3, ON_GRID_T0)[0][0].gates[0]
+    assert preparation is pipeline._qpe_blocks(qlsp, 3, ON_GRID_T0).prefix[0].gates[0]
     simulated.clear()
     run(qlsp, dataclasses.replace(config, variant="hybrid", seed=12))
     assert simulated == []

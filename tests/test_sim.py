@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlslab import sim
 from qlslab.errors import InvalidCircuitError, InvalidGateError, ZeroProbabilityError
 from qlslab.sim import (
     Circuit,
@@ -342,6 +343,15 @@ def test_gate_validation():
         Gate(GateKind.UNITARY, (0,), matrix=np.array([[1, 1], [0, 1]]))
     with pytest.raises(InvalidGateError):
         Gate(GateKind.PAULI_X, (0,), controls=((1, 2),))
+
+
+def test_unitary_check_compares_to_a_shared_read_only_identity():
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    for _ in range(2):  # the second check reads the cached identity
+        assert Gate(GateKind.UNITARY, (0, 1), matrix=swap).matrix.shape == (4, 4)
+        with pytest.raises(InvalidGateError, match="not unitary"):
+            Gate(GateKind.UNITARY, (0, 1), matrix=1.001 * swap)
+    assert not sim._identity(4).flags.writeable
 
 
 @pytest.mark.parametrize(
