@@ -5,6 +5,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .sim import check_count
+
 
 @dataclass(frozen=True)
 class BoundInputs:
@@ -19,16 +21,13 @@ class BoundInputs:
             raise ValueError(f"kappa must be finite and at least 1, not {self.kappa}")
         if not 0.0 < self.t0 < math.inf:
             raise ValueError(f"t0 must be finite and positive, not {self.t0}")
-        if self.clock_bits < 1:
-            raise ValueError(f"the clock needs at least 1 bit, not {self.clock_bits}")
-        if self.precision_bits < self.clock_bits:
-            raise ValueError("precision_bits must be at least clock_bits")
+        check_count("clock_bits", self.clock_bits, 1)
+        check_count("precision_bits", self.precision_bits, self.clock_bits)
 
 
 def enhanced_prefactor(extra_bits: int) -> float:
     """sqrt(1 / (pi^2 2^(l-k)) + 16/45); 0.62 at two extra bits, 0.68 at zero."""
-    if extra_bits < 0:
-        raise ValueError("extra_bits must be non-negative")
+    check_count("extra_bits", extra_bits, 0)
     return math.sqrt(1.0 / (math.pi**2 * 2**extra_bits) + 16.0 / 45.0)
 
 

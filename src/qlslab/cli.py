@@ -24,7 +24,8 @@ from pathlib import Path
 
 from .analysis import BoundInputs, aggregate, canonical_bound, enhanced_bound
 from .errors import QlsLabError
-from .pipeline import RunConfig, RunResult, run
+from .inversion import ALPHA_MODELS, ANGLE_POLICIES
+from .pipeline import READOUTS, VARIANTS, RunConfig, RunResult, run
 from .qlsp import QLSP, classical_solution, generate_n2, generate_n4
 from .sim import NoiseSpec, check_count
 
@@ -63,7 +64,7 @@ class ExperimentSpec:
     pairs: str = "all"
     basis_seed: int = 7
     path: str | None = None
-    variants: list[str] = field(default_factory=lambda: ["canonical", "hybrid", "enhanced"])
+    variants: list[str] = field(default_factory=lambda: list(VARIANTS))
     # run settings: None leaves RunConfig's default (see _RUN_SETTINGS)
     clock_bits: int | None = None
     preprocess_bits: int | None = None  # enhanced rows only
@@ -348,16 +349,16 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         dest="variants",
         type=_name_list,
         metavar="LIST",
-        help="comma-separated subset of canonical,hybrid,enhanced (default: all)",
+        help=f"comma-separated subset of {','.join(VARIANTS)} (default: all)",
     )
     flag(
         "--t0-mode",
         help="fixed, iterative, or explicit=<value>; default: explicit=18pi for "
         "the two-dimensional families, fixed otherwise",
     )
-    flag("--angle-policy", choices=["paper", "least-squares"])
-    flag("--alpha", dest="alpha_model", choices=["linear", "exact"])
-    flag("--readout", choices=["exact", "swap", "direct"])
+    flag("--angle-policy", choices=ANGLE_POLICIES)
+    flag("--alpha", dest="alpha_model", choices=ALPHA_MODELS)
+    flag("--readout", choices=READOUTS)
     flag("--shots", type=int)
     flag("--seed", type=int)
     flag("--noise-p", type=float)

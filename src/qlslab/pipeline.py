@@ -16,25 +16,28 @@ the unnormalised state. So the solver circuit is simulated once for every
 readout mode; the swap-test readout samples outcome probabilities taken from
 the branches in closed form and simulates no test register.
 
-``execute`` takes one of two paths. A run into which ``inject_noise``
-inserts no Pauli (no noise, or noise whose draws insert none) takes the
-cached prefix output and runs the inversion block and the uncompute in one
-pass in A's eigenbasis (``_tail``), where they are block-diagonal; it
-simulates no gate. A run with a Pauli walks the stage records of
-``preprocess.qpe_stages`` (state preparation, Hadamard layer,
-controlled-power ladder, Fourier transform, and their adjoints in the
-uncompute) and of the inversion block (``inversion.rotate_branches``), and
-applies each run of a stage's gates that no inserted Pauli interrupts by
-the stage's closed form. Every stage except state preparation runs in
-closed form, split at any Pauli: a Pauli inside a Hadamard layer, ladder
-or inversion block splits it into closed forms either side, and only a
-Fourier transform that a Pauli lands in is simulated gate by gate, with
-state preparation and the Paulis themselves. When the whole prefix is
-Pauli-free, its cached walk stands in for it, so state preparation is
-simulated once per problem and t0. Every run reports the gate counts of
-the whole noiseless circuit, added up block by block: the cached counts
-of the prefix and the uncompute and those of the inversion block, whose
-rotations each span the clock and the ancilla, so that depths add too.
+``execute`` splits every run at the last gate of its prefix (prepare b and
+phase estimation) and gives each half one rule. The prefix is the cached
+output of ``_qpe_blocks`` unless ``inject_noise`` lands a Pauli before its
+last gate. The rest (the inversion block and the uncompute) runs in one
+pass in A's eigenbasis (``_tail``), where it is block-diagonal, unless a
+Pauli lands after that gate. A half with a Pauli is walked (``_walk``)
+through the stage records of ``preprocess.qpe_stages`` (state preparation,
+Hadamard layer, controlled-power ladder, Fourier transform, and their
+adjoints in the uncompute) and of the inversion block
+(``inversion.rotate_branches``), each run of a stage's gates that no Pauli
+interrupts going to the stage's closed form: a Pauli inside a Hadamard
+layer, ladder or inversion block splits it into closed forms either side,
+and only a Fourier transform that a Pauli lands in is simulated gate by
+gate, with state preparation and the Paulis themselves. A walked prefix
+starts from |0>, and no prefix gate touches the ancilla, so ``_tail`` can
+follow it too. A run with no Pauli (no noise, or noise whose draws insert
+none) simulates no gate, and state preparation is simulated once per
+problem and t0 unless a Pauli lands in the prefix. Every run reports the
+gate counts of the whole noiseless circuit, added up block by block: the
+cached counts of the prefix and the uncompute and those of the inversion
+block, whose rotations each span the clock and the ancilla, so that
+depths add too.
 Consecutive runs on one problem share its stage records, prefix state,
 block counts and iterative t0 search through one-slot memos
 (``_qpe_blocks``, ``_searched_t0``).
@@ -264,14 +267,15 @@ def execute(
     """The solver's output on |0> as its ancilla branches, shape (2, 2^k, N),
     and the gate counts of its noiseless circuit, with k = ``plan.bit_width``.
 
-    Assembles ``assemble_hhl(qlsp, k, t0, plan)`` and inserts the Paulis of
-    ``noise`` through ``inject_noise``. When it inserts none, ``_tail`` runs
-    the inversion block and the uncompute in one pass in A's eigenbasis on
-    the cached prefix output. Otherwise it walks the stage records of
-    ``_qpe_blocks`` and the inversion block (``rotate_branches``): every
-    stage except state preparation runs in closed form, split at any Pauli,
-    and when no Pauli comes before the prefix's last gate, the cached walk
-    of the prefix stands in for its stages.
+    Assembles ``assemble_hhl(qlsp, k, t0, plan)``, inserts the Paulis of
+    ``noise`` through ``inject_noise`` and splits the run at the prefix's
+    last gate, with one rule for each half. The prefix is the cached walk of
+    ``_qpe_blocks`` unless a Pauli lands before its last gate, and is then
+    ``_walk``ed from |0>. The rest (the inversion block and the uncompute)
+    runs as ``_tail`` in A's eigenbasis unless a Pauli lands after the
+    prefix's last gate, and is then ``_walk``ed through the inversion block
+    (``rotate_branches``) and the uncompute's stage records. A walk runs
+    every stage except state preparation in closed form, split at any Pauli.
 
     The counts add up block by block: the cached reports of the prefix and
     the uncompute, and ``gate_report`` of the inversion block. Depths add
@@ -283,62 +287,54 @@ def execute(
     circuit = assemble_hhl(qlsp, plan.bit_width, t0, plan)
     blocks = _qpe_blocks(qlsp, plan.bit_width, t0)
     head, tail = blocks.reports
-    inversion = circuit.gates[head.gate_count : len(circuit) - tail.gate_count]
+    opening, closing = head.gate_count, len(circuit) - tail.gate_count
+    inversion = circuit.gates[opening:closing]
     middle = gate_report(_circuit(circuit.num_qubits, inversion))
     report = GateReport(
         head.gate_count + middle.gate_count + tail.gate_count,
         head.two_qubit_count + middle.two_qubit_count + tail.two_qubit_count,
         head.depth + middle.depth + tail.depth,
     )
-    executed = inject_noise(circuit, noise) if noise else circuit
-    if len(executed) == len(circuit):  # no Pauli
-        return _tail(qlsp, plan, blocks), report
-    return _staged(plan, blocks, circuit, executed), report
-
-
-def _staged(
-    plan: InversionPlan, blocks: _Blocks, circuit: Circuit, executed: Circuit
-) -> np.ndarray:
-    """``executed``, the solver ``circuit`` with any Paulis inserted, on |0>:
-    ``_walk`` of the stage records of ``blocks`` and the inversion block,
-    from the cached prefix output when no Pauli comes before the prefix's
-    last gate."""
-    gates = circuit.gates
-    opening = blocks.reports[0].gate_count  # the prefix's gates
-    closing = len(gates) - blocks.reports[1].gate_count  # where the uncompute's begin
+    follows: dict[int, list[Gate]] = {}  # index in circuit.gates -> the Paulis inserted after it
+    if noise:
+        originals, i = set(map(id, circuit.gates)), -1
+        for gate in inject_noise(circuit, noise).gates:
+            if id(gate) in originals:
+                i += 1
+            else:
+                follows.setdefault(i, []).append(gate)
+    rest = {i - opening: paulis for i, paulis in follows.items() if i >= opening - 1}
+    prepared, eigen = blocks.prepared, blocks.eigen
+    if len(rest) < len(follows):  # a Pauli before the prefix's last gate
+        zero = StateVector.zero(circuit.num_qubits).amplitudes.reshape(prepared.shape)
+        prepared = _walk(zero, blocks.prefix, {i: p for i, p in follows.items() if i < opening - 1})
+        # no prefix gate, and so no Pauli after one, touches the ancilla
+        eigen = prepared[0] @ qlsp.eigenvectors.conj()
+    if not rest:
+        return _tail(qlsp, plan, eigen, blocks.phases), report
     rotations = tuple(range(closing - opening))  # gate i is the plan's rotation i
-    inversion = Stage(gates[opening:closing], functools.partial(rotate_branches, plan), rotations)
-    follows: dict[int, list[Gate]] = {}  # index in gates -> the Paulis inserted after it
-    originals, i = set(map(id, gates)), -1
-    for gate in executed.gates:
-        if id(gate) in originals:
-            i += 1
-        else:
-            follows.setdefault(i, []).append(gate)
-    if min(follows, default=opening) >= opening - 1:
-        follows = {i - opening: paulis for i, paulis in follows.items()}
-        return _walk(blocks.prepared, (inversion, *blocks.uncompute), follows)
-    zero = StateVector.zero(circuit.num_qubits).amplitudes.reshape(blocks.prepared.shape)
-    return _walk(zero, (*blocks.prefix, inversion, *blocks.uncompute), follows)
+    stage = Stage(inversion, functools.partial(rotate_branches, plan), rotations)
+    return _walk(prepared, (stage, *blocks.uncompute), rest), report
 
 
-def _tail(qlsp: QLSP, plan: InversionPlan, blocks: _Blocks) -> np.ndarray:
-    """The inversion block and the uncompute, with no Pauli, on the cached
-    prefix output, in one pass in A's eigenbasis.
+def _tail(qlsp: QLSP, plan: InversionPlan, eigen: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """The inversion block and the uncompute, with no Pauli, in one pass in
+    A's eigenbasis on a prefix output whose ancilla-1 branch is zero, from
+    ``eigen``, its ancilla-0 branch in that basis, [clock, eigenpair j], and
+    ``phases``, the adjoint ladder's (``_Blocks.phases``).
 
     There every stage after the prefix is block-diagonal in the eigenpair:
     the inversion scales each pattern's row of the ancilla-0 branch by the
-    cosine and sine of its half-angle (the ancilla-1 branch is still zero),
-    the QFT and the Hadamard layer act on the clock axis alone, and the
-    adjoint ladder is one phase per clock value and eigenpair. The last step
-    turns back to the computational basis.
+    cosine and sine of its half-angle, the QFT and the Hadamard layer act on
+    the clock axis alone, and the adjoint ladder is one phase per clock
+    value and eigenpair. The last step turns back to the computational basis.
     """
     patterns = [m for m, _ in plan.rotations]
     halves = 0.5 * np.array([theta for _, theta in plan.rotations])
-    scales = np.zeros((2, blocks.eigen.shape[0], 1))
+    scales = np.zeros((2, eigen.shape[0], 1))
     scales[0] = 1.0
     scales[0, patterns, 0], scales[1, patterns, 0] = np.cos(halves), np.sin(halves)
-    transformed = clock_qft(scales * blocks.eigen) * blocks.phases
+    transformed = clock_qft(scales * eigen) * phases
     return clock_hadamards(transformed) @ qlsp.eigenvectors.T
 
 

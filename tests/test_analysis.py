@@ -86,9 +86,18 @@ def test_bound_inputs_validation():
     for t0 in (math.nan, math.inf):
         with pytest.raises(ValueError, match="t0 must be finite"):
             BoundInputs(kappa=2.0, t0=t0, clock_bits=3, precision_bits=3)
-    for k, l in ((-3, 2), (0, 0)):
-        with pytest.raises(ValueError, match="at least 1 bit"):
+    for k, l in ((-3, 2), (0, 0), (2.5, 5), (True, 5), (3.0, 5)):
+        with pytest.raises(ValueError, match="clock_bits must be at least 1 and an int"):
             BoundInputs(kappa=2.0, t0=10.0, clock_bits=k, precision_bits=l)
+    for l in (5.0, True, 2.5):
+        with pytest.raises(ValueError, match="precision_bits must be at least 1 and an int"):
+            BoundInputs(kappa=2.0, t0=10.0, clock_bits=1, precision_bits=l)
+
+
+@pytest.mark.parametrize("extra", [-1, 0.5, 2.0, True, None])
+def test_prefactor_rejects_anything_but_a_non_negative_int(extra):
+    with pytest.raises(ValueError, match="extra_bits must be non-negative and an int"):
+        enhanced_prefactor(extra)
 
 
 def test_aggregate_means_and_ordering():

@@ -242,7 +242,7 @@ def test_cli_bounds_rejects_non_finite_input(capsys):
     assert "error: kappa must be finite" in capsys.readouterr().err
     assert main(["bounds", "--kappa", "2", "--t0", "10", "--k", "-3", "--l", "2"]) == 2
     captured = capsys.readouterr()
-    assert "error: the clock needs at least 1 bit" in captured.err and not captured.out
+    assert "error: clock_bits must be at least 1 and an int" in captured.err and not captured.out
 
 
 @pytest.mark.parametrize(

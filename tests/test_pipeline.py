@@ -1,6 +1,8 @@
 """Solver pipeline tests: assembly, readout modes, run contracts."""
 import dataclasses
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,12 @@ from qlslab.errors import (
     EmptyPlanError,
     InsufficientShotsError,
 )
-from qlslab.inversion import InversionPlan, plan_canonical
+from qlslab.inversion import (
+    InversionPlan,
+    build_inversion_circuit,
+    plan_canonical,
+    rotate_branches,
+)
 from qlslab.pipeline import (
     RunConfig,
     _swap_test_probabilities,
@@ -141,8 +148,9 @@ def _grid_case(draw):
 @given(_grid_case())
 def test_the_tail_kernel_matches_the_staged_walk(case):
     """With no Pauli, the one-pass eigenbasis tail gives the state of the
-    staged walk and of the circuit simulated gate by gate, for every
-    variant's plan, and p = 0 noise runs it bit for bit."""
+    staged walk of the inversion block and the uncompute and of the circuit
+    simulated gate by gate, for every variant's plan, and p = 0 noise runs
+    it bit for bit."""
     qlsp, k, t0 = case
     plans = []
     for variant in pipeline.VARIANTS:
@@ -154,10 +162,16 @@ def test_the_tail_kernel_matches_the_staged_walk(case):
     if not plans:
         reject()
     blocks = pipeline._qpe_blocks(qlsp, k, t0)
+    nb = qlsp.num_qubits
     for plan in plans:
         circuit = assemble_hhl(qlsp, k, t0, plan)
-        tail = pipeline._tail(qlsp, plan, blocks)
-        staged = pipeline._staged(plan, blocks, circuit, circuit)
+        tail = pipeline._tail(qlsp, plan, blocks.eigen, blocks.phases)
+        inversion = preprocess.Stage(
+            build_inversion_circuit(plan, range(nb, nb + k), nb + k).gates,
+            functools.partial(rotate_branches, plan),
+            tuple(range(len(plan.rotations))),
+        )
+        staged = pipeline._walk(blocks.prepared, (inversion, *blocks.uncompute), {})
         dense = apply_circuit(StateVector.zero(circuit.num_qubits), circuit).amplitudes
         assert np.max(np.abs(tail - staged)) < 1e-12
         assert np.max(np.abs(tail.reshape(-1) - dense)) < 1e-12
@@ -229,6 +243,40 @@ def test_the_executor_matches_the_noisy_circuit_simulated_gate_by_gate(case):
     assert np.max(np.abs(branches.reshape(-1) - dense.amplitudes)) < 1e-12
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_noiseless_case(), st.floats(0.1, 1.0), st.integers(0, 2**32 - 1))
+def test_paulis_in_the_prefix_alone_leave_the_rest_to_the_tail(case, p, seed):
+    """Paulis drawn on every prefix gate but the last, and none after it:
+    the walked prefix feeds the tail kernel, which runs once, and the run
+    gives the state of the noisy circuit simulated gate by gate."""
+    qlsp, config = case
+    try:
+        t0, _, plan = plan_run(qlsp, config)
+    except EmptyPlanError:
+        reject()
+    opening = pipeline._qpe_blocks(qlsp, config.clock_bits, t0).reports[0].gate_count
+    executed, tails = Circuit(config.clock_bits + qlsp.num_qubits + 1), []
+
+    def placed(solver, noise):  # the Paulis, in the circuit that execute assembled
+        head = Circuit(solver.num_qubits)
+        head.gates = solver.gates[: opening - 1]
+        executed.gates = inject_noise(head, noise).gates + solver.gates[opening - 1 :]
+        return executed
+
+    def counted_tail(*args, _original=pipeline._tail):
+        tails.append(args)
+        return _original(*args)
+
+    with mock.patch.object(pipeline, "inject_noise", placed):
+        with mock.patch.object(pipeline, "_tail", counted_tail):
+            branches, _ = execute(qlsp, t0, plan, NoiseSpec(p, seed))
+    if len(executed) == len(assemble_hhl(qlsp, config.clock_bits, t0, plan)):
+        reject()  # no Pauli drawn
+    dense = apply_circuit(StateVector.zero(executed.num_qubits), executed)
+    assert len(tails) == 1
+    assert np.max(np.abs(branches.reshape(-1) - dense.amplitudes)) < 1e-12
+
+
 @pytest.mark.parametrize(
     "stage, where",
     [(s, w) for s in (*RECORDS, "inversion") for w in ("inside", "after")] + [(None, None)],
@@ -237,11 +285,14 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
     """One Pauli after the first gate of a stage lands inside it: a Fourier
     transform then runs gate by gate, and a Hadamard layer, ladder or
     inversion block splits into two closed forms around the Pauli. One after
-    the stage's last gate leaves the stage in closed form. Counters on the
-    closed forms that the stages call, and on the simulated gates, see every
-    other stage run in closed form and no RY gate simulated. With no Pauli,
-    the tail kernel alone runs after the cached prefix: no stage's closed
-    form is called and no gate is simulated."""
+    the stage's last gate leaves the stage in closed form. Only the half the
+    Pauli lands in is walked: a Pauli before the prefix's last gate walks
+    the prefix from |0> and the tail kernel runs the rest once, and one
+    after it walks the rest from the cached prefix. Counters on the closed
+    forms that the stages call, and on the simulated gates, see every other
+    stage of the walked half run in closed form and no RY gate simulated.
+    With no Pauli, the tail kernel alone runs after the cached prefix: no
+    stage's closed form is called and no gate is simulated."""
     calls, gates, tails = [], [], []
     for module, name in (
         (preprocess, "clock_hadamards"),
@@ -281,9 +332,8 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
     pauli = None  # (index in the circuit's gates, the Pauli inserted there)
     simulated = 0
     transforms = 0  # with no Pauli, the tail kernel stands in for every stage
+    walked_prefix = False
     if stage is not None:
-        # the inversion's and the uncompute's; the cached walk stands in for the prefix
-        transforms = 4
         if stage == "inversion":
             start, end, split = opening, closing, True
         else:
@@ -296,15 +346,16 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
             end, split = start + len(record.gates), record.factors is not None
         after = start if where == "inside" else end - 1
         pauli = (after + 1, Gate(GateKind.PAULI_X, (circuit.gates[after].qubits()[0],)))
-        simulated += 1
+        walked_prefix = after < opening - 1
+        # a walked prefix simulates state preparation and has three closed
+        # forms; a walked rest has the inversion's and the uncompute's three
+        transforms = 3 if walked_prefix else 4
+        simulated = 1 + walked_prefix  # the Pauli, and any state preparation
         if where == "inside" and split:
             transforms += 1
         elif where == "inside":
             simulated += end - start
             transforms -= 1
-        if after < opening - 1:  # the prefix is not Pauli-free: prepare and transform
-            simulated += 1
-            transforms += 3
     executed = Circuit(circuit.num_qubits)
 
     def placed(solver, noise):  # the hand-placed Pauli, in the circuit that execute assembled
@@ -321,7 +372,7 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
     assert len(calls) == transforms
     assert len(gates) == simulated
     assert all(gate.kind is not GateKind.RY for gate in gates)
-    assert len(tails) == (stage is None)
+    assert len(tails) == (stage is None or walked_prefix)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
