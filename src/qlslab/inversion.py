@@ -20,9 +20,19 @@ Angle policies for the enhanced plan:
   the number of contributing estimates, argument clamped to [-1, 1]. Clamping
   events are counted on the returned plan; this policy does not reproduce the
   hybrid plan in the degenerate case and is kept for comparison only.
+
+A plan is immutable, so what is derived from it is derived on first use
+and kept on it: read-only arrays of its patterns, half-angle cosines and
+sines and rotation matrices, which ``rotate_branches`` and the solver's
+eigenbasis tail read, and its gates per (clock, ancilla) layout, which
+``build_inversion_circuit`` hands out as a new list each call. The canonical plan depends only on (k, t0,
+signed mode), so ``plan_canonical`` returns one shared plan per argument
+set and every canonical row of a recipe at one t0 reuses its arrays and
+gates.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +40,7 @@ import numpy as np
 
 from .errors import EmptyPlanError
 from .preprocess import EigenEstimateSet, decode_grid_int, grid_range
-from .sim import Circuit, check_count
+from .sim import Circuit, Gate, check_count
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,6 +71,43 @@ class InversionPlan:
         if not (math.isfinite(self.constant_c) and self.constant_c > 0):
             raise ValueError(f"the constant must be finite and positive, not {self.constant_c}")
         check_count("clamp_events", self.clamp_events, 0)
+
+    @functools.cached_property
+    def patterns(self) -> np.ndarray:
+        """The rotations' clock patterns, in plan order."""
+        return _read_only(np.array([m for m, _ in self.rotations], dtype=np.intp))
+
+    @functools.cached_property
+    def cosines(self) -> np.ndarray:
+        """cos(theta / 2) of each rotation, by ``np.cos``."""
+        return _read_only(np.cos(self._halves))
+
+    @functools.cached_property
+    def sines(self) -> np.ndarray:
+        """sin(theta / 2) of each rotation, by ``np.sin``."""
+        return _read_only(np.sin(self._halves))
+
+    @functools.cached_property
+    def matrices(self) -> np.ndarray:
+        """Each rotation's RY(theta) matrix, stacked (r, 2, 2), from ``math.cos``
+        and ``math.sin`` as ``Gate.resolved_matrix`` builds it."""
+        cos, sin = ([f(0.5 * theta) for _, theta in self.rotations] for f in (math.cos, math.sin))
+        stacked = np.array([cos, np.negative(sin), sin, cos], dtype=complex).T.reshape(-1, 2, 2)
+        return _read_only(stacked)
+
+    @functools.cached_property
+    def _halves(self) -> np.ndarray:
+        return 0.5 * np.array([theta for _, theta in self.rotations])
+
+    @functools.cached_property
+    def _layouts(self) -> dict[tuple[tuple[int, ...], int], tuple[Gate, ...]]:
+        """(clock, ancilla) -> the plan's gates on that layout (``build_inversion_circuit``)."""
+        return {}
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _plan(bit_width: int, inverses: dict[int, float]) -> InversionPlan:
@@ -107,11 +154,19 @@ def plan_canonical(bit_width: int, t0: float, signed_mode: bool = False) -> Inve
 
     Each pattern's x is the inverse of its grid value 2 pi g / t0, so the
     constant is the smallest nonzero grid value 2 pi / t0 and the smallest
-    positive pattern rotates by a full half turn.
+    positive pattern rotates by a full half turn. The plan depends on
+    (k, t0, signed mode) alone, so equal arguments return one shared plan,
+    and with it the arrays and gates derived on it.
     """
-    lowest, highest = grid_range(bit_width, signed_mode)  # checks bit_width
+    grid_range(bit_width, signed_mode)  # checks bit_width
     if not (math.isfinite(t0) and t0 > 0):
         raise ValueError(f"t0 must be finite and positive, not {t0}")
+    return _canonical_plan(int(bit_width), float(t0), bool(signed_mode))
+
+
+@functools.lru_cache(maxsize=16)
+def _canonical_plan(bit_width: int, t0: float, signed_mode: bool) -> InversionPlan:
+    lowest, highest = grid_range(bit_width, signed_mode)
     # patterns 1 .. 2**k - 1 decode to 1 .. highest, then wrap to lowest .. -1
     decoded = [*range(1, highest + 1), *range(lowest, 0)]
     inverses = {pattern: 1.0 / (TWO_PI * g / t0) for pattern, g in enumerate(decoded, 1)}
@@ -213,13 +268,20 @@ def build_inversion_circuit(plan: InversionPlan, clock, ancilla: int) -> Circuit
     """The plan as one uniformly controlled RY on the ancilla.
 
     One multi-controlled RY per rotation, built by ``Circuit.multiplexed_ry``;
-    bit r of a pattern is the polarity of ``clock[r]``.
+    bit r of a pattern is the polarity of ``clock[r]``. The gates are built
+    and checked once per plan and layout; each call returns a new circuit
+    whose gate list is its own.
     """
-    clock = tuple(int(q) for q in clock)
+    clock, ancilla = tuple(int(q) for q in clock), int(ancilla)
     if len(clock) != plan.bit_width:
         raise ValueError("clock register size does not match the plan")
-    circuit = Circuit(max(clock + (int(ancilla),)) + 1)
-    return circuit.multiplexed_ry(int(ancilla), clock, plan.rotations)
+    circuit = Circuit(max(clock + (ancilla,)) + 1)
+    gates = plan._layouts.get((clock, ancilla))
+    if gates is None:
+        gates = tuple(circuit.multiplexed_ry(ancilla, clock, plan.rotations).gates)
+        plan._layouts[clock, ancilla] = gates
+    circuit.gates = list(gates)
+    return circuit
 
 
 def rotate_branches(
@@ -231,12 +293,9 @@ def rotate_branches(
     RY(theta) on the ancilla that fires on clock value m, so it rotates the
     pair (blocks[..., 0, m, :], blocks[..., 1, m, :]) and nothing else; the
     gates act on disjoint patterns, so a run of them is its own rotations,
-    one stacked 2x2 product over the run's patterns."""
-    rotations = plan.rotations[low:high]
-    patterns = [m for m, _ in rotations]
-    cos, sin = ([f(0.5 * theta) for _, theta in rotations] for f in (math.cos, math.sin))
-    matrices = np.array([cos, np.negative(sin), sin, cos], dtype=complex).T.reshape(-1, 2, 2)
+    one stacked 2x2 product over the run's patterns (``plan.matrices``)."""
+    patterns = plan.patterns[low:high]
     rotated = np.array(blocks, dtype=complex)
     pairs = rotated.swapaxes(-3, -2)  # a view laid out [..., clock, ancilla, b]
-    pairs[..., patterns, :, :] = matrices @ pairs[..., patterns, :, :]
+    pairs[..., patterns, :, :] = plan.matrices[low:high] @ pairs[..., patterns, :, :]
     return rotated

@@ -22,25 +22,26 @@ output of ``_qpe_blocks`` unless ``inject_noise`` lands a Pauli before its
 last gate. The rest (the inversion block and the uncompute) runs in one
 pass in A's eigenbasis (``_tail``), where it is block-diagonal, unless a
 Pauli lands after that gate. A half with a Pauli is walked (``_walk``)
-through the stage records of ``preprocess.qpe_stages`` (state preparation,
-Hadamard layer, controlled-power ladder, Fourier transform, and their
-adjoints in the uncompute) and of the inversion block
+through the stage records of ``preprocess.qpe_stages`` (Hadamard layer,
+controlled-power ladder, Fourier transform, and their adjoints in the
+uncompute) and of the inversion block
 (``inversion.rotate_branches``), each run of a stage's gates that no Pauli
 interrupts going to the stage's closed form: a Pauli inside a Hadamard
 layer, ladder or inversion block splits it into closed forms either side,
 and only a Fourier transform that a Pauli lands in is simulated gate by
-gate, with state preparation and the Paulis themselves. A walked prefix
-starts from |0>, and no prefix gate touches the ancilla, so ``_tail`` can
-follow it too. A run with no Pauli (no noise, or noise whose draws insert
-none) simulates no gate, and state preparation is simulated once per
-problem and t0 unless a Pauli lands in the prefix. Every run reports the
-gate counts of the whole noiseless circuit, added up block by block: the
-cached counts of the prefix and the uncompute and those of the inversion
-block, whose rotations each span the clock and the ancilla, so that
-depths add too.
-Consecutive runs on one problem share its stage records, prefix state,
-block counts and iterative t0 search through one-slot memos
-(``_qpe_blocks``, ``_searched_t0``).
+gate, with the Paulis themselves. Every walk of a prefix starts after
+state preparation, from the state ``preprocess.prepare_b`` simulates once
+per problem (each Pauli follows a gate, so none precedes it), and no
+prefix gate touches the ancilla, so ``_tail`` can follow it too. A run with
+no Pauli (no noise, or noise whose draws insert none) simulates no gate.
+Every run reports the gate counts of the whole noiseless circuit, added up
+block by block: the cached counts of the prefix and the uncompute and the
+inversion block's in closed form, r gates and depth r for r rotations,
+each spanning the clock and the ancilla, so that depths add too.
+Consecutive runs on one problem share its prepared state, stage records,
+prefix state, block counts and iterative t0 search through one-slot memos
+(``prepare_b``, ``_qpe_blocks``, ``_searched_t0``), and canonical runs at
+one t0 share one plan (``plan_canonical``) with its inversion gates.
 
 Fidelity semantics: each readout returns the value a run reports as its
 fidelity, and the run derives its error through ``error_from_fidelity``
@@ -84,6 +85,7 @@ from .preprocess import (
     clock_qft,
     fixed_t0,
     iterative_t0,
+    prepare_b,
     qpe_stages,
     run_preprocessing,
 )
@@ -223,17 +225,16 @@ def _qpe_blocks(qlsp: QLSP, clock_bits: int, t0: float) -> _Blocks:
     the solver's amplitudes after the prefix, and what ``_tail`` and the gate
     counts of ``execute`` read of them.
 
-    The amplitudes are ``_walk`` of the Pauli-free prefix from |0>: state
-    preparation simulated, then the Hadamard layer, ladder and inverse QFT
-    in closed form. A batch runs a problem's variants back to back and they
-    share the block whenever they share t0, so one slot holds every reuse
-    there is. The key holds the problem by identity, which is safe because
+    The amplitudes are ``_walk`` of the Pauli-free prefix from the state
+    after preparation (``_prepared``): the Hadamard layer, ladder and
+    inverse QFT in closed form. A batch runs a problem's variants back to
+    back and they share the block whenever they share t0, so one slot holds
+    every reuse there is. The key holds the problem by identity, which is safe because
     ``QLSP`` is immutable.
     """
     prefix, uncompute = qpe_stages(qlsp, clock_bits, t0)
     size, width = 2**clock_bits, qlsp.num_qubits + clock_bits + 1
-    zero = StateVector.zero(width).amplitudes
-    prepared = _walk(zero.reshape(2, size, qlsp.dimension), prefix, {})
+    prepared = _walk(_prepared(qlsp, size), prefix[1:], {})
     eigen = prepared[0] @ qlsp.eigenvectors.conj()
     phases = np.exp(np.outer(np.arange(size), qlsp.eigenvalues * (-1j * float(t0) / size)))
     for array in (prepared, eigen, phases):
@@ -271,29 +272,31 @@ def execute(
     ``noise`` through ``inject_noise`` and splits the run at the prefix's
     last gate, with one rule for each half. The prefix is the cached walk of
     ``_qpe_blocks`` unless a Pauli lands before its last gate, and is then
-    ``_walk``ed from |0>. The rest (the inversion block and the uncompute)
-    runs as ``_tail`` in A's eigenbasis unless a Pauli lands after the
-    prefix's last gate, and is then ``_walk``ed through the inversion block
-    (``rotate_branches``) and the uncompute's stage records. A walk runs
-    every stage except state preparation in closed form, split at any Pauli.
+    ``_walk``ed from the problem's state after preparation. The rest (the
+    inversion block and the uncompute) runs as ``_tail`` in A's eigenbasis
+    unless a Pauli lands after the prefix's last gate, and is then
+    ``_walk``ed through the inversion block (``rotate_branches``) and the
+    uncompute's stage records. A walk runs every stage in closed form,
+    split at any Pauli.
 
     The counts add up block by block: the cached reports of the prefix and
-    the uncompute, and ``gate_report`` of the inversion block. Depths add
-    too. Every inversion rotation spans all clock qubits and the ancilla, so
-    the block is a barrier. An empty plan leaves none, but the uncompute
-    mirrors the QPE block gate for gate, so the prefix's longest chain of
-    gates goes on through its mirror image and the depths still add.
+    the uncompute, and the inversion block's in closed form. Every one of
+    its r rotations spans all k clock qubits and the ancilla, so they run
+    one after another: r gates, r two-qubit gates when k = 1 and none
+    otherwise, and depth r. So the block is a barrier and depths add. An
+    empty plan leaves none, but the uncompute mirrors the QPE block gate for
+    gate, so the prefix's longest chain of gates goes on through its mirror
+    image and the depths still add.
     """
-    circuit = assemble_hhl(qlsp, plan.bit_width, t0, plan)
-    blocks = _qpe_blocks(qlsp, plan.bit_width, t0)
+    k, rotations = plan.bit_width, len(plan.rotations)
+    circuit = assemble_hhl(qlsp, k, t0, plan)
+    blocks = _qpe_blocks(qlsp, k, t0)
     head, tail = blocks.reports
-    opening, closing = head.gate_count, len(circuit) - tail.gate_count
-    inversion = circuit.gates[opening:closing]
-    middle = gate_report(_circuit(circuit.num_qubits, inversion))
+    opening = head.gate_count
     report = GateReport(
-        head.gate_count + middle.gate_count + tail.gate_count,
-        head.two_qubit_count + middle.two_qubit_count + tail.two_qubit_count,
-        head.depth + middle.depth + tail.depth,
+        head.gate_count + rotations + tail.gate_count,
+        head.two_qubit_count + (rotations if k == 1 else 0) + tail.two_qubit_count,
+        head.depth + rotations + tail.depth,
     )
     follows: dict[int, list[Gate]] = {}  # index in circuit.gates -> the Paulis inserted after it
     if noise:
@@ -306,15 +309,25 @@ def execute(
     rest = {i - opening: paulis for i, paulis in follows.items() if i >= opening - 1}
     prepared, eigen = blocks.prepared, blocks.eigen
     if len(rest) < len(follows):  # a Pauli before the prefix's last gate
-        zero = StateVector.zero(circuit.num_qubits).amplitudes.reshape(prepared.shape)
-        prepared = _walk(zero, blocks.prefix, {i: p for i, p in follows.items() if i < opening - 1})
+        # each Pauli follows a gate, so the walk starts after state preparation
+        after = {i - 1: paulis for i, paulis in follows.items() if i < opening - 1}
+        prepared = _walk(_prepared(qlsp, prepared.shape[1]), blocks.prefix[1:], after)
         # no prefix gate, and so no Pauli after one, touches the ancilla
         eigen = prepared[0] @ qlsp.eigenvectors.conj()
     if not rest:
         return _tail(qlsp, plan, eigen, blocks.phases), report
-    rotations = tuple(range(closing - opening))  # gate i is the plan's rotation i
-    stage = Stage(inversion, functools.partial(rotate_branches, plan), rotations)
+    inversion = circuit.gates[opening : opening + rotations]  # gate i is the plan's rotation i
+    stage = Stage(inversion, functools.partial(rotate_branches, plan), tuple(range(rotations)))
     return _walk(prepared, (stage, *blocks.uncompute), rest), report
+
+
+def _prepared(qlsp: QLSP, size: int) -> np.ndarray:
+    """The solver's amplitudes after state preparation on a clock of ``size``
+    values, laid out [ancilla, clock, b]: ``prepare_b``'s b register state
+    with the clock and the ancilla at 0."""
+    blocks = np.zeros((2, size, qlsp.dimension), dtype=complex)
+    blocks[0, 0] = prepare_b(qlsp)[1]
+    return blocks
 
 
 def _tail(qlsp: QLSP, plan: InversionPlan, eigen: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -329,11 +342,9 @@ def _tail(qlsp: QLSP, plan: InversionPlan, eigen: np.ndarray, phases: np.ndarray
     the clock axis alone, and the adjoint ladder is one phase per clock
     value and eigenpair. The last step turns back to the computational basis.
     """
-    patterns = [m for m, _ in plan.rotations]
-    halves = 0.5 * np.array([theta for _, theta in plan.rotations])
     scales = np.zeros((2, eigen.shape[0], 1))
     scales[0] = 1.0
-    scales[0, patterns, 0], scales[1, patterns, 0] = np.cos(halves), np.sin(halves)
+    scales[0, plan.patterns, 0], scales[1, plan.patterns, 0] = plan.cosines, plan.sines
     transformed = clock_qft(scales * eigen) * phases
     return clock_hadamards(transformed) @ qlsp.eigenvectors.T
 

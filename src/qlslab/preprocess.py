@@ -9,7 +9,9 @@ form on amplitudes laid out as [rest, clock, b] (``clock_hadamards``,
 range of clock bits. ``pipeline`` walks the records of a run that noise
 lands in, applying every stage, or part of a stage, that no noise lands in
 by its closed form; a run without noise walks only the prefix, once per
-problem and t0, and takes the rest in one pass in A's eigenbasis.
+problem and t0, and takes the rest in one pass in A's eigenbasis. Every
+walk starts after state preparation, from the state ``prepare_b`` simulates
+once per problem; its gate opens every ``build_qpe_circuit`` of the problem.
 
 The time scale ``t0`` maps an eigenvalue ``lam`` to the clock-grid coordinate
 ``lam * t0 / (2 pi)``; adjacent grid points are one coordinate unit (a phase
@@ -43,6 +45,7 @@ from .sim import (
     Gate,
     GateKind,
     StateVector,
+    apply_circuit,
     check_capacity,
     check_count,
     inverted_gates,
@@ -156,14 +159,30 @@ def qpe_gates(qlsp: QLSP, clock, breg, t0: float) -> list[Gate]:
     return gates
 
 
+@functools.lru_cache(maxsize=1)
+def prepare_b(qlsp: QLSP) -> tuple[Gate, np.ndarray]:
+    """The gate that prepares b on the b register (the problem's low
+    ``num_qubits`` qubits) and the register's read-only amplitudes after it,
+    simulated from |0>.
+
+    Both depend on the problem alone. One slot, keyed on the problem by
+    identity (``QLSP`` is immutable), serves every circuit and run on one
+    problem in turn, so a batch prepares each problem once.
+    """
+    nb = qlsp.num_qubits
+    circuit = Circuit(nb).unitary(state_preparation_matrix(qlsp.vector_b), range(nb))
+    return circuit.gates[0], apply_circuit(StateVector.zero(nb), circuit).amplitudes
+
+
 def build_qpe_circuit(qlsp: QLSP, bit_width: int, t0: float) -> Circuit:
-    """Standalone preprocessing circuit: prepare b, then run QPE on the clock."""
+    """Standalone preprocessing circuit: prepare b (``prepare_b``'s gate),
+    then run QPE on the clock."""
     check_count("bit_width", bit_width, 1)
     nb = qlsp.num_qubits
     breg = tuple(range(nb))
     clock = tuple(range(nb, nb + bit_width))
     circuit = Circuit(nb + bit_width)
-    circuit.unitary(state_preparation_matrix(qlsp.vector_b), breg)
+    circuit.add(prepare_b(qlsp)[0])
     circuit.extend(qpe_gates(qlsp, clock, breg, t0))
     return circuit
 

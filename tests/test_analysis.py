@@ -94,6 +94,23 @@ def test_bound_inputs_validation():
             BoundInputs(kappa=2.0, t0=10.0, clock_bits=1, precision_bits=l)
 
 
+@pytest.mark.parametrize("field", ["kappa", "t0"])
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (True, "must be a real number"),
+        ("2", "must be a real number"),
+        (None, "must be a real number"),
+        (math.nan, "must be finite"),
+        (math.inf, "must be finite"),
+    ],
+)
+def test_bound_inputs_reject_bools_non_reals_and_non_finite_values(field, value, message):
+    fields = {"kappa": 2.0, "t0": 10.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} {message}"):
+        BoundInputs(clock_bits=3, precision_bits=5, **fields)
+
+
 @pytest.mark.parametrize("extra", [-1, 0.5, 2.0, True, None])
 def test_prefactor_rejects_anything_but_a_non_negative_int(extra):
     with pytest.raises(ValueError, match="extra_bits must be non-negative and an int"):

@@ -7,6 +7,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from test_preprocess import random_problem
 
+from qlslab import inversion
 from qlslab.errors import EmptyPlanError
 from qlslab.inversion import (
     InversionPlan,
@@ -19,7 +20,7 @@ from qlslab.inversion import (
 )
 from qlslab.preprocess import EigenEstimate, EigenEstimateSet, decode_grid_int, run_preprocessing
 from qlslab.qlsp import generate_n2
-from qlslab.sim import Circuit, StateVector, apply_circuit
+from qlslab.sim import Circuit, Gate, GateKind, StateVector, apply_circuit
 
 TWO_PI = 2.0 * math.pi
 
@@ -118,6 +119,93 @@ def test_canonical_plan_decodes_every_pattern_as_decode_grid_int(k, signed):
         rotations = sorted((p, 2.0 * math.asin(x / largest)) for p, x in per_pattern.items())
         plan = plan_canonical(k, t0, signed_mode=signed)
         assert plan == InversionPlan(k, tuple(rotations), 1.0 / largest)
+
+
+_CANONICAL_ARGUMENTS = st.tuples(
+    st.integers(1, 8), st.sampled_from([0.7, 6 * math.pi, 123.456, 1e4]), st.booleans()
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.lists(_CANONICAL_ARGUMENTS, min_size=1, max_size=12))
+def test_cached_canonical_plans_equal_uncached_builds(calls):
+    """Whatever order of arguments the cache has seen, ``plan_canonical``
+    returns the plan an uncached build gives, field by field."""
+    uncached = inversion._canonical_plan.__wrapped__
+    for k, t0, signed in calls:
+        plan, expected = plan_canonical(k, t0, signed_mode=signed), uncached(k, t0, signed)
+        assert plan.bit_width == expected.bit_width == k
+        assert plan.rotations == expected.rotations
+        assert plan.constant_c == expected.constant_c
+        assert plan.clamp_events == expected.clamp_events == 0
+
+
+def test_equal_canonical_arguments_share_one_plan():
+    plan = plan_canonical(3, 10.0)
+    assert plan_canonical(3, 10.0, signed_mode=False) is plan
+    assert plan_canonical(np.int64(3), np.float64(10.0), 0) is plan
+    assert plan_canonical(3, 10.0, signed_mode=True) is not plan
+    assert plan_canonical(3, 10.5) is not plan
+
+
+def _plans():
+    """A canonical plan, a hand-built one and an empty one."""
+    return [
+        plan_canonical(4, 10.0, signed_mode=True),
+        InversionPlan(3, ((0, -0.4), (3, 1.0), (6, math.pi)), 0.1),
+        InversionPlan(2, (), 1.0),
+    ]
+
+
+@pytest.mark.parametrize("plan", _plans())
+def test_plan_arrays_are_read_only_and_match_the_rotations(plan):
+    patterns = [m for m, _ in plan.rotations]
+    halves = [0.5 * theta for _, theta in plan.rotations]
+    assert plan.patterns.tolist() == patterns
+    assert plan.cosines.tolist() == np.cos(halves).tolist()
+    assert plan.sines.tolist() == np.sin(halves).tolist()
+    assert plan.matrices.shape == (len(patterns), 2, 2)
+    for matrix, (_, theta) in zip(plan.matrices, plan.rotations):
+        expected = Gate(GateKind.RY, (0,), angle=theta).resolved_matrix()
+        assert np.array_equal(matrix, expected)
+    for array in (plan.patterns, plan.cosines, plan.sines, plan.matrices):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0
+    assert plan.matrices is plan.matrices  # derived once
+
+
+@pytest.mark.parametrize("plan", _plans())
+def test_appending_to_an_inversion_circuit_leaves_the_next_one_alone(plan):
+    k = plan.bit_width
+    first = build_inversion_circuit(plan, range(1, k + 1), 0)
+    gates = list(first.gates)
+    first.gates.append(Gate(GateKind.PAULI_X, (0,)))
+    first.multiplexed_ry(0, range(1, k + 1), [(1, 0.3)])
+    second = build_inversion_circuit(plan, range(1, k + 1), 0)
+    assert second.gates == gates and second.gates is not first.gates
+    assert second.num_qubits == k + 1
+
+
+@pytest.mark.parametrize("plan", _plans())
+@pytest.mark.parametrize("layout", [((1, 2, 3, 4), 0), ((5, 3, 0, 2), 7), ((0, 1, 2, 3), 4)])
+def test_cached_inversion_gates_equal_multiplexed_ry(plan, layout):
+    clock, ancilla = layout
+    clock = clock[: plan.bit_width]
+    for _ in range(2):  # built, then taken from the plan
+        circuit = build_inversion_circuit(plan, clock, ancilla)
+        reference = Circuit(max(clock + (ancilla,)) + 1)
+        reference.multiplexed_ry(ancilla, clock, plan.rotations)
+        assert circuit.num_qubits == reference.num_qubits
+        assert len(circuit) == len(reference) == len(plan.rotations)
+        for gate, expected in zip(circuit.gates, reference.gates):
+            assert (gate.kind, gate.targets, gate.controls, gate.angle) == (
+                expected.kind,
+                expected.targets,
+                expected.controls,
+                expected.angle,
+            )
+            assert gate.qubits() == expected.qubits()
 
 
 @settings(derandomize=True, deadline=None)

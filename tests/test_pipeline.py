@@ -287,8 +287,9 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
     inversion block splits into two closed forms around the Pauli. One after
     the stage's last gate leaves the stage in closed form. Only the half the
     Pauli lands in is walked: a Pauli before the prefix's last gate walks
-    the prefix from |0> and the tail kernel runs the rest once, and one
-    after it walks the rest from the cached prefix. Counters on the closed
+    the prefix from the problem's prepared state, simulating no state
+    preparation, and the tail kernel runs the rest once, and one after it
+    walks the rest from the cached prefix. Counters on the closed
     forms that the stages call, and on the simulated gates, see every other
     stage of the walked half run in closed form and no RY gate simulated.
     With no Pauli, the tail kernel alone runs after the cached prefix: no
@@ -316,14 +317,16 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
         return _original(*args)
 
     monkeypatch.setattr(pipeline, "apply_circuit", counted_apply)
+    monkeypatch.setattr(preprocess, "apply_circuit", counted_apply)  # what prepare_b calls
     monkeypatch.setattr(pipeline, "_tail", counted_tail)
     pipeline._qpe_blocks.cache_clear()  # so that the records call the counters
+    preprocess.prepare_b.cache_clear()
     qlsp, k, t0 = generate_n4(PAPER_N4_EIGENVALUES, (0, 1), 7), 3, 11.0
     plan = plan_canonical(k, t0, signed_mode=True)
     circuit = assemble_hhl(qlsp, k, t0, plan)
     blocks = pipeline._qpe_blocks(qlsp, k, t0)
     prefix, uncompute = blocks.prefix, blocks.uncompute
-    # the cached walk of the prefix: prepare b, then three closed forms
+    # the cached walk of the prefix: prepare b (once per problem), then three closed forms
     assert len(gates) == 1 and len(calls) == 3
     gates.clear()
     calls.clear()
@@ -347,10 +350,10 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
         after = start if where == "inside" else end - 1
         pauli = (after + 1, Gate(GateKind.PAULI_X, (circuit.gates[after].qubits()[0],)))
         walked_prefix = after < opening - 1
-        # a walked prefix simulates state preparation and has three closed
+        # a walked prefix starts from the prepared state and has three closed
         # forms; a walked rest has the inversion's and the uncompute's three
         transforms = 3 if walked_prefix else 4
-        simulated = 1 + walked_prefix  # the Pauli, and any state preparation
+        simulated = 1  # the Pauli
         if where == "inside" and split:
             transforms += 1
         elif where == "inside":
@@ -552,10 +555,10 @@ def test_direct_fidelity_rejects_a_target_of_the_wrong_length():
 
 
 def test_swap_readout_simulates_solver_once(monkeypatch):
-    """Only state preparation is simulated, once per miss of the prefix memo:
-    every other stage of the solver runs in closed form and the swap-test
-    readout simulates nothing, so a second run at the same t0 simulates no
-    gate at all."""
+    """Only state preparation is simulated, once per problem: every other
+    stage of the solver runs in closed form and the swap-test readout
+    simulates nothing, so a second run on the problem simulates no gate at
+    all."""
     simulated = []
 
     def counting_apply(state, circuit):
@@ -563,7 +566,9 @@ def test_swap_readout_simulates_solver_once(monkeypatch):
         return apply_circuit(state, circuit)
 
     monkeypatch.setattr(pipeline, "apply_circuit", counting_apply)
+    monkeypatch.setattr(preprocess, "apply_circuit", counting_apply)  # what prepare_b calls
     pipeline._qpe_blocks.cache_clear()
+    preprocess.prepare_b.cache_clear()
     qlsp = generate_n2(0.3)
     config = RunConfig(
         variant="canonical", t0_mode="explicit", t0_value=ON_GRID_T0, readout="swap"
@@ -878,6 +883,7 @@ def test_gate_counts_reported_pre_noise():
 def _clear_memos():
     pipeline._qpe_blocks.cache_clear()
     pipeline._searched_t0.cache_clear()
+    preprocess.prepare_b.cache_clear()
 
 
 def _outputs(result):

@@ -18,6 +18,7 @@ from qlslab.preprocess import (
     grid_range,
     inverse_qft_gates,
     iterative_t0,
+    prepare_b,
     qft_gates,
     qpe_grid_probabilities,
     qpe_histogram,
@@ -330,6 +331,21 @@ def test_hybrid_tie_goes_to_the_smaller_grid_value(lam):
         assert math.sqrt(probs[2]) == pytest.approx(math.sqrt(probs[7]), abs=1e-14)
         plan = plan_hybrid(estimates_from_probabilities(probs, 3, t0), max_rotations=2)
         assert [pattern for pattern, _ in plan.rotations] == [1, 2]
+
+
+def test_state_preparation_is_built_and_simulated_once_per_problem():
+    """Every QPE circuit of a problem starts with ``prepare_b``'s one gate,
+    whose simulated output is b; another problem gets its own."""
+    qlsp = generate_n4((-0.9, -0.2, 0.3, 0.8), (0, 2), 5)
+    gate, amplitudes = prepare_b(qlsp)
+    assert build_qpe_circuit(qlsp, 3, 10.0).gates[0] is gate
+    assert build_qpe_circuit(qlsp, 5, 12.0).gates[0] is gate
+    assert prepare_b(qlsp)[1] is amplitudes and not amplitudes.flags.writeable
+    assert np.max(np.abs(amplitudes - qlsp.vector_b)) < 1e-14
+    assert np.max(np.abs(gate.matrix[:, 0] - amplitudes)) == 0.0
+    other = generate_n2(0.3)
+    assert prepare_b(other)[0] is not gate
+    assert build_qpe_circuit(other, 3, 10.0).gates[0] is prepare_b(other)[0]
 
 
 def test_qpe_circuit_registers():
