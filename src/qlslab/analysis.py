@@ -2,11 +2,10 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
-from .sim import check_count
+from .sim import check_count, check_real
 
 
 @dataclass(frozen=True)
@@ -18,9 +17,7 @@ class BoundInputs:
 
     def __post_init__(self) -> None:
         for name in ("kappa", "t0"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, not {value!r}")
+            check_real(name, getattr(self, name))
         # chained comparisons are false for NaN, so NaN and inf both fail
         if not 1.0 <= self.kappa < math.inf:
             raise ValueError(f"kappa must be finite and at least 1, not {self.kappa}")

@@ -27,7 +27,7 @@ from .errors import QlsLabError
 from .inversion import ALPHA_MODELS, ANGLE_POLICIES
 from .pipeline import READOUTS, VARIANTS, RunConfig, RunResult, run
 from .qlsp import QLSP, classical_solution, generate_n2, generate_n4
-from .sim import NoiseSpec, check_count
+from .sim import NoiseSpec, check_count, check_real
 
 N2_SWEEP_T0 = 18.0 * math.pi
 
@@ -297,6 +297,7 @@ def emit_plot_data(csv_path: str, out_path: str) -> int:
 def describe_problem(qlsp: QLSP, clock_bits: int, t0: float) -> str:
     """Human-readable spectrum report with grid alignment for the given scale."""
     check_count("clock_bits", clock_bits, 1)
+    check_real("t0", t0)
     if not 0 < t0 < math.inf:
         raise ValueError(f"t0 must be finite and positive, not {t0}")
     lines = [

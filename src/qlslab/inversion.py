@@ -22,10 +22,12 @@ Angle policies for the enhanced plan:
   hybrid plan in the degenerate case and is kept for comparison only.
 
 A plan is immutable, so what is derived from it is derived on first use
-and kept on it: read-only arrays of its patterns, half-angle cosines and
-sines and rotation matrices, which ``rotate_branches`` and the solver's
-eigenbasis tail read, and its gates per (clock, ancilla) layout, which
-``build_inversion_circuit`` hands out as a new list each call. The canonical plan depends only on (k, t0,
+and kept on it: read-only arrays of its patterns and half-angle cosines and
+sines, which ``rotate_branches`` and the solver's tail read, and its gates
+per (clock, ancilla) layout, which ``build_inversion_circuit`` hands out as
+a new list each call. The block acts on the ancilla and the clock alone, so
+its closed form is the same in any basis of the b register; the solver
+applies it in A's eigenbasis. The canonical plan depends only on (k, t0,
 signed mode), so ``plan_canonical`` returns one shared plan per argument
 set and every canonical row of a recipe at one t0 reuses its arrays and
 gates.
@@ -40,7 +42,7 @@ import numpy as np
 
 from .errors import EmptyPlanError
 from .preprocess import EigenEstimateSet, decode_grid_int, grid_range
-from .sim import Circuit, Gate, check_count
+from .sim import Circuit, Gate, check_count, check_real
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,6 +70,7 @@ class InversionPlan:
         # written so that NaN fails: every comparison with NaN is false
         if not all(abs(angle) <= math.pi + 1e-12 for _, angle in self.rotations):
             raise ValueError("rotation angles must be finite with |theta| <= pi")
+        check_real("constant_c", self.constant_c)
         if not (math.isfinite(self.constant_c) and self.constant_c > 0):
             raise ValueError(f"the constant must be finite and positive, not {self.constant_c}")
         check_count("clamp_events", self.clamp_events, 0)
@@ -86,14 +89,6 @@ class InversionPlan:
     def sines(self) -> np.ndarray:
         """sin(theta / 2) of each rotation, by ``np.sin``."""
         return _read_only(np.sin(self._halves))
-
-    @functools.cached_property
-    def matrices(self) -> np.ndarray:
-        """Each rotation's RY(theta) matrix, stacked (r, 2, 2), from ``math.cos``
-        and ``math.sin`` as ``Gate.resolved_matrix`` builds it."""
-        cos, sin = ([f(0.5 * theta) for _, theta in self.rotations] for f in (math.cos, math.sin))
-        stacked = np.array([cos, np.negative(sin), sin, cos], dtype=complex).T.reshape(-1, 2, 2)
-        return _read_only(stacked)
 
     @functools.cached_property
     def _halves(self) -> np.ndarray:
@@ -130,6 +125,7 @@ def alpha_overlap(delta: float, model: str = "linear", big_t: int | None = None)
     states, normalized so that alpha(0) = 1; its removable singularity at
     delta = pi is evaluated by the analytic limit.
     """
+    check_real("delta", delta)
     if not (math.isfinite(delta) and delta >= 0):
         raise ValueError(f"delta must be finite and non-negative, not {delta}")
     if model == "linear":
@@ -159,6 +155,7 @@ def plan_canonical(bit_width: int, t0: float, signed_mode: bool = False) -> Inve
     and with it the arrays and gates derived on it.
     """
     grid_range(bit_width, signed_mode)  # checks bit_width
+    check_real("t0", t0)
     if not (math.isfinite(t0) and t0 > 0):
         raise ValueError(f"t0 must be finite and positive, not {t0}")
     return _canonical_plan(int(bit_width), float(t0), bool(signed_mode))
@@ -251,15 +248,12 @@ def plan_enhanced(
         }
         return _plan(k, xbar)
 
-    clamp_events = 0
-    rotations = []
-    for g in kept:
-        z = 2.0 * sums[g] / len(terms[g])
-        if abs(z) > 1.0:
-            z = math.copysign(1.0, z)
-            clamp_events += 1
-        rotations.append((g % 2**k, math.asin(z)))
-    rotations.sort()
+    arguments = {g % 2**k: 2.0 * sums[g] / len(terms[g]) for g in kept}
+    # each argument clamped to [-1, 1], and each clamp counted
+    rotations = sorted(
+        (m, math.asin(math.copysign(min(abs(z), 1.0), z))) for m, z in arguments.items()
+    )
+    clamp_events = sum(abs(z) > 1.0 for z in arguments.values())
     constant = min(abs(e.lambda_tilde) for e in entries)
     return InversionPlan(k, tuple(rotations), float(constant), clamp_events)
 
@@ -289,13 +283,16 @@ def rotate_branches(
 ) -> np.ndarray:
     """Gates ``low`` to ``high - 1`` (default: all) of ``build_inversion_circuit``
     in closed form on ``blocks``, laid out [..., ancilla, clock, b] with
-    ``clock[r]`` as bit r of the clock axis. Rotation (m, theta) is an
-    RY(theta) on the ancilla that fires on clock value m, so it rotates the
-    pair (blocks[..., 0, m, :], blocks[..., 1, m, :]) and nothing else; the
-    gates act on disjoint patterns, so a run of them is its own rotations,
-    one stacked 2x2 product over the run's patterns (``plan.matrices``)."""
+    ``clock[r]`` as bit r of the clock axis, in any basis of the b axis.
+    Rotation (m, theta) is an RY(theta) on the ancilla that fires on clock
+    value m, so it rotates the pair (blocks[..., 0, m, :], blocks[..., 1, m, :])
+    by cos(theta / 2) and sin(theta / 2) and nothing else; the gates act on
+    disjoint patterns, so a run of them is its own rotations, applied to
+    both ancilla branches elementwise (``plan.cosines``, ``plan.sines``)."""
     patterns = plan.patterns[low:high]
+    cos, sin = plan.cosines[low:high, None], plan.sines[low:high, None]
     rotated = np.array(blocks, dtype=complex)
-    pairs = rotated.swapaxes(-3, -2)  # a view laid out [..., clock, ancilla, b]
-    pairs[..., patterns, :, :] = plan.matrices[low:high] @ pairs[..., patterns, :, :]
+    zero, one = rotated[..., 0, patterns, :], rotated[..., 1, patterns, :]
+    rotated[..., 0, patterns, :] = cos * zero - sin * one
+    rotated[..., 1, patterns, :] = sin * zero + cos * one
     return rotated

@@ -16,24 +16,32 @@ the unnormalised state. So the solver circuit is simulated once for every
 readout mode; the swap-test readout samples outcome probabilities taken from
 the branches in closed form and simulates no test register.
 
+Inside ``execute`` the amplitudes hold the b register in A's eigenbasis,
+laid out [ancilla, clock, eigenpair j], from state preparation to readout.
+There the noiseless run is block-diagonal per eigenpair: the ladder and
+its adjoint are one phase per clock value and eigenpair, and every other
+stage acts on the clock and the ancilla alone. Three places change the
+basis: ``_prepared`` turns ``preprocess.prepare_b``'s simulated b state
+into the eigenbasis once, ``_simulate`` turns to the computational basis
+and back only around a run of gates that touches a b qubit (only Paulis
+do), and ``execute`` turns back once at the end.
+
 ``execute`` splits every run at the last gate of its prefix (prepare b and
 phase estimation) and gives each half one rule. The prefix is the cached
 output of ``_qpe_blocks`` unless ``inject_noise`` lands a Pauli before its
 last gate. The rest (the inversion block and the uncompute) runs in one
-pass in A's eigenbasis (``_tail``), where it is block-diagonal, unless a
-Pauli lands after that gate. A half with a Pauli is walked (``_walk``)
-through the stage records of ``preprocess.qpe_stages`` (Hadamard layer,
-controlled-power ladder, Fourier transform, and their adjoints in the
-uncompute) and of the inversion block
+pass (``_tail``) unless a Pauli lands after that gate. A half with a Pauli
+is walked (``_walk``) through the stage records of ``preprocess.qpe_stages``
+(Hadamard layer, controlled-power ladder, Fourier transform, and their
+adjoints in the uncompute) and of the inversion block
 (``inversion.rotate_branches``), each run of a stage's gates that no Pauli
 interrupts going to the stage's closed form: a Pauli inside a Hadamard
 layer, ladder or inversion block splits it into closed forms either side,
 and only a Fourier transform that a Pauli lands in is simulated gate by
 gate, with the Paulis themselves. Every walk of a prefix starts after
-state preparation, from the state ``preprocess.prepare_b`` simulates once
-per problem (each Pauli follows a gate, so none precedes it), and no
-prefix gate touches the ancilla, so ``_tail`` can follow it too. A run with
-no Pauli (no noise, or noise whose draws insert none) simulates no gate.
+state preparation (each Pauli follows a gate, so none precedes it). A run
+with no Pauli (no noise, or noise whose draws insert none) simulates no
+gate.
 Every run reports the gate counts of the whole noiseless circuit, added up
 block by block: the cached counts of the prefix and the uncompute and the
 inversion block's in closed form, r gates and depth r for r rotations,
@@ -57,7 +65,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -100,6 +107,7 @@ from .sim import (
     apply_circuit,
     check_capacity,
     check_count,
+    check_real,
     gate_report,
     inject_noise,
     postselect,
@@ -144,8 +152,8 @@ class RunConfig:
         if self.t0_mode not in ("fixed", "iterative", "explicit"):
             raise ValueError(f"unknown t0 mode {self.t0_mode!r}")
         value = self.t0_value
-        if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
-            raise ValueError(f"t0_value must be a real number, not {value!r}")
+        if value is not None:
+            check_real("t0_value", value)
         if self.noise is not None and not isinstance(self.noise, NoiseSpec):
             raise ValueError(f"noise must be a NoiseSpec or None, not {self.noise!r}")
         if self.t0_mode == "explicit" and not 0 < (value or 0) < math.inf:
@@ -213,8 +221,7 @@ class _Blocks(NamedTuple):
 
     prefix: tuple[Stage, ...]  # the stage records of prepare b + QPE
     uncompute: tuple[Stage, ...]  # the stage records of the QPE block undone
-    prepared: np.ndarray  # the amplitudes after the prefix, [ancilla, clock, b]
-    eigen: np.ndarray  # prepared[0] in A's eigenbasis, [clock, eigenpair j]
+    prepared: np.ndarray  # the amplitudes after the prefix, [ancilla, clock, eigenpair j]
     phases: np.ndarray  # the adjoint ladder's exp(-i t0 x lam_j / T), [clock x, j]
     reports: tuple[GateReport, GateReport]  # gate_report of the prefix, of the uncompute
 
@@ -222,8 +229,8 @@ class _Blocks(NamedTuple):
 @functools.lru_cache(maxsize=1)
 def _qpe_blocks(qlsp: QLSP, clock_bits: int, t0: float) -> _Blocks:
     """``qpe_stages`` of the solver's prefix (prepare b + QPE) and uncompute,
-    the solver's amplitudes after the prefix, and what ``_tail`` and the gate
-    counts of ``execute`` read of them.
+    the solver's amplitudes after the prefix in A's eigenbasis, and what
+    ``_tail`` and the gate counts of ``execute`` read of them.
 
     The amplitudes are ``_walk`` of the Pauli-free prefix from the state
     after preparation (``_prepared``): the Hadamard layer, ladder and
@@ -234,16 +241,15 @@ def _qpe_blocks(qlsp: QLSP, clock_bits: int, t0: float) -> _Blocks:
     """
     prefix, uncompute = qpe_stages(qlsp, clock_bits, t0)
     size, width = 2**clock_bits, qlsp.num_qubits + clock_bits + 1
-    prepared = _walk(_prepared(qlsp, size), prefix[1:], {})
-    eigen = prepared[0] @ qlsp.eigenvectors.conj()
+    prepared = _walk(qlsp, _prepared(qlsp, size), prefix[1:], {})
     phases = np.exp(np.outer(np.arange(size), qlsp.eigenvalues * (-1j * float(t0) / size)))
-    for array in (prepared, eigen, phases):
+    for array in (prepared, phases):
         array.setflags(write=False)
     head, tail = (
         gate_report(_circuit(width, [gate for stage in stages for gate in stage.gates]))
         for stages in (prefix, uncompute)
     )
-    return _Blocks(prefix, uncompute, prepared, eigen, phases, (head, tail))
+    return _Blocks(prefix, uncompute, prepared, phases, (head, tail))
 
 
 def assemble_hhl(qlsp: QLSP, clock_bits: int, t0: float, plan: InversionPlan) -> Circuit:
@@ -273,11 +279,12 @@ def execute(
     last gate, with one rule for each half. The prefix is the cached walk of
     ``_qpe_blocks`` unless a Pauli lands before its last gate, and is then
     ``_walk``ed from the problem's state after preparation. The rest (the
-    inversion block and the uncompute) runs as ``_tail`` in A's eigenbasis
-    unless a Pauli lands after the prefix's last gate, and is then
-    ``_walk``ed through the inversion block (``rotate_branches``) and the
-    uncompute's stage records. A walk runs every stage in closed form,
-    split at any Pauli.
+    inversion block and the uncompute) runs as ``_tail`` unless a Pauli
+    lands after the prefix's last gate, and is then ``_walk``ed through the
+    inversion block (``rotate_branches``) and the uncompute's stage records.
+    A walk runs every stage in closed form, split at any Pauli. Both halves
+    hold the b register in A's eigenbasis, and the result turns back to the
+    computational basis once, at the end.
 
     The counts add up block by block: the cached reports of the prefix and
     the uncompute, and the inversion block's in closed form. Every one of
@@ -307,55 +314,55 @@ def execute(
             else:
                 follows.setdefault(i, []).append(gate)
     rest = {i - opening: paulis for i, paulis in follows.items() if i >= opening - 1}
-    prepared, eigen = blocks.prepared, blocks.eigen
+    prepared = blocks.prepared
     if len(rest) < len(follows):  # a Pauli before the prefix's last gate
         # each Pauli follows a gate, so the walk starts after state preparation
         after = {i - 1: paulis for i, paulis in follows.items() if i < opening - 1}
-        prepared = _walk(_prepared(qlsp, prepared.shape[1]), blocks.prefix[1:], after)
-        # no prefix gate, and so no Pauli after one, touches the ancilla
-        eigen = prepared[0] @ qlsp.eigenvectors.conj()
-    if not rest:
-        return _tail(qlsp, plan, eigen, blocks.phases), report
-    inversion = circuit.gates[opening : opening + rotations]  # gate i is the plan's rotation i
-    stage = Stage(inversion, functools.partial(rotate_branches, plan), tuple(range(rotations)))
-    return _walk(prepared, (stage, *blocks.uncompute), rest), report
+        prepared = _walk(qlsp, _prepared(qlsp, prepared.shape[1]), blocks.prefix[1:], after)
+    if rest:
+        inversion = circuit.gates[opening : opening + rotations]  # gate i is rotation i
+        stage = Stage(inversion, functools.partial(rotate_branches, plan), tuple(range(rotations)))
+        branches = _walk(qlsp, prepared, (stage, *blocks.uncompute), rest)
+    else:
+        branches = _tail(plan, prepared, blocks.phases)
+    return branches @ qlsp.eigenvectors.T, report
 
 
 def _prepared(qlsp: QLSP, size: int) -> np.ndarray:
     """The solver's amplitudes after state preparation on a clock of ``size``
-    values, laid out [ancilla, clock, b]: ``prepare_b``'s b register state
-    with the clock and the ancilla at 0."""
+    values, laid out [ancilla, clock, eigenpair j]: ``prepare_b``'s b register
+    state in A's eigenbasis, with the clock and the ancilla at 0."""
     blocks = np.zeros((2, size, qlsp.dimension), dtype=complex)
-    blocks[0, 0] = prepare_b(qlsp)[1]
+    blocks[0, 0] = prepare_b(qlsp)[1] @ qlsp.eigenvectors.conj()
     return blocks
 
 
-def _tail(qlsp: QLSP, plan: InversionPlan, eigen: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """The inversion block and the uncompute, with no Pauli, in one pass in
-    A's eigenbasis on a prefix output whose ancilla-1 branch is zero, from
-    ``eigen``, its ancilla-0 branch in that basis, [clock, eigenpair j], and
-    ``phases``, the adjoint ladder's (``_Blocks.phases``).
+def _tail(plan: InversionPlan, prepared: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """The inversion block and the uncompute, with no Pauli, in one pass on
+    ``prepared``, a prefix output laid out [ancilla, clock, eigenpair j], with
+    ``phases``, the adjoint ladder's (``_Blocks.phases``); the result keeps
+    that layout.
 
-    There every stage after the prefix is block-diagonal in the eigenpair:
-    the inversion scales each pattern's row of the ancilla-0 branch by the
-    cosine and sine of its half-angle, the QFT and the Hadamard layer act on
-    the clock axis alone, and the adjoint ladder is one phase per clock
-    value and eigenpair. The last step turns back to the computational basis.
+    Every stage after the prefix is block-diagonal in the eigenpair: the
+    inversion scales each pattern's row of the ancilla-0 branch, the only
+    one a prefix output fills, by the cosine and sine of its half-angle, the
+    QFT and the Hadamard layer act on the clock axis alone, and the adjoint
+    ladder is one phase per clock value and eigenpair.
     """
-    scales = np.zeros((2, eigen.shape[0], 1))
+    scales = np.zeros((2, prepared.shape[1], 1))
     scales[0] = 1.0
     scales[0, plan.patterns, 0], scales[1, plan.patterns, 0] = plan.cosines, plan.sines
-    transformed = clock_qft(scales * eigen) * phases
-    return clock_hadamards(transformed) @ qlsp.eigenvectors.T
+    return clock_hadamards(clock_qft(scales * prepared[0]) * phases)
 
 
-def _walk(blocks: np.ndarray, stages, follows: dict[int, list[Gate]]) -> np.ndarray:
-    """``stages`` applied to the amplitudes ``blocks``, laid out [ancilla, clock, b],
-    with ``follows[i]``, the Paulis inserted after gate i of the stages' joint
-    gate list (i = -1: before the first). Each run of a stage's gates that no
-    Pauli interrupts goes to the stage's closed form where it has one for that
-    run; all else, Paulis included, is simulated in as few ``apply_circuit``
-    calls as the closed forms allow."""
+def _walk(qlsp: QLSP, blocks: np.ndarray, stages, follows: dict[int, list[Gate]]) -> np.ndarray:
+    """``stages`` applied to the amplitudes ``blocks`` of a run on ``qlsp``,
+    laid out [ancilla, clock, eigenpair j], with ``follows[i]``, the Paulis
+    inserted after gate i of the stages' joint gate list (i = -1: before the
+    first). Each run of a stage's gates that no Pauli interrupts goes to the
+    stage's closed form where it has one for that run; all else, Paulis
+    included, is simulated (``_simulate``) in as few ``apply_circuit`` calls
+    as the closed forms allow."""
     pending, end = list(follows.get(-1, ())), 0  # gates to simulate before a closed form
     for stage in (stage for stage in stages if stage.gates):
         offset, end = end, end + len(stage.gates)
@@ -366,18 +373,24 @@ def _walk(blocks: np.ndarray, stages, follows: dict[int, list[Gate]]) -> np.ndar
             if closed is None:
                 pending += stage.gates[start - offset : stop - offset]
             else:
-                blocks, pending = closed(_simulate(blocks, pending)), []
+                blocks, pending = closed(_simulate(qlsp, blocks, pending)), []
             pending += follows.get(stop - 1, ())
-    return _simulate(blocks, pending)
+    return _simulate(qlsp, blocks, pending)
 
 
-def _simulate(blocks: np.ndarray, gates: list[Gate]) -> np.ndarray:
-    """``gates`` applied to the amplitudes ``blocks``; no call for no gates."""
+def _simulate(qlsp: QLSP, blocks: np.ndarray, gates: list[Gate]) -> np.ndarray:
+    """``gates`` applied to the amplitudes ``blocks`` of a run on ``qlsp``, laid
+    out [ancilla, clock, eigenpair j]; no call for no gates. Gates on the clock
+    and the ancilla act on any basis of the b register, so only gates that
+    touch a b qubit (Paulis) are simulated in the computational basis."""
     if not gates:
         return blocks
+    on_b = any(q < qlsp.num_qubits for gate in gates for q in gate.qubits())
+    amplitudes = blocks @ qlsp.eigenvectors.T if on_b else blocks
     part = _circuit(blocks.size.bit_length() - 1, gates)
-    state = StateVector(part.num_qubits, blocks.reshape(-1), validate=False)
-    return apply_circuit(state, part).amplitudes.reshape(blocks.shape)
+    state = StateVector(part.num_qubits, amplitudes.reshape(-1), validate=False)
+    amplitudes = apply_circuit(state, part).amplitudes.reshape(blocks.shape)
+    return amplitudes @ qlsp.eigenvectors.conj() if on_b else amplitudes
 
 
 def _circuit(num_qubits: int, gates: list[Gate]) -> Circuit:

@@ -4,14 +4,17 @@ Preprocessing is noiseless, so its clock distributions are computed in A's
 eigenbasis (``qpe_state``) rather than by simulating the circuit that
 ``build_qpe_circuit`` returns. ``qpe_stages`` cuts that circuit, and its QPE
 block's uncompute, into ``Stage`` records that carry each stage's closed
-form on amplitudes laid out as [rest, clock, b] (``clock_hadamards``,
-``clock_powers``, ``clock_qft``); a Hadamard layer or ladder also acts on a
-range of clock bits. ``pipeline`` walks the records of a run that noise
-lands in, applying every stage, or part of a stage, that no noise lands in
-by its closed form; a run without noise walks only the prefix, once per
-problem and t0, and takes the rest in one pass in A's eigenbasis. Every
-walk starts after state preparation, from the state ``prepare_b`` simulates
-once per problem; its gate opens every ``build_qpe_circuit`` of the problem.
+form on amplitudes laid out as [rest, clock, eigenpair j], with the b
+register in A's eigenbasis (``clock_hadamards``, ``clock_powers``,
+``clock_qft``); a Hadamard layer or ladder also acts on a range of clock
+bits. In that basis the ladder is one phase per clock value and eigenpair,
+and the other stages act on the clock axis alone. ``pipeline`` walks the
+records of a run that noise lands in, applying every stage, or part of a
+stage, that no noise lands in by its closed form; a run without noise walks
+only the prefix, once per problem and t0, and takes the rest in one pass.
+Every walk starts after state preparation, from the state ``prepare_b``
+simulates once per problem; its gate opens every ``build_qpe_circuit`` of
+the problem.
 
 The time scale ``t0`` maps an eigenvalue ``lam`` to the clock-grid coordinate
 ``lam * t0 / (2 pi)``; adjacent grid points are one coordinate unit (a phase
@@ -48,6 +51,7 @@ from .sim import (
     apply_circuit,
     check_capacity,
     check_count,
+    check_real,
     inverted_gates,
     marginal_probabilities,
     sample,
@@ -137,8 +141,8 @@ def _inverse_qft_tuple(qubits: tuple[int, ...]) -> tuple[Gate, ...]:
 
 @functools.lru_cache(maxsize=64)
 def _qft_tuple(qubits: tuple[int, ...]) -> tuple[Gate, ...]:
-    """The uncompute's Fourier transform, ``inverted_gates`` of the inverse QFT."""
-    return tuple(inverted_gates(_inverse_qft_tuple(qubits)))
+    """The uncompute's Fourier transform, the adjoint of the inverse QFT."""
+    return tuple(qft_gates(qubits))
 
 
 @functools.lru_cache(maxsize=64)
@@ -251,20 +255,18 @@ def clock_powers(
 ) -> np.ndarray:
     """The controlled powers of ``qpe_gates`` whose controls are clock bits
     ``low`` to ``high - 1`` (default: the whole ladder) on ``blocks``, laid
-    out [rest, clock x, b].
+    out [rest, clock x, eigenpair j] with the b register in A's eigenbasis.
 
     The whole ladder applies U^x to b with U = exp(i A t0 / T), and the
-    bits' part of it U^y, where y keeps the bits of x in the range: in A's
-    eigenbasis it multiplies eigenpair j by exp(i lam_j t0 y / T), or by the
+    bits' part of it U^y, where y keeps the bits of x in the range: one
+    phase multiply of eigenpair j by exp(i lam_j t0 y / T), or by the
     conjugate phase for the ``adjoint``.
     """
     size = blocks.shape[1]
     high = size.bit_length() - 1 if high is None else high
     rate = (-1j if adjoint else 1j) * float(t0) / size
     powers = np.arange(size) & ((1 << high) - (1 << low))
-    phases = np.exp(np.outer(powers, qlsp.eigenvalues * rate))
-    vectors = qlsp.eigenvectors
-    return ((blocks @ vectors.conj()) * phases) @ vectors.T
+    return blocks * np.exp(np.outer(powers, qlsp.eigenvalues * rate))
 
 
 def clock_qft(blocks: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -280,10 +282,11 @@ def clock_qft(blocks: np.ndarray, inverse: bool = False) -> np.ndarray:
 @dataclass(frozen=True)
 class Stage:
     """One stage of the solver circuit: its ``gates``, their ``closed`` form on
-    amplitudes laid out [rest, clock, b] (None where they must be simulated)
-    and, for a product of commuting factors, each gate's factor (its clock bit
-    in a Hadamard layer or ladder, its rotation's index in the inversion
-    block); ``closed`` then takes factors ``low`` to ``high - 1`` as well."""
+    amplitudes laid out [rest, clock, eigenpair j], with the b register in A's
+    eigenbasis (None where they must be simulated) and, for a product of
+    commuting factors, each gate's factor (its clock bit in a Hadamard layer
+    or ladder, its rotation's index in the inversion block); ``closed`` then
+    takes factors ``low`` to ``high - 1`` as well."""
 
     gates: Sequence[Gate]
     closed: Callable[..., np.ndarray] | None = None
@@ -373,6 +376,7 @@ def estimates_from_probabilities(
     probability raises ``ValueError``.
     """
     check_count("bit_width", bit_width, 1)
+    check_real("time_scale", time_scale)
     if not (math.isfinite(time_scale) and time_scale > 0):
         raise ValueError(f"time scale must be finite and positive, not {time_scale}")
     probabilities = np.asarray(probabilities, dtype=float)
@@ -408,6 +412,7 @@ def fixed_t0(lambda_max: float, bit_width: int, signed: bool = False) -> float:
     Unsigned grids use 2 pi (2**k - 1) / lambda_max; signed grids target the
     largest positive two's-complement value 2**(k-1) - 1 instead.
     """
+    check_real("lambda_max", lambda_max)
     if not (math.isfinite(lambda_max) and lambda_max > 0):
         raise ValueError(f"lambda_max must be finite and positive, not {lambda_max}")
     _, top = grid_range(bit_width, signed)

@@ -62,6 +62,17 @@ def check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be {bound} and an int, not {value!r}")
 
 
+def check_real(name: str, value) -> None:
+    """Reject ``value`` for the field ``name`` unless it is a real number.
+
+    Python and numpy reals pass, whatever their value; bools, strings and None do not.
+    """
+    if type(value) is float:  # the common case, decided first
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, not {value!r}")
+
+
 @functools.lru_cache(maxsize=8)
 def _identity(dim: int) -> np.ndarray:
     """The read-only ``dim`` x ``dim`` identity that unitarity checks compare to."""
@@ -499,10 +510,8 @@ class NoiseSpec:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        p = self.per_gate_pauli_probability
-        if isinstance(p, bool) or not isinstance(p, numbers.Real):
-            raise ValueError(f"per_gate_pauli_probability must be a real number, not {p!r}")
-        p = float(p)
+        check_real("per_gate_pauli_probability", self.per_gate_pauli_probability)
+        p = float(self.per_gate_pauli_probability)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability must lie in [0, 1], not {p}")
         check_count("rng_seed", self.rng_seed, 0)

@@ -132,6 +132,13 @@ def test_describe_accepts_only_int_clock_widths(width):
         describe_problem(generate_n2(0.3), width, 10.0)
 
 
+@pytest.mark.parametrize("t0", [True, "2", None])
+def test_describe_accepts_only_a_real_t0(t0):
+    """A bool would describe the grid at t0 = 1, and a string or None raised ``TypeError``."""
+    with pytest.raises(ValueError, match=re.escape(f"t0 must be a real number, not {t0!r}")):
+        describe_problem(generate_n2(0.3), 3, t0)
+
+
 def test_describe_ill_conditioned():
     report = describe_problem(generate_n2(0.01), 3, 18 * math.pi)
     assert "condition number 99" in report

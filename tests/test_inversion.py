@@ -49,6 +49,22 @@ def test_alpha_rejects_a_non_finite_delta(delta):
             alpha_overlap(delta, model, big_t=8)
 
 
+@pytest.mark.parametrize("value", [True, "2", None])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("t0", lambda value: plan_canonical(3, value)),
+        ("constant_c", lambda value: InversionPlan(3, (), value)),
+        ("delta", lambda value: alpha_overlap(value)),
+    ],
+    ids=["plan_canonical", "InversionPlan", "alpha_overlap"],
+)
+def test_real_arguments_reject_bools_strings_and_none(name, call, value):
+    """A bool would run as 1, and a string or None raised ``TypeError``."""
+    with pytest.raises(ValueError, match=f"{name} must be a real number, not {value!r}"):
+        call(value)
+
+
 def test_alpha_exact_normalized_and_bounded():
     assert alpha_overlap(0.0, "exact", big_t=8) == pytest.approx(1.0)
     # removable singularity at delta = pi evaluates to the analytic limit
@@ -164,15 +180,11 @@ def test_plan_arrays_are_read_only_and_match_the_rotations(plan):
     assert plan.patterns.tolist() == patterns
     assert plan.cosines.tolist() == np.cos(halves).tolist()
     assert plan.sines.tolist() == np.sin(halves).tolist()
-    assert plan.matrices.shape == (len(patterns), 2, 2)
-    for matrix, (_, theta) in zip(plan.matrices, plan.rotations):
-        expected = Gate(GateKind.RY, (0,), angle=theta).resolved_matrix()
-        assert np.array_equal(matrix, expected)
-    for array in (plan.patterns, plan.cosines, plan.sines, plan.matrices):
+    for array in (plan.patterns, plan.cosines, plan.sines):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[...] = 0
-    assert plan.matrices is plan.matrices  # derived once
+    assert plan.cosines is plan.cosines  # derived once
 
 
 @pytest.mark.parametrize("plan", _plans())

@@ -147,10 +147,10 @@ def _grid_case(draw):
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(_grid_case())
 def test_the_tail_kernel_matches_the_staged_walk(case):
-    """With no Pauli, the one-pass eigenbasis tail gives the state of the
-    staged walk of the inversion block and the uncompute and of the circuit
-    simulated gate by gate, for every variant's plan, and p = 0 noise runs
-    it bit for bit."""
+    """With no Pauli, the one-pass tail gives the state of the staged walk of
+    the inversion block and the uncompute, both in A's eigenbasis, and, turned
+    back to the computational basis, of the circuit simulated gate by gate,
+    for every variant's plan, and p = 0 noise runs it bit for bit."""
     qlsp, k, t0 = case
     plans = []
     for variant in pipeline.VARIANTS:
@@ -165,18 +165,19 @@ def test_the_tail_kernel_matches_the_staged_walk(case):
     nb = qlsp.num_qubits
     for plan in plans:
         circuit = assemble_hhl(qlsp, k, t0, plan)
-        tail = pipeline._tail(qlsp, plan, blocks.eigen, blocks.phases)
+        tail = pipeline._tail(plan, blocks.prepared, blocks.phases)
         inversion = preprocess.Stage(
             build_inversion_circuit(plan, range(nb, nb + k), nb + k).gates,
             functools.partial(rotate_branches, plan),
             tuple(range(len(plan.rotations))),
         )
-        staged = pipeline._walk(blocks.prepared, (inversion, *blocks.uncompute), {})
+        staged = pipeline._walk(qlsp, blocks.prepared, (inversion, *blocks.uncompute), {})
         dense = apply_circuit(StateVector.zero(circuit.num_qubits), circuit).amplitudes
+        turned = tail @ qlsp.eigenvectors.T  # back to the computational basis
         assert np.max(np.abs(tail - staged)) < 1e-12
-        assert np.max(np.abs(tail.reshape(-1) - dense)) < 1e-12
+        assert np.max(np.abs(turned.reshape(-1) - dense)) < 1e-12
         noiseless, _ = execute(qlsp, t0, plan)
-        assert np.array_equal(noiseless, tail)
+        assert np.array_equal(noiseless, turned)
         assert np.array_equal(execute(qlsp, t0, plan, NoiseSpec(0.0, 3))[0], noiseless)
 
 
@@ -376,6 +377,39 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
     assert len(gates) == simulated
     assert all(gate.kind is not GateKind.RY for gate in gates)
     assert len(tails) == (stage is None or walked_prefix)
+
+
+@pytest.mark.parametrize("kind", [GateKind.PAULI_X, GateKind.PAULI_Y, GateKind.PAULI_Z])
+@pytest.mark.parametrize("qubit", [0, 1])
+@pytest.mark.parametrize("stage", ["powers", "powers-adjoint"])
+def test_a_pauli_on_a_b_qubit_matches_the_noisy_circuit(monkeypatch, stage, qubit, kind):
+    """The executor holds the b register in A's eigenbasis, where a Pauli on a
+    b qubit is not a one-qubit gate: each Pauli on each b qubit of an n4
+    problem, after the first gate of the ladder (a walked prefix) or of the
+    adjoint ladder (a walked rest), gives the state of the noisy circuit
+    simulated gate by gate."""
+    qlsp, k, t0 = generate_n4(PAPER_N4_EIGENVALUES, (0, 1), 7), 3, 11.0
+    plan = plan_canonical(k, t0, signed_mode=True)
+    circuit = assemble_hhl(qlsp, k, t0, plan)
+    prefix, uncompute = pipeline._qpe_blocks(qlsp, k, t0)[:2]
+    block, position = RECORDS[stage]
+    if block == 0:
+        after = sum(len(r.gates) for r in prefix[:position])
+    else:
+        closing = len(circuit.gates) - sum(len(r.gates) for r in uncompute)
+        after = closing + sum(len(r.gates) for r in uncompute[:position])
+    assert qubit in circuit.gates[after].qubits()  # a controlled power acts on b
+
+    def placed(solver, noise):  # the Pauli, in the circuit that execute assembled
+        executed = Circuit(solver.num_qubits)
+        executed.gates = list(solver.gates)
+        executed.gates.insert(after + 1, Gate(kind, (qubit,)))
+        return executed
+
+    monkeypatch.setattr(pipeline, "inject_noise", placed)
+    branches, _ = execute(qlsp, t0, plan, NoiseSpec(0.0))
+    dense = apply_circuit(StateVector.zero(circuit.num_qubits), placed(circuit, None))
+    assert np.max(np.abs(branches.reshape(-1) - dense.amplitudes)) < 1e-12
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])

@@ -183,13 +183,16 @@ def _gate_key(gate):
 
 def _closed_form_error(qlsp, bits, record, start, stop):
     """Largest entry of the record's closed form of ``gates[start:stop]`` minus
-    ``circuit_matrix`` of those gates, on ``bits`` clock bits."""
+    ``circuit_matrix`` of those gates, on ``bits`` clock bits. The closed form
+    acts with the b register in A's eigenbasis, so it is fed each basis state
+    turned into that basis and its image is turned back."""
     circuit = Circuit(qlsp.num_qubits + bits)
     circuit.extend(record.gates[start:stop])
     dim = 2**circuit.num_qubits
     # each basis state is one entry of the rest axis, so row r is the image of state r
     basis = np.eye(dim, dtype=complex).reshape(dim, 2**bits, qlsp.dimension)
-    rows = record.closed_form(start, stop)(basis)
+    vectors = qlsp.eigenvectors
+    rows = record.closed_form(start, stop)(basis @ vectors.conj()) @ vectors.T
     return np.max(np.abs(rows.reshape(dim, dim).T - circuit_matrix(circuit)))
 
 
@@ -211,8 +214,9 @@ def _stages_case(draw):
 def test_stage_records_match_their_gates(case):
     """The prefix records cut ``build_qpe_circuit``'s gates, the uncompute
     records hold ``inverted_gates`` of its QPE block, and each closed form is
-    its gates' action: the ``circuit_matrix`` of a whole stage, and the
-    gate-by-gate simulation of every contiguous run of a one-bit stage."""
+    its gates' action, with the b register in A's eigenbasis: the
+    ``circuit_matrix`` of a whole stage, and the gate-by-gate simulation of
+    every contiguous run of a one-bit stage."""
     qlsp, bits, t0, states = case
     prefix, uncompute = qpe_stages(qlsp, bits, t0)
     gates = build_qpe_circuit(qlsp, bits, t0).gates
@@ -221,6 +225,7 @@ def test_stage_records_match_their_gates(case):
     assert undo == list(map(_gate_key, inverted_gates(gates[1:])))
     assert prefix[0].closed is None and prefix[0].factors is None  # state preparation
     width = qlsp.num_qubits + bits
+    eigen = states @ qlsp.eigenvectors.conj()  # the states with b in A's eigenbasis
     for record in prefix[1:] + uncompute:
         size = len(record.gates)
         assert _closed_form_error(qlsp, bits, record, 0, size) < 1e-12
@@ -232,7 +237,7 @@ def test_stage_records_match_their_gates(case):
             for stop in range(start + 1, size + 1):
                 circuit = Circuit(width)
                 circuit.extend(record.gates[start:stop])
-                closed = record.closed_form(start, stop)(states)
+                closed = record.closed_form(start, stop)(eigen) @ qlsp.eigenvectors.T
                 for state, image in zip(states, closed):
                     vector = StateVector(width, state.reshape(-1), validate=False)
                     simulated = apply_circuit(vector, circuit).amplitudes
@@ -596,6 +601,24 @@ def test_fixed_t0_values():
 def test_fixed_t0_rejects_a_non_finite_lambda_max(lambda_max):
     with pytest.raises(ValueError, match="lambda_max"):
         fixed_t0(lambda_max, 3)
+
+
+@pytest.mark.parametrize("value", [True, "2", None])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("lambda_max", lambda value: fixed_t0(value, 3)),
+        (
+            "time_scale",
+            lambda value: estimates_from_probabilities([0.5, 0.0, 0.5, 0.0], 2, time_scale=value),
+        ),
+    ],
+    ids=["fixed_t0", "estimates_from_probabilities"],
+)
+def test_real_arguments_reject_bools_strings_and_none(name, call, value):
+    """A bool would run as 1, and a string or None raised ``TypeError``."""
+    with pytest.raises(ValueError, match=f"{name} must be a real number, not {value!r}"):
+        call(value)
 
 
 def _brute_force_top_scale(lam, bits):

@@ -1,5 +1,6 @@
 """Statevector simulator tests: gates, measurement, noise, reports."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -439,6 +440,17 @@ def test_noise_spec_validation():
     for seed in (-1, 1.5, True, None):
         with pytest.raises(ValueError, match="rng_seed must be non-negative and an int"):
             NoiseSpec(0.1, seed)
+
+
+@pytest.mark.parametrize("value", [0.5, 0, -3, np.float64(2.5), np.int64(7), math.inf, math.nan])
+def test_check_real_accepts_python_and_numpy_reals(value):
+    sim.check_real("x", value)  # whatever the value: range checks are the caller's
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(False), "2", None, 1j, [1.0]])
+def test_check_real_rejects_anything_else(value):
+    with pytest.raises(ValueError, match=re.escape(f"x must be a real number, not {value!r}")):
+        sim.check_real("x", value)
 
 
 def test_gate_report_empty():
