@@ -253,8 +253,9 @@ def run_experiment(spec: ExperimentSpec) -> dict:
             rows.append(_row(problem_id, label, qlsp, result))
             results.append(result)
     out_path = Path(spec.out)
-    if out_path.parent and not out_path.parent.exists():
-        out_path.parent.mkdir(parents=True, exist_ok=True)
+    summary_path = Path(spec.summary_out or out_path.with_suffix(".summary.json"))
+    for path in (out_path, summary_path):
+        path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
         writer.writeheader()
@@ -264,7 +265,6 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     summary["name"] = spec.name
     summary["rows"] = len(rows)
     summary["csv"] = str(out_path)
-    summary_path = spec.summary_out or str(out_path.with_suffix(".summary.json"))
     with open(summary_path, "w") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
     return summary

@@ -132,8 +132,9 @@ def alpha_overlap(delta: float, model: str = "linear", big_t: int | None = None)
         return max(0.0, 1.0 - delta / TWO_PI)
     if model != "exact":
         raise ValueError(f"unknown alpha model {model!r}")
-    if big_t is None or big_t < 2:
+    if big_t is None:
         raise ValueError("exact mode needs the register size big_t")
+    check_count("big_t", big_t, 2)
     t = float(big_t)
     half = math.sin(math.pi / (2.0 * t))
     # Printed kernel with arguments read as x / (2T); scaled by its delta=0

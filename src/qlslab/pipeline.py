@@ -22,18 +22,18 @@ There the noiseless run is block-diagonal per eigenpair: the ladder and
 its adjoint are one phase per clock value and eigenpair, and every other
 stage acts on the clock and the ancilla alone. Three places change the
 basis: ``_prepared`` turns ``preprocess.prepare_b``'s simulated b state
-into the eigenbasis once, ``_simulate`` turns to the computational basis
-and back only around a run of gates that touches a b qubit (only Paulis
-do), and ``execute`` turns back once at the end.
+into the eigenbasis for a walked prefix, ``_simulate`` turns to the
+computational basis and back only around a run of gates that touches a b
+qubit (only Paulis do), and ``execute`` turns back once at the end.
 
 ``execute`` splits every run at the last gate of its prefix (prepare b and
 phase estimation) and gives each half one rule. The prefix is the cached
-output of ``_qpe_blocks`` unless ``inject_noise`` lands a Pauli before its
-last gate. The rest (the inversion block and the uncompute) runs in one
-pass (``_tail``) unless a Pauli lands after that gate. A half with a Pauli
-is walked (``_walk``) through the stage records of ``preprocess.qpe_stages``
-(Hadamard layer, controlled-power ladder, Fourier transform, and their
-adjoints in the uncompute) and of the inversion block
+``preprocess.qpe_amplitudes`` (``_qpe_blocks``) unless ``inject_noise``
+lands a Pauli before its last gate. The rest (the inversion block and the
+uncompute) runs as ``_tail`` unless a Pauli lands after that gate. A half
+with a Pauli is walked (``_walk``) through the stage records of
+``preprocess.qpe_stages`` (Hadamard layer, controlled-power ladder, Fourier
+transform, and their adjoints in the uncompute) and of the inversion block
 (``inversion.rotate_branches``), each run of a stage's gates that no Pauli
 interrupts going to the stage's closed form: a Pauli inside a Hadamard
 layer, ladder or inversion block splits it into closed forms either side,
@@ -88,11 +88,10 @@ from .inversion import (
 from .preprocess import (
     EigenEstimateSet,
     Stage,
-    clock_hadamards,
-    clock_qft,
     fixed_t0,
     iterative_t0,
     prepare_b,
+    qpe_amplitudes,
     qpe_stages,
     run_preprocessing,
 )
@@ -222,34 +221,29 @@ class _Blocks(NamedTuple):
     prefix: tuple[Stage, ...]  # the stage records of prepare b + QPE
     uncompute: tuple[Stage, ...]  # the stage records of the QPE block undone
     prepared: np.ndarray  # the amplitudes after the prefix, [ancilla, clock, eigenpair j]
-    phases: np.ndarray  # the adjoint ladder's exp(-i t0 x lam_j / T), [clock x, j]
     reports: tuple[GateReport, GateReport]  # gate_report of the prefix, of the uncompute
 
 
 @functools.lru_cache(maxsize=1)
 def _qpe_blocks(qlsp: QLSP, clock_bits: int, t0: float) -> _Blocks:
     """``qpe_stages`` of the solver's prefix (prepare b + QPE) and uncompute,
-    the solver's amplitudes after the prefix in A's eigenbasis, and what
-    ``_tail`` and the gate counts of ``execute`` read of them.
+    their gate counts, and the solver's amplitudes after the Pauli-free
+    prefix: ``qpe_amplitudes`` at (k, t0) on the ancilla-0 branch.
 
-    The amplitudes are ``_walk`` of the Pauli-free prefix from the state
-    after preparation (``_prepared``): the Hadamard layer, ladder and
-    inverse QFT in closed form. A batch runs a problem's variants back to
-    back and they share the block whenever they share t0, so one slot holds
-    every reuse there is. The key holds the problem by identity, which is safe because
-    ``QLSP`` is immutable.
+    A batch runs a problem's variants back to back and they share the block
+    whenever they share t0, so one slot holds every reuse there is. The key
+    holds the problem by identity, which is safe because ``QLSP`` is immutable.
     """
     prefix, uncompute = qpe_stages(qlsp, clock_bits, t0)
-    size, width = 2**clock_bits, qlsp.num_qubits + clock_bits + 1
-    prepared = _walk(qlsp, _prepared(qlsp, size), prefix[1:], {})
-    phases = np.exp(np.outer(np.arange(size), qlsp.eigenvalues * (-1j * float(t0) / size)))
-    for array in (prepared, phases):
-        array.setflags(write=False)
+    prepared = np.zeros((2, 2**clock_bits, qlsp.dimension), dtype=complex)
+    prepared[0] = qpe_amplitudes(qlsp, clock_bits, t0)
+    prepared.setflags(write=False)
+    width = qlsp.num_qubits + clock_bits + 1
     head, tail = (
         gate_report(_circuit(width, [gate for stage in stages for gate in stage.gates]))
         for stages in (prefix, uncompute)
     )
-    return _Blocks(prefix, uncompute, prepared, phases, (head, tail))
+    return _Blocks(prefix, uncompute, prepared, (head, tail))
 
 
 def assemble_hhl(qlsp: QLSP, clock_bits: int, t0: float, plan: InversionPlan) -> Circuit:
@@ -276,8 +270,8 @@ def execute(
 
     Assembles ``assemble_hhl(qlsp, k, t0, plan)``, inserts the Paulis of
     ``noise`` through ``inject_noise`` and splits the run at the prefix's
-    last gate, with one rule for each half. The prefix is the cached walk of
-    ``_qpe_blocks`` unless a Pauli lands before its last gate, and is then
+    last gate, with one rule for each half. The prefix is the cached output
+    of ``_qpe_blocks`` unless a Pauli lands before its last gate, and is then
     ``_walk``ed from the problem's state after preparation. The rest (the
     inversion block and the uncompute) runs as ``_tail`` unless a Pauli
     lands after the prefix's last gate, and is then ``_walk``ed through the
@@ -324,7 +318,7 @@ def execute(
         stage = Stage(inversion, functools.partial(rotate_branches, plan), tuple(range(rotations)))
         branches = _walk(qlsp, prepared, (stage, *blocks.uncompute), rest)
     else:
-        branches = _tail(plan, prepared, blocks.phases)
+        branches = _tail(plan, prepared, blocks.uncompute)
     return branches @ qlsp.eigenvectors.T, report
 
 
@@ -337,22 +331,22 @@ def _prepared(qlsp: QLSP, size: int) -> np.ndarray:
     return blocks
 
 
-def _tail(plan: InversionPlan, prepared: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """The inversion block and the uncompute, with no Pauli, in one pass on
-    ``prepared``, a prefix output laid out [ancilla, clock, eigenpair j], with
-    ``phases``, the adjoint ladder's (``_Blocks.phases``); the result keeps
-    that layout.
+def _tail(plan: InversionPlan, prepared: np.ndarray, uncompute) -> np.ndarray:
+    """The inversion block and the ``uncompute`` records, with no Pauli, on
+    ``prepared``, a prefix output laid out [ancilla, clock, eigenpair j]; the
+    result keeps that layout.
 
-    Every stage after the prefix is block-diagonal in the eigenpair: the
-    inversion scales each pattern's row of the ancilla-0 branch, the only
-    one a prefix output fills, by the cosine and sine of its half-angle, the
-    QFT and the Hadamard layer act on the clock axis alone, and the adjoint
-    ladder is one phase per clock value and eigenpair.
+    The inversion scales each pattern's row of the ancilla-0 branch, the
+    only one a prefix output fills, by the cosine and sine of its
+    half-angle; each uncompute record then applies its closed form.
     """
     scales = np.zeros((2, prepared.shape[1], 1))
     scales[0] = 1.0
     scales[0, plan.patterns, 0], scales[1, plan.patterns, 0] = plan.cosines, plan.sines
-    return clock_hadamards(clock_qft(scales * prepared[0]) * phases)
+    branches = scales * prepared[0]
+    for stage in uncompute:
+        branches = stage.closed(branches)
+    return branches
 
 
 def _walk(qlsp: QLSP, blocks: np.ndarray, stages, follows: dict[int, list[Gate]]) -> np.ndarray:

@@ -1,20 +1,19 @@
 """Eigenvalue preprocessing: QPE circuits, estimate decoding, time-scale search.
 
-Preprocessing is noiseless, so its clock distributions are computed in A's
-eigenbasis (``qpe_state``) rather than by simulating the circuit that
-``build_qpe_circuit`` returns. ``qpe_stages`` cuts that circuit, and its QPE
-block's uncompute, into ``Stage`` records that carry each stage's closed
+``qpe_amplitudes`` is the one closed form of the noiseless circuit that
+``build_qpe_circuit`` returns (prepare b, then QPE), with b left in A's
+eigenbasis: preprocessing's clock distributions sum it over b, and the
+solver's noiseless prefix is it. ``qpe_stages`` cuts that circuit, and its
+QPE block's uncompute, into ``Stage`` records that carry each stage's closed
 form on amplitudes laid out as [rest, clock, eigenpair j], with the b
 register in A's eigenbasis (``clock_hadamards``, ``clock_powers``,
 ``clock_qft``); a Hadamard layer or ladder also acts on a range of clock
 bits. In that basis the ladder is one phase per clock value and eigenpair,
 and the other stages act on the clock axis alone. ``pipeline`` walks the
 records of a run that noise lands in, applying every stage, or part of a
-stage, that no noise lands in by its closed form; a run without noise walks
-only the prefix, once per problem and t0, and takes the rest in one pass.
-Every walk starts after state preparation, from the state ``prepare_b``
-simulates once per problem; its gate opens every ``build_qpe_circuit`` of
-the problem.
+stage, that no noise lands in by its closed form, from the state
+``prepare_b`` simulates once per problem; its gate opens every
+``build_qpe_circuit`` of the problem.
 
 The time scale ``t0`` maps an eigenvalue ``lam`` to the clock-grid coordinate
 ``lam * t0 / (2 pi)``; adjacent grid points are one coordinate unit (a phase
@@ -191,22 +190,18 @@ def build_qpe_circuit(qlsp: QLSP, bit_width: int, t0: float) -> Circuit:
     return circuit
 
 
-def qpe_state(qlsp: QLSP, bit_width: int, t0: float) -> StateVector:
-    """Output state of ``build_qpe_circuit(qlsp, bit_width, t0)`` in closed form,
-    with b on the low qubits as in the circuit."""
-    amplitudes = _qpe_amplitudes(qlsp, bit_width, t0)  # [m, i]
-    return StateVector(qlsp.num_qubits + bit_width, amplitudes.reshape(-1), validate=False)
-
-
-def _qpe_amplitudes(qlsp: QLSP, bit_width: int, t0) -> np.ndarray:
-    """Amplitudes of ``qpe_state`` laid out [..., clock m, b i], at a scale
+def qpe_amplitudes(qlsp: QLSP, bit_width: int, t0) -> np.ndarray:
+    """Output of ``build_qpe_circuit(qlsp, bit_width, t0)`` in closed form, with
+    b in A's eigenbasis, laid out [..., clock m, eigenpair j], at a scale
     ``t0`` or at each scale of an array of them.
 
     Eigenpair (lam, u, beta) leaves the clock in F^dagger D H |0>, whose
     amplitude on bin m is c[m] = (1/T) sum_x exp(i x (lam t0 - 2 pi m) / T);
-    the state is sum_j beta_j c_j (x) u_j. One FFT over x gives every c_j.
+    entry [m, j] is beta_j c_j[m]. One FFT over x gives every c_j.
     """
     check_count("bit_width", bit_width, 1)
+    if np.ndim(t0) == 0:
+        check_real("t0", t0)
     scales = np.asarray(t0, dtype=float)[..., None]  # [..., 1]
     for scale in scales.ravel().tolist():
         if not math.isfinite(scale):
@@ -216,7 +211,8 @@ def _qpe_amplitudes(qlsp: QLSP, bit_width: int, t0) -> np.ndarray:
     rates = scales / big_t * qlsp.eigenvalues
     phases = np.exp(1j * (rates[..., None] * np.arange(big_t)))
     clock = np.fft.fft(phases) / big_t  # clock[..., j, m] = c_j[m]
-    return (clock.swapaxes(-1, -2) * qlsp.projections) @ qlsp.eigenvectors.T
+    # one contiguous copy, so that every row of a batch sums over b as one scale does
+    return np.ascontiguousarray(clock.swapaxes(-1, -2)) * qlsp.projections
 
 
 def clock_hadamards(blocks: np.ndarray, low: int = 0, high: int | None = None) -> np.ndarray:
@@ -327,8 +323,9 @@ def qpe_stages(qlsp: QLSP, bit_width: int, t0: float) -> tuple[tuple[Stage, ...]
 
 
 def qpe_grid_probabilities(qlsp: QLSP, bit_width: int, t0: float) -> np.ndarray:
-    """Exact Born distribution over clock-register integers."""
-    state = qpe_state(qlsp, bit_width, t0)
+    """Exact Born distribution over clock-register integers, from ``qpe_amplitudes``."""
+    amplitudes = qpe_amplitudes(qlsp, bit_width, t0).reshape(-1)
+    state = StateVector(amplitudes.size.bit_length() - 1, amplitudes, validate=False)
     return marginal_probabilities(state, range(qlsp.num_qubits, state.num_qubits))
 
 
@@ -427,7 +424,7 @@ def _probe_table(
     """The clock distribution at each of ``scales``, one row each: exact Born
     weights, equal to ``qpe_grid_probabilities``, with ``shots=None``, else
     shot frequencies drawn row by row as ``qpe_histogram`` draws them."""
-    probabilities = (np.abs(_qpe_amplitudes(qlsp, bit_width, scales)) ** 2).sum(axis=-1)
+    probabilities = (np.abs(qpe_amplitudes(qlsp, bit_width, scales)) ** 2).sum(axis=-1)
     if shots is None:
         return probabilities
     return np.array([sample(row, shots, seed) for row in probabilities]) / shots

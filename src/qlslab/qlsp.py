@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidProblemError, SingularProblemError
-from .sim import check_count
+from .sim import check_count, check_real
 
 HERMITIAN_ATOL = 1e-10
 SINGULAR_ATOL = 1e-12
@@ -205,6 +205,9 @@ def generate_n4(eigenvalues, pair, seed: int) -> QLSP:
 
 def evolution_unitary(qlsp: QLSP, time: float, power: int = 1, big_t: int = 1) -> np.ndarray:
     """exp(i A t power / big_t) built from the cached eigendecomposition."""
+    check_real("time", time)
+    if not math.isfinite(time):
+        raise ValueError(f"time must be finite, not {time}")
     check_count("power", power, 0)
     check_count("big_t", big_t, 1)
     phases = np.exp(1j * qlsp.eigenvalues * float(time) * power / big_t)

@@ -12,8 +12,8 @@ Conventions:
 qubit structure (width, trailing axes, targets, controls) splits the
 amplitudes only at those qubits, fixes the controls and brings the targets
 to the front. Gates, ``register_matrix`` and ``postselect`` all work on
-such views. ``apply_circuit`` and ``circuit_matrix`` apply one gate at a
-time, and so are the gate-by-gate reference for every closed form: a
+such views. ``apply_circuit`` applies one gate at a time, and so is the
+gate-by-gate reference for every closed form: a
 single-target diagonal gate, such as the QFT's controlled phases and
 Pauli Z, scales each half of its view in place and skips a half whose entry
 is 1; any other gate is one transpose, product and assignment. The solver's
@@ -400,15 +400,6 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     for gate in circuit.gates:
         _apply_gate(vec, gate)
     return StateVector(circuit.num_qubits, vec, validate=False)
-
-
-def circuit_matrix(circuit: Circuit) -> np.ndarray:
-    """Full unitary of the circuit; intended for small test circuits."""
-    dim = 2**circuit.num_qubits
-    mat = np.eye(dim, dtype=complex)
-    for gate in circuit.gates:
-        _apply_gate(mat, gate)
-    return mat
 
 
 def postselect(state: StateVector, qubit: int, outcome: int) -> tuple[StateVector, float]:

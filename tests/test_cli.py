@@ -43,6 +43,15 @@ def test_sweep_rows_and_columns(tmp_path):
     assert (tmp_path / "sweep.summary.json").exists()
 
 
+def test_missing_csv_and_summary_directories_are_both_created(tmp_path, capsys):
+    """The summary's directory was not created, so the run wrote the CSV and exited 2."""
+    out, summary = tmp_path / "a" / "x.csv", tmp_path / "b" / "s.json"
+    args = ["set", "--lambdas", "1/3", "--out", str(out), "--summary", str(summary)]
+    assert main(args) == 0
+    assert len(_read_rows(out)) == 3
+    assert json.loads(summary.read_text()) == json.loads(capsys.readouterr().out)
+
+
 def test_sweep_deterministic(tmp_path):
     spec_a = ExperimentSpec(source="n2-sweep", count=3, out=str(tmp_path / "a.csv"))
     spec_b = ExperimentSpec(source="n2-sweep", count=3, out=str(tmp_path / "b.csv"))

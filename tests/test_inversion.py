@@ -65,6 +65,15 @@ def test_real_arguments_reject_bools_strings_and_none(name, call, value):
         call(value)
 
 
+@pytest.mark.parametrize("big_t", [2.5, "8", 1, True])
+def test_alpha_exact_needs_an_int_register_size(big_t):
+    """A float register size gave a value (0.971 at 2.5) and a string raised ``TypeError``."""
+    with pytest.raises(ValueError, match="big_t must be at least 2 and an int"):
+        alpha_overlap(1.0, "exact", big_t)
+    with pytest.raises(ValueError, match="register size big_t"):
+        alpha_overlap(1.0, "exact")
+
+
 def test_alpha_exact_normalized_and_bounded():
     assert alpha_overlap(0.0, "exact", big_t=8) == pytest.approx(1.0)
     # removable singularity at delta = pi evaluates to the analytic limit

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from test_preprocess import RECORDS, random_problem
+from test_sim import circuit_matrix
 
 from qlslab import pipeline, preprocess
 from qlslab.cli import PAPER_N4_EIGENVALUES, ExperimentSpec, run_experiment
@@ -47,7 +48,6 @@ from qlslab.sim import (
     NoiseSpec,
     StateVector,
     apply_circuit,
-    circuit_matrix,
     gate_report,
     inject_noise,
     inverted_gates,
@@ -165,7 +165,7 @@ def test_the_tail_kernel_matches_the_staged_walk(case):
     nb = qlsp.num_qubits
     for plan in plans:
         circuit = assemble_hhl(qlsp, k, t0, plan)
-        tail = pipeline._tail(plan, blocks.prepared, blocks.phases)
+        tail = pipeline._tail(plan, blocks.prepared, blocks.uncompute)
         inversion = preprocess.Stage(
             build_inversion_circuit(plan, range(nb, nb + k), nb + k).gates,
             functools.partial(rotate_branches, plan),
@@ -179,6 +179,19 @@ def test_the_tail_kernel_matches_the_staged_walk(case):
         noiseless, _ = execute(qlsp, t0, plan)
         assert np.array_equal(noiseless, turned)
         assert np.array_equal(execute(qlsp, t0, plan, NoiseSpec(0.0, 3))[0], noiseless)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_grid_case())
+def test_the_cached_prefix_is_the_walk_of_the_prefix_records(case):
+    """The cached prefix output, the preprocessing kernel at (k, t0) on the
+    ancilla-0 branch, is the walk of the prefix's stage records from the
+    prepared state."""
+    qlsp, k, t0 = case
+    blocks = pipeline._qpe_blocks(qlsp, k, t0)
+    walked = pipeline._walk(qlsp, pipeline._prepared(qlsp, 2**k), blocks.prefix[1:], {})
+    assert blocks.prepared.shape == walked.shape == (2, 2**k, qlsp.dimension)
+    assert np.max(np.abs(blocks.prepared - walked)) < 1e-12
 
 
 @st.composite
@@ -293,8 +306,9 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
     walks the rest from the cached prefix. Counters on the closed
     forms that the stages call, and on the simulated gates, see every other
     stage of the walked half run in closed form and no RY gate simulated.
-    With no Pauli, the tail kernel alone runs after the cached prefix: no
-    stage's closed form is called and no gate is simulated."""
+    The cached prefix calls no stage's closed form. With no Pauli, the tail
+    kernel alone runs after it, calling the uncompute's three closed forms,
+    and no gate is simulated."""
     calls, gates, tails = [], [], []
     for module, name in (
         (preprocess, "clock_hadamards"),
@@ -327,15 +341,15 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
     circuit = assemble_hhl(qlsp, k, t0, plan)
     blocks = pipeline._qpe_blocks(qlsp, k, t0)
     prefix, uncompute = blocks.prefix, blocks.uncompute
-    # the cached walk of the prefix: prepare b (once per problem), then three closed forms
-    assert len(gates) == 1 and len(calls) == 3
+    # the cached prefix: prepare b (once per problem), then the kernel, no stage's closed form
+    assert len(gates) == 1 and len(calls) == 0
     gates.clear()
     calls.clear()
     opening = sum(len(record.gates) for record in prefix)
     closing = len(circuit.gates) - sum(len(record.gates) for record in uncompute)
     pauli = None  # (index in the circuit's gates, the Pauli inserted there)
     simulated = 0
-    transforms = 0  # with no Pauli, the tail kernel stands in for every stage
+    transforms = 3  # with no Pauli, the tail kernel calls the uncompute's closed forms
     walked_prefix = False
     if stage is not None:
         if stage == "inversion":
@@ -352,8 +366,9 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
         pauli = (after + 1, Gate(GateKind.PAULI_X, (circuit.gates[after].qubits()[0],)))
         walked_prefix = after < opening - 1
         # a walked prefix starts from the prepared state and has three closed
-        # forms; a walked rest has the inversion's and the uncompute's three
-        transforms = 3 if walked_prefix else 4
+        # forms, and the tail kernel three more; a walked rest has the
+        # inversion's and the uncompute's three
+        transforms = 6 if walked_prefix else 4
         simulated = 1  # the Pauli
         if where == "inside" and split:
             transforms += 1

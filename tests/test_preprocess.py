@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_sim import circuit_matrix
 
 from qlslab import preprocess
 from qlslab.errors import AliasingError, CapacityError, EmptyEstimateError, QlsLabError
@@ -20,10 +21,10 @@ from qlslab.preprocess import (
     iterative_t0,
     prepare_b,
     qft_gates,
+    qpe_amplitudes,
     qpe_grid_probabilities,
     qpe_histogram,
     qpe_stages,
-    qpe_state,
     run_preprocessing,
 )
 from qlslab.qlsp import QLSP, generate_n2, generate_n4, hermitian_dilation
@@ -32,7 +33,6 @@ from qlslab.sim import (
     Circuit,
     StateVector,
     apply_circuit,
-    circuit_matrix,
     inverted_gates,
     marginal_probabilities,
 )
@@ -155,12 +155,16 @@ def _qpe_case(draw):
 
 @settings(derandomize=True, deadline=None)
 @given(_qpe_case())
-def test_qpe_state_matches_dense_simulation(case):
+def test_qpe_amplitudes_match_dense_simulation(case):
+    """The kernel is the preprocessing circuit's output with b in A's
+    eigenbasis, laid out [clock, eigenpair] in one contiguous array."""
     qlsp, bits, t0 = case
-    closed = qpe_state(qlsp, bits, t0)
+    closed = qpe_amplitudes(qlsp, bits, t0)
     dense = _dense_qpe_state(qlsp, bits, t0)
-    assert closed.num_qubits == dense.num_qubits == qlsp.num_qubits + bits
-    assert np.max(np.abs(closed.amplitudes - dense.amplitudes)) < 1e-12
+    assert dense.num_qubits == qlsp.num_qubits + bits
+    assert closed.shape == (2**bits, qlsp.dimension) and closed.flags.c_contiguous
+    turned = closed @ qlsp.eigenvectors.T  # back to b's computational basis
+    assert np.max(np.abs(turned.reshape(-1) - dense.amplitudes)) < 1e-12
 
 
 # stage name -> (block, position) of its record in ``qpe_stages``' (prefix,
@@ -312,7 +316,7 @@ def test_stage_transforms_build_no_clock_sized_operator(stage, low, high):
     assert peak < 8 * blocks.nbytes
 
 
-@pytest.mark.parametrize("block", ["qpe_state"])
+@pytest.mark.parametrize("block", ["qpe_amplitudes", "qpe_grid_probabilities"])
 def test_qpe_blocks_over_the_budget_raise_before_allocating(block):
     """A 2x2 problem with MAX_QUBITS clock bits is one qubit over the budget;
     unchecked, the block would allocate 2^21 amplitudes (32 MB)."""
@@ -320,9 +324,10 @@ def test_qpe_blocks_over_the_budget_raise_before_allocating(block):
         getattr(preprocess, block)(generate_n2(0.3), MAX_QUBITS, 1.0)
 
 
-def test_qpe_state_rejects_empty_clock():
+@pytest.mark.parametrize("kernel", [qpe_amplitudes, qpe_grid_probabilities])
+def test_qpe_kernel_rejects_empty_clock(kernel):
     with pytest.raises(ValueError, match="bit_width"):
-        qpe_state(generate_n2(0.3), 0, 1.0)
+        kernel(generate_n2(0.3), 0, 1.0)
 
 
 @pytest.mark.parametrize("lam", [0.05, 0.06, 0.13, 0.14, 0.145, 0.15, 0.16])
@@ -547,9 +552,27 @@ def test_estimates_reject_a_non_finite_time_scale(time_scale):
 
 
 @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
-def test_qpe_state_rejects_a_non_finite_t0(t0):
-    with pytest.raises(ValueError, match="t0"):
-        qpe_state(generate_n2(0.1), 3, t0)
+def test_qpe_kernel_rejects_a_non_finite_scale_in_a_batch(t0):
+    with pytest.raises(ValueError, match="t0 must be finite"):
+        qpe_amplitudes(generate_n2(0.1), 3, [1.0, t0])
+
+
+@pytest.mark.parametrize("t0", ["1", True, None, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda q, t0: qpe_amplitudes(q, 3, t0),
+        lambda q, t0: qpe_grid_probabilities(q, 3, t0),
+        lambda q, t0: qpe_histogram(q, 3, t0, shots=16, seed=0),
+        lambda q, t0: build_qpe_circuit(q, 3, t0),
+    ],
+    ids=["qpe_amplitudes", "qpe_grid_probabilities", "qpe_histogram", "build_qpe_circuit"],
+)
+def test_qpe_entry_points_reject_a_non_real_or_non_finite_t0(entry, t0):
+    """A string, a bool or None is not taken as a time, nor is NaN or inf;
+    the circuit's controlled powers (``evolution_unitary``) call it ``time``."""
+    with pytest.raises(ValueError, match="t0|time"):
+        entry(generate_n2(0.1), t0)
 
 
 def test_estimates_sorted_and_deterministic():

@@ -192,6 +192,13 @@ def test_evolution_unitary_accepts_only_int_powers(kwargs, field):
         evolution_unitary(generate_n2(0.3), 1.0, **kwargs)
 
 
+@pytest.mark.parametrize("time", ["1", True, None, NAN, INF, -INF])
+def test_evolution_unitary_rejects_a_non_real_or_non_finite_time(time):
+    """A string or a bool would be taken as 1, and NaN or inf would give a NaN matrix."""
+    with pytest.raises(ValueError, match="time must be"):
+        evolution_unitary(generate_n2(0.3), time)
+
+
 def test_generate_n4_spectrum_and_projections():
     qlsp = generate_n4(PAPER_N4_EIGENVALUES, (0, 2), seed=7)
     assert np.allclose(sorted(qlsp.eigenvalues), sorted(PAPER_N4_EIGENVALUES), atol=1e-10)

@@ -16,7 +16,6 @@ from qlslab.sim import (
     NoiseSpec,
     StateVector,
     apply_circuit,
-    circuit_matrix,
     gate_report,
     inject_noise,
     inverted_gates,
@@ -28,6 +27,19 @@ from qlslab.sim import (
 )
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
+
+
+def circuit_matrix(circuit: Circuit) -> np.ndarray:
+    """The unitary of a small ``circuit``, simulated gate by gate.
+
+    ``apply_circuit`` runs the circuit on the low half of a state twice its
+    width, which pairs each basis state i of the circuit's qubits with a copy
+    of i on the high half, so that copy i ends up holding column i.
+    """
+    n, dim = circuit.num_qubits, 2**circuit.num_qubits
+    pairs = StateVector(2 * n, np.eye(dim, dtype=complex).reshape(-1), validate=False)
+    wide = Circuit(2 * n).extend(circuit.gates)
+    return apply_circuit(pairs, wide).amplitudes.reshape(dim, dim).T
 
 
 def _ry(qubit, angle, controls=()):
@@ -287,7 +299,8 @@ def test_gate_application_matches_basis_loop_reference(case):
 
 
 def test_gate_plan_follows_width_and_trailing_axes():
-    """One gate structure at two widths, on a vector and on a matrix, against the reference."""
+    """One gate structure at two widths, on a state and, through ``circuit_matrix``,
+    on a state of twice the width, against the reference."""
     rng = np.random.default_rng(11)
     gates = [
         Gate(GateKind.UNITARY, (1,), ((0, 1), (2, 0)), matrix=np.diag([1.0, np.exp(0.3j)])),
