@@ -23,8 +23,8 @@ its adjoint are one phase per clock value and eigenpair, and every other
 stage acts on the clock and the ancilla alone. Three places change the
 basis: ``_prepared`` turns ``preprocess.prepare_b``'s simulated b state
 into the eigenbasis for a walked prefix, ``_simulate`` turns to the
-computational basis and back only around a run of gates that touches a b
-qubit (only Paulis do), and ``execute`` turns back once at the end.
+computational basis and back only around a run of Paulis that touches a b
+qubit, and ``execute`` turns back once at the end.
 
 ``execute`` splits every run at the last gate of its prefix (prepare b and
 phase estimation) and gives each half one rule. The prefix is the cached
@@ -35,10 +35,10 @@ with a Pauli is walked (``_walk``) through the stage records of
 ``preprocess.qpe_stages`` (Hadamard layer, controlled-power ladder, Fourier
 transform, and their adjoints in the uncompute) and of the inversion block
 (``inversion.rotate_branches``), each run of a stage's gates that no Pauli
-interrupts going to the stage's closed form: a Pauli inside a Hadamard
-layer, ladder or inversion block splits it into closed forms either side,
-and only a Fourier transform that a Pauli lands in is simulated gate by
-gate, with the Paulis themselves. Every walk of a prefix starts after
+interrupts going to the stage's closed form: a Pauli inside any stage
+splits it into closed forms either side, a Fourier transform into runs of
+its own Hadamards, phases and swaps (``preprocess.clock_qft``), so a walk
+simulates the Paulis alone. Every walk of a prefix starts after
 state preparation (each Pauli follows a gate, so none precedes it). A run
 with no Pauli (no noise, or noise whose draws insert none) simulates no
 gate.
@@ -90,6 +90,7 @@ from .preprocess import (
     Stage,
     fixed_t0,
     iterative_t0,
+    ladder_phases,
     prepare_b,
     qpe_amplitudes,
     qpe_stages,
@@ -221,14 +222,16 @@ class _Blocks(NamedTuple):
     prefix: tuple[Stage, ...]  # the stage records of prepare b + QPE
     uncompute: tuple[Stage, ...]  # the stage records of the QPE block undone
     prepared: np.ndarray  # the amplitudes after the prefix, [ancilla, clock, eigenpair j]
+    phases: np.ndarray  # the adjoint ladder's phase table, [clock, eigenpair j]
     reports: tuple[GateReport, GateReport]  # gate_report of the prefix, of the uncompute
 
 
 @functools.lru_cache(maxsize=1)
 def _qpe_blocks(qlsp: QLSP, clock_bits: int, t0: float) -> _Blocks:
     """``qpe_stages`` of the solver's prefix (prepare b + QPE) and uncompute,
-    their gate counts, and the solver's amplitudes after the Pauli-free
-    prefix: ``qpe_amplitudes`` at (k, t0) on the ancilla-0 branch.
+    their gate counts, the solver's amplitudes after the Pauli-free prefix
+    (``qpe_amplitudes`` at (k, t0) on the ancilla-0 branch) and the adjoint
+    ladder's phase table, which ``_tail`` applies.
 
     A batch runs a problem's variants back to back and they share the block
     whenever they share t0, so one slot holds every reuse there is. The key
@@ -237,13 +240,15 @@ def _qpe_blocks(qlsp: QLSP, clock_bits: int, t0: float) -> _Blocks:
     prefix, uncompute = qpe_stages(qlsp, clock_bits, t0)
     prepared = np.zeros((2, 2**clock_bits, qlsp.dimension), dtype=complex)
     prepared[0] = qpe_amplitudes(qlsp, clock_bits, t0)
-    prepared.setflags(write=False)
+    phases = ladder_phases(qlsp, t0, 2**clock_bits, adjoint=True)
+    for array in (prepared, phases):
+        array.setflags(write=False)
     width = qlsp.num_qubits + clock_bits + 1
     head, tail = (
         gate_report(_circuit(width, [gate for stage in stages for gate in stage.gates]))
         for stages in (prefix, uncompute)
     )
-    return _Blocks(prefix, uncompute, prepared, (head, tail))
+    return _Blocks(prefix, uncompute, prepared, phases, (head, tail))
 
 
 def assemble_hhl(qlsp: QLSP, clock_bits: int, t0: float, plan: InversionPlan) -> Circuit:
@@ -276,9 +281,11 @@ def execute(
     inversion block and the uncompute) runs as ``_tail`` unless a Pauli
     lands after the prefix's last gate, and is then ``_walk``ed through the
     inversion block (``rotate_branches``) and the uncompute's stage records.
-    A walk runs every stage in closed form, split at any Pauli. Both halves
-    hold the b register in A's eigenbasis, and the result turns back to the
-    computational basis once, at the end.
+    A walk runs every stage in closed form, split at any Pauli, and
+    simulates the Paulis alone. ``inject_noise`` keeps the circuit's own
+    gate objects, so walking both gate lists in lockstep finds the Paulis
+    by identity. Both halves hold the b register in A's eigenbasis, and the
+    result turns back to the computational basis once, at the end.
 
     The counts add up block by block: the cached reports of the prefix and
     the uncompute, and the inversion block's in closed form. Every one of
@@ -301,12 +308,12 @@ def execute(
     )
     follows: dict[int, list[Gate]] = {}  # index in circuit.gates -> the Paulis inserted after it
     if noise:
-        originals, i = set(map(id, circuit.gates)), -1
+        gates, i = circuit.gates, 0  # the next of the circuit's own gates
         for gate in inject_noise(circuit, noise).gates:
-            if id(gate) in originals:
+            if i < len(gates) and gate is gates[i]:
                 i += 1
             else:
-                follows.setdefault(i, []).append(gate)
+                follows.setdefault(i - 1, []).append(gate)
     rest = {i - opening: paulis for i, paulis in follows.items() if i >= opening - 1}
     prepared = blocks.prepared
     if len(rest) < len(follows):  # a Pauli before the prefix's last gate
@@ -318,7 +325,7 @@ def execute(
         stage = Stage(inversion, functools.partial(rotate_branches, plan), tuple(range(rotations)))
         branches = _walk(qlsp, prepared, (stage, *blocks.uncompute), rest)
     else:
-        branches = _tail(plan, prepared, blocks.uncompute)
+        branches = _tail(plan, prepared, blocks)
     return branches @ qlsp.eigenvectors.T, report
 
 
@@ -331,22 +338,22 @@ def _prepared(qlsp: QLSP, size: int) -> np.ndarray:
     return blocks
 
 
-def _tail(plan: InversionPlan, prepared: np.ndarray, uncompute) -> np.ndarray:
-    """The inversion block and the ``uncompute`` records, with no Pauli, on
-    ``prepared``, a prefix output laid out [ancilla, clock, eigenpair j]; the
-    result keeps that layout.
+def _tail(plan: InversionPlan, prepared: np.ndarray, blocks: _Blocks) -> np.ndarray:
+    """The inversion block and the uncompute records of ``blocks``, with no
+    Pauli, on ``prepared``, a prefix output laid out [ancilla, clock,
+    eigenpair j]; the result keeps that layout.
 
     The inversion scales each pattern's row of the ancilla-0 branch, the
     only one a prefix output fills, by the cosine and sine of its
-    half-angle; each uncompute record then applies its closed form.
+    half-angle. The uncompute's Fourier transform and Hadamard layer then
+    apply their closed forms, and the adjoint ladder between them is the
+    cached phase table.
     """
     scales = np.zeros((2, prepared.shape[1], 1))
     scales[0] = 1.0
     scales[0, plan.patterns, 0], scales[1, plan.patterns, 0] = plan.cosines, plan.sines
-    branches = scales * prepared[0]
-    for stage in uncompute:
-        branches = stage.closed(branches)
-    return branches
+    qft, _, hadamards = blocks.uncompute
+    return hadamards.closed(qft.closed(scales * prepared[0]) * blocks.phases)
 
 
 def _walk(qlsp: QLSP, blocks: np.ndarray, stages, follows: dict[int, list[Gate]]) -> np.ndarray:
@@ -354,34 +361,30 @@ def _walk(qlsp: QLSP, blocks: np.ndarray, stages, follows: dict[int, list[Gate]]
     laid out [ancilla, clock, eigenpair j], with ``follows[i]``, the Paulis
     inserted after gate i of the stages' joint gate list (i = -1: before the
     first). Each run of a stage's gates that no Pauli interrupts goes to the
-    stage's closed form where it has one for that run; all else, Paulis
-    included, is simulated (``_simulate``) in as few ``apply_circuit`` calls
-    as the closed forms allow."""
-    pending, end = list(follows.get(-1, ())), 0  # gates to simulate before a closed form
+    stage's closed form, and only the Paulis are simulated (``_simulate``),
+    those between two closed forms in one ``apply_circuit`` call."""
+    pending, end = follows.get(-1, []), 0  # the Paulis to simulate before the next closed form
     for stage in (stage for stage in stages if stage.gates):
         offset, end = end, end + len(stage.gates)
         # the stage's runs [start, stop) that no Pauli interrupts
         stops = sorted({i + 1 for i in follows if offset <= i < end - 1}) + [end]
         for start, stop in zip([offset] + stops, stops):
             closed = stage.closed_form(start - offset, stop - offset)
-            if closed is None:
-                pending += stage.gates[start - offset : stop - offset]
-            else:
-                blocks, pending = closed(_simulate(qlsp, blocks, pending)), []
-            pending += follows.get(stop - 1, ())
+            blocks, pending = closed(_simulate(qlsp, blocks, pending)), follows.get(stop - 1, [])
     return _simulate(qlsp, blocks, pending)
 
 
-def _simulate(qlsp: QLSP, blocks: np.ndarray, gates: list[Gate]) -> np.ndarray:
-    """``gates`` applied to the amplitudes ``blocks`` of a run on ``qlsp``, laid
-    out [ancilla, clock, eigenpair j]; no call for no gates. Gates on the clock
-    and the ancilla act on any basis of the b register, so only gates that
-    touch a b qubit (Paulis) are simulated in the computational basis."""
-    if not gates:
+def _simulate(qlsp: QLSP, blocks: np.ndarray, paulis: list[Gate]) -> np.ndarray:
+    """The Pauli gates ``paulis`` applied to the amplitudes ``blocks`` of a run
+    on ``qlsp``, laid out [ancilla, clock, eigenpair j]; no call for no gates.
+    A Pauli on the clock or the ancilla acts on any basis of the b register,
+    so only a Pauli on a b qubit is simulated in the computational basis."""
+    if not paulis:
         return blocks
-    on_b = any(q < qlsp.num_qubits for gate in gates for q in gate.qubits())
+    nb = qlsp.num_qubits
+    on_b = any(q < nb for gate in paulis for q in gate.qubits())
     amplitudes = blocks @ qlsp.eigenvectors.T if on_b else blocks
-    part = _circuit(blocks.size.bit_length() - 1, gates)
+    part = _circuit(blocks.size.bit_length() - 1, paulis)
     state = StateVector(part.num_qubits, amplitudes.reshape(-1), validate=False)
     amplitudes = apply_circuit(state, part).amplitudes.reshape(blocks.shape)
     return amplitudes @ qlsp.eigenvectors.conj() if on_b else amplitudes

@@ -8,12 +8,15 @@ QPE block's uncompute, into ``Stage`` records that carry each stage's closed
 form on amplitudes laid out as [rest, clock, eigenpair j], with the b
 register in A's eigenbasis (``clock_hadamards``, ``clock_powers``,
 ``clock_qft``); a Hadamard layer or ladder also acts on a range of clock
-bits. In that basis the ladder is one phase per clock value and eigenpair,
-and the other stages act on the clock axis alone. ``pipeline`` walks the
-records of a run that noise lands in, applying every stage, or part of a
-stage, that no noise lands in by its closed form, from the state
-``prepare_b`` simulates once per problem; its gate opens every
-``build_qpe_circuit`` of the problem.
+bits, and a Fourier transform on any run of its gates. In that basis the
+ladder is one phase per clock value and eigenpair, and the other stages
+act on the clock axis alone. ``pipeline`` walks the records of a run that
+noise lands in, applying every stage, or run of a stage's gates, that no
+noise interrupts by its closed form, from the state ``prepare_b``
+simulates once per problem; its gate opens every ``build_qpe_circuit`` of
+the problem. ``qpe_gates`` builds the ladder from one stack of
+controlled powers (``evolution_unitary`` over an array of powers),
+checked once.
 
 The time scale ``t0`` maps an eigenvalue ``lam`` to the clock-grid coordinate
 ``lam * t0 / (2 pi)``; adjacent grid points are one coordinate unit (a phase
@@ -33,6 +36,7 @@ distributions; ``_branch`` reads each row the search needs through
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from collections.abc import Callable, Sequence
@@ -51,6 +55,7 @@ from .sim import (
     check_capacity,
     check_count,
     check_real,
+    controlled_unitaries,
     inverted_gates,
     marginal_probabilities,
     sample,
@@ -150,14 +155,16 @@ def _hadamard_layer(qubits: tuple[int, ...]) -> tuple[Gate, ...]:
 
 
 def qpe_gates(qlsp: QLSP, clock, breg, t0: float) -> list[Gate]:
-    """Phase-estimation block: clock Hadamards, controlled powers, inverse QFT."""
+    """Phase-estimation block: clock Hadamards, controlled powers, inverse QFT.
+
+    The powers U^(2^r) come from one ``evolution_unitary`` call over an array
+    of powers, and ``controlled_unitaries`` checks that stack once."""
     clock = tuple(int(q) for q in clock)
     breg = tuple(int(q) for q in breg)
-    big_t = 2 ** len(clock)
+    powers = [1 << r for r in range(len(clock))]
+    ladder = evolution_unitary(qlsp, t0, power=powers, big_t=2 ** len(clock))
     gates: list[Gate] = list(_hadamard_layer(clock))
-    for r, control in enumerate(clock):
-        u = evolution_unitary(qlsp, t0, power=2**r, big_t=big_t)
-        gates.append(Gate(GateKind.UNITARY, breg, ((control, 1),), matrix=u))
+    gates.extend(controlled_unitaries(ladder, breg, clock))
     gates.extend(inverse_qft_gates(clock))
     return gates
 
@@ -258,42 +265,102 @@ def clock_powers(
     phase multiply of eigenpair j by exp(i lam_j t0 y / T), or by the
     conjugate phase for the ``adjoint``.
     """
-    size = blocks.shape[1]
+    return blocks * ladder_phases(qlsp, t0, blocks.shape[1], adjoint, low, high)
+
+
+def ladder_phases(
+    qlsp: QLSP, t0: float, size: int, adjoint: bool = False, low: int = 0, high: int | None = None
+) -> np.ndarray:
+    """The phase table [clock x, eigenpair j] that ``clock_powers`` multiplies
+    a clock of ``size`` values by."""
     high = size.bit_length() - 1 if high is None else high
     rate = (-1j if adjoint else 1j) * float(t0) / size
     powers = np.arange(size) & ((1 << high) - (1 << low))
-    return blocks * np.exp(np.outer(powers, qlsp.eigenvalues * rate))
+    return np.exp(np.outer(powers, qlsp.eigenvalues * rate))
 
 
-def clock_qft(blocks: np.ndarray, inverse: bool = False) -> np.ndarray:
+def clock_qft(
+    blocks: np.ndarray, inverse: bool = False, start: int = 0, stop: int | None = None
+) -> np.ndarray:
     """``qft_gates`` on the clock of ``blocks``, laid out [rest, clock, b]; with
-    ``inverse``, ``inverse_qft_gates``.
+    ``inverse``, ``inverse_qft_gates``; with a ``stop``, gates ``start`` to
+    ``stop - 1`` of that list.
 
-    numpy's unitary inverse FFT has the sign of ``qft_gates``.
+    numpy's unitary inverse FFT has the sign of ``qft_gates``. A run of the
+    gates is the product of its pieces (``_fourier_pieces``): a Hadamard on
+    one clock bit, one phase vector over the clock axis for a run of
+    controlled phases on one target bit, and one permutation of the clock
+    axis for a run of swaps.
     """
-    transform = np.fft.fft if inverse else np.fft.ifft
-    return transform(blocks, axis=1, norm="ortho")
+    if stop is None:
+        transform = np.fft.fft if inverse else np.fft.ifft
+        return transform(blocks, axis=1, norm="ortho")
+    for kind, value in _fourier_pieces(blocks.shape[1].bit_length() - 1, inverse, start, stop):
+        if kind == "h":
+            blocks = clock_hadamards(blocks, value, value + 1)
+        elif kind == "phase":
+            blocks = blocks * value
+        else:
+            blocks = blocks[:, value]
+    return blocks
+
+
+@functools.lru_cache(maxsize=128)
+def _fourier_pieces(bits: int, inverse: bool, start: int, stop: int) -> tuple:
+    """Gates ``start`` to ``stop - 1`` of ``qft_gates`` (``inverse_qft_gates``
+    for ``inverse``) on ``bits`` clock bits as pieces, one per run of gates
+    of one kind and target: ("h", bit) for a Hadamard, ("phase", vector) for
+    controlled phases, the read-only vector shaped (2^bits, 1), and ("perm",
+    index) for swaps, the read-only index taking the clock axis. No two
+    Hadamards are adjacent, so a Hadamard is a run of its own."""
+    layout = []  # (kind, target, bit) per gate of qft_gates, in order
+    for i in range(bits - 1, -1, -1):
+        layout.append(("h", i, i))
+        layout += [("phase", i, m) for m in range(i - 1, -1, -1)]  # on bits i and m
+    layout += [("perm", None, i) for i in range(bits // 2)]  # swaps bits i and bits - 1 - i
+    clock = np.arange(1 << bits)
+    pieces = []
+    for (kind, target), run in itertools.groupby(
+        (layout[::-1] if inverse else layout)[start:stop], key=lambda gate: gate[:2]
+    ):
+        others = [bit for _, _, bit in run]
+        if kind == "h":
+            pieces.append((kind, target))
+            continue
+        if kind == "phase":
+            # the phase on bits i and m turns |x> by pi 2^m / 2^i when both are set
+            angles = (clock >> target & 1) * (clock & sum(1 << m for m in others))
+            value = np.exp((-1j if inverse else 1j) * math.pi / (1 << target) * angles)[:, None]
+        else:  # the swaps are disjoint, so their order does not matter
+            value = clock
+            for i in others:
+                differ = (value >> i ^ value >> (bits - 1 - i)) & 1
+                value = value ^ (differ << i | differ << (bits - 1 - i))
+        value.setflags(write=False)
+        pieces.append((kind, value))
+    return tuple(pieces)
 
 
 @dataclass(frozen=True)
 class Stage:
     """One stage of the solver circuit: its ``gates``, their ``closed`` form on
     amplitudes laid out [rest, clock, eigenpair j], with the b register in A's
-    eigenbasis (None where they must be simulated) and, for a product of
-    commuting factors, each gate's factor (its clock bit in a Hadamard layer
-    or ladder, its rotation's index in the inversion block); ``closed`` then
-    takes factors ``low`` to ``high - 1`` as well."""
+    eigenbasis (None for state preparation, which has none) and, for a
+    product of commuting factors, each gate's factor (its clock bit in a
+    Hadamard layer or ladder, its rotation's index in the inversion block);
+    ``closed`` then takes factors ``low`` to ``high - 1`` as well, and
+    otherwise (a Fourier transform) gates ``start`` to ``stop - 1``."""
 
     gates: Sequence[Gate]
     closed: Callable[..., np.ndarray] | None = None
     factors: tuple[int, ...] | None = None
 
     def closed_form(self, start: int, stop: int) -> Callable[..., np.ndarray] | None:
-        """The closed form of ``gates[start:stop]``, or None where they must be simulated."""
+        """The closed form of ``gates[start:stop]``; None only for state preparation."""
         if self.closed is None or (start, stop) == (0, len(self.gates)):
             return self.closed
         if self.factors is None:
-            return None
+            return functools.partial(self.closed, start=start, stop=stop)
         span = self.factors[start:stop]  # a run of gates covers a run of factors
         return functools.partial(self.closed, low=min(span), high=max(span) + 1)
 

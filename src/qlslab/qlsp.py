@@ -203,13 +203,16 @@ def generate_n4(eigenvalues, pair, seed: int) -> QLSP:
     return QLSP(a, b)
 
 
-def evolution_unitary(qlsp: QLSP, time: float, power: int = 1, big_t: int = 1) -> np.ndarray:
-    """exp(i A t power / big_t) built from the cached eigendecomposition."""
+def evolution_unitary(qlsp: QLSP, time: float, power=1, big_t: int = 1) -> np.ndarray:
+    """exp(i A t power / big_t) built from the cached eigendecomposition; for a
+    sequence of powers, the stack of one such matrix per power."""
     check_real("time", time)
     if not math.isfinite(time):
         raise ValueError(f"time must be finite, not {time}")
-    check_count("power", power, 0)
+    for entry in power if np.ndim(power) else (power,):
+        check_count("power", entry, 0)
     check_count("big_t", big_t, 1)
-    phases = np.exp(1j * qlsp.eigenvalues * float(time) * power / big_t)
+    powers = np.asarray(power)[..., None]  # one row of phases per power
+    phases = np.exp(1j * qlsp.eigenvalues * float(time) * powers / big_t)
     vectors = qlsp.eigenvectors
-    return (vectors * phases) @ vectors.conj().T
+    return (vectors * phases[..., None, :]) @ vectors.conj().T

@@ -18,7 +18,7 @@ single-target diagonal gate, such as the QFT's controlled phases and
 Pauli Z, scales each half of its view in place and skips a half whose entry
 is 1; any other gate is one transpose, product and assignment. The solver's
 executor runs every stage except state preparation in closed form, split
-at any Pauli, and simulates only what that leaves.
+at any Pauli, and simulates only the Paulis.
 
 States are immutable and every operation returns a new value. Circuits are
 mutable builders, but simulation never modifies them. RNG state is always a
@@ -79,6 +79,16 @@ def _identity(dim: int) -> np.ndarray:
     identity = np.eye(dim)
     identity.setflags(write=False)
     return identity
+
+
+def _check_unitary(matrices: np.ndarray) -> None:
+    """Raise ``InvalidGateError`` unless ``matrices``, one square matrix or a
+    stack of them, are finite and unitary within ``UNITARY_ATOL``."""
+    if not np.isfinite(matrices).all():
+        raise InvalidGateError("matrix entries must be finite")
+    products = matrices.conj().swapaxes(-1, -2) @ matrices
+    if products.size and abs(products - _identity(matrices.shape[-1])).max() > UNITARY_ATOL:
+        raise InvalidGateError("matrix is not unitary within 1e-10")
 
 
 class GateKind(Enum):
@@ -162,10 +172,7 @@ class Gate:
                 raise InvalidGateError(
                     f"matrix shape {m.shape} does not act on {len(targets)} qubit(s)"
                 )
-            if not np.isfinite(m).all():
-                raise InvalidGateError("matrix entries must be finite")
-            if abs(m.conj().T @ m - _identity(dim)).max() > UNITARY_ATOL:
-                raise InvalidGateError("matrix is not unitary within 1e-10")
+            _check_unitary(m)
             m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
 
@@ -325,6 +332,40 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.gates)
+
+
+def controlled_unitaries(matrices, targets: Sequence[int], controls: Sequence[int]) -> list[Gate]:
+    """One ``UNITARY`` gate per matrix of the stack ``matrices``: gate r applies
+    ``matrices[r]`` to ``targets`` when ``controls[r]`` is |1>.
+
+    The first gate is a checked ``Gate``. The rest of the stack is checked
+    once, finite and unitary within ``UNITARY_ATOL``, and each other control
+    against the first gate's targets; those gates are then built without
+    ``__post_init__``, as ``Circuit.multiplexed_ry`` builds its rotations,
+    over read-only views of one copy of the stack.
+    """
+    stack = np.array(matrices, dtype=complex)
+    controls = tuple(int(q) for q in controls)
+    if len(stack) != len(controls):
+        raise ValueError(f"{len(stack)} matrices for {len(controls)} controls")
+    if not controls:
+        return []
+    first = Gate(GateKind.UNITARY, tuple(targets), ((controls[0], 1),), matrix=stack[0])
+    _check_unitary(stack[1:])
+    if any(q < 0 or q in first.targets for q in controls[1:]):
+        raise InvalidGateError("controls must be non-negative and disjoint from the targets")
+    stack.setflags(write=False)
+    return [first] + [
+        Gate._unchecked(
+            kind=GateKind.UNITARY,
+            targets=first.targets,
+            controls=((control, 1),),
+            angle=None,
+            matrix=matrix,
+            _qubits=first.targets + (control,),
+        )
+        for control, matrix in zip(controls[1:], stack[1:])
+    ]
 
 
 def inverted_gates(gates: Sequence[Gate]) -> list[Gate]:
@@ -517,20 +558,32 @@ def inject_noise(circuit: Circuit, spec: NoiseSpec) -> Circuit:
     insert X, Y or Z on one of the gate's qubits, both chosen uniformly.
 
     One seeded stream draws every choice in gate order, so a seed fixes the
-    trajectory. The circuit's own gate objects are kept; each Pauli is a new
-    gate.
+    trajectory: a uniform per gate, and after a hit the qubit and the kind.
+    The uniforms up to the next hit are drawn as one block; at a hit the
+    stream is reset to the block's start and drawn again up to the hit, so
+    every draw is the one a per-gate loop makes. The circuit's own gate
+    objects are kept; each Pauli is a new gate.
     """
     rng = np.random.default_rng(spec.rng_seed)
+    p, source = spec.per_gate_pauli_probability, circuit.gates
     noisy = Circuit(circuit.num_qubits)
     # every gate, and so every qubit a Pauli lands on, already fits this width
-    gates = noisy.gates
-    for gate in circuit.gates:
-        gates.append(gate)
-        if rng.random() < spec.per_gate_pauli_probability:
-            qubits = gate.qubits()
-            qubit = int(qubits[int(rng.integers(len(qubits)))])
-            kind = _PAULI_KINDS[int(rng.integers(3))]
-            gates.append(Gate(kind, (qubit,)))
+    gates, start = noisy.gates, 0
+    while start < len(source):
+        state = rng.bit_generator.state
+        hits = (rng.random(len(source) - start) < p).nonzero()[0]
+        if not hits.size:
+            break
+        rng.bit_generator.state = state
+        stop = start + int(hits[0]) + 1
+        rng.random(stop - start)
+        gates += source[start:stop]
+        qubits = source[stop - 1].qubits()
+        qubit = int(qubits[int(rng.integers(len(qubits)))])
+        kind = _PAULI_KINDS[int(rng.integers(3))]
+        gates.append(Gate(kind, (qubit,)))
+        start = stop
+    gates += source[start:]
     return noisy
 
 

@@ -165,7 +165,7 @@ def test_the_tail_kernel_matches_the_staged_walk(case):
     nb = qlsp.num_qubits
     for plan in plans:
         circuit = assemble_hhl(qlsp, k, t0, plan)
-        tail = pipeline._tail(plan, blocks.prepared, blocks.uncompute)
+        tail = pipeline._tail(plan, blocks.prepared, blocks)
         inversion = preprocess.Stage(
             build_inversion_circuit(plan, range(nb, nb + k), nb + k).gates,
             functools.partial(rotate_branches, plan),
@@ -296,19 +296,20 @@ def test_paulis_in_the_prefix_alone_leave_the_rest_to_the_tail(case, p, seed):
     [(s, w) for s in (*RECORDS, "inversion") for w in ("inside", "after")] + [(None, None)],
 )
 def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where):
-    """One Pauli after the first gate of a stage lands inside it: a Fourier
-    transform then runs gate by gate, and a Hadamard layer, ladder or
-    inversion block splits into two closed forms around the Pauli. One after
+    """One Pauli after the first gate of a stage lands inside it: the stage
+    splits into two closed forms around the Pauli, a Fourier transform into
+    two runs that apply one Hadamard per clock bit between them. One after
     the stage's last gate leaves the stage in closed form. Only the half the
     Pauli lands in is walked: a Pauli before the prefix's last gate walks
     the prefix from the problem's prepared state, simulating no state
     preparation, and the tail kernel runs the rest once, and one after it
     walks the rest from the cached prefix. Counters on the closed
     forms that the stages call, and on the simulated gates, see every other
-    stage of the walked half run in closed form and no RY gate simulated.
-    The cached prefix calls no stage's closed form. With no Pauli, the tail
-    kernel alone runs after it, calling the uncompute's three closed forms,
-    and no gate is simulated."""
+    stage of the walked half run in closed form and the Pauli alone
+    simulated. The cached prefix calls no stage's closed form. With no
+    Pauli, the tail kernel alone runs after it, calling the uncompute's
+    Fourier and Hadamard closed forms between which it applies the cached
+    adjoint ladder, and no gate is simulated."""
     calls, gates, tails = [], [], []
     for module, name in (
         (preprocess, "clock_hadamards"),
@@ -348,8 +349,7 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
     opening = sum(len(record.gates) for record in prefix)
     closing = len(circuit.gates) - sum(len(record.gates) for record in uncompute)
     pauli = None  # (index in the circuit's gates, the Pauli inserted there)
-    simulated = 0
-    transforms = 3  # with no Pauli, the tail kernel calls the uncompute's closed forms
+    transforms = 2  # with no Pauli, the tail kernel calls two of the uncompute's closed forms
     walked_prefix = False
     if stage is not None:
         if stage == "inversion":
@@ -366,15 +366,13 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
         pauli = (after + 1, Gate(GateKind.PAULI_X, (circuit.gates[after].qubits()[0],)))
         walked_prefix = after < opening - 1
         # a walked prefix starts from the prepared state and has three closed
-        # forms, and the tail kernel three more; a walked rest has the
+        # forms, and the tail kernel two more; a walked rest has the
         # inversion's and the uncompute's three
-        transforms = 6 if walked_prefix else 4
-        simulated = 1  # the Pauli
+        transforms = 5 if walked_prefix else 4
         if where == "inside" and split:
             transforms += 1
-        elif where == "inside":
-            simulated += end - start
-            transforms -= 1
+        elif where == "inside":  # a Fourier transform's two runs, and a Hadamard per clock bit
+            transforms += 1 + k
     executed = Circuit(circuit.num_qubits)
 
     def placed(solver, noise):  # the hand-placed Pauli, in the circuit that execute assembled
@@ -389,8 +387,7 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
     dense = apply_circuit(StateVector.zero(circuit.num_qubits), executed)
     assert np.max(np.abs(branches.reshape(-1) - dense.amplitudes)) < 1e-12
     assert len(calls) == transforms
-    assert len(gates) == simulated
-    assert all(gate.kind is not GateKind.RY for gate in gates)
+    assert gates == ([] if pauli is None else [pauli[1]])  # the Pauli alone is simulated
     assert len(tails) == (stage is None or walked_prefix)
 
 

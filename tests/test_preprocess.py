@@ -213,6 +213,26 @@ def _stages_case(draw):
     return qlsp, bits, draw(st.floats(0.0, 60.0)), states
 
 
+def _run_error(qlsp, bits, record, states):
+    """Largest entry, over every contiguous run ``gates[start:stop]`` of the
+    record, of its closed form on ``states`` (laid out [rest, clock, b], b in
+    the computational basis) minus those gates simulated gate by gate. The
+    closed form acts with the b register in A's eigenbasis, so it is fed the
+    states turned into that basis and its image is turned back."""
+    width, size = qlsp.num_qubits + bits, len(record.gates)
+    eigen = states @ qlsp.eigenvectors.conj()
+    worst = 0.0
+    for start in range(size):
+        simulated = [StateVector(width, state.reshape(-1), validate=False) for state in states]
+        for stop in range(start + 1, size + 1):
+            gate = Circuit(width).add(record.gates[stop - 1])
+            simulated = [apply_circuit(vector, gate) for vector in simulated]
+            closed = record.closed_form(start, stop)(eigen) @ qlsp.eigenvectors.T
+            for image, vector in zip(closed, simulated):
+                worst = max(worst, np.max(np.abs(image.reshape(-1) - vector.amplitudes)))
+    return worst
+
+
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(_stages_case())
 def test_stage_records_match_their_gates(case):
@@ -220,7 +240,8 @@ def test_stage_records_match_their_gates(case):
     records hold ``inverted_gates`` of its QPE block, and each closed form is
     its gates' action, with the b register in A's eigenbasis: the
     ``circuit_matrix`` of a whole stage, and the gate-by-gate simulation of
-    every contiguous run of a one-bit stage."""
+    every contiguous run of a one-bit stage or, up to 5 clock bits, of a
+    Fourier transform."""
     qlsp, bits, t0, states = case
     prefix, uncompute = qpe_stages(qlsp, bits, t0)
     gates = build_qpe_circuit(qlsp, bits, t0).gates
@@ -228,24 +249,34 @@ def test_stage_records_match_their_gates(case):
     undo = [_gate_key(g) for r in uncompute for g in r.gates]
     assert undo == list(map(_gate_key, inverted_gates(gates[1:])))
     assert prefix[0].closed is None and prefix[0].factors is None  # state preparation
-    width = qlsp.num_qubits + bits
-    eigen = states @ qlsp.eigenvectors.conj()  # the states with b in A's eigenbasis
+    assert prefix[0].closed_form(0, 1) is None
     for record in prefix[1:] + uncompute:
         size = len(record.gates)
         assert _closed_form_error(qlsp, bits, record, 0, size) < 1e-12
-        if record.factors is None:
-            assert size == 1 or record.closed_form(0, size - 1) is None  # a Fourier transform
+        if record.factors is not None:
+            assert sorted(record.factors) == list(range(bits)) and size == bits
+        elif bits > 5:  # a Fourier transform of size(size + 1) / 2 runs
             continue
-        assert sorted(record.factors) == list(range(bits)) and size == bits
-        for start in range(size):
-            for stop in range(start + 1, size + 1):
-                circuit = Circuit(width)
-                circuit.extend(record.gates[start:stop])
-                closed = record.closed_form(start, stop)(eigen) @ qlsp.eigenvectors.T
-                for state, image in zip(states, closed):
-                    vector = StateVector(width, state.reshape(-1), validate=False)
-                    simulated = apply_circuit(vector, circuit).amplitudes
-                    assert np.max(np.abs(image.reshape(-1) - simulated)) < 1e-12
+        assert _run_error(qlsp, bits, record, states) < 1e-12
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+@pytest.mark.parametrize("dimension", [2, 4])
+@pytest.mark.parametrize("bits", [1, 2, 3, 4, 5])
+def test_every_fourier_run_matches_its_gates(bits, dimension, signed):
+    """Every contiguous run of the prefix's inverse QFT and of the uncompute's
+    QFT, in closed form on random states, is its gates simulated one by one."""
+    rng = np.random.default_rng(bits * dimension + signed)
+    eigenvalues = rng.uniform(0.05, 1.0, dimension) * (-1.0) ** (signed * np.arange(dimension))
+    basis, _ = np.linalg.qr(rng.standard_normal((dimension, dimension)))
+    qlsp = QLSP(basis @ np.diag(eigenvalues) @ basis.T, rng.standard_normal(dimension))
+    assert qlsp.has_negative_eigenvalues == signed
+    prefix, uncompute = qpe_stages(qlsp, bits, 11.0)
+    shape = (2, 2**bits, dimension)
+    states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for record in (prefix[RECORDS["inverse-qft"][1]], uncompute[RECORDS["qft"][1]]):
+        assert record.factors is None
+        assert _run_error(qlsp, bits, record, states) < 1e-12
 
 
 # (clock bits, low, high) below the whole clock; 8 bits from bit 1 up cross a Walsh factor

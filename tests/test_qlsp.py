@@ -192,6 +192,30 @@ def test_evolution_unitary_accepts_only_int_powers(kwargs, field):
         evolution_unitary(generate_n2(0.3), 1.0, **kwargs)
 
 
+@pytest.mark.parametrize("big_t", [1, 8, 128])
+@pytest.mark.parametrize("dimension", [2, 4, 8])
+def test_evolution_unitary_over_powers_stacks_the_scalar_calls(dimension, big_t):
+    rng = np.random.default_rng(dimension + big_t)
+    z = rng.standard_normal((dimension, dimension)) + 1j * rng.standard_normal((dimension, dimension))
+    qlsp = QLSP(z + z.conj().T, rng.standard_normal(dimension))
+    powers = [1 << r for r in range(8)] + [0, 3]
+    for sequence in (powers, np.array(powers), tuple(powers)):
+        stack = evolution_unitary(qlsp, 11.5, power=sequence, big_t=big_t)
+        assert stack.shape == (len(powers), dimension, dimension)
+        for matrix, power in zip(stack, powers):
+            scalar = evolution_unitary(qlsp, 11.5, power=power, big_t=big_t)
+            assert np.max(np.abs(matrix - scalar)) < 1e-14
+    assert evolution_unitary(qlsp, 1.0, power=[]).shape == (0, dimension, dimension)
+
+
+@pytest.mark.parametrize(
+    "powers", [[1, -1], [1, True], [2.5], np.array([1, -2]), np.array([True, False]), [[1, 2]]]
+)
+def test_evolution_unitary_rejects_a_power_in_a_sequence_as_a_scalar(powers):
+    with pytest.raises(ValueError, match="power must be non-negative and an int"):
+        evolution_unitary(generate_n2(0.3), 1.0, power=powers)
+
+
 @pytest.mark.parametrize("time", ["1", True, None, NAN, INF, -INF])
 def test_evolution_unitary_rejects_a_non_real_or_non_finite_time(time):
     """A string or a bool would be taken as 1, and NaN or inf would give a NaN matrix."""

@@ -442,6 +442,47 @@ def test_inject_noise_deterministic():
     ]
 
 
+def _per_gate_noise(circuit, spec):
+    """The ``inject_noise`` loop that block draws replaced: one uniform per
+    gate, then the qubit and the kind after each hit."""
+    rng = np.random.default_rng(spec.rng_seed)
+    noisy = Circuit(circuit.num_qubits)
+    for gate in circuit.gates:
+        noisy.gates.append(gate)
+        if rng.random() < spec.per_gate_pauli_probability:
+            qubits = gate.qubits()
+            qubit = int(qubits[int(rng.integers(len(qubits)))])
+            kind = (GateKind.PAULI_X, GateKind.PAULI_Y, GateKind.PAULI_Z)[int(rng.integers(3))]
+            noisy.gates.append(Gate(kind, (qubit,)))
+    return noisy
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    st.integers(0, 250),
+    st.sampled_from([0.0, 0.01, 0.2, 1.0]),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 1),
+)
+def test_block_noise_draws_match_the_per_gate_loop(gates, p, circuit_seed, seed):
+    """Over circuits of 0 to 250 gates, the block draws insert the Paulis of
+    the per-gate loop: same kinds on the same qubits, after the same gates,
+    which stay the circuit's own objects."""
+    circuit = _random_circuit(np.random.default_rng(circuit_seed), num_qubits=4, depth=gates)
+    spec = NoiseSpec(p, seed)
+    noisy, reference = inject_noise(circuit, spec), _per_gate_noise(circuit, spec)
+    assert noisy.num_qubits == circuit.num_qubits
+    assert [(g.kind, g.qubits()) for g in noisy.gates] == [
+        (g.kind, g.qubits()) for g in reference.gates
+    ]
+    originals = {id(gate) for gate in circuit.gates}
+    kept = [gate for gate in noisy.gates if id(gate) in originals]
+    assert len(kept) == len(circuit.gates)
+    assert all(got is want for got, want in zip(kept, circuit.gates))
+    for got, want in zip(noisy.gates, reference.gates):
+        assert (got is want) == (id(want) in originals)
+
+
 def test_noise_spec_validation():
     """A float seed would fail only when ``inject_noise`` seeds its stream,
     and a bool would run as seed 0 or 1."""
@@ -546,6 +587,48 @@ def test_gate_qubits_are_targets_then_controls():
     assert gate.qubits() == (2, 0, 3, 1)
     assert gate.dagger().qubits() == (2, 0, 3, 1)
     assert Gate(GateKind.HADAMARD, (4,)).qubits() == (4,)
+
+
+def test_controlled_unitaries_are_the_checked_gates():
+    rng = np.random.default_rng(5)
+    stack = np.array([_random_unitary(rng, 4) for _ in range(5)])
+    controls = (6, 2, 9, 4, 3)
+    built = sim.controlled_unitaries(stack, (1, 0), controls)
+    assert len(built) == 5
+    for gate, matrix, control in zip(built, stack, controls):
+        want = Gate(GateKind.UNITARY, (1, 0), ((control, 1),), matrix=matrix)
+        assert (gate.kind, gate.targets, gate.controls, gate.angle) == (
+            want.kind, want.targets, want.controls, want.angle
+        )
+        assert gate.qubits() == want.qubits() == (1, 0, control)
+        assert np.array_equal(gate.matrix, matrix) and not gate.matrix.flags.writeable
+    stack[:] = 0.0  # the gates hold their own copy
+    assert all(np.abs(gate.matrix).max() > 0 for gate in built)
+    assert sim.controlled_unitaries(np.zeros((0, 2, 2)), (0,), ()) == []
+
+
+@pytest.mark.parametrize(
+    "position, controls, message",
+    [
+        (0, (1, 2, 3), "not unitary"),
+        (2, (1, 2, 3), "not unitary"),
+        (None, (0, 2, 3), "disjoint"),
+        (None, (1, 0, 3), "disjoint"),
+        (None, (1, 2, -1), "non-negative"),
+    ],
+)
+def test_controlled_unitaries_check_every_matrix_and_control(position, controls, message):
+    """The first gate is checked as ``Gate`` checks it, the rest of the stack
+    and each other control once for all."""
+    stack = np.array([np.eye(2), _random_unitary(np.random.default_rng(1), 2), np.eye(2)])
+    bad = stack.copy()
+    if position is not None:
+        bad[position, 0, 0] = 1.01
+    with pytest.raises(InvalidGateError, match=message):
+        sim.controlled_unitaries(bad, (0,), controls)
+    stack[1, 1, 0] = math.nan
+    with pytest.raises(InvalidGateError, match="finite"):
+        sim.controlled_unitaries(stack, (0,), (1, 2, 3))
 
 
 def _per_rotation_ry(num_qubits, target, controls, rotations):
