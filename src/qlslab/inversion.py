@@ -279,10 +279,8 @@ def build_inversion_circuit(plan: InversionPlan, clock, ancilla: int) -> Circuit
     return circuit
 
 
-def rotate_branches(
-    plan: InversionPlan, blocks: np.ndarray, low: int = 0, high: int | None = None
-) -> np.ndarray:
-    """Gates ``low`` to ``high - 1`` (default: all) of ``build_inversion_circuit``
+def rotate_branches(plan: InversionPlan, blocks: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Gates ``start`` to ``stop - 1`` of ``build_inversion_circuit``
     in closed form on ``blocks``, laid out [..., ancilla, clock, b] with
     ``clock[r]`` as bit r of the clock axis, in any basis of the b axis.
     Rotation (m, theta) is an RY(theta) on the ancilla that fires on clock
@@ -290,8 +288,8 @@ def rotate_branches(
     by cos(theta / 2) and sin(theta / 2) and nothing else; the gates act on
     disjoint patterns, so a run of them is its own rotations, applied to
     both ancilla branches elementwise (``plan.cosines``, ``plan.sines``)."""
-    patterns = plan.patterns[low:high]
-    cos, sin = plan.cosines[low:high, None], plan.sines[low:high, None]
+    patterns = plan.patterns[start:stop]
+    cos, sin = plan.cosines[start:stop, None], plan.sines[start:stop, None]
     rotated = np.array(blocks, dtype=complex)
     zero, one = rotated[..., 0, patterns, :], rotated[..., 1, patterns, :]
     rotated[..., 0, patterns, :] = cos * zero - sin * one

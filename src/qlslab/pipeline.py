@@ -17,12 +17,10 @@ readout mode; the swap-test readout samples outcome probabilities taken from
 the branches in closed form and simulates no test register.
 
 Inside ``execute`` the amplitudes hold the b register in A's eigenbasis,
-laid out [ancilla, clock, eigenpair j], from state preparation to readout.
-There the noiseless run is block-diagonal per eigenpair: the ladder and
-its adjoint are one phase per clock value and eigenpair, and every other
-stage acts on the clock and the ancilla alone. Three places change the
-basis: ``_prepared`` turns ``preprocess.prepare_b``'s simulated b state
-into the eigenbasis for a walked prefix, ``_simulate`` turns to the
+laid out [ancilla, clock, eigenpair j], from state preparation to readout,
+where every stage has a closed form (``preprocess.Stage``). Three places
+change the basis: ``_prepared`` turns ``preprocess.prepare_b``'s simulated
+b state into the eigenbasis for a walked prefix, ``_simulate`` turns to the
 computational basis and back only around a run of Paulis that touches a b
 qubit, and ``execute`` turns back once at the end.
 
@@ -31,17 +29,12 @@ phase estimation) and gives each half one rule. The prefix is the cached
 ``preprocess.qpe_amplitudes`` (``_qpe_blocks``) unless ``inject_noise``
 lands a Pauli before its last gate. The rest (the inversion block and the
 uncompute) runs as ``_tail`` unless a Pauli lands after that gate. A half
-with a Pauli is walked (``_walk``) through the stage records of
-``preprocess.qpe_stages`` (Hadamard layer, controlled-power ladder, Fourier
-transform, and their adjoints in the uncompute) and of the inversion block
-(``inversion.rotate_branches``), each run of a stage's gates that no Pauli
-interrupts going to the stage's closed form: a Pauli inside any stage
-splits it into closed forms either side, a Fourier transform into runs of
-its own Hadamards, phases and swaps (``preprocess.clock_qft``), so a walk
-simulates the Paulis alone. Every walk of a prefix starts after
-state preparation (each Pauli follows a gate, so none precedes it). A run
-with no Pauli (no noise, or noise whose draws insert none) simulates no
-gate.
+with a Pauli is walked (``_walk``) through its ``preprocess.Stage`` records,
+which run each range of their gates that no Pauli interrupts in closed
+form, so a walk simulates the Paulis alone. Every walk of a prefix starts
+after state preparation (each Pauli follows a gate, so none precedes it).
+A run with no Pauli (no noise, or noise whose draws insert none) simulates
+no gate.
 Every run reports the gate counts of the whole noiseless circuit, added up
 block by block: the cached counts of the prefix and the uncompute and the
 inversion block's in closed form, r gates and depth r for r rotations,
@@ -90,7 +83,6 @@ from .preprocess import (
     Stage,
     fixed_t0,
     iterative_t0,
-    ladder_phases,
     prepare_b,
     qpe_amplitudes,
     qpe_stages,
@@ -222,16 +214,15 @@ class _Blocks(NamedTuple):
     prefix: tuple[Stage, ...]  # the stage records of prepare b + QPE
     uncompute: tuple[Stage, ...]  # the stage records of the QPE block undone
     prepared: np.ndarray  # the amplitudes after the prefix, [ancilla, clock, eigenpair j]
-    phases: np.ndarray  # the adjoint ladder's phase table, [clock, eigenpair j]
     reports: tuple[GateReport, GateReport]  # gate_report of the prefix, of the uncompute
 
 
 @functools.lru_cache(maxsize=1)
 def _qpe_blocks(qlsp: QLSP, clock_bits: int, t0: float) -> _Blocks:
     """``qpe_stages`` of the solver's prefix (prepare b + QPE) and uncompute,
-    their gate counts, the solver's amplitudes after the Pauli-free prefix
-    (``qpe_amplitudes`` at (k, t0) on the ancilla-0 branch) and the adjoint
-    ladder's phase table, which ``_tail`` applies.
+    their gate counts and the solver's amplitudes after the Pauli-free prefix
+    (``qpe_amplitudes`` at (k, t0) on the ancilla-0 branch). The uncompute's
+    records hold the adjoint ladder's phase table, which ``_tail`` reads.
 
     A batch runs a problem's variants back to back and they share the block
     whenever they share t0, so one slot holds every reuse there is. The key
@@ -240,15 +231,13 @@ def _qpe_blocks(qlsp: QLSP, clock_bits: int, t0: float) -> _Blocks:
     prefix, uncompute = qpe_stages(qlsp, clock_bits, t0)
     prepared = np.zeros((2, 2**clock_bits, qlsp.dimension), dtype=complex)
     prepared[0] = qpe_amplitudes(qlsp, clock_bits, t0)
-    phases = ladder_phases(qlsp, t0, 2**clock_bits, adjoint=True)
-    for array in (prepared, phases):
-        array.setflags(write=False)
+    prepared.setflags(write=False)
     width = qlsp.num_qubits + clock_bits + 1
     head, tail = (
         gate_report(_circuit(width, [gate for stage in stages for gate in stage.gates]))
         for stages in (prefix, uncompute)
     )
-    return _Blocks(prefix, uncompute, prepared, phases, (head, tail))
+    return _Blocks(prefix, uncompute, prepared, (head, tail))
 
 
 def assemble_hhl(qlsp: QLSP, clock_bits: int, t0: float, plan: InversionPlan) -> Circuit:
@@ -322,7 +311,7 @@ def execute(
         prepared = _walk(qlsp, _prepared(qlsp, prepared.shape[1]), blocks.prefix[1:], after)
     if rest:
         inversion = circuit.gates[opening : opening + rotations]  # gate i is rotation i
-        stage = Stage(inversion, functools.partial(rotate_branches, plan), tuple(range(rotations)))
+        stage = Stage(inversion, functools.partial(rotate_branches, plan))
         branches = _walk(qlsp, prepared, (stage, *blocks.uncompute), rest)
     else:
         branches = _tail(plan, prepared, blocks)
@@ -345,15 +334,15 @@ def _tail(plan: InversionPlan, prepared: np.ndarray, blocks: _Blocks) -> np.ndar
 
     The inversion scales each pattern's row of the ancilla-0 branch, the
     only one a prefix output fills, by the cosine and sine of its
-    half-angle. The uncompute's Fourier transform and Hadamard layer then
-    apply their closed forms, and the adjoint ladder between them is the
-    cached phase table.
+    half-angle. Each uncompute record then runs all its gates.
     """
     scales = np.zeros((2, prepared.shape[1], 1))
     scales[0] = 1.0
     scales[0, plan.patterns, 0], scales[1, plan.patterns, 0] = plan.cosines, plan.sines
-    qft, _, hadamards = blocks.uncompute
-    return hadamards.closed(qft.closed(scales * prepared[0]) * blocks.phases)
+    branches = scales * prepared[0]
+    for stage in blocks.uncompute:
+        branches = stage.run(branches, 0, len(stage.gates))
+    return branches
 
 
 def _walk(qlsp: QLSP, blocks: np.ndarray, stages, follows: dict[int, list[Gate]]) -> np.ndarray:
@@ -361,16 +350,16 @@ def _walk(qlsp: QLSP, blocks: np.ndarray, stages, follows: dict[int, list[Gate]]
     laid out [ancilla, clock, eigenpair j], with ``follows[i]``, the Paulis
     inserted after gate i of the stages' joint gate list (i = -1: before the
     first). Each run of a stage's gates that no Pauli interrupts goes to the
-    stage's closed form, and only the Paulis are simulated (``_simulate``),
-    those between two closed forms in one ``apply_circuit`` call."""
-    pending, end = follows.get(-1, []), 0  # the Paulis to simulate before the next closed form
+    stage's ``run``, and only the Paulis are simulated (``_simulate``),
+    those between two runs in one ``apply_circuit`` call."""
+    pending, end = follows.get(-1, []), 0  # the Paulis to simulate before the next run
     for stage in (stage for stage in stages if stage.gates):
         offset, end = end, end + len(stage.gates)
         # the stage's runs [start, stop) that no Pauli interrupts
         stops = sorted({i + 1 for i in follows if offset <= i < end - 1}) + [end]
         for start, stop in zip([offset] + stops, stops):
-            closed = stage.closed_form(start - offset, stop - offset)
-            blocks, pending = closed(_simulate(qlsp, blocks, pending)), follows.get(stop - 1, [])
+            blocks = stage.run(_simulate(qlsp, blocks, pending), start - offset, stop - offset)
+            pending = follows.get(stop - 1, [])
     return _simulate(qlsp, blocks, pending)
 
 

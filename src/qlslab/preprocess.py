@@ -4,19 +4,10 @@
 ``build_qpe_circuit`` returns (prepare b, then QPE), with b left in A's
 eigenbasis: preprocessing's clock distributions sum it over b, and the
 solver's noiseless prefix is it. ``qpe_stages`` cuts that circuit, and its
-QPE block's uncompute, into ``Stage`` records that carry each stage's closed
-form on amplitudes laid out as [rest, clock, eigenpair j], with the b
-register in A's eigenbasis (``clock_hadamards``, ``clock_powers``,
-``clock_qft``); a Hadamard layer or ladder also acts on a range of clock
-bits, and a Fourier transform on any run of its gates. In that basis the
-ladder is one phase per clock value and eigenpair, and the other stages
-act on the clock axis alone. ``pipeline`` walks the records of a run that
-noise lands in, applying every stage, or run of a stage's gates, that no
-noise interrupts by its closed form, from the state ``prepare_b``
-simulates once per problem; its gate opens every ``build_qpe_circuit`` of
-the problem. ``qpe_gates`` builds the ladder from one stack of
-controlled powers (``evolution_unitary`` over an array of powers),
-checked once.
+QPE block's uncompute, into ``Stage`` records, each of which runs any range
+of its gates in closed form; ``pipeline`` walks them where noise lands.
+``qpe_gates`` builds the ladder from one stack of controlled powers
+(``evolution_unitary`` over an array of powers), checked once.
 
 The time scale ``t0`` maps an eigenvalue ``lam`` to the clock-grid coordinate
 ``lam * t0 / (2 pi)``; adjacent grid points are one coordinate unit (a phase
@@ -111,47 +102,50 @@ def decode_grid_int(grid_int: int, bit_width: int, signed_mode: bool) -> int:
     return grid_int - (highest - lowest + 1) if grid_int > highest else grid_int
 
 
+@functools.lru_cache(maxsize=16)
+def _fourier_layout(bits: int) -> tuple[tuple[str, int | None, int], ...]:
+    """(kind, target, bit) per gate of ``qft_gates`` on ``bits`` qubits, in
+    order: ("h", i, i) for the Hadamard on bit i, ("phase", i, m) for the
+    phase on bits i and m, and ("perm", None, i) for the swap of bits i and
+    bits - 1 - i."""
+    layout = []
+    for i in range(bits - 1, -1, -1):
+        layout.append(("h", i, i))
+        layout += [("phase", i, m) for m in range(i - 1, -1, -1)]
+    layout += [("perm", None, i) for i in range(bits // 2)]
+    return tuple(layout)
+
+
 def qft_gates(qubits) -> list[Gate]:
-    """Fourier transform on the integer encoded with ``qubits[0]`` as the LSB.
+    """Fourier transform on the integer encoded with ``qubits[0]`` as the LSB,
+    in the gate order of ``_fourier_layout``.
 
     Maps |j> to (1/sqrt(T)) sum_m exp(2 pi i j m / T) |m>.
     """
     qubits = tuple(int(q) for q in qubits)
     n = len(qubits)
     gates: list[Gate] = []
-    for i in range(n - 1, -1, -1):
-        gates.append(Gate(GateKind.HADAMARD, (qubits[i],)))
-        for m in range(i - 1, -1, -1):
+    for kind, target, bit in _fourier_layout(n):
+        if kind == "h":
+            gates.append(Gate(GateKind.HADAMARD, (qubits[bit],)))
+        elif kind == "phase":
             phase = np.array(
-                [[1.0, 0.0], [0.0, np.exp(1j * math.pi / 2 ** (i - m))]], dtype=complex
+                [[1.0, 0.0], [0.0, np.exp(1j * math.pi / 2 ** (target - bit))]], dtype=complex
             )
             gates.append(
-                Gate(GateKind.UNITARY, (qubits[i],), ((qubits[m], 1),), matrix=phase)
+                Gate(GateKind.UNITARY, (qubits[target],), ((qubits[bit], 1),), matrix=phase)
             )
-    for i in range(n // 2):
-        gates.append(Gate(GateKind.SWAP, (qubits[i], qubits[n - 1 - i])))
+        else:
+            gates.append(Gate(GateKind.SWAP, (qubits[bit], qubits[n - 1 - bit])))
     return gates
 
 
-def inverse_qft_gates(qubits) -> list[Gate]:
-    """Adjoint of ``qft_gates(qubits)``; a fresh list over shared immutable gates."""
-    return list(_inverse_qft_tuple(tuple(int(q) for q in qubits)))
-
-
 @functools.lru_cache(maxsize=64)
-def _inverse_qft_tuple(qubits: tuple[int, ...]) -> tuple[Gate, ...]:
-    return tuple(inverted_gates(qft_gates(qubits)))
-
-
-@functools.lru_cache(maxsize=64)
-def _qft_tuple(qubits: tuple[int, ...]) -> tuple[Gate, ...]:
-    """The uncompute's Fourier transform, the adjoint of the inverse QFT."""
-    return tuple(qft_gates(qubits))
-
-
-@functools.lru_cache(maxsize=64)
-def _hadamard_layer(qubits: tuple[int, ...]) -> tuple[Gate, ...]:
-    return tuple(Gate(GateKind.HADAMARD, (q,)) for q in qubits)
+def _clock_gates(clock: tuple[int, ...]) -> tuple[tuple[Gate, ...], ...]:
+    """The gates on the qubits ``clock`` that every problem shares: the
+    Hadamard layer, the inverse QFT and the QFT, which the uncompute runs."""
+    qft = tuple(qft_gates(clock))
+    return tuple(Gate(GateKind.HADAMARD, (q,)) for q in clock), tuple(inverted_gates(qft)), qft
 
 
 def qpe_gates(qlsp: QLSP, clock, breg, t0: float) -> list[Gate]:
@@ -163,10 +157,8 @@ def qpe_gates(qlsp: QLSP, clock, breg, t0: float) -> list[Gate]:
     breg = tuple(int(q) for q in breg)
     powers = [1 << r for r in range(len(clock))]
     ladder = evolution_unitary(qlsp, t0, power=powers, big_t=2 ** len(clock))
-    gates: list[Gate] = list(_hadamard_layer(clock))
-    gates.extend(controlled_unitaries(ladder, breg, clock))
-    gates.extend(inverse_qft_gates(clock))
-    return gates
+    hadamards, inverse_qft, _ = _clock_gates(clock)
+    return [*hadamards, *controlled_unitaries(ladder, breg, clock), *inverse_qft]
 
 
 @functools.lru_cache(maxsize=1)
@@ -222,15 +214,14 @@ def qpe_amplitudes(qlsp: QLSP, bit_width: int, t0) -> np.ndarray:
     return np.ascontiguousarray(clock.swapaxes(-1, -2)) * qlsp.projections
 
 
-def clock_hadamards(blocks: np.ndarray, low: int = 0, high: int | None = None) -> np.ndarray:
-    """A Hadamard on each clock bit ``low`` to ``high - 1`` (default: every
-    clock bit) of ``blocks``, laid out [rest, clock, b].
+def clock_hadamards(blocks: np.ndarray, low: int, high: int) -> np.ndarray:
+    """A Hadamard on each clock bit ``low`` to ``high - 1`` of ``blocks``, laid
+    out [rest, clock, b].
 
     Applies them as one cached Walsh factor per chunk of at most
     ``_WALSH_BITS`` clock bits, so no 2^k x 2^k operator is built.
     """
     rest, size, dimension = blocks.shape
-    high = size.bit_length() - 1 if high is None else high
     while low < high:
         chunk = min(_WALSH_BITS, high - low)
         # axis 1 holds clock bits low .. low + chunk - 1
@@ -248,54 +239,40 @@ def _walsh(bits: int) -> np.ndarray:
     return factor
 
 
-def clock_powers(
-    qlsp: QLSP,
-    t0: float,
-    blocks: np.ndarray,
-    adjoint: bool = False,
-    low: int = 0,
-    high: int | None = None,
+def ladder_phases(
+    qlsp: QLSP, t0: float, size: int, adjoint: bool, low: int, high: int
 ) -> np.ndarray:
-    """The controlled powers of ``qpe_gates`` whose controls are clock bits
-    ``low`` to ``high - 1`` (default: the whole ladder) on ``blocks``, laid
-    out [rest, clock x, eigenpair j] with the b register in A's eigenbasis.
+    """The read-only phase table [clock x, eigenpair j] of the controlled
+    powers of ``qpe_gates`` whose controls are clock bits ``low`` to
+    ``high - 1``, on a clock of ``size`` values, with the b register in A's
+    eigenbasis; with ``adjoint``, the conjugate table. Built on each call.
 
     The whole ladder applies U^x to b with U = exp(i A t0 / T), and the
     bits' part of it U^y, where y keeps the bits of x in the range: one
-    phase multiply of eigenpair j by exp(i lam_j t0 y / T), or by the
-    conjugate phase for the ``adjoint``.
+    phase exp(i lam_j t0 y / T) per clock value x and eigenpair j.
     """
-    return blocks * ladder_phases(qlsp, t0, blocks.shape[1], adjoint, low, high)
-
-
-def ladder_phases(
-    qlsp: QLSP, t0: float, size: int, adjoint: bool = False, low: int = 0, high: int | None = None
-) -> np.ndarray:
-    """The phase table [clock x, eigenpair j] that ``clock_powers`` multiplies
-    a clock of ``size`` values by."""
-    high = size.bit_length() - 1 if high is None else high
     rate = (-1j if adjoint else 1j) * float(t0) / size
     powers = np.arange(size) & ((1 << high) - (1 << low))
-    return np.exp(np.outer(powers, qlsp.eigenvalues * rate))
+    table = np.exp(np.outer(powers, qlsp.eigenvalues * rate))
+    table.setflags(write=False)
+    return table
 
 
-def clock_qft(
-    blocks: np.ndarray, inverse: bool = False, start: int = 0, stop: int | None = None
-) -> np.ndarray:
-    """``qft_gates`` on the clock of ``blocks``, laid out [rest, clock, b]; with
-    ``inverse``, ``inverse_qft_gates``; with a ``stop``, gates ``start`` to
-    ``stop - 1`` of that list.
+def clock_qft(blocks: np.ndarray, start: int, stop: int, inverse: bool = False) -> np.ndarray:
+    """Gates ``start`` to ``stop - 1`` of ``qft_gates`` (with ``inverse``, of
+    its adjoint) on the clock of ``blocks``, laid out [rest, clock, b].
 
-    numpy's unitary inverse FFT has the sign of ``qft_gates``. A run of the
-    gates is the product of its pieces (``_fourier_pieces``): a Hadamard on
-    one clock bit, one phase vector over the clock axis for a run of
-    controlled phases on one target bit, and one permutation of the clock
-    axis for a run of swaps.
+    The whole transform is one FFT: numpy's unitary inverse FFT has the sign
+    of ``qft_gates``. Any other run of the gates is the product of its
+    pieces (``_fourier_pieces``): a Hadamard on one clock bit, one phase
+    vector over the clock axis for a run of controlled phases on one target
+    bit, and one permutation of the clock axis for a run of swaps.
     """
-    if stop is None:
+    bits = blocks.shape[1].bit_length() - 1
+    if (start, stop) == (0, len(_fourier_layout(bits))):
         transform = np.fft.fft if inverse else np.fft.ifft
         return transform(blocks, axis=1, norm="ortho")
-    for kind, value in _fourier_pieces(blocks.shape[1].bit_length() - 1, inverse, start, stop):
+    for kind, value in _fourier_pieces(bits, inverse, start, stop):
         if kind == "h":
             blocks = clock_hadamards(blocks, value, value + 1)
         elif kind == "phase":
@@ -307,17 +284,14 @@ def clock_qft(
 
 @functools.lru_cache(maxsize=128)
 def _fourier_pieces(bits: int, inverse: bool, start: int, stop: int) -> tuple:
-    """Gates ``start`` to ``stop - 1`` of ``qft_gates`` (``inverse_qft_gates``
-    for ``inverse``) on ``bits`` clock bits as pieces, one per run of gates
-    of one kind and target: ("h", bit) for a Hadamard, ("phase", vector) for
-    controlled phases, the read-only vector shaped (2^bits, 1), and ("perm",
-    index) for swaps, the read-only index taking the clock axis. No two
-    Hadamards are adjacent, so a Hadamard is a run of its own."""
-    layout = []  # (kind, target, bit) per gate of qft_gates, in order
-    for i in range(bits - 1, -1, -1):
-        layout.append(("h", i, i))
-        layout += [("phase", i, m) for m in range(i - 1, -1, -1)]  # on bits i and m
-    layout += [("perm", None, i) for i in range(bits // 2)]  # swaps bits i and bits - 1 - i
+    """Gates ``start`` to ``stop - 1`` of ``qft_gates`` (of its adjoint for
+    ``inverse``) on ``bits`` clock bits as pieces, one per run of gates of
+    one kind and target in ``_fourier_layout``: ("h", bit) for a Hadamard,
+    ("phase", vector) for controlled phases, the read-only vector shaped
+    (2^bits, 1), and ("perm", index) for swaps, the read-only index taking
+    the clock axis. No two Hadamards are adjacent, so a Hadamard is a run
+    of its own."""
+    layout = _fourier_layout(bits)
     clock = np.arange(1 << bits)
     pieces = []
     for (kind, target), run in itertools.groupby(
@@ -343,26 +317,16 @@ def _fourier_pieces(bits: int, inverse: bool, start: int, stop: int) -> tuple:
 
 @dataclass(frozen=True)
 class Stage:
-    """One stage of the solver circuit: its ``gates``, their ``closed`` form on
-    amplitudes laid out [rest, clock, eigenpair j], with the b register in A's
-    eigenbasis (None for state preparation, which has none) and, for a
-    product of commuting factors, each gate's factor (its clock bit in a
-    Hadamard layer or ladder, its rotation's index in the inversion block);
-    ``closed`` then takes factors ``low`` to ``high - 1`` as well, and
-    otherwise (a Fourier transform) gates ``start`` to ``stop - 1``."""
+    """One stage of the solver circuit: its ``gates`` and ``run``, their
+    closed form. ``run(blocks, start, stop)`` is ``gates[start:stop]``, for
+    any 0 <= start < stop <= len(gates), applied to amplitudes ``blocks``
+    laid out [rest, clock, eigenpair j], with the b register in A's
+    eigenbasis. In that basis the ladder is one phase per clock value and
+    eigenpair, and every other stage acts on the clock and the rest alone.
+    ``run`` is None only for state preparation, which no walk reaches."""
 
     gates: Sequence[Gate]
-    closed: Callable[..., np.ndarray] | None = None
-    factors: tuple[int, ...] | None = None
-
-    def closed_form(self, start: int, stop: int) -> Callable[..., np.ndarray] | None:
-        """The closed form of ``gates[start:stop]``; None only for state preparation."""
-        if self.closed is None or (start, stop) == (0, len(self.gates)):
-            return self.closed
-        if self.factors is None:
-            return functools.partial(self.closed, start=start, stop=stop)
-        span = self.factors[start:stop]  # a run of gates covers a run of factors
-        return functools.partial(self.closed, low=min(span), high=max(span) + 1)
+    run: Callable[[np.ndarray, int, int], np.ndarray] | None = None
 
 
 def qpe_stages(qlsp: QLSP, bit_width: int, t0: float) -> tuple[tuple[Stage, ...], ...]:
@@ -372,20 +336,37 @@ def qpe_stages(qlsp: QLSP, bit_width: int, t0: float) -> tuple[tuple[Stage, ...]
     ladder and Hadamard layer. Only state preparation and the ladder depend
     on the problem; the other gates are shared by every problem on the
     same clock qubits."""
-    k, partial = bit_width, functools.partial
+    k, size = bit_width, 2**bit_width
     gates = tuple(build_qpe_circuit(qlsp, k, t0).gates)
     hadamards, ladder = gates[1 : 1 + k], gates[1 + k : 1 + 2 * k]
     clock = tuple(range(qlsp.num_qubits, qlsp.num_qubits + k))
-    up, down = tuple(range(k)), tuple(range(k - 1, -1, -1))
+
+    # the whole adjoint ladder, which every noiseless tail runs, is one table
+    # built here, so it lives as long as the records
+    undo = ladder_phases(qlsp, t0, size, True, 0, k)
+
+    # gate i of the Hadamard layer and the ladder acts on clock bit i, and
+    # gate i of their adjoints in the uncompute on clock bit k - 1 - i
+    def powers(blocks: np.ndarray, start: int, stop: int) -> np.ndarray:
+        return blocks * ladder_phases(qlsp, t0, size, False, start, stop)
+
+    def undo_powers(blocks: np.ndarray, start: int, stop: int) -> np.ndarray:
+        if stop - start == k:
+            return blocks * undo
+        return blocks * ladder_phases(qlsp, t0, size, True, k - stop, k - start)
+
+    def undo_hadamards(blocks: np.ndarray, start: int, stop: int) -> np.ndarray:
+        return clock_hadamards(blocks, k - stop, k - start)
+
     return (
         Stage(gates[:1]),
-        Stage(hadamards, clock_hadamards, up),
-        Stage(ladder, partial(clock_powers, qlsp, t0), up),
-        Stage(gates[1 + 2 * k :], partial(clock_qft, inverse=True)),
+        Stage(hadamards, clock_hadamards),
+        Stage(ladder, powers),
+        Stage(gates[1 + 2 * k :], functools.partial(clock_qft, inverse=True)),
     ), (
-        Stage(_qft_tuple(clock), clock_qft),
-        Stage(tuple(inverted_gates(ladder)), partial(clock_powers, qlsp, t0, adjoint=True), down),
-        Stage(hadamards[::-1], clock_hadamards, down),  # a Hadamard is its own adjoint
+        Stage(_clock_gates(clock)[2], clock_qft),
+        Stage(tuple(inverted_gates(ladder)), undo_powers),
+        Stage(hadamards[::-1], undo_hadamards),  # a Hadamard is its own adjoint
     )
 
 

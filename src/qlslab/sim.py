@@ -9,16 +9,14 @@ Conventions:
       probabilities it draws from.
 
 ``_gate_plan`` alone maps qubits to array axes: one cached view plan per
-qubit structure (width, trailing axes, targets, controls) splits the
-amplitudes only at those qubits, fixes the controls and brings the targets
-to the front. Gates, ``register_matrix`` and ``postselect`` all work on
-such views. ``apply_circuit`` applies one gate at a time, and so is the
-gate-by-gate reference for every closed form: a
-single-target diagonal gate, such as the QFT's controlled phases and
-Pauli Z, scales each half of its view in place and skips a half whose entry
-is 1; any other gate is one transpose, product and assignment. The solver's
-executor runs every stage except state preparation in closed form, split
-at any Pauli, and simulates only the Paulis.
+qubit structure (width, targets, controls) splits the amplitudes only at
+those qubits, fixes the controls and brings the targets to the front.
+Gates, ``register_matrix`` and ``postselect`` all work on such views.
+``apply_circuit`` applies one gate at a time, and so is the gate-by-gate
+reference for every closed form (``preprocess.Stage``): a single-target
+diagonal gate, such as the QFT's controlled phases and Pauli Z, scales each
+half of its view in place and skips a half whose entry is 1; any other gate
+is one transpose, product and assignment.
 
 States are immutable and every operation returns a new value. Circuits are
 mutable builders, but simulation never modifies them. RNG state is always a
@@ -191,31 +189,23 @@ class Gate:
 
     def dagger(self) -> "Gate":
         if self.kind is GateKind.RY:
-            return Gate(GateKind.RY, self.targets, self.controls, angle=-self.angle)
+            return self._like(angle=-self.angle)
         if self.kind is GateKind.UNITARY:
             # the adjoint of a validated unitary is unitary: skip re-validation
             adjoint = self.matrix.conj().T
             adjoint.setflags(write=False)
-            return Gate._unchecked(
-                kind=GateKind.UNITARY,
-                targets=self.targets,
-                controls=self.controls,
-                angle=None,
-                matrix=adjoint,
-                _qubits=self._qubits,
-            )
+            return self._like(matrix=adjoint)
         return self
 
-    @classmethod
-    def _unchecked(cls, **fields) -> "Gate":
-        """Set every field as given, without ``__post_init__``.
+    def _like(self, **changes) -> "Gate":
+        """This gate with ``changes`` to its fields, without ``__post_init__``.
 
-        Only for values already in canonical form and derived from a
-        validated gate; public ``Gate(...)`` keeps every check. ``fields``
-        includes ``_qubits``, the tuple ``qubits`` returns.
+        The caller checks every value it changes and gives it in canonical
+        form, with ``_qubits``, the tuple ``qubits`` returns, when the
+        control qubits change; public ``Gate(...)`` keeps every check.
         """
-        gate = object.__new__(cls)
-        gate.__dict__.update(fields)
+        gate = object.__new__(Gate)
+        gate.__dict__.update(self.__dict__, **changes)
         return gate
 
 
@@ -315,16 +305,7 @@ class Circuit:
             angle = float(angle)
             if not math.isfinite(angle):
                 raise InvalidGateError("ry needs a finite angle")
-            gates.append(
-                Gate._unchecked(
-                    kind=GateKind.RY,
-                    targets=first.targets,
-                    controls=polarities,
-                    angle=angle,
-                    matrix=None,
-                    _qubits=first.qubits(),
-                )
-            )
+            gates.append(first._like(controls=polarities, angle=angle))  # the same qubits
         if gates:
             self.add(gates[0])  # the shared qubits must fit the circuit
             self.gates.extend(gates[1:])
@@ -340,9 +321,8 @@ def controlled_unitaries(matrices, targets: Sequence[int], controls: Sequence[in
 
     The first gate is a checked ``Gate``. The rest of the stack is checked
     once, finite and unitary within ``UNITARY_ATOL``, and each other control
-    against the first gate's targets; those gates are then built without
-    ``__post_init__``, as ``Circuit.multiplexed_ry`` builds its rotations,
-    over read-only views of one copy of the stack.
+    against the first gate's targets; those gates are then built from the
+    first by ``Gate._like``, over read-only views of one copy of the stack.
     """
     stack = np.array(matrices, dtype=complex)
     controls = tuple(int(q) for q in controls)
@@ -356,14 +336,7 @@ def controlled_unitaries(matrices, targets: Sequence[int], controls: Sequence[in
         raise InvalidGateError("controls must be non-negative and disjoint from the targets")
     stack.setflags(write=False)
     return [first] + [
-        Gate._unchecked(
-            kind=GateKind.UNITARY,
-            targets=first.targets,
-            controls=((control, 1),),
-            angle=None,
-            matrix=matrix,
-            _qubits=first.targets + (control,),
-        )
+        first._like(controls=((control, 1),), matrix=matrix, _qubits=first.targets + (control,))
         for control, matrix in zip(controls[1:], stack[1:])
     ]
 
@@ -375,9 +348,9 @@ def inverted_gates(gates: Sequence[Gate]) -> list[Gate]:
 
 @functools.lru_cache(maxsize=512)
 def _gate_plan(
-    n: int, trailing: int, targets: tuple[int, ...], controls: tuple[tuple[int, int], ...]
+    n: int, targets: tuple[int, ...], controls: tuple[tuple[int, int], ...]
 ) -> tuple[tuple, tuple, tuple, tuple]:
-    """View plan of one qubit structure on ``n`` qubits with ``trailing`` extra axes.
+    """View plan of one qubit structure on ``n`` qubits.
 
     Returns ``(shape, index, order, halves)``. ``shape`` splits the amplitude
     axis only at the structure's qubits: one axis of 2 per qubit, and one axis for
@@ -386,7 +359,7 @@ def _gate_plan(
     ``index`` fixes each control axis at its polarity, which is basic
     indexing and so leaves a view; ``order`` then brings ``targets[-1]``
     first, so that ``targets[0]`` is the block-index LSB, and keeps every
-    other axis, trailing ones included, in place. For a single target,
+    other axis in place. For a single target,
     ``halves`` holds the two indices that also fix the target at 0 and 1;
     otherwise it is empty.
     """
@@ -405,7 +378,7 @@ def _gate_plan(
     # target was indexed away and shifts that target's view axis down
     slots = [2 * qubits.index(t) + 1 for t in targets]
     front = [slot - sum(q > t for q in polarity) for slot, t in zip(slots[::-1], targets[::-1])]
-    order = front + [ax for ax in range(len(index) - len(polarity) + trailing) if ax not in front]
+    order = front + [ax for ax in range(len(index) - len(polarity)) if ax not in front]
     halves = ()
     if len(targets) == 1:
         (slot,) = slots
@@ -414,10 +387,10 @@ def _gate_plan(
 
 
 def _apply_gate(vec: np.ndarray, gate: Gate) -> None:
-    """Apply one gate in place to ``vec`` (amplitudes on axis 0, any trailing axes)."""
+    """Apply one gate in place to the amplitude vector ``vec``."""
     n = vec.shape[0].bit_length() - 1
-    shape, index, order, halves = _gate_plan(n, vec.ndim - 1, gate.targets, gate.controls)
-    tensor = vec.reshape(shape + vec.shape[1:])
+    shape, index, order, halves = _gate_plan(n, gate.targets, gate.controls)
+    tensor = vec.reshape(shape)
     matrix = gate.resolved_matrix()
     if halves and matrix[0, 1] == 0 and matrix[1, 0] == 0:
         # a diagonal 2x2 scales each half where it lies; an entry of 1 leaves it alone
@@ -453,7 +426,7 @@ def postselect(state: StateVector, qubit: int, outcome: int) -> tuple[StateVecto
         raise ValueError(f"qubit {qubit} out of range")
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
-    shape, _, _, halves = _gate_plan(state.num_qubits, 0, (qubit,), ())
+    shape, _, _, halves = _gate_plan(state.num_qubits, (qubit,), ())
     kept = state.amplitudes.reshape(shape)[halves[outcome]]
     prob = float(np.sum(np.abs(kept) ** 2))
     if prob < 1e-15:
@@ -480,7 +453,7 @@ def register_matrix(values: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
         raise ValueError("qubits must be unique")
     if any(q < 0 or q >= n for q in qubits):
         raise ValueError("qubit index out of range")
-    shape, _, order, _ = _gate_plan(n, 0, qubits, ())
+    shape, _, order, _ = _gate_plan(n, qubits, ())
     return values.reshape(shape).transpose(order).reshape(2 ** len(qubits), -1)
 
 

@@ -169,7 +169,6 @@ def test_the_tail_kernel_matches_the_staged_walk(case):
         inversion = preprocess.Stage(
             build_inversion_circuit(plan, range(nb, nb + k), nb + k).gates,
             functools.partial(rotate_branches, plan),
-            tuple(range(len(plan.rotations))),
         )
         staged = pipeline._walk(qlsp, blocks.prepared, (inversion, *blocks.uncompute), {})
         dense = apply_circuit(StateVector.zero(circuit.num_qubits), circuit).amplitudes
@@ -307,13 +306,13 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
     forms that the stages call, and on the simulated gates, see every other
     stage of the walked half run in closed form and the Pauli alone
     simulated. The cached prefix calls no stage's closed form. With no
-    Pauli, the tail kernel alone runs after it, calling the uncompute's
-    Fourier and Hadamard closed forms between which it applies the cached
-    adjoint ladder, and no gate is simulated."""
+    Pauli, the tail kernel alone runs after it, calling the closed forms of
+    the uncompute's Fourier transform and Hadamard layer (the whole adjoint
+    ladder multiplies by its record's table), and no gate is simulated."""
     calls, gates, tails = [], [], []
     for module, name in (
         (preprocess, "clock_hadamards"),
-        (preprocess, "clock_powers"),
+        (preprocess, "ladder_phases"),
         (preprocess, "clock_qft"),
         (pipeline, "rotate_branches"),
     ):
@@ -342,8 +341,9 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
     circuit = assemble_hhl(qlsp, k, t0, plan)
     blocks = pipeline._qpe_blocks(qlsp, k, t0)
     prefix, uncompute = blocks.prefix, blocks.uncompute
-    # the cached prefix: prepare b (once per problem), then the kernel, no stage's closed form
-    assert len(gates) == 1 and len(calls) == 0
+    # the cached prefix: prepare b (once per problem), then the kernel, no stage's
+    # closed form; the records' one call builds the whole adjoint ladder's table
+    assert len(gates) == 1 and len(calls) == 1
     gates.clear()
     calls.clear()
     opening = sum(len(record.gates) for record in prefix)
@@ -361,15 +361,18 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
                 start = sum(len(r.gates) for r in prefix[:position])
             else:
                 start = closing + sum(len(r.gates) for r in uncompute[:position])
-            end, split = start + len(record.gates), record.factors is not None
+            end, split = start + len(record.gates), stage not in ("inverse-qft", "qft")
         after = start if where == "inside" else end - 1
         pauli = (after + 1, Gate(GateKind.PAULI_X, (circuit.gates[after].qubits()[0],)))
         walked_prefix = after < opening - 1
         # a walked prefix starts from the prepared state and has three closed
         # forms, and the tail kernel two more; a walked rest has the
-        # inversion's and the uncompute's three
-        transforms = 5 if walked_prefix else 4
-        if where == "inside" and split:
+        # inversion's and two of the uncompute's, and a split adjoint ladder
+        # builds the phase table of each of its two runs
+        transforms = 5 if walked_prefix else 3
+        if where == "inside" and stage == "powers-adjoint":
+            transforms += 2
+        elif where == "inside" and split:
             transforms += 1
         elif where == "inside":  # a Fourier transform's two runs, and a Hadamard per clock bit
             transforms += 1 + k

@@ -1,4 +1,5 @@
 """Preprocessing tests: QPE circuits, estimate decoding, time-scale search."""
+import functools
 import math
 import tracemalloc
 
@@ -10,15 +11,15 @@ from test_sim import circuit_matrix
 
 from qlslab import preprocess
 from qlslab.errors import AliasingError, CapacityError, EmptyEstimateError, QlsLabError
-from qlslab.inversion import plan_hybrid
+from qlslab.inversion import InversionPlan, build_inversion_circuit, plan_hybrid, rotate_branches
 from qlslab.preprocess import (
     build_qpe_circuit,
     decode_grid_int,
     estimates_from_probabilities,
     fixed_t0,
     grid_range,
-    inverse_qft_gates,
     iterative_t0,
+    ladder_phases,
     prepare_b,
     qft_gates,
     qpe_amplitudes,
@@ -55,16 +56,8 @@ def test_qft_matches_dft_matrix():
 def test_inverse_qft_inverts():
     circuit = Circuit(3)
     circuit.extend(qft_gates(range(3)))
-    circuit.extend(inverse_qft_gates(range(3)))
+    circuit.extend(inverted_gates(qft_gates(range(3))))
     assert np.max(np.abs(circuit_matrix(circuit) - np.eye(8))) < 1e-12
-
-
-def test_inverse_qft_gates_returns_a_fresh_list():
-    first = inverse_qft_gates(range(3))
-    expected = list(first)
-    first.clear()
-    assert inverse_qft_gates(range(3)) == expected
-    assert inverse_qft_gates([0, 1, 2]) is not inverse_qft_gates([0, 1, 2])
 
 
 def _qpe_oracle_distribution(eigenvalues, projections, bits, t0):
@@ -186,161 +179,165 @@ def _gate_key(gate):
 
 
 def _closed_form_error(qlsp, bits, record, start, stop):
-    """Largest entry of the record's closed form of ``gates[start:stop]`` minus
-    ``circuit_matrix`` of those gates, on ``bits`` clock bits. The closed form
-    acts with the b register in A's eigenbasis, so it is fed each basis state
-    turned into that basis and its image is turned back."""
+    """Largest entry of the record's ``run`` of ``gates[start:stop]`` minus
+    ``circuit_matrix`` of those gates, on ``bits`` clock bits. The record
+    acts with the b register in A's eigenbasis, so it is fed each basis
+    state turned into that basis and its image is turned back."""
     circuit = Circuit(qlsp.num_qubits + bits)
     circuit.extend(record.gates[start:stop])
     dim = 2**circuit.num_qubits
     # each basis state is one entry of the rest axis, so row r is the image of state r
     basis = np.eye(dim, dtype=complex).reshape(dim, 2**bits, qlsp.dimension)
     vectors = qlsp.eigenvectors
-    rows = record.closed_form(start, stop)(basis @ vectors.conj()) @ vectors.T
+    rows = record.run(basis @ vectors.conj(), start, stop) @ vectors.T
     return np.max(np.abs(rows.reshape(dim, dim).T - circuit_matrix(circuit)))
 
 
 @st.composite
 def _stages_case(draw):
-    """(problem, clock bits, t0, states): a ``random_problem``, 1 to 8 clock
-    bits on at most 9 qubits, so that each circuit matrix stays small, and
-    two random states on them."""
+    """(problem, clock bits, t0): a ``random_problem`` and 1 to 8 clock bits
+    on at most 9 qubits, so that each circuit matrix stays small."""
     bits = draw(st.integers(1, 8))
     qlsp = draw(random_problem([dim for dim in (2, 4, 8) if dim.bit_length() + bits <= 10]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = (2, 2**bits, qlsp.dimension)
-    states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return qlsp, bits, draw(st.floats(0.0, 60.0)), states
-
-
-def _run_error(qlsp, bits, record, states):
-    """Largest entry, over every contiguous run ``gates[start:stop]`` of the
-    record, of its closed form on ``states`` (laid out [rest, clock, b], b in
-    the computational basis) minus those gates simulated gate by gate. The
-    closed form acts with the b register in A's eigenbasis, so it is fed the
-    states turned into that basis and its image is turned back."""
-    width, size = qlsp.num_qubits + bits, len(record.gates)
-    eigen = states @ qlsp.eigenvectors.conj()
-    worst = 0.0
-    for start in range(size):
-        simulated = [StateVector(width, state.reshape(-1), validate=False) for state in states]
-        for stop in range(start + 1, size + 1):
-            gate = Circuit(width).add(record.gates[stop - 1])
-            simulated = [apply_circuit(vector, gate) for vector in simulated]
-            closed = record.closed_form(start, stop)(eigen) @ qlsp.eigenvectors.T
-            for image, vector in zip(closed, simulated):
-                worst = max(worst, np.max(np.abs(image.reshape(-1) - vector.amplitudes)))
-    return worst
+    return qlsp, bits, draw(st.floats(0.0, 60.0))
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(_stages_case())
 def test_stage_records_match_their_gates(case):
     """The prefix records cut ``build_qpe_circuit``'s gates, the uncompute
-    records hold ``inverted_gates`` of its QPE block, and each closed form is
-    its gates' action, with the b register in A's eigenbasis: the
-    ``circuit_matrix`` of a whole stage, and the gate-by-gate simulation of
-    every contiguous run of a one-bit stage or, up to 5 clock bits, of a
-    Fourier transform."""
-    qlsp, bits, t0, states = case
+    records hold ``inverted_gates`` of its QPE block, state preparation
+    alone has no ``run``, and each other record's ``run`` of all its gates
+    is their ``circuit_matrix``, with the b register in A's eigenbasis."""
+    qlsp, bits, t0 = case
     prefix, uncompute = qpe_stages(qlsp, bits, t0)
     gates = build_qpe_circuit(qlsp, bits, t0).gates
     assert [_gate_key(g) for r in prefix for g in r.gates] == list(map(_gate_key, gates))
     undo = [_gate_key(g) for r in uncompute for g in r.gates]
     assert undo == list(map(_gate_key, inverted_gates(gates[1:])))
-    assert prefix[0].closed is None and prefix[0].factors is None  # state preparation
-    assert prefix[0].closed_form(0, 1) is None
+    assert prefix[0].run is None  # state preparation
     for record in prefix[1:] + uncompute:
-        size = len(record.gates)
-        assert _closed_form_error(qlsp, bits, record, 0, size) < 1e-12
-        if record.factors is not None:
-            assert sorted(record.factors) == list(range(bits)) and size == bits
-        elif bits > 5:  # a Fourier transform of size(size + 1) / 2 runs
-            continue
-        assert _run_error(qlsp, bits, record, states) < 1e-12
+        assert _closed_form_error(qlsp, bits, record, 0, len(record.gates)) < 1e-12
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
-@pytest.mark.parametrize("dimension", [2, 4])
+@pytest.mark.parametrize("dimension", [2, 4, 8])
 @pytest.mark.parametrize("bits", [1, 2, 3, 4, 5])
-def test_every_fourier_run_matches_its_gates(bits, dimension, signed):
-    """Every contiguous run of the prefix's inverse QFT and of the uncompute's
-    QFT, in closed form on random states, is its gates simulated one by one."""
-    rng = np.random.default_rng(bits * dimension + signed)
+def test_every_record_runs_every_range_of_its_gates(bits, dimension, signed, seed):
+    """For every record of ``qpe_stages`` but state preparation, and for the
+    inversion record of a plan with a rotation on every clock pattern, and
+    for every contiguous range [start, stop) of its gates, ``run`` on a
+    random state laid out [ancilla, clock, b] is those gates simulated one
+    by one, with the b register in A's eigenbasis, at a t0 drawn from
+    [0, 60]."""
+    rng = np.random.default_rng([bits, dimension, signed, seed])
     eigenvalues = rng.uniform(0.05, 1.0, dimension) * (-1.0) ** (signed * np.arange(dimension))
     basis, _ = np.linalg.qr(rng.standard_normal((dimension, dimension)))
     qlsp = QLSP(basis @ np.diag(eigenvalues) @ basis.T, rng.standard_normal(dimension))
     assert qlsp.has_negative_eigenvalues == signed
-    prefix, uncompute = qpe_stages(qlsp, bits, 11.0)
+    nb = qlsp.num_qubits
+    plan = InversionPlan(bits, tuple((m, rng.uniform(-3, 3)) for m in range(2**bits)), 1.0)
+    inversion = preprocess.Stage(
+        build_inversion_circuit(plan, range(nb, nb + bits), nb + bits).gates,
+        functools.partial(rotate_branches, plan),
+    )
+    prefix, uncompute = qpe_stages(qlsp, bits, rng.uniform(0.0, 60.0))
     shape = (2, 2**bits, dimension)
-    states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    for record in (prefix[RECORDS["inverse-qft"][1]], uncompute[RECORDS["qft"][1]]):
-        assert record.factors is None
-        assert _run_error(qlsp, bits, record, states) < 1e-12
+    state = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    width, vectors = nb + bits + 1, qlsp.eigenvectors
+    eigen = state @ vectors.conj()
+    for record in (*prefix[1:], inversion, *uncompute):
+        size = len(record.gates)
+        for start in range(size):
+            simulated = StateVector(width, state.reshape(-1), validate=False)
+            for stop in range(start + 1, size + 1):
+                simulated = apply_circuit(simulated, Circuit(width).add(record.gates[stop - 1]))
+                image = record.run(eigen, start, stop) @ vectors.T
+                assert np.max(np.abs(image.reshape(-1) - simulated.amplitudes)) < 1e-12
 
 
-# (clock bits, low, high) below the whole clock; 8 bits from bit 1 up cross a Walsh factor
-BIT_RANGES = (
+def test_the_whole_adjoint_ladder_runs_its_records_table(monkeypatch):
+    """``qpe_stages`` builds the adjoint ladder's whole phase table once, as
+    read-only, and the record's run of all its gates multiplies by it and
+    builds no other; a shorter run builds the table of its own range. So
+    the records, held in ``pipeline``'s one-slot block cache, are all that
+    keeps a table alive."""
+    qlsp, bits, t0 = generate_n2(0.3), 3, 7.0
+    whole = ladder_phases(qlsp, t0, 8, True, 0, bits)
+    assert whole.shape == (8, 2) and not whole.flags.writeable
+    with pytest.raises(ValueError):
+        whole[0, 0] = 0.0
+    record = qpe_stages(qlsp, bits, t0)[1][RECORDS["powers-adjoint"][1]]
+    built = []
+
+    def counted(*args):
+        built.append(args[3:])
+        return whole
+
+    monkeypatch.setattr(preprocess, "ladder_phases", counted)
+    blocks = np.ones((2, 8, 2), dtype=complex)
+    for _ in range(2):
+        assert np.array_equal(record.run(blocks, 0, bits), blocks * whole)
+    assert built == []
+    record.run(blocks, 0, 1)  # gate 0 of the adjoint ladder is on the top clock bit
+    assert built == [(True, bits - 1, bits)]
+
+
+# (clock bits, start, stop) short of a whole stage; 8 bits from gate 1 on cross a Walsh factor
+GATE_RANGES = (
     (2, 0, 1), (2, 1, 2), (3, 1, 2), (5, 1, 4), (6, 0, 3), (6, 3, 6), (8, 1, 8), (8, 2, 7)
 )
-STAGE_NAMES = ("hadamards", "inverse-qft", "powers", "powers-adjoint", "qft")
-PER_BIT_STAGES = ("hadamards", "powers", "powers-adjoint")
-
-
-def _run(record, low, high):
-    """[start, stop) of the record's gates on clock bits ``low`` to ``high - 1``,
-    or of all its gates for ``high`` None."""
-    if high is None:
-        return 0, len(record.gates)
-    inside = [i for i, bit in enumerate(record.factors) if low <= bit < high]
-    return inside[0], inside[-1] + 1
+STAGE_NAMES = tuple(RECORDS)
+PER_BIT_STAGES = ("hadamards", "powers", "powers-adjoint", "uncompute-hadamards")
 
 
 @pytest.mark.parametrize(
-    "stage, bits, low, high",
+    "stage, bits, start, stop",
     [
         pytest.param(s, bits, 0, None, id=f"{s}-{bits}")
         for s in STAGE_NAMES
         for bits in range(1, 9)
     ]
     + [
-        pytest.param(s, bits, low, high, id=f"{s}-{bits}-bits-{low}-{high}")
+        pytest.param(s, bits, start, stop, id=f"{s}-{bits}-gates-{start}-{stop}")
         for s in PER_BIT_STAGES
-        for bits, low, high in BIT_RANGES
+        for bits, start, stop in GATE_RANGES
     ],
 )
-def test_stage_transforms_match_their_gates(stage, bits, low, high):
-    """A record's closed form on a signed 4x4 problem, on the whole clock
-    (``high`` None) or on clock bits ``low`` to ``high - 1``, is the matrix
-    of its gates there; 7 and 8 clock bits take the Hadamard layer past one
-    Walsh factor."""
+def test_stage_transforms_match_their_gates(stage, bits, start, stop):
+    """A record's ``run`` on a signed 4x4 problem, of all its gates (``stop``
+    None) or of gates ``start`` to ``stop - 1``, is the matrix of those
+    gates; 7 and 8 clock bits take a Hadamard layer past one Walsh factor."""
     # past 6 clock bits a 2x2 problem keeps the circuit matrix small
     qlsp = generate_n4((-0.8, -0.3, 0.4, 0.9), (0, 2), 5) if bits <= 6 else generate_n2(0.3)
     block, position = RECORDS[stage]
     record = qpe_stages(qlsp, bits, 11.0)[block][position]
-    assert _closed_form_error(qlsp, bits, record, *_run(record, low, high)) < 1e-12
+    stop = len(record.gates) if stop is None else stop
+    assert _closed_form_error(qlsp, bits, record, start, stop) < 1e-12
 
 
 @pytest.mark.parametrize(
-    "stage, low, high",
+    "stage, start, stop",
     [pytest.param(s, 0, None, id=s) for s in STAGE_NAMES]
-    + [pytest.param(s, 3, 11, id=f"{s}-bits-3-11") for s in PER_BIT_STAGES],
+    + [pytest.param(s, 3, 11, id=f"{s}-gates-3-11") for s in PER_BIT_STAGES],
 )
-def test_stage_transforms_build_no_clock_sized_operator(stage, low, high):
+def test_stage_transforms_build_no_clock_sized_operator(stage, start, stop):
     """At 12 clock bits a 2^12 x 2^12 operator takes 256 MB; each record's
-    closed form, on the whole clock or on a range of its bits, its cached
-    Walsh factors included, stays within a few copies of the 128 kB state,
-    so its footprint tracks the state up to the qubit budget."""
+    ``run``, of all its gates or of a range of them, its cached Walsh
+    factors and the phase table it builds included, stays within a few
+    copies of the 128 kB state, so its footprint tracks the state up to the
+    qubit budget."""
     qlsp, bits = generate_n2(0.3), 12
     rng = np.random.default_rng(3)
     blocks = rng.standard_normal((1, 2**bits, 2)) + 1j * rng.standard_normal((1, 2**bits, 2))
     block, position = RECORDS[stage]
     record = qpe_stages(qlsp, bits, 7.0)[block][position]
-    transform = record.closed_form(*_run(record, low, high))
+    stop = len(record.gates) if stop is None else stop
     preprocess._walsh.cache_clear()  # a cached factor counts too
     tracemalloc.start()
     try:
-        transform(blocks)
+        record.run(blocks, start, stop)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -298,7 +298,7 @@ def test_gate_application_matches_basis_loop_reference(case):
     assert np.max(np.abs(out.amplitudes - reference @ state.amplitudes)) < 1e-12
 
 
-def test_gate_plan_follows_width_and_trailing_axes():
+def test_gate_plan_follows_width():
     """One gate structure at two widths, on a state and, through ``circuit_matrix``,
     on a state of twice the width, against the reference."""
     rng = np.random.default_rng(11)
