@@ -21,6 +21,11 @@ Angle policies for the enhanced plan:
   events are counted on the returned plan; this policy does not reproduce the
   hybrid plan in the degenerate case and is kept for comparison only.
 
+``InversionPlan`` is the one checker of a plan's rotations: every pattern
+fits the clock register and appears once, and every angle is a real number
+with |theta| <= pi. ``build_inversion_circuit`` checks only the layout,
+once, on one gate that every rotation copies.
+
 A plan is immutable, so what is derived from it is derived on first use
 and kept on it: read-only arrays of its patterns and half-angle cosines and
 sines, which ``rotate_branches`` and the solver's tail read, and its gates
@@ -42,7 +47,7 @@ import numpy as np
 
 from .errors import EmptyPlanError
 from .preprocess import EigenEstimateSet, decode_grid_int, grid_range
-from .sim import Circuit, Gate, check_count, check_real
+from .sim import Circuit, Gate, GateKind, check_count, check_real
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,13 +64,13 @@ class InversionPlan:
 
     def __post_init__(self) -> None:
         check_count("bit_width", self.bit_width, 1)
-        patterns = [p for p, _ in self.rotations]
         size = 2**self.bit_width
-        for pattern in patterns:
+        for pattern, angle in self.rotations:
             check_count("rotation pattern", pattern, 0)
             if pattern >= size:
                 raise ValueError("control pattern does not fit the clock register")
-        if len(set(patterns)) != len(patterns):
+            check_real("rotation angle", angle)
+        if len({p for p, _ in self.rotations}) != len(self.rotations):
             raise ValueError("control patterns must be unique")
         # written so that NaN fails: every comparison with NaN is false
         if not all(abs(angle) <= math.pi + 1e-12 for _, angle in self.rotations):
@@ -262,10 +267,12 @@ def plan_enhanced(
 def build_inversion_circuit(plan: InversionPlan, clock, ancilla: int) -> Circuit:
     """The plan as one uniformly controlled RY on the ancilla.
 
-    One multi-controlled RY per rotation, built by ``Circuit.multiplexed_ry``;
-    bit r of a pattern is the polarity of ``clock[r]``. The gates are built
-    and checked once per plan and layout; each call returns a new circuit
-    whose gate list is its own.
+    One multi-controlled RY per rotation; bit r of a pattern is the polarity
+    of ``clock[r]``. The plan is the one checker of its patterns and angles,
+    so one checked ``Gate`` checks the layout's qubits, even for a plan with
+    no rotations, and every rotation is a copy of it over the same qubits.
+    The gates are built once per plan and layout; each call returns a new
+    circuit whose gate list is its own.
     """
     clock, ancilla = tuple(int(q) for q in clock), int(ancilla)
     if len(clock) != plan.bit_width:
@@ -273,8 +280,17 @@ def build_inversion_circuit(plan: InversionPlan, clock, ancilla: int) -> Circuit
     circuit = Circuit(max(clock + (ancilla,)) + 1)
     gates = plan._layouts.get((clock, ancilla))
     if gates is None:
-        gates = tuple(circuit.multiplexed_ry(ancilla, clock, plan.rotations).gates)
-        plan._layouts[clock, ancilla] = gates
+        choices = [((q, 0), (q, 1)) for q in clock]  # clock[r]'s pair for bit r
+        # the one check of the layout, with or without rotations: valid qubits that fit
+        layout = Gate(GateKind.RY, (ancilla,), tuple(c for c, _ in choices), angle=0.0)
+        circuit.add(layout)
+        gates = plan._layouts[clock, ancilla] = tuple(
+            layout._like(
+                controls=tuple([pair[(pattern >> r) & 1] for r, pair in enumerate(choices)]),
+                angle=float(angle),
+            )
+            for pattern, angle in plan.rotations
+        )
     circuit.gates = list(gates)
     return circuit
 

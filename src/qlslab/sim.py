@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -273,43 +272,6 @@ class Circuit:
         return self.add(
             Gate(GateKind.UNITARY, tuple(targets), tuple(controls), matrix=matrix)
         )
-
-    def multiplexed_ry(
-        self, target: int, controls: Sequence[int], rotations: Iterable[tuple[int, float]]
-    ) -> "Circuit":
-        """Uniformly controlled RY: one RY on ``target`` per ``(pattern, angle)``.
-
-        Bit ``r`` of a pattern is the polarity of ``controls[r]``. The shared
-        qubit structure is validated once, on the first rotation; every angle
-        must be finite and every pattern fit the controls and appear once.
-        Nothing is added when any rotation is rejected.
-        """
-        controls = tuple(int(q) for q in controls)
-        choices = [((q, 0), (q, 1)) for q in controls]  # control r's pair for bit r
-        gates: list[Gate] = []
-        seen: set[int] = set()
-        for pattern, angle in rotations:
-            pattern = operator.index(pattern)
-            if not 0 <= pattern < 1 << len(controls):
-                raise InvalidGateError(
-                    f"pattern {pattern} does not fit {len(controls)} control(s)"
-                )
-            if pattern in seen:
-                raise InvalidGateError(f"pattern {pattern} repeats")
-            seen.add(pattern)
-            polarities = tuple([pair[(pattern >> r) & 1] for r, pair in enumerate(choices)])
-            if not gates:
-                first = Gate(GateKind.RY, (target,), polarities, angle=angle)
-                gates.append(first)
-                continue
-            angle = float(angle)
-            if not math.isfinite(angle):
-                raise InvalidGateError("ry needs a finite angle")
-            gates.append(first._like(controls=polarities, angle=angle))  # the same qubits
-        if gates:
-            self.add(gates[0])  # the shared qubits must fit the circuit
-            self.gates.extend(gates[1:])
-        return self
 
     def __len__(self) -> int:
         return len(self.gates)

@@ -1,14 +1,16 @@
 """Inversion-plan tests: overlap models, plan builders, circuits."""
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from test_preprocess import random_problem
+from test_sim import _per_rotation_ry
 
 from qlslab import inversion
-from qlslab.errors import EmptyPlanError
+from qlslab.errors import EmptyPlanError, InvalidGateError
 from qlslab.inversion import (
     InversionPlan,
     alpha_overlap,
@@ -202,31 +204,98 @@ def test_appending_to_an_inversion_circuit_leaves_the_next_one_alone(plan):
     first = build_inversion_circuit(plan, range(1, k + 1), 0)
     gates = list(first.gates)
     first.gates.append(Gate(GateKind.PAULI_X, (0,)))
-    first.multiplexed_ry(0, range(1, k + 1), [(1, 0.3)])
+    first.add(Gate(GateKind.RY, (0,), ((1, 1),), angle=0.3))
     second = build_inversion_circuit(plan, range(1, k + 1), 0)
     assert second.gates == gates and second.gates is not first.gates
     assert second.num_qubits == k + 1
 
 
+def _assert_per_rotation_gates(circuit, plan, clock, ancilla):
+    """``circuit`` holds the gates that ``_per_rotation_ry`` builds for the
+    plan on the layout, field by field."""
+    reference = _per_rotation_ry(max(clock + (ancilla,)) + 1, ancilla, clock, plan.rotations)
+    assert circuit.num_qubits == reference.num_qubits
+    assert len(circuit) == len(reference) == len(plan.rotations)
+    for gate, expected in zip(circuit.gates, reference.gates):
+        assert (gate.kind, gate.targets, gate.controls, gate.angle) == (
+            expected.kind,
+            expected.targets,
+            expected.controls,
+            expected.angle,
+        )
+        assert type(gate.angle) is float and gate.matrix is None
+        assert gate.qubits() == expected.qubits() == (ancilla,) + clock
+
+
 @pytest.mark.parametrize("plan", _plans())
 @pytest.mark.parametrize("layout", [((1, 2, 3, 4), 0), ((5, 3, 0, 2), 7), ((0, 1, 2, 3), 4)])
-def test_cached_inversion_gates_equal_multiplexed_ry(plan, layout):
+def test_cached_inversion_gates_equal_the_per_rotation_gates(plan, layout):
     clock, ancilla = layout
     clock = clock[: plan.bit_width]
     for _ in range(2):  # built, then taken from the plan
         circuit = build_inversion_circuit(plan, clock, ancilla)
-        reference = Circuit(max(clock + (ancilla,)) + 1)
-        reference.multiplexed_ry(ancilla, clock, plan.rotations)
-        assert circuit.num_qubits == reference.num_qubits
-        assert len(circuit) == len(reference) == len(plan.rotations)
-        for gate, expected in zip(circuit.gates, reference.gates):
-            assert (gate.kind, gate.targets, gate.controls, gate.angle) == (
-                expected.kind,
-                expected.targets,
-                expected.controls,
-                expected.angle,
-            )
-            assert gate.qubits() == expected.qubits()
+        _assert_per_rotation_gates(circuit, plan, clock, ancilla)
+
+
+@st.composite
+def _plan_and_layout(draw):
+    """A valid plan with k <= 7 on its own (clock, ancilla) layout: random
+    patterns in any order and angles, clock qubits in any order, and an
+    ancilla anywhere among up to three spare qubits."""
+    k = draw(st.integers(1, 7))
+    patterns = draw(st.lists(st.integers(0, 2**k - 1), unique=True, max_size=2**k))
+    angles = st.floats(-math.pi, math.pi)
+    rotations = tuple((pattern, draw(angles)) for pattern in patterns)
+    qubits = draw(st.permutations(range(k + 1 + draw(st.integers(0, 3)))))
+    return InversionPlan(k, rotations, 1.0), tuple(qubits[:k]), qubits[k]
+
+
+@settings(derandomize=True, deadline=None)
+@given(_plan_and_layout())
+def test_inversion_gates_are_the_per_rotation_gates(case):
+    """Whatever the plan and layout, the block is one checked RY per rotation,
+    on the first call, which builds it, and on the cached call."""
+    plan, clock, ancilla = case
+    first = build_inversion_circuit(plan, clock, ancilla)
+    _assert_per_rotation_gates(first, plan, clock, ancilla)
+    cached = build_inversion_circuit(plan, clock, ancilla)
+    _assert_per_rotation_gates(cached, plan, clock, ancilla)
+    assert all(a is b for a, b in zip(cached.gates, first.gates))
+
+
+@pytest.mark.parametrize(
+    "clock, ancilla, message",
+    [
+        ((1, 0), 0, "disjoint"),
+        ((1, 1), 0, "duplicate control"),
+        ((1, -1), 0, "negative"),
+        ((1, 2), -1, "negative"),
+    ],
+    ids=["ancilla-in-clock", "repeated-clock-qubit", "negative-clock-qubit", "negative-ancilla"],
+)
+@pytest.mark.parametrize("rotations", [((1, 0.5), (2, -0.1)), ()], ids=["two", "none"])
+def test_a_bad_layout_raises_and_caches_nothing(rotations, clock, ancilla, message):
+    """A plan with no rotations checks its layout as well."""
+    plan = InversionPlan(2, rotations, 1.0)
+    for _ in range(2):
+        with pytest.raises(InvalidGateError, match=message):
+            build_inversion_circuit(plan, clock, ancilla)
+        assert plan._layouts == {}
+
+
+def test_a_layout_costs_one_gate_check(monkeypatch):
+    """The 127-rotation canonical block at k = 7 checks one ``Gate``, on its
+    layout's qubits, when it is built and none when it is taken from the plan."""
+    canonical = plan_canonical(7, 10.0)
+    plan = InversionPlan(7, canonical.rotations, canonical.constant_c)  # no layout yet
+    checks = []
+    check = Gate.__post_init__
+    monkeypatch.setattr(Gate, "__post_init__", lambda gate: checks.append(gate) or check(gate))
+    first = build_inversion_circuit(plan, range(1, 8), 0)
+    assert len(first) == 127 and len(checks) == 1
+    assert all(gate.qubits() == checks[0].qubits() for gate in first.gates)
+    second = build_inversion_circuit(plan, range(1, 8), 0)
+    assert second.gates == first.gates and len(checks) == 1
 
 
 @settings(derandomize=True, deadline=None)
@@ -496,8 +565,15 @@ def test_plan_validation():
         InversionPlan(2, ((4, 1.0),), 0.1)
     with pytest.raises(ValueError):
         InversionPlan(2, ((1, 4.0),), 0.1)
+    with pytest.raises(ValueError, match="unique"):
+        InversionPlan(2, ((1, 0.5), (2, 0.1), (1, 0.2)), 0.1)
     for angle in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
+            InversionPlan(3, ((1, 0.5), (2, angle)), 1.0)
+    # a bool or a complex number ran as its value, and a string or None raised TypeError
+    for angle in (True, 1 + 0j, "0.5", None):
+        message = f"rotation angle must be a real number, not {angle!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             InversionPlan(3, ((1, 0.5), (2, angle)), 1.0)
     for constant in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="finite and positive"):

@@ -632,49 +632,10 @@ def test_controlled_unitaries_check_every_matrix_and_control(position, controls,
 
 
 def _per_rotation_ry(num_qubits, target, controls, rotations):
-    """The builder that ``Circuit.multiplexed_ry`` replaced: one RY gate per rotation."""
+    """One checked RY gate per ``(pattern, angle)``, bit r of a pattern the
+    polarity of ``controls[r]``: the reference for ``build_inversion_circuit``."""
     circuit = Circuit(num_qubits)
     for pattern, angle in rotations:
         polarities = tuple((q, (pattern >> r) & 1) for r, q in enumerate(controls))
         circuit.add(_ry(target, angle, polarities))
     return circuit
-
-
-def test_multiplexed_ry_builds_the_per_rotation_gates():
-    rng = np.random.default_rng(8)
-    controls = (5, 2, 9, 0, 7, 3, 8)
-    for patterns in (range(1, 128), (77,), (0, 127, 3, 64)):
-        rotations = [(p, float(rng.uniform(-math.pi, math.pi))) for p in patterns]
-        built = Circuit(10).multiplexed_ry(4, controls, rotations).gates
-        expected = _per_rotation_ry(10, 4, controls, rotations).gates
-        assert len(built) == len(expected) == len(rotations)
-        for got, want in zip(built, expected):
-            assert (got.kind, got.targets, got.controls) == (want.kind, want.targets, want.controls)
-            assert got.angle == want.angle and got.matrix is None
-            assert got.qubits() == want.qubits() == (4,) + controls
-
-
-@pytest.mark.parametrize(
-    "target, controls, rotations, message",
-    [
-        (0, (1, 2), [(1, 0.5), (2, float("nan"))], "finite"),
-        (0, (1, 2), [(1, 0.5), (3, float("inf"))], "finite"),
-        (0, (1, 2), [(1, 0.5), (2, 0.1), (1, 0.2)], "repeats"),
-        (0, (1, 2), [(1, 0.5), (4, 0.1)], "does not fit"),
-        (0, (1, 2), [(-1, 0.5)], "does not fit"),
-        (1, (1, 2), [(1, 0.5)], "disjoint"),
-        (0, (1, 1), [(1, 0.5)], "duplicate control"),
-    ],
-)
-def test_multiplexed_ry_rejects_bad_rotations(target, controls, rotations, message):
-    circuit = Circuit(3)
-    with pytest.raises(InvalidGateError, match=message):
-        circuit.multiplexed_ry(target, controls, rotations)
-    assert circuit.gates == []
-
-
-def test_multiplexed_ry_rejects_qubits_outside_the_circuit():
-    circuit = Circuit(3)
-    with pytest.raises(InvalidCircuitError):
-        circuit.multiplexed_ry(0, (1, 3), [(1, 0.5)])
-    assert circuit.gates == []
