@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .sim import check_count, check_real
+from .sim import check_count, check_positive, check_real
 
 
 @dataclass(frozen=True)
@@ -16,13 +16,11 @@ class BoundInputs:
     precision_bits: int
 
     def __post_init__(self) -> None:
-        for name in ("kappa", "t0"):
-            check_real(name, getattr(self, name))
+        check_real("kappa", self.kappa)
         # chained comparisons are false for NaN, so NaN and inf both fail
         if not 1.0 <= self.kappa < math.inf:
             raise ValueError(f"kappa must be finite and at least 1, not {self.kappa}")
-        if not 0.0 < self.t0 < math.inf:
-            raise ValueError(f"t0 must be finite and positive, not {self.t0}")
+        check_positive("t0", self.t0)
         check_count("clock_bits", self.clock_bits, 1)
         check_count("precision_bits", self.precision_bits, self.clock_bits)
 

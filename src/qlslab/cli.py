@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -27,7 +28,7 @@ from .errors import QlsLabError
 from .inversion import ALPHA_MODELS, ANGLE_POLICIES
 from .pipeline import READOUTS, VARIANTS, RunConfig, RunResult, run
 from .qlsp import QLSP, classical_solution, generate_n2, generate_n4
-from .sim import NoiseSpec, check_count, check_real
+from .sim import NoiseSpec, check_count, check_positive
 
 N2_SWEEP_T0 = 18.0 * math.pi
 
@@ -65,7 +66,7 @@ class ExperimentSpec:
     basis_seed: int = 7
     path: str | None = None
     variants: list[str] = field(default_factory=lambda: list(VARIANTS))
-    # run settings: None leaves RunConfig's default (see _RUN_SETTINGS)
+    # run settings: None leaves RunConfig's default (see _run_config)
     clock_bits: int | None = None
     preprocess_bits: int | None = None  # enhanced rows only
     t0_mode: str | None = None  # None picks the per-source default
@@ -88,10 +89,6 @@ class ExperimentSpec:
             raise ValueError("the variant list is empty")
         if len(set(self.variants)) != len(self.variants):
             raise ValueError(f"variants repeat a name: {self.variants}")
-        if self.t0_value is not None and self.t0_mode != "explicit":
-            raise ValueError(
-                f"t0_value is only used with t0_mode 'explicit', not {self.t0_mode!r}"
-            )
         if self.source.startswith("n2") and self.lambdas:
             bad = [v for v in self.lambdas if not 0.0 < float(v) < 0.5]
             if bad:
@@ -192,29 +189,25 @@ def _problems(spec: ExperimentSpec) -> list[tuple[str, str, QLSP]]:
     return problems
 
 
-# ExperimentSpec fields that RunConfig takes under the same name, when set
-_RUN_SETTINGS = ("clock_bits", "angle_policy", "alpha_model", "readout", "shots", "seed")
-
-
 def _run_config(spec: ExperimentSpec, variant: str) -> RunConfig:
-    t0_mode, t0_value = spec.t0_mode, spec.t0_value
-    if t0_mode is None or (t0_mode == "iterative" and variant == "canonical"):
+    """The ``RunConfig`` of one variant: every field that ``spec`` sets under
+    the same name, the per-source baseline t0 and the noise; RunConfig
+    checks them all."""
+    shared = {field.name for field in dataclasses.fields(RunConfig)}
+    settings = {k: v for k, v in vars(spec).items() if k in shared and v is not None}
+    if variant != "enhanced":  # the others preprocess at the clock width, which RunConfig derives
+        settings.pop("preprocess_bits", None)
+    mode = spec.t0_mode
+    if spec.t0_value is None and (mode is None or (mode == "iterative" and variant == "canonical")):
         # the per-source baseline scale; canonical runs have no preprocessing
         # step to adapt, so they keep it and the columns stay comparable
         if spec.source.startswith("n2"):
-            t0_mode, t0_value = "explicit", N2_SWEEP_T0
+            settings.update(t0_mode="explicit", t0_value=N2_SWEEP_T0)
         else:
-            t0_mode, t0_value = "fixed", None
-    # other variants preprocess at the clock width, which RunConfig derives
-    names = _RUN_SETTINGS + (("preprocess_bits",) if variant == "enhanced" else ())
-    settings = {name: getattr(spec, name) for name in names if getattr(spec, name) is not None}
+            settings["t0_mode"] = "fixed"
     noise = NoiseSpec(spec.noise_p, spec.noise_seed)  # checked even when switched off
     return RunConfig(
-        variant=variant,
-        t0_mode=t0_mode,
-        t0_value=t0_value,
-        noise=noise if noise.per_gate_pauli_probability > 0 else None,
-        **settings,
+        variant=variant, noise=noise if noise.per_gate_pauli_probability > 0 else None, **settings
     )
 
 
@@ -297,9 +290,7 @@ def emit_plot_data(csv_path: str, out_path: str) -> int:
 def describe_problem(qlsp: QLSP, clock_bits: int, t0: float) -> str:
     """Human-readable spectrum report with grid alignment for the given scale."""
     check_count("clock_bits", clock_bits, 1)
-    check_real("t0", t0)
-    if not 0 < t0 < math.inf:
-        raise ValueError(f"t0 must be finite and positive, not {t0}")
+    check_positive("t0", t0)
     lines = [
         f"dimension {qlsp.dimension} ({qlsp.num_qubits} qubit(s)), scale {qlsp.scale:g}",
         f"condition number {qlsp.condition_number:.6g}",

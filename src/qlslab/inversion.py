@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import EmptyPlanError
 from .preprocess import EigenEstimateSet, decode_grid_int, grid_range
-from .sim import Circuit, Gate, GateKind, check_count, check_real
+from .sim import Circuit, Gate, GateKind, check_count, check_positive, check_real
 
 TWO_PI = 2.0 * math.pi
 
@@ -75,9 +75,7 @@ class InversionPlan:
         # written so that NaN fails: every comparison with NaN is false
         if not all(abs(angle) <= math.pi + 1e-12 for _, angle in self.rotations):
             raise ValueError("rotation angles must be finite with |theta| <= pi")
-        check_real("constant_c", self.constant_c)
-        if not (math.isfinite(self.constant_c) and self.constant_c > 0):
-            raise ValueError(f"the constant must be finite and positive, not {self.constant_c}")
+        check_positive("constant_c", self.constant_c)
         check_count("clamp_events", self.clamp_events, 0)
 
     @functools.cached_property
@@ -161,9 +159,7 @@ def plan_canonical(bit_width: int, t0: float, signed_mode: bool = False) -> Inve
     and with it the arrays and gates derived on it.
     """
     grid_range(bit_width, signed_mode)  # checks bit_width
-    check_real("t0", t0)
-    if not (math.isfinite(t0) and t0 > 0):
-        raise ValueError(f"t0 must be finite and positive, not {t0}")
+    check_positive("t0", t0)
     return _canonical_plan(int(bit_width), float(t0), bool(signed_mode))
 
 

@@ -5,7 +5,7 @@ the classical step in which the variants differ: it checks the qubit budget,
 resolves the time scale t0, preprocesses at t0 2^(l - k) (hybrid, enhanced)
 and calls the variant's planner. ``execute`` assembles the solver circuit
 (prepare b, phase estimation onto the clock register, the inversion plan,
-phase estimation undone), inserts any Pauli noise and simulates it from |0>.
+phase estimation undone), draws any Pauli noise and simulates it from |0>.
 Register layout (least significant first): solution register ``b``, clock
 ``c``, ancilla ``a``, so the 2^(nb + k + 1) amplitudes, shaped (2, 2^k, N)
 and indexed [ancilla, clock, b], are the two ancilla branches M_0 and M_1,
@@ -21,8 +21,8 @@ laid out [ancilla, clock, eigenpair j], from state preparation to readout,
 where every stage has a closed form (``preprocess.Stage``). Three places
 change the basis: ``_prepared`` turns ``preprocess.prepare_b``'s simulated
 b state into the eigenbasis for a walked prefix, ``_simulate`` turns to the
-computational basis and back only around a run of Paulis that touches a b
-qubit, and ``execute`` turns back once at the end.
+computational basis and back only around a Pauli on a b qubit, and
+``execute`` turns back once at the end.
 
 ``execute`` splits every run at the last gate of its prefix (prepare b and
 phase estimation) and gives each half one rule. The prefix is the cached
@@ -33,7 +33,7 @@ with a Pauli is walked (``_walk``) through its ``preprocess.Stage`` records,
 which run each range of their gates that no Pauli interrupts in closed
 form, so a walk simulates the Paulis alone. Every walk of a prefix starts
 after state preparation (each Pauli follows a gate, so none precedes it).
-A run with no Pauli (no noise, or noise whose draws insert none) simulates
+A run with no Pauli (no noise, or noise whose draws place none) simulates
 no gate.
 Every run reports the gate counts of the whole noiseless circuit, added up
 block by block: the cached counts of the prefix and the uncompute and the
@@ -262,8 +262,8 @@ def execute(
     """The solver's output on |0> as its ancilla branches, shape (2, 2^k, N),
     and the gate counts of its noiseless circuit, with k = ``plan.bit_width``.
 
-    Assembles ``assemble_hhl(qlsp, k, t0, plan)``, inserts the Paulis of
-    ``noise`` through ``inject_noise`` and splits the run at the prefix's
+    Assembles ``assemble_hhl(qlsp, k, t0, plan)``, draws the Paulis of
+    ``noise`` on it (``inject_noise``) and splits the run at the prefix's
     last gate, with one rule for each half. The prefix is the cached output
     of ``_qpe_blocks`` unless a Pauli lands before its last gate, and is then
     ``_walk``ed from the problem's state after preparation. The rest (the
@@ -271,10 +271,10 @@ def execute(
     lands after the prefix's last gate, and is then ``_walk``ed through the
     inversion block (``rotate_branches``) and the uncompute's stage records.
     A walk runs every stage in closed form, split at any Pauli, and
-    simulates the Paulis alone. ``inject_noise`` keeps the circuit's own
-    gate objects, so walking both gate lists in lockstep finds the Paulis
-    by identity. Both halves hold the b register in A's eigenbasis, and the
-    result turns back to the computational basis once, at the end.
+    simulates the Paulis alone. ``inject_noise`` returns the Paulis by the
+    index of the gate each follows, at most one per gate. Both halves hold
+    the b register in A's eigenbasis, and the result turns back to the
+    computational basis once, at the end.
 
     The counts add up block by block: the cached reports of the prefix and
     the uncompute, and the inversion block's in closed form. Every one of
@@ -295,19 +295,12 @@ def execute(
         head.two_qubit_count + (rotations if k == 1 else 0) + tail.two_qubit_count,
         head.depth + rotations + tail.depth,
     )
-    follows: dict[int, list[Gate]] = {}  # index in circuit.gates -> the Paulis inserted after it
-    if noise:
-        gates, i = circuit.gates, 0  # the next of the circuit's own gates
-        for gate in inject_noise(circuit, noise).gates:
-            if i < len(gates) and gate is gates[i]:
-                i += 1
-            else:
-                follows.setdefault(i - 1, []).append(gate)
-    rest = {i - opening: paulis for i, paulis in follows.items() if i >= opening - 1}
+    follows = inject_noise(circuit, noise) if noise else {}  # index in circuit.gates -> Pauli
+    rest = {i - opening: pauli for i, pauli in follows.items() if i >= opening - 1}
     prepared = blocks.prepared
     if len(rest) < len(follows):  # a Pauli before the prefix's last gate
         # each Pauli follows a gate, so the walk starts after state preparation
-        after = {i - 1: paulis for i, paulis in follows.items() if i < opening - 1}
+        after = {i - 1: pauli for i, pauli in follows.items() if i < opening - 1}
         prepared = _walk(qlsp, _prepared(qlsp, prepared.shape[1]), blocks.prefix[1:], after)
     if rest:
         inversion = circuit.gates[opening : opening + rotations]  # gate i is rotation i
@@ -345,35 +338,34 @@ def _tail(plan: InversionPlan, prepared: np.ndarray, blocks: _Blocks) -> np.ndar
     return branches
 
 
-def _walk(qlsp: QLSP, blocks: np.ndarray, stages, follows: dict[int, list[Gate]]) -> np.ndarray:
+def _walk(qlsp: QLSP, blocks: np.ndarray, stages, follows: dict[int, Gate]) -> np.ndarray:
     """``stages`` applied to the amplitudes ``blocks`` of a run on ``qlsp``,
-    laid out [ancilla, clock, eigenpair j], with ``follows[i]``, the Paulis
-    inserted after gate i of the stages' joint gate list (i = -1: before the
-    first). Each run of a stage's gates that no Pauli interrupts goes to the
-    stage's ``run``, and only the Paulis are simulated (``_simulate``),
-    those between two runs in one ``apply_circuit`` call."""
-    pending, end = follows.get(-1, []), 0  # the Paulis to simulate before the next run
+    laid out [ancilla, clock, eigenpair j], with ``follows[i]``, the Pauli
+    after gate i of the stages' joint gate list (i = -1: before the first).
+    Each run of a stage's gates that no Pauli interrupts goes to the stage's
+    ``run``, and only the Paulis are simulated (``_simulate``)."""
+    pending, end = follows.get(-1), 0  # the Pauli to simulate before the next run
     for stage in (stage for stage in stages if stage.gates):
         offset, end = end, end + len(stage.gates)
         # the stage's runs [start, stop) that no Pauli interrupts
-        stops = sorted({i + 1 for i in follows if offset <= i < end - 1}) + [end]
+        stops = sorted(i + 1 for i in follows if offset <= i < end - 1) + [end]
         for start, stop in zip([offset] + stops, stops):
             blocks = stage.run(_simulate(qlsp, blocks, pending), start - offset, stop - offset)
-            pending = follows.get(stop - 1, [])
+            pending = follows.get(stop - 1)
     return _simulate(qlsp, blocks, pending)
 
 
-def _simulate(qlsp: QLSP, blocks: np.ndarray, paulis: list[Gate]) -> np.ndarray:
-    """The Pauli gates ``paulis`` applied to the amplitudes ``blocks`` of a run
-    on ``qlsp``, laid out [ancilla, clock, eigenpair j]; no call for no gates.
-    A Pauli on the clock or the ancilla acts on any basis of the b register,
-    so only a Pauli on a b qubit is simulated in the computational basis."""
-    if not paulis:
+def _simulate(qlsp: QLSP, blocks: np.ndarray, pauli: Gate | None) -> np.ndarray:
+    """The one-qubit Pauli gate ``pauli`` applied to the amplitudes ``blocks``
+    of a run on ``qlsp``, laid out [ancilla, clock, eigenpair j]; no call for
+    None. A Pauli on the clock or the ancilla acts on any basis of the b
+    register, so only a Pauli on a b qubit is simulated in the computational
+    basis."""
+    if pauli is None:
         return blocks
-    nb = qlsp.num_qubits
-    on_b = any(q < nb for gate in paulis for q in gate.qubits())
+    on_b = pauli.targets[0] < qlsp.num_qubits
     amplitudes = blocks @ qlsp.eigenvectors.T if on_b else blocks
-    part = _circuit(blocks.size.bit_length() - 1, paulis)
+    part = _circuit(blocks.size.bit_length() - 1, [pauli])
     state = StateVector(part.num_qubits, amplitudes.reshape(-1), validate=False)
     amplitudes = apply_circuit(state, part).amplitudes.reshape(blocks.shape)
     return amplitudes @ qlsp.eigenvectors.conj() if on_b else amplitudes

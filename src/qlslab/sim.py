@@ -70,6 +70,16 @@ def check_real(name: str, value) -> None:
         raise ValueError(f"{name} must be a real number, not {value!r}")
 
 
+def check_positive(name: str, value) -> None:
+    """Reject ``value`` for the field ``name`` unless it is a finite positive real.
+
+    ``check_real`` first; the comparison is false for NaN, so NaN fails too.
+    """
+    check_real(name, value)
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, not {value}")
+
+
 @functools.lru_cache(maxsize=8)
 def _identity(dim: int) -> np.ndarray:
     """The read-only ``dim`` x ``dim`` identity that unitarity checks compare to."""
@@ -488,38 +498,33 @@ class NoiseSpec:
 _PAULI_KINDS = (GateKind.PAULI_X, GateKind.PAULI_Y, GateKind.PAULI_Z)
 
 
-def inject_noise(circuit: Circuit, spec: NoiseSpec) -> Circuit:
-    """After each gate, with probability p = ``spec.per_gate_pauli_probability``,
-    insert X, Y or Z on one of the gate's qubits, both chosen uniformly.
+def inject_noise(circuit: Circuit, spec: NoiseSpec) -> dict[int, Gate]:
+    """The Paulis of one noise trajectory, as ``{i: the Pauli after gate i}``.
 
+    With probability p = ``spec.per_gate_pauli_probability``, X, Y or Z on
+    one of gate i's qubits, both chosen uniformly, follows gate i.
     One seeded stream draws every choice in gate order, so a seed fixes the
     trajectory: a uniform per gate, and after a hit the qubit and the kind.
     The uniforms up to the next hit are drawn as one block; at a hit the
     stream is reset to the block's start and drawn again up to the hit, so
-    every draw is the one a per-gate loop makes. The circuit's own gate
-    objects are kept; each Pauli is a new gate.
+    every draw is the one a per-gate loop makes.
     """
     rng = np.random.default_rng(spec.rng_seed)
-    p, source = spec.per_gate_pauli_probability, circuit.gates
-    noisy = Circuit(circuit.num_qubits)
-    # every gate, and so every qubit a Pauli lands on, already fits this width
-    gates, start = noisy.gates, 0
-    while start < len(source):
+    p, gates = spec.per_gate_pauli_probability, circuit.gates
+    follows, start = {}, 0
+    while start < len(gates):
         state = rng.bit_generator.state
-        hits = (rng.random(len(source) - start) < p).nonzero()[0]
+        hits = (rng.random(len(gates) - start) < p).nonzero()[0]
         if not hits.size:
             break
         rng.bit_generator.state = state
-        stop = start + int(hits[0]) + 1
-        rng.random(stop - start)
-        gates += source[start:stop]
-        qubits = source[stop - 1].qubits()
+        i = start + int(hits[0])
+        rng.random(i + 1 - start)
+        qubits = gates[i].qubits()
         qubit = int(qubits[int(rng.integers(len(qubits)))])
-        kind = _PAULI_KINDS[int(rng.integers(3))]
-        gates.append(Gate(kind, (qubit,)))
-        start = stop
-    gates += source[start:]
-    return noisy
+        follows[i] = Gate(_PAULI_KINDS[int(rng.integers(3))], (qubit,))
+        start = i + 1
+    return follows
 
 
 @dataclass(frozen=True)

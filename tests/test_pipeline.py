@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from test_preprocess import RECORDS, random_problem
-from test_sim import circuit_matrix
+from test_sim import circuit_matrix, noisy_circuit
 
 from qlslab import pipeline, preprocess
-from qlslab.cli import PAPER_N4_EIGENVALUES, ExperimentSpec, run_experiment
+from qlslab.cli import PAPER_N4_EIGENVALUES, ExperimentSpec, _run_config, run_experiment
 from qlslab.errors import (
     AliasingError,
     CapacityError,
@@ -21,6 +21,8 @@ from qlslab.errors import (
     InsufficientShotsError,
 )
 from qlslab.inversion import (
+    ALPHA_MODELS,
+    ANGLE_POLICIES,
     InversionPlan,
     build_inversion_circuit,
     plan_canonical,
@@ -250,7 +252,7 @@ def test_the_executor_matches_the_noisy_circuit_simulated_gate_by_gate(case):
     except (EmptyPlanError, DegenerateRunError):
         reject()
     circuit = assemble_hhl(qlsp, config.clock_bits, result.t0, result.plan)
-    executed = inject_noise(circuit, noise)
+    executed = noisy_circuit(circuit, inject_noise(circuit, noise))
     dense = apply_circuit(StateVector.zero(circuit.num_qubits), executed)
     branches, _ = execute(qlsp, result.t0, result.plan, noise)
     assert np.max(np.abs(branches.reshape(-1) - dense.amplitudes)) < 1e-12
@@ -268,13 +270,13 @@ def test_paulis_in_the_prefix_alone_leave_the_rest_to_the_tail(case, p, seed):
     except EmptyPlanError:
         reject()
     opening = pipeline._qpe_blocks(qlsp, config.clock_bits, t0).reports[0].gate_count
-    executed, tails = Circuit(config.clock_bits + qlsp.num_qubits + 1), []
+    drawn, tails = {}, []
 
-    def placed(solver, noise):  # the Paulis, in the circuit that execute assembled
+    def placed(solver, noise):  # the Paulis on the prefix's gates but its last
         head = Circuit(solver.num_qubits)
         head.gates = solver.gates[: opening - 1]
-        executed.gates = inject_noise(head, noise).gates + solver.gates[opening - 1 :]
-        return executed
+        drawn.update(inject_noise(head, noise))
+        return drawn
 
     def counted_tail(*args, _original=pipeline._tail):
         tails.append(args)
@@ -283,8 +285,9 @@ def test_paulis_in_the_prefix_alone_leave_the_rest_to_the_tail(case, p, seed):
     with mock.patch.object(pipeline, "inject_noise", placed):
         with mock.patch.object(pipeline, "_tail", counted_tail):
             branches, _ = execute(qlsp, t0, plan, NoiseSpec(p, seed))
-    if len(executed) == len(assemble_hhl(qlsp, config.clock_bits, t0, plan)):
-        reject()  # no Pauli drawn
+    if not drawn:
+        reject()
+    executed = noisy_circuit(assemble_hhl(qlsp, config.clock_bits, t0, plan), drawn)
     dense = apply_circuit(StateVector.zero(executed.num_qubits), executed)
     assert len(tails) == 1
     assert np.max(np.abs(branches.reshape(-1) - dense.amplitudes)) < 1e-12
@@ -348,7 +351,7 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
     calls.clear()
     opening = sum(len(record.gates) for record in prefix)
     closing = len(circuit.gates) - sum(len(record.gates) for record in uncompute)
-    pauli = None  # (index in the circuit's gates, the Pauli inserted there)
+    follows = {}  # index in the circuit's gates -> the Pauli after it
     transforms = 2  # with no Pauli, the tail kernel calls two of the uncompute's closed forms
     walked_prefix = False
     if stage is not None:
@@ -363,7 +366,7 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
                 start = closing + sum(len(r.gates) for r in uncompute[:position])
             end, split = start + len(record.gates), stage not in ("inverse-qft", "qft")
         after = start if where == "inside" else end - 1
-        pauli = (after + 1, Gate(GateKind.PAULI_X, (circuit.gates[after].qubits()[0],)))
+        follows[after] = Gate(GateKind.PAULI_X, (circuit.gates[after].qubits()[0],))
         walked_prefix = after < opening - 1
         # a walked prefix starts from the prepared state and has three closed
         # forms, and the tail kernel two more; a walked rest has the
@@ -376,21 +379,13 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
             transforms += 1
         elif where == "inside":  # a Fourier transform's two runs, and a Hadamard per clock bit
             transforms += 1 + k
-    executed = Circuit(circuit.num_qubits)
-
-    def placed(solver, noise):  # the hand-placed Pauli, in the circuit that execute assembled
-        executed.gates = list(solver.gates)
-        if pauli is not None:
-            executed.gates.insert(*pauli)
-        return executed
-
-    monkeypatch.setattr(pipeline, "inject_noise", placed)
+    monkeypatch.setattr(pipeline, "inject_noise", lambda solver, noise: follows)
     branches, _ = execute(qlsp, t0, plan, NoiseSpec(0.0))
     pipeline._qpe_blocks.cache_clear()
-    dense = apply_circuit(StateVector.zero(circuit.num_qubits), executed)
+    dense = apply_circuit(StateVector.zero(circuit.num_qubits), noisy_circuit(circuit, follows))
     assert np.max(np.abs(branches.reshape(-1) - dense.amplitudes)) < 1e-12
     assert len(calls) == transforms
-    assert gates == ([] if pauli is None else [pauli[1]])  # the Pauli alone is simulated
+    assert gates == list(follows.values())  # the Pauli alone is simulated
     assert len(tails) == (stage is None or walked_prefix)
 
 
@@ -415,15 +410,10 @@ def test_a_pauli_on_a_b_qubit_matches_the_noisy_circuit(monkeypatch, stage, qubi
         after = closing + sum(len(r.gates) for r in uncompute[:position])
     assert qubit in circuit.gates[after].qubits()  # a controlled power acts on b
 
-    def placed(solver, noise):  # the Pauli, in the circuit that execute assembled
-        executed = Circuit(solver.num_qubits)
-        executed.gates = list(solver.gates)
-        executed.gates.insert(after + 1, Gate(kind, (qubit,)))
-        return executed
-
-    monkeypatch.setattr(pipeline, "inject_noise", placed)
+    follows = {after: Gate(kind, (qubit,))}
+    monkeypatch.setattr(pipeline, "inject_noise", lambda solver, noise: follows)
     branches, _ = execute(qlsp, t0, plan, NoiseSpec(0.0))
-    dense = apply_circuit(StateVector.zero(circuit.num_qubits), placed(circuit, None))
+    dense = apply_circuit(StateVector.zero(circuit.num_qubits), noisy_circuit(circuit, follows))
     assert np.max(np.abs(branches.reshape(-1) - dense.amplitudes)) < 1e-12
 
 
@@ -530,8 +520,9 @@ def test_swap_readout_matches_full_circuit_reference():
         circuit = assemble_hhl(qlsp, k, t0, plan_canonical(k, t0, signed_mode=signed))
         ancilla = qlsp.num_qubits + k
         for noise_seed in (1, 2, 3):
-            executed = inject_noise(circuit, NoiseSpec(0.2, noise_seed))
-            assert len(executed) > len(circuit)  # at least one Pauli error was drawn
+            follows = inject_noise(circuit, NoiseSpec(0.2, noise_seed))
+            assert follows  # at least one Pauli error was drawn
+            executed = noisy_circuit(circuit, follows)
             zero = StateVector.zero(executed.num_qubits)
             want = _swap_reference(zero, executed.gates, breg, ancilla, x)
             solved = apply_circuit(zero, executed).amplitudes
@@ -766,6 +757,73 @@ def test_run_config_validation():
             RunConfig(variant=variant, angle_policy="bogus")
         with pytest.raises(ValueError, match="unknown alpha model 'bogus'"):
             RunConfig(variant=variant, alpha_model="bogus")
+
+
+@st.composite
+def _spec_case(draw):
+    """(spec, variant, config): an ``ExperimentSpec`` of one variant with
+    random valid run settings, and the ``RunConfig`` they give, built by hand."""
+    default = RunConfig()
+    source = draw(st.sampled_from(["n2-sweep", "n2-set", "n4-set", "file"]))
+    variant = draw(st.sampled_from(pipeline.VARIANTS))
+
+    def optional(values):
+        return draw(st.none() | values)
+
+    clock_bits = optional(st.integers(1, 6))
+    k = default.clock_bits if clock_bits is None else clock_bits
+    # only enhanced rows read preprocess_bits, so the others take any value
+    lowest = k + 1 if variant == "enhanced" else 1
+    t0_mode = draw(st.sampled_from([None, "fixed", "iterative", "explicit"]))
+    settings = dict(
+        clock_bits=clock_bits,
+        preprocess_bits=optional(st.integers(lowest, 12)),
+        t0_mode=t0_mode,
+        t0_value=draw(st.floats(1e-3, 1e3)) if t0_mode == "explicit" else None,
+        angle_policy=optional(st.sampled_from(ANGLE_POLICIES)),
+        alpha_model=optional(st.sampled_from(ALPHA_MODELS)),
+        readout=optional(st.sampled_from(pipeline.READOUTS)),
+        shots=optional(st.integers(1, 2**20)),
+        seed=optional(st.integers(0, 2**31)),
+    )
+    noise = NoiseSpec(draw(st.just(0.0) | st.floats(0.0, 1.0)), draw(st.integers(0, 2**31)))
+    spec = ExperimentSpec(
+        source=source,
+        path="problem.json" if source == "file" else None,
+        variants=[variant],
+        noise_p=noise.per_gate_pauli_probability,
+        noise_seed=noise.rng_seed,
+        **settings,
+    )
+
+    def given(name):  # None leaves RunConfig's default
+        return getattr(default, name) if settings[name] is None else settings[name]
+
+    t0_value = settings["t0_value"]
+    if t0_mode is None or (t0_mode == "iterative" and variant == "canonical"):
+        # the per-source baseline: 18 pi on the two-dimensional families
+        t0_mode, t0_value = ("explicit", ON_GRID_T0) if source.startswith("n2") else ("fixed", None)
+    config = RunConfig(
+        variant=variant,
+        clock_bits=k,
+        preprocess_bits=settings["preprocess_bits"] if variant == "enhanced" else None,
+        t0_mode=t0_mode,
+        t0_value=t0_value,
+        angle_policy=given("angle_policy"),
+        alpha_model=given("alpha_model"),
+        readout=given("readout"),
+        shots=given("shots"),
+        seed=given("seed"),
+        noise=noise if noise.per_gate_pauli_probability > 0 else None,
+    )
+    return spec, variant, config
+
+
+@settings(derandomize=True, deadline=None)
+@given(_spec_case())
+def test_a_spec_passes_every_run_setting_it_shares_with_run_config(case):
+    spec, variant, config = case
+    assert _run_config(spec, variant) == config
 
 
 def test_run_config_is_frozen():

@@ -1,5 +1,6 @@
 """Preprocessing tests: QPE circuits, estimate decoding, time-scale search."""
 import functools
+import gc
 import math
 import tracemalloc
 
@@ -344,6 +345,26 @@ def test_stage_transforms_build_no_clock_sized_operator(stage, start, stop):
     assert peak < 8 * blocks.nbytes
 
 
+def test_the_fourier_piece_cache_keeps_a_few_runs():
+    """A walk splits a Fourier transform at the Paulis it draws, and
+    independent draws rarely split it at the same gates: 40 distinct 7-gate
+    runs of the inverse transform at 12 clock bits leave what a few cached
+    runs hold, under 1.5 MB, not the 64 kB phase vectors of every run."""
+    blocks = np.zeros((1, 2**12, 1), dtype=complex)
+    preprocess._fourier_pieces.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for start in range(40):
+            preprocess.clock_qft(blocks, start, start + 7, inverse=True)
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        preprocess._fourier_pieces.cache_clear()
+    assert kept < 1.5e6
+
+
 @pytest.mark.parametrize("block", ["qpe_amplitudes", "qpe_grid_probabilities"])
 def test_qpe_blocks_over_the_budget_raise_before_allocating(block):
     """A 2x2 problem with MAX_QUBITS clock bits is one qubit over the budget;
@@ -499,7 +520,7 @@ def _decode_by_loop(probabilities, bit_width, time_scale, signed_mode=False):
     if bit_width < 1:
         raise ValueError("bit_width must be at least 1")
     if not (math.isfinite(time_scale) and time_scale > 0):
-        raise ValueError(f"time scale must be finite and positive, not {time_scale}")
+        raise ValueError(f"time_scale must be finite and positive, not {time_scale}")
     probabilities = np.asarray(probabilities, dtype=float)
     if probabilities.shape != (2**bit_width,):
         raise ValueError("probability vector does not match the bit width")
@@ -573,7 +594,7 @@ def test_decode_matches_the_per_bin_loop(case):
 @pytest.mark.parametrize("time_scale", [math.nan, math.inf])
 def test_estimates_reject_a_non_finite_time_scale(time_scale):
     probabilities = [0.5, 0.0, 0.5, 0.0]
-    with pytest.raises(ValueError, match="time scale"):
+    with pytest.raises(ValueError, match="time_scale"):
         estimates_from_probabilities(probabilities, 2, time_scale)
     with pytest.raises(ValueError, match="finite"):
         run_preprocessing(generate_n2(0.1), 3, time_scale)

@@ -42,6 +42,17 @@ def circuit_matrix(circuit: Circuit) -> np.ndarray:
     return apply_circuit(pairs, wide).amplitudes.reshape(dim, dim).T
 
 
+def noisy_circuit(circuit: Circuit, follows: dict) -> Circuit:
+    """``circuit`` with each Pauli of ``follows``, an ``inject_noise`` result,
+    spliced in after its gate: the noisy circuit to simulate gate by gate."""
+    noisy = Circuit(circuit.num_qubits)
+    for i, gate in enumerate(circuit.gates):
+        noisy.add(gate)
+        if i in follows:
+            noisy.add(follows[i])
+    return noisy
+
+
 def _ry(qubit, angle, controls=()):
     return Gate(GateKind.RY, (qubit,), controls, angle=angle)
 
@@ -421,15 +432,15 @@ def test_statevector_rejects_non_finite(amplitudes):
 
 def test_inject_noise_probability_zero():
     circuit = Circuit(2).add(_h(0)).add(_x(1))
-    noisy = inject_noise(circuit, NoiseSpec(0.0, rng_seed=4))
-    assert len(noisy) == len(circuit)
+    assert inject_noise(circuit, NoiseSpec(0.0, rng_seed=4)) == {}
 
 
 def test_inject_noise_forced():
     circuit = Circuit(2).add(_h(0))
-    noisy = inject_noise(circuit, NoiseSpec(1.0, rng_seed=4))
-    assert len(noisy) == 2
-    assert noisy.gates[1].kind in (GateKind.PAULI_X, GateKind.PAULI_Y, GateKind.PAULI_Z)
+    follows = inject_noise(circuit, NoiseSpec(1.0, rng_seed=4))
+    assert list(follows) == [0]
+    assert follows[0].kind in (GateKind.PAULI_X, GateKind.PAULI_Y, GateKind.PAULI_Z)
+    assert follows[0].targets == (0,)
 
 
 def test_inject_noise_deterministic():
@@ -437,24 +448,23 @@ def test_inject_noise_deterministic():
     spec = NoiseSpec(0.5, rng_seed=77)
     first = inject_noise(circuit, spec)
     second = inject_noise(circuit, spec)
-    assert [(g.kind, g.targets) for g in first.gates] == [
-        (g.kind, g.targets) for g in second.gates
-    ]
+    assert {i: (g.kind, g.targets) for i, g in first.items()} == {
+        i: (g.kind, g.targets) for i, g in second.items()
+    }
 
 
 def _per_gate_noise(circuit, spec):
     """The ``inject_noise`` loop that block draws replaced: one uniform per
     gate, then the qubit and the kind after each hit."""
     rng = np.random.default_rng(spec.rng_seed)
-    noisy = Circuit(circuit.num_qubits)
-    for gate in circuit.gates:
-        noisy.gates.append(gate)
+    follows = {}
+    for i, gate in enumerate(circuit.gates):
         if rng.random() < spec.per_gate_pauli_probability:
             qubits = gate.qubits()
             qubit = int(qubits[int(rng.integers(len(qubits)))])
             kind = (GateKind.PAULI_X, GateKind.PAULI_Y, GateKind.PAULI_Z)[int(rng.integers(3))]
-            noisy.gates.append(Gate(kind, (qubit,)))
-    return noisy
+            follows[i] = Gate(kind, (qubit,))
+    return follows
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -465,22 +475,37 @@ def _per_gate_noise(circuit, spec):
     st.integers(0, 2**32 - 1),
 )
 def test_block_noise_draws_match_the_per_gate_loop(gates, p, circuit_seed, seed):
-    """Over circuits of 0 to 250 gates, the block draws insert the Paulis of
-    the per-gate loop: same kinds on the same qubits, after the same gates,
-    which stay the circuit's own objects."""
+    """Over circuits of 0 to 250 gates, the block draws place the Paulis of
+    the per-gate loop: same kinds on the same qubits, after the same gates."""
     circuit = _random_circuit(np.random.default_rng(circuit_seed), num_qubits=4, depth=gates)
     spec = NoiseSpec(p, seed)
-    noisy, reference = inject_noise(circuit, spec), _per_gate_noise(circuit, spec)
-    assert noisy.num_qubits == circuit.num_qubits
-    assert [(g.kind, g.qubits()) for g in noisy.gates] == [
-        (g.kind, g.qubits()) for g in reference.gates
+    follows, reference = inject_noise(circuit, spec), _per_gate_noise(circuit, spec)
+    assert list(follows) == list(reference)
+    assert [(g.kind, g.qubits()) for g in follows.values()] == [
+        (g.kind, g.qubits()) for g in reference.values()
     ]
-    originals = {id(gate) for gate in circuit.gates}
-    kept = [gate for gate in noisy.gates if id(gate) in originals]
-    assert len(kept) == len(circuit.gates)
-    assert all(got is want for got, want in zip(kept, circuit.gates))
-    for got, want in zip(noisy.gates, reference.gates):
-        assert (got is want) == (id(want) in originals)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.integers(0, 60),
+    st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 1),
+)
+def test_inject_noise_places_one_pauli_on_a_qubit_of_its_gate(width, depth, p, circuit_seed, seed):
+    """Every key indexes a gate of the circuit, and its Pauli is one X, Y or
+    Z on one of that gate's qubits; at p = 1 every gate carries one."""
+    circuit = _random_circuit(np.random.default_rng(circuit_seed), num_qubits=width, depth=depth)
+    follows = inject_noise(circuit, NoiseSpec(p, seed))
+    assert all(0 <= i < len(circuit) for i in follows)
+    for i, pauli in follows.items():
+        assert pauli.kind in (GateKind.PAULI_X, GateKind.PAULI_Y, GateKind.PAULI_Z)
+        assert len(pauli.targets) == 1 and not pauli.controls
+        assert pauli.targets[0] in circuit.gates[i].qubits()
+    if p == 1.0:
+        assert sorted(follows) == list(range(len(circuit)))
 
 
 def test_noise_spec_validation():
