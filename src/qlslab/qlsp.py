@@ -153,7 +153,7 @@ def hermitian_dilation(a, b) -> QLSP:
 def classical_solution(qlsp: QLSP) -> ClassicalSolution:
     """Exact normalized solution built from the cached spectrum."""
     raw = qlsp.eigenvectors @ (qlsp.projections / qlsp.eigenvalues)
-    raw_norm = float(np.linalg.norm(raw))
+    raw_norm = math.sqrt(np.vdot(raw, raw).real)
     state = raw / raw_norm
     state.setflags(write=False)
     return ClassicalSolution(state, raw_norm)

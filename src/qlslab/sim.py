@@ -457,25 +457,35 @@ def sample(probabilities, shots: int, seed: int | None = None) -> np.ndarray:
 
 
 def state_preparation_matrix(vector) -> np.ndarray:
-    """A unitary whose first column is the given unit vector.
+    """A unitary whose first column is the given vector, normalised.
 
-    Used to prepare an arbitrary register state from |0...0>.
+    Used to prepare an arbitrary register state from |0...0>. With v the
+    unit vector and phi = v_0 / |v_0| (1 when v_0 = 0), the Householder
+    reflection I - 2 w w^dagger / |w|^2 on w = e_0 - conj(phi) v swaps e_0
+    and conj(phi) v, so U = phi (I - 2 w w^dagger / |w|^2) has first column
+    v; U = phi I when v = phi e_0. A NaN or infinite entry raises
+    ``ValueError``.
     """
     vec = np.asarray(vector, dtype=complex).reshape(-1)
     dim = vec.shape[0]
     if dim & (dim - 1) or dim == 0:
         raise ValueError("vector length must be a power of two")
-    norm = float(np.linalg.norm(vec))
+    if not np.isfinite(vec).all():
+        raise ValueError("vector must be finite")
+    norm = math.sqrt(np.vdot(vec, vec).real)
     if norm < 1e-12:
         raise ValueError("cannot prepare the zero vector")
     vec = vec / norm
-    basis = np.eye(dim, dtype=complex)
-    basis[:, 0] = vec
-    q, r = np.linalg.qr(basis)
-    # align the first column with vec exactly (QR fixes phase arbitrarily)
-    phase = np.vdot(q[:, 0], vec)
-    q[:, 0] *= phase / abs(phase)
-    return q
+    head = abs(vec[0])
+    phase = vec[0] / head if head else 1.0
+    rest = np.vdot(vec[1:], vec[1:]).real  # 1 - |v_0|^2
+    identity = np.eye(dim, dtype=complex)
+    if rest < 1e-32:  # |w| below 1e-16: v is phi e_0 to roundoff
+        return phase * identity
+    w = -np.conj(phase) * vec
+    w[0] = rest / (1.0 + head)  # 1 - |v_0|, free of its cancellation near |v_0| = 1
+    w /= math.sqrt(np.vdot(w, w).real)
+    return phase * (identity - 2.0 * np.outer(w, w.conj()))
 
 
 @dataclass(frozen=True)

@@ -161,6 +161,29 @@ def test_qpe_amplitudes_match_dense_simulation(case):
     assert np.max(np.abs(turned.reshape(-1) - dense.amplitudes)) < 1e-12
 
 
+@pytest.mark.parametrize("bits", range(1, preprocess._DENSE_BITS + 3))
+def test_fourier_kernels_match_numpy_fft_on_both_sides_of_the_dense_width(bits):
+    """Up to ``_DENSE_BITS`` clock bits the kernels multiply by the cached
+    dense factor, above it they call ``np.fft``; either way ``qpe_amplitudes``
+    (at one scale and at 13) and ``clock_qft``'s whole transform (both
+    directions) equal an ``np.fft`` reference."""
+    qlsp = generate_n4((-0.8, -0.3, 0.4, 0.9), (0, 2), 5)
+    size = 2**bits
+    scales = np.ldexp(math.pi / 2, np.arange(13)) / 3.0
+    for t0 in (7.5, scales):
+        rates = np.asarray(t0)[..., None] / size * qlsp.eigenvalues
+        phases = np.exp(1j * rates[..., None] * np.arange(size))  # [..., j, x]
+        clock = np.fft.fft(phases, norm="forward").swapaxes(-1, -2)  # [..., m, j]
+        reference = clock * qlsp.projections
+        assert np.max(np.abs(qpe_amplitudes(qlsp, bits, t0) - reference)) < 1e-12
+    rng = np.random.default_rng(bits)
+    blocks = rng.standard_normal((3, size, 4)) + 1j * rng.standard_normal((3, size, 4))
+    whole = len(preprocess._fourier_layout(bits))
+    for inverse, transform in ((False, np.fft.ifft), (True, np.fft.fft)):
+        qft = preprocess.clock_qft(blocks, 0, whole, inverse=inverse)
+        assert np.max(np.abs(qft - transform(blocks, axis=1, norm="ortho"))) < 1e-12
+
+
 # stage name -> (block, position) of its record in ``qpe_stages``' (prefix,
 # uncompute); the prefix's first record is the state preparation
 RECORDS = {

@@ -348,13 +348,37 @@ def test_circuit_matrix_identity():
     assert np.allclose(circuit_matrix(circuit), np.eye(4), atol=1e-12)
 
 
-def test_state_preparation_matrix():
-    rng = np.random.default_rng(2)
-    vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    vec /= np.linalg.norm(vec)
+def _random_complex(dimension, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(dimension) + 1j * rng.standard_normal(dimension)
+
+
+@pytest.mark.parametrize(
+    "vec",
+    [
+        pytest.param(_random_complex(dim, dim), id=f"random-{dim}") for dim in (2, 4, 8, 16)
+    ]
+    + [
+        pytest.param(np.array([0.0, 0.6, 0.0, -0.8j]), id="zero-head"),
+        pytest.param(np.array([-0.3, 0.2 + 0.5j, 0.1, -0.7]), id="negative-head"),
+        # v = phi e_0 takes the branch without a reflection
+        pytest.param(np.exp(0.7j) * np.eye(8)[0], id="phased-zero-state"),
+        # 1 - |v_0| is 5e-19, lost to cancellation if computed as a difference
+        pytest.param(np.array([1.0, 1e-9j]), id="near-zero-state"),
+    ],
+)
+def test_state_preparation_matrix(vec):
     mat = state_preparation_matrix(vec)
-    assert np.allclose(mat @ np.eye(4)[:, 0], vec, atol=1e-12)
-    assert np.allclose(mat.conj().T @ mat, np.eye(4), atol=1e-12)
+    dim = len(vec)
+    assert np.max(np.abs(mat[:, 0] - vec / np.linalg.norm(vec))) < 1e-12
+    assert np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) < 1e-12
+    Gate(GateKind.UNITARY, tuple(range(dim.bit_length() - 1)), matrix=mat)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+def test_state_preparation_matrix_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="vector must be finite"):
+        state_preparation_matrix([bad, 1.0])
 
 
 def test_gate_validation():
