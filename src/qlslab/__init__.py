@@ -47,7 +47,6 @@ from .sim import (
     GateKind,
     GateReport,
     NoiseSpec,
-    StateVector,
     apply_circuit,
     gate_report,
     inject_noise,

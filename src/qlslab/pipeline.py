@@ -10,11 +10,12 @@ Register layout (least significant first): solution register ``b``, clock
 ``c``, ancilla ``a``, so the 2^(nb + k + 1) amplitudes, shaped (2, 2^k, N)
 and indexed [ancilla, clock, b], are the two ancilla branches M_0 and M_1,
 each a [clock, b] matrix. ``execute`` returns this array, and every readout
-reads it and the target x alone: the exact readout M_1 of the state
-post-selected on the ancilla, the swap and direct readouts both branches of
-the unnormalised state. So the solver circuit is simulated once for every
-readout mode; the swap-test readout samples outcome probabilities taken from
-the branches in closed form and simulates no test register.
+reads it and the target x alone: the exact readout M_1 of the flat
+amplitude array that ``sim.postselect`` conditions on the ancilla, the swap
+and direct readouts both branches of the unnormalised state. So the solver
+circuit is simulated once for every readout mode; the swap-test readout
+samples outcome probabilities taken from the branches in closed form and
+simulates no test register.
 
 Inside ``execute`` the amplitudes hold the b register in A's eigenbasis,
 laid out [ancilla, clock, eigenpair j], from state preparation to readout,
@@ -95,7 +96,6 @@ from .sim import (
     Gate,
     GateReport,
     NoiseSpec,
-    StateVector,
     apply_circuit,
     check_capacity,
     check_count,
@@ -202,9 +202,12 @@ class RunResult:
 
 
 def error_from_fidelity(fidelity: float) -> float:
-    """sqrt(2 (1 - f)); tiny negative radicands from roundoff clamp to zero."""
-    if fidelity > 1.0 + 1e-9:
-        raise ValueError(f"fidelity {fidelity} exceeds 1")
+    """sqrt(2 (1 - f)); tiny negative radicands from roundoff clamp to zero.
+
+    A fidelity below 0, above 1 + 1e-9 or NaN raises ``ValueError``.
+    """
+    if not 0.0 <= fidelity <= 1.0 + 1e-9:  # false for NaN too
+        raise ValueError(f"fidelity {fidelity} lies outside [0, 1]")
     return math.sqrt(max(0.0, 2.0 * (1.0 - fidelity)))
 
 
@@ -366,8 +369,7 @@ def _simulate(qlsp: QLSP, blocks: np.ndarray, pauli: Gate | None) -> np.ndarray:
     on_b = pauli.targets[0] < qlsp.num_qubits
     amplitudes = blocks @ qlsp.eigenvectors.T if on_b else blocks
     part = _circuit(blocks.size.bit_length() - 1, [pauli])
-    state = StateVector(part.num_qubits, amplitudes.reshape(-1), validate=False)
-    amplitudes = apply_circuit(state, part).amplitudes.reshape(blocks.shape)
+    amplitudes = apply_circuit(amplitudes.reshape(-1), part).reshape(blocks.shape)
     return amplitudes @ qlsp.eigenvectors.conj() if on_b else amplitudes
 
 
@@ -490,15 +492,14 @@ def run(qlsp: QLSP, config: RunConfig) -> RunResult:
     """Execute one solver variant on one problem; deterministic per seeds."""
     t0, estimates, plan = plan_run(qlsp, config)
     branches, report = execute(qlsp, t0, plan, config.noise)
-    state = StateVector(branches.size.bit_length() - 1, branches.reshape(-1), validate=False)
-    try:
-        post, success = postselect(state, state.num_qubits - 1, 1)  # the ancilla, axis 0
+    try:  # the ancilla is the highest qubit, axis 0
+        post, success = postselect(branches.reshape(-1), branches.size.bit_length() - 2, 1)
     except ZeroProbabilityError as exc:
         raise DegenerateRunError("the inversion ancilla never reads 1") from exc
 
     x = classical_solution(qlsp).state_x
     if config.readout == "exact":
-        fidelity = projection_fidelity(post.amplitudes.reshape(branches.shape), x)
+        fidelity = projection_fidelity(post.reshape(branches.shape), x)
     else:
         readout = swap_test_fidelity if config.readout == "swap" else direct_fidelity
         fidelity = readout(branches, x, config.shots, config.seed)

@@ -45,7 +45,6 @@ from .sim import (
     Circuit,
     Gate,
     GateKind,
-    StateVector,
     apply_circuit,
     check_capacity,
     check_count,
@@ -185,7 +184,9 @@ def prepare_b(qlsp: QLSP) -> tuple[Gate, np.ndarray]:
     """
     nb = qlsp.num_qubits
     circuit = Circuit(nb).unitary(state_preparation_matrix(qlsp.vector_b), range(nb))
-    return circuit.gates[0], apply_circuit(StateVector.zero(nb), circuit).amplitudes
+    amplitudes = apply_circuit(np.eye(1, 1 << nb)[0], circuit)  # from |0>
+    amplitudes.setflags(write=False)
+    return circuit.gates[0], amplitudes
 
 
 def build_qpe_circuit(qlsp: QLSP, bit_width: int, t0: float) -> Circuit:
@@ -410,9 +411,9 @@ def qpe_stages(qlsp: QLSP, bit_width: int, t0: float) -> tuple[tuple[Stage, ...]
 
 def qpe_grid_probabilities(qlsp: QLSP, bit_width: int, t0: float) -> np.ndarray:
     """Exact Born distribution over clock-register integers, from ``qpe_amplitudes``."""
+    nb = qlsp.num_qubits
     amplitudes = qpe_amplitudes(qlsp, bit_width, t0).reshape(-1)
-    state = StateVector(amplitudes.size.bit_length() - 1, amplitudes, validate=False)
-    return marginal_probabilities(state, range(qlsp.num_qubits, state.num_qubits))
+    return marginal_probabilities(amplitudes, range(nb, nb + bit_width))
 
 
 def qpe_histogram(

@@ -121,8 +121,8 @@ class QLSP:
         if not isinstance(doc, dict):
             raise InvalidProblemError("a problem document must be a JSON object")
         try:
-            matrix = [[complex(re, im) for re, im in row] for row in doc["matrix"]]
-            vector = [complex(re, im) for re, im in doc["vector_b"]]
+            matrix = [[_json_entry(*pair) for pair in row] for row in doc["matrix"]]
+            vector = [_json_entry(*pair) for pair in doc["vector_b"]]
             scale = doc.get("scale", 1.0)
             if isinstance(scale, bool) or not isinstance(scale, (int, float)):
                 raise TypeError(f"scale is {scale!r}")  # a JSON number loads as int or float
@@ -133,6 +133,17 @@ class QLSP:
                 f"matrix and vector_b must hold [re, im] number pairs, and scale a number: {exc}"
             ) from exc
         return cls(matrix, vector, scale=scale)
+
+
+def _json_entry(re, im) -> complex:
+    """One ``[re, im]`` pair of a problem document as a complex number.
+
+    JSON ``true`` loads as a bool, which ``complex`` would take as 1;
+    ``check_real`` rejects it, and a string or null, with ``ValueError``.
+    """
+    check_real("an entry's real part", re)
+    check_real("an entry's imaginary part", im)
+    return complex(re, im)
 
 
 def hermitian_dilation(a, b) -> QLSP:

@@ -18,9 +18,10 @@ diagonal gate, such as the QFT's controlled phases and Pauli Z, scales each
 half of its view in place and skips a half whose entry is 1; any other gate
 is one transpose, product and assignment.
 
-States are immutable and every operation returns a new value. Circuits are
-mutable builders, but simulation never modifies them. RNG state is always a
-per-call seed.
+A state is a 1-D complex array of its ``2**n`` amplitudes. Each function
+returns a new array and leaves its argument alone. Circuits are mutable
+builders, but simulation never modifies them. RNG state is always a per-call
+seed.
 """
 from __future__ import annotations
 
@@ -167,7 +168,11 @@ class Gate:
         if self.kind is GateKind.SWAP and len(targets) != 2:
             raise InvalidGateError("swap takes exactly two targets")
         if self.kind is GateKind.RY:
-            if self.angle is None or not math.isfinite(float(self.angle)):
+            try:
+                check_real("ry angle", self.angle)
+            except ValueError as exc:
+                raise InvalidGateError(str(exc)) from None
+            if not math.isfinite(self.angle):
                 raise InvalidGateError("ry needs a finite angle")
             object.__setattr__(self, "angle", float(self.angle))
         if self.kind is GateKind.UNITARY:
@@ -216,44 +221,6 @@ class Gate:
         gate = object.__new__(Gate)
         gate.__dict__.update(self.__dict__, **changes)
         return gate
-
-
-class StateVector:
-    """Unit-norm complex amplitudes over ``2**num_qubits`` basis states.
-
-    ``validate=False`` trusts the amplitudes and takes a complex array as
-    given, without a copy: the state then owns it and makes it read-only, so
-    the caller must hand over an array that nothing else writes. Validated
-    construction normalizes into a new array and leaves the argument alone.
-    """
-
-    __slots__ = ("num_qubits", "amplitudes")
-
-    def __init__(self, num_qubits: int, amplitudes, *, validate: bool = True):
-        arr = np.asarray(amplitudes, dtype=complex)
-        if arr.shape != (2**num_qubits,):
-            raise ValueError(
-                f"expected {2**num_qubits} amplitudes for {num_qubits} qubit(s), got {arr.shape}"
-            )
-        if validate:
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("amplitudes must be finite")
-            norm = float(np.linalg.norm(arr))
-            if abs(norm - 1.0) > 1e-9:
-                raise ValueError(f"amplitudes must have unit norm, got {norm}")
-            arr = arr / norm
-        arr.setflags(write=False)
-        object.__setattr__(self, "num_qubits", int(num_qubits))
-        object.__setattr__(self, "amplitudes", arr)
-
-    def __setattr__(self, name, value):  # immutable by contract
-        raise AttributeError("StateVector is immutable")
-
-    @classmethod
-    def zero(cls, num_qubits: int) -> "StateVector":
-        amps = np.zeros(2**num_qubits, dtype=complex)
-        amps[0] = 1.0
-        return cls(num_qubits, amps, validate=False)
 
 
 class Circuit:
@@ -376,30 +343,38 @@ def _apply_gate(vec: np.ndarray, gate: Gate) -> None:
     block[...] = (matrix @ block.reshape(span, -1)).reshape(block.shape)
 
 
-def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Apply the circuit's gates in order; returns the exact output state."""
-    if state.num_qubits != circuit.num_qubits:
-        raise InvalidCircuitError(
-            f"state has {state.num_qubits} qubit(s) but circuit expects {circuit.num_qubits}"
-        )
-    vec = np.array(state.amplitudes, dtype=complex)
+def _width(values: np.ndarray) -> int:
+    """The qubit count of ``values``, one entry per basis state; ``ValueError``
+    unless they are a 1-D array whose length is a power of two."""
+    if values.ndim != 1 or not values.size or values.size & (values.size - 1):
+        raise ValueError(f"expected a 1-D array of 2**n entries, got shape {values.shape}")
+    return values.size.bit_length() - 1
+
+
+def apply_circuit(amplitudes: np.ndarray, circuit: Circuit) -> np.ndarray:
+    """The circuit's gates applied in order to a copy of ``amplitudes``: the
+    exact output amplitudes."""
+    vec, n = np.array(amplitudes, dtype=complex), circuit.num_qubits
+    if vec.shape != (1 << n,):
+        raise InvalidCircuitError(f"a {n}-qubit circuit cannot act on shape {vec.shape}")
     for gate in circuit.gates:
         _apply_gate(vec, gate)
-    return StateVector(circuit.num_qubits, vec, validate=False)
+    return vec
 
 
-def postselect(state: StateVector, qubit: int, outcome: int) -> tuple[StateVector, float]:
+def postselect(amplitudes: np.ndarray, qubit: int, outcome: int) -> tuple[np.ndarray, float]:
     """Project one qubit onto ``outcome`` and renormalize.
 
-    Returns the conditional state (full dimension, qubit collapsed) and the
-    probability of the outcome.
+    Returns the conditional amplitudes (full dimension, qubit collapsed) and
+    the probability of the outcome.
     """
-    if not 0 <= qubit < state.num_qubits:
+    n = _width(amplitudes)
+    if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range")
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
-    shape, _, _, halves = _gate_plan(state.num_qubits, (qubit,), ())
-    kept = state.amplitudes.reshape(shape)[halves[outcome]]
+    shape, _, _, halves = _gate_plan(n, (qubit,), ())
+    kept = amplitudes.reshape(shape)[halves[outcome]]
     prob = float(np.sum(np.abs(kept) ** 2))
     if prob < 1e-15:
         raise ZeroProbabilityError(
@@ -407,7 +382,7 @@ def postselect(state: StateVector, qubit: int, outcome: int) -> tuple[StateVecto
         )
     new = np.zeros(shape, dtype=complex)
     new[halves[outcome]] = kept / math.sqrt(prob)
-    return StateVector(state.num_qubits, new.reshape(-1), validate=False), prob
+    return new.reshape(-1), prob
 
 
 def register_matrix(values: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
@@ -417,7 +392,7 @@ def register_matrix(values: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
     probabilities. ``qubits[i]`` is bit ``i`` of the row index; the other
     qubits index the columns in ascending order, the highest varying slowest.
     """
-    n = values.shape[0].bit_length() - 1
+    n = _width(values)
     qubits = tuple(int(q) for q in qubits)
     if not qubits:
         raise ValueError("at least one qubit is required")
@@ -429,9 +404,9 @@ def register_matrix(values: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
     return values.reshape(shape).transpose(order).reshape(2 ** len(qubits), -1)
 
 
-def marginal_probabilities(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
+def marginal_probabilities(amplitudes: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
     """Outcome probabilities for a subset of qubits, indexed as in ``register_matrix``."""
-    return register_matrix(np.abs(state.amplitudes) ** 2, qubits).sum(axis=1)
+    return register_matrix(np.abs(amplitudes) ** 2, qubits).sum(axis=1)
 
 
 def sample(probabilities, shots: int, seed: int | None = None) -> np.ndarray:

@@ -336,6 +336,15 @@ def test_cli_rejects_a_malformed_problem_file(tmp_path, capsys, doc):
     assert not out.exists()
 
 
+def test_cli_rejects_a_boolean_problem_entry(tmp_path, capsys):
+    """JSON ``true`` in the matrix is no number, though Python reads it as 1."""
+    problem = tmp_path / "problem.json"
+    matrix = [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]
+    problem.write_text(json.dumps({"matrix": matrix, "vector_b": [[1, 0], [0, 0]]}))
+    assert main(["describe", "--file", str(problem)]) == 2
+    assert "real part must be a real number, not True" in capsys.readouterr().err
+
+
 def test_cli_invalid_spec_exit_code(tmp_path):
     code = main(
         ["set", "--lambdas", "0.7", "--out", str(tmp_path / "x.csv")]

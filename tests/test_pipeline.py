@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from test_preprocess import RECORDS, random_problem
-from test_sim import circuit_matrix, noisy_circuit
+from test_sim import circuit_matrix, noisy_circuit, zero_state
 
 from qlslab import pipeline, preprocess
 from qlslab.cli import PAPER_N4_EIGENVALUES, ExperimentSpec, _run_config, run_experiment
@@ -48,7 +48,6 @@ from qlslab.sim import (
     Gate,
     GateKind,
     NoiseSpec,
-    StateVector,
     apply_circuit,
     gate_report,
     inject_noise,
@@ -71,6 +70,24 @@ def test_error_from_fidelity_values():
     assert error_from_fidelity(1.0 + 1e-12) == 0.0
     with pytest.raises(ValueError):
         error_from_fidelity(1.1)
+
+
+@pytest.mark.parametrize(
+    "fidelity, error",
+    [
+        (math.nan, None), (-math.inf, None), (-0.5, None),
+        (0.0, math.sqrt(2.0)), (1.0, 0.0), (1 + 1e-10, 0.0),
+    ],
+    ids=["nan", "-inf", "-0.5", "0", "1", "1+1e-10"],
+)
+def test_error_from_fidelity_takes_fidelities_in_the_unit_interval(fidelity, error):
+    """A NaN or negative fidelity fails as one above 1 does, rather than
+    reading as a perfect solve (NaN) or as an error above sqrt(2)."""
+    if error is None:
+        with pytest.raises(ValueError, match="outside"):
+            error_from_fidelity(fidelity)
+    else:
+        assert error_from_fidelity(fidelity) == error
 
 
 def test_assemble_register_arithmetic():
@@ -127,13 +144,13 @@ def test_noiseless_runs_match_the_dense_simulation(case):
         reject()
     k = config.clock_bits
     circuit = assemble_hhl(qlsp, k, result.t0, result.plan)
-    dense = apply_circuit(StateVector.zero(circuit.num_qubits), circuit)
+    dense = apply_circuit(zero_state(circuit.num_qubits), circuit)
     closed, report = execute(qlsp, result.t0, result.plan)
-    assert np.max(np.abs(closed.reshape(-1) - dense.amplitudes)) < 1e-12
+    assert np.max(np.abs(closed.reshape(-1) - dense)) < 1e-12
     assert report == gate_report(circuit)
     nb = qlsp.num_qubits
     post, success = postselect(dense, nb + k, 1)
-    overlap = classical_solution(qlsp).state_x.conj() @ register_matrix(post.amplitudes, range(nb))
+    overlap = classical_solution(qlsp).state_x.conj() @ register_matrix(post, range(nb))
     fidelity = np.vdot(overlap, overlap).real
     assert abs(result.success_probability - success) < 1e-12
     assert abs(result.fidelity - fidelity) < 1e-12
@@ -173,7 +190,7 @@ def test_the_tail_kernel_matches_the_staged_walk(case):
             functools.partial(rotate_branches, plan),
         )
         staged = pipeline._walk(qlsp, blocks.prepared, (inversion, *blocks.uncompute), {})
-        dense = apply_circuit(StateVector.zero(circuit.num_qubits), circuit).amplitudes
+        dense = apply_circuit(zero_state(circuit.num_qubits), circuit)
         turned = tail @ qlsp.eigenvectors.T  # back to the computational basis
         assert np.max(np.abs(tail - staged)) < 1e-12
         assert np.max(np.abs(turned.reshape(-1) - dense)) < 1e-12
@@ -216,7 +233,7 @@ def test_counts_composed_per_block_match_the_whole_circuit(case):
     circuit = assemble_hhl(qlsp, plan.bit_width, t0, plan)
     branches, report = execute(qlsp, t0, plan)
     assert report == gate_report(circuit)
-    dense = apply_circuit(StateVector.zero(circuit.num_qubits), circuit).amplitudes
+    dense = apply_circuit(zero_state(circuit.num_qubits), circuit)
     assert np.max(np.abs(branches.reshape(-1) - dense)) < 1e-12
 
 
@@ -253,9 +270,9 @@ def test_the_executor_matches_the_noisy_circuit_simulated_gate_by_gate(case):
         reject()
     circuit = assemble_hhl(qlsp, config.clock_bits, result.t0, result.plan)
     executed = noisy_circuit(circuit, inject_noise(circuit, noise))
-    dense = apply_circuit(StateVector.zero(circuit.num_qubits), executed)
+    dense = apply_circuit(zero_state(circuit.num_qubits), executed)
     branches, _ = execute(qlsp, result.t0, result.plan, noise)
-    assert np.max(np.abs(branches.reshape(-1) - dense.amplitudes)) < 1e-12
+    assert np.max(np.abs(branches.reshape(-1) - dense)) < 1e-12
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -288,9 +305,9 @@ def test_paulis_in_the_prefix_alone_leave_the_rest_to_the_tail(case, p, seed):
     if not drawn:
         reject()
     executed = noisy_circuit(assemble_hhl(qlsp, config.clock_bits, t0, plan), drawn)
-    dense = apply_circuit(StateVector.zero(executed.num_qubits), executed)
+    dense = apply_circuit(zero_state(executed.num_qubits), executed)
     assert len(tails) == 1
-    assert np.max(np.abs(branches.reshape(-1) - dense.amplitudes)) < 1e-12
+    assert np.max(np.abs(branches.reshape(-1) - dense)) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -382,8 +399,8 @@ def test_only_the_stage_a_pauli_lands_in_is_simulated(monkeypatch, stage, where)
     monkeypatch.setattr(pipeline, "inject_noise", lambda solver, noise: follows)
     branches, _ = execute(qlsp, t0, plan, NoiseSpec(0.0))
     pipeline._qpe_blocks.cache_clear()
-    dense = apply_circuit(StateVector.zero(circuit.num_qubits), noisy_circuit(circuit, follows))
-    assert np.max(np.abs(branches.reshape(-1) - dense.amplitudes)) < 1e-12
+    dense = apply_circuit(zero_state(circuit.num_qubits), noisy_circuit(circuit, follows))
+    assert np.max(np.abs(branches.reshape(-1) - dense)) < 1e-12
     assert len(calls) == transforms
     assert gates == list(follows.values())  # the Pauli alone is simulated
     assert len(tails) == (stage is None or walked_prefix)
@@ -413,8 +430,8 @@ def test_a_pauli_on_a_b_qubit_matches_the_noisy_circuit(monkeypatch, stage, qubi
     follows = {after: Gate(kind, (qubit,))}
     monkeypatch.setattr(pipeline, "inject_noise", lambda solver, noise: follows)
     branches, _ = execute(qlsp, t0, plan, NoiseSpec(0.0))
-    dense = apply_circuit(StateVector.zero(circuit.num_qubits), noisy_circuit(circuit, follows))
-    assert np.max(np.abs(branches.reshape(-1) - dense.amplitudes)) < 1e-12
+    dense = apply_circuit(zero_state(circuit.num_qubits), noisy_circuit(circuit, follows))
+    assert np.max(np.abs(branches.reshape(-1) - dense)) < 1e-12
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -492,7 +509,7 @@ def _swap_reference(start, gates, register, ancilla, x):
     ``gates`` act on ``start``; the swap test's register and control sit in
     |0> above its qubits, and the whole circuit is simulated at once.
     """
-    first = start.num_qubits
+    first = start.size.bit_length() - 1
     st = tuple(range(first, first + len(register)))
     st_a = first + len(register)
     reference = Circuit(st_a + 1)
@@ -503,8 +520,8 @@ def _swap_reference(start, gates, register, ancilla, x):
         reference.add(Gate(GateKind.SWAP, (qb, qs), ((st_a, 1),)))
     reference.add(Gate(GateKind.HADAMARD, (st_a,)))
     amplitudes = np.zeros(2**reference.num_qubits, dtype=complex)
-    amplitudes[: 2**first] = start.amplitudes
-    wide = apply_circuit(StateVector(reference.num_qubits, amplitudes), reference)
+    amplitudes[: 2**first] = start
+    wide = apply_circuit(amplitudes, reference)
     return marginal_probabilities(wide, (ancilla, st_a))
 
 
@@ -523,9 +540,9 @@ def test_swap_readout_matches_full_circuit_reference():
             follows = inject_noise(circuit, NoiseSpec(0.2, noise_seed))
             assert follows  # at least one Pauli error was drawn
             executed = noisy_circuit(circuit, follows)
-            zero = StateVector.zero(executed.num_qubits)
+            zero = zero_state(executed.num_qubits)
             want = _swap_reference(zero, executed.gates, breg, ancilla, x)
-            solved = apply_circuit(zero, executed).amplitudes
+            solved = apply_circuit(zero, executed)
             got = _swap_test_probabilities(solved.reshape(2, 2**k, qlsp.dimension), x)
             assert np.max(np.abs(got - want)) < 1e-12
 
@@ -534,7 +551,7 @@ def test_swap_readout_matches_full_circuit_reference():
     branches = _flagged(np.array([1.0, 1.0]) / math.sqrt(2), ancilla_bit=1)
     got = _swap_test_probabilities(branches, x)
     assert got[0] == got[2] == 0.0
-    want = _swap_reference(StateVector(2, branches.reshape(-1)), [], (0,), 1, x)
+    want = _swap_reference(branches.reshape(-1), [], (0,), 1, x)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -550,7 +567,7 @@ def _layout_case(draw):
     if draw(st.booleans()):
         amplitudes[: size // 2] = 0.0  # the ancilla is the top qubit
     x = rng.standard_normal(2**nb) + 1j * rng.standard_normal(2**nb)
-    state = StateVector(nb + k + 1, amplitudes / np.linalg.norm(amplitudes))
+    state = amplitudes / np.linalg.norm(amplitudes)
     return state, nb, k, x / np.linalg.norm(x)
 
 
@@ -565,10 +582,10 @@ def test_readouts_read_the_branches_as_the_qubit_index_oracle(case):
     state, nb, k, x = case
     breg, ancilla, shape = tuple(range(nb)), nb + k, (2, 2**k, 2**nb)
     post, _ = postselect(state, ancilla, 1)
-    overlap = x.conj() @ register_matrix(post.amplitudes, breg)
-    got = projection_fidelity(post.amplitudes.reshape(shape), x)
+    overlap = x.conj() @ register_matrix(post, breg)
+    got = projection_fidelity(post.reshape(shape), x)
     assert abs(got - np.vdot(overlap, overlap).real) < 1e-12
-    branches = state.amplitudes.reshape(shape)
+    branches = state.reshape(shape)
     want = _swap_reference(state, [], breg, ancilla, x)
     assert np.max(np.abs(_swap_test_probabilities(branches, x) - want)) < 1e-12
     counts = sample(marginal_probabilities(state, (ancilla, *breg)), 4096, 5)[1::2]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_sim import circuit_matrix
+from test_sim import circuit_matrix, zero_state
 
 from qlslab import preprocess
 from qlslab.errors import AliasingError, CapacityError, EmptyEstimateError, QlsLabError
@@ -33,7 +33,6 @@ from qlslab.qlsp import QLSP, generate_n2, generate_n4, hermitian_dilation
 from qlslab.sim import (
     MAX_QUBITS,
     Circuit,
-    StateVector,
     apply_circuit,
     inverted_gates,
     marginal_probabilities,
@@ -114,7 +113,7 @@ def test_qpe_zero_time_all_zero_bitstring():
 def _dense_qpe_state(qlsp, bits, t0):
     """The preprocessing circuit simulated gate by gate."""
     circuit = build_qpe_circuit(qlsp, bits, t0)
-    return apply_circuit(StateVector.zero(circuit.num_qubits), circuit)
+    return apply_circuit(zero_state(circuit.num_qubits), circuit)
 
 
 @st.composite
@@ -155,10 +154,10 @@ def test_qpe_amplitudes_match_dense_simulation(case):
     qlsp, bits, t0 = case
     closed = qpe_amplitudes(qlsp, bits, t0)
     dense = _dense_qpe_state(qlsp, bits, t0)
-    assert dense.num_qubits == qlsp.num_qubits + bits
+    assert dense.shape == (2 ** (qlsp.num_qubits + bits),)
     assert closed.shape == (2**bits, qlsp.dimension) and closed.flags.c_contiguous
     turned = closed @ qlsp.eigenvectors.T  # back to b's computational basis
-    assert np.max(np.abs(turned.reshape(-1) - dense.amplitudes)) < 1e-12
+    assert np.max(np.abs(turned.reshape(-1) - dense)) < 1e-12
 
 
 @pytest.mark.parametrize("bits", range(1, preprocess._DENSE_BITS + 3))
@@ -274,11 +273,11 @@ def test_every_record_runs_every_range_of_its_gates(bits, dimension, signed, see
     for record in (*prefix[1:], inversion, *uncompute):
         size = len(record.gates)
         for start in range(size):
-            simulated = StateVector(width, state.reshape(-1), validate=False)
+            simulated = state.reshape(-1)
             for stop in range(start + 1, size + 1):
                 simulated = apply_circuit(simulated, Circuit(width).add(record.gates[stop - 1]))
                 image = record.run(eigen, start, stop) @ vectors.T
-                assert np.max(np.abs(image.reshape(-1) - simulated.amplitudes)) < 1e-12
+                assert np.max(np.abs(image.reshape(-1) - simulated)) < 1e-12
 
 
 def test_the_whole_adjoint_ladder_runs_its_records_table(monkeypatch):

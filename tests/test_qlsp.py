@@ -318,10 +318,13 @@ def test_json_round_trip():
         ({**IDENTITY_DOC, "scale": INF}, "scale must be finite and positive"),
         ({**IDENTITY_DOC, "scale": True}, "scale a number"),
         ({**IDENTITY_DOC, "scale": "2"}, "scale a number"),
+        ({**IDENTITY_DOC, "matrix": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]}, "real part must be a real number, not True"),
+        ({**IDENTITY_DOC, "vector_b": [[1, 0], [0, False]]}, "imaginary part must be a real number, not False"),
     ],
     ids=[
         "not-an-object", "no-vector", "not-pairs", "string-entry", "null-scale",
         "nan-scale", "negative-scale", "infinite-scale", "bool-scale", "string-scale",
+        "bool-matrix-entry", "bool-vector-entry",
     ],
 )
 def test_from_json_rejects_malformed_documents(doc, message):
