@@ -41,9 +41,12 @@ block by block: the cached counts of the prefix and the uncompute and the
 inversion block's in closed form, r gates and depth r for r rotations,
 each spanning the clock and the ancilla, so that depths add too.
 Consecutive runs on one problem share its prepared state, stage records,
-prefix state, block counts and iterative t0 search through one-slot memos
-(``prepare_b``, ``_qpe_blocks``, ``_searched_t0``), and canonical runs at
-one t0 share one plan (``plan_canonical``) with its inversion gates.
+prefix state, block counts, iterative t0 search and the closed form of
+prepare b + QPE at one scale through one-slot memos (``prepare_b``,
+``_qpe_blocks``, ``_searched_t0``, ``preprocess.qpe_amplitudes``), and its
+classical solution, which is kept on the problem. Canonical runs at one t0
+share one plan (``plan_canonical``) with its inversion gates, and every
+plan on one clock layout shares that layout's check (``inversion._layout``).
 
 Fidelity semantics: each readout returns the value a run reports as its
 fidelity, and the run derives its error through ``error_from_fidelity``

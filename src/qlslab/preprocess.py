@@ -11,22 +11,28 @@ of its gates in closed form; ``pipeline`` walks them where noise lands.
 
 ``qpe_amplitudes`` and ``clock_qft`` run a whole clock Fourier transform as
 a product with one cached dense factor (``_fourier``) on clocks of up to
-``_DENSE_BITS`` bits, and through ``np.fft`` on wider clocks.
+``_DENSE_BITS`` bits, and through ``np.fft`` on wider clocks. At one scale,
+``qpe_amplitudes`` keeps its read-only result in a one-slot memo keyed on
+the problem by identity, the width and the scale: a hybrid run preprocesses
+at the (k, t0) of the solver's prefix, which ``pipeline._qpe_blocks`` reads
+on the same problem one run earlier or right after.
 
 The time scale ``t0`` maps an eigenvalue ``lam`` to the clock-grid coordinate
 ``lam * t0 / (2 pi)``; adjacent grid points are one coordinate unit (a phase
 distance of 2 pi) apart, and an ``l``-bit register resolves integers in
 ``[0, 2**l)``. Signed problems decode the upper half of the grid as two's
 complement. One owner states each rule of the grid: ``grid_range`` its
-decoded range, ``decode_grid_int`` the decode, and ``_ranked`` the ranking of
-a distribution's kept bins, which ``estimates_from_probabilities`` wraps in
-estimates.
+decoded range, ``decode_grid_int`` the decode (``_decoded`` without its
+checks, also of an array), and ``_ranked`` the ranking of a distribution's
+kept bins. ``estimates_from_probabilities`` decodes the ranked bins as one
+array and builds one estimate per bin, with no per-bin check.
 
 The time-scale search ``iterative_t0`` computes its probes in three batched
 passes of the same closed form (the doubling ladder, the fine-grid probe,
 and the placement and verification probes), each a table of clock
 distributions; ``_branch`` reads each row the search needs through
-``_ranked``, and no other row is ranked.
+``_ranked``, which ranks only the bins that can be strong, and no other row
+is ranked.
 """
 from __future__ import annotations
 
@@ -110,7 +116,15 @@ def decode_grid_int(grid_int: int, bit_width: int, signed_mode: bool) -> int:
     check_count("grid_int", grid_int, 0)
     if grid_int > highest - lowest:
         raise ValueError(f"grid_int {grid_int} does not fit in {bit_width} bit(s)")
-    return grid_int - (highest - lowest + 1) if grid_int > highest else grid_int
+    return _decoded(grid_int, lowest, highest)
+
+
+def _decoded(grid, lowest: int, highest: int):
+    """``decode_grid_int`` without its checks, of one raw grid value or an
+    int array of them, on the grid whose decoded range ``grid_range`` gives
+    as (lowest, highest): a raw value above ``highest`` stands for itself
+    minus the grid size."""
+    return grid - (highest - lowest + 1) * (grid > highest)
 
 
 @functools.lru_cache(maxsize=16)
@@ -212,17 +226,37 @@ def qpe_amplitudes(qlsp: QLSP, bit_width: int, t0) -> np.ndarray:
     entry [m, j] is beta_j c_j[m]. One unitary Fourier transform over x gives
     every c_j: the cached dense factor ``_fourier`` up to ``_DENSE_BITS``
     clock bits, ``np.fft.fft`` above.
+
+    At one scale the result is read-only and kept in a one-slot memo keyed
+    on the problem by identity (``QLSP`` is immutable), the width and
+    ``float(t0)``; a batch of scales is computed on each call. Every check
+    runs before the memo is read.
     """
     check_count("bit_width", bit_width, 1)
     if np.ndim(t0) == 0:
         check_real("t0", t0)
-    scales = np.asarray(t0, dtype=float)[..., None]  # [..., 1]
+    scales = np.asarray(t0, dtype=float)
     for scale in scales.ravel().tolist():
         if not math.isfinite(scale):
             raise ValueError(f"t0 must be finite, not {scale}")
     check_capacity(qlsp.num_qubits + bit_width)  # before anything is allocated
+    if scales.ndim:
+        return _qpe_closed_form(qlsp, bit_width, scales)
+    return _qpe_at(qlsp, int(bit_width), float(t0))
+
+
+@functools.lru_cache(maxsize=1)
+def _qpe_at(qlsp: QLSP, bit_width: int, t0: float) -> np.ndarray:
+    """``qpe_amplitudes`` at one checked scale, read-only."""
+    amplitudes = _qpe_closed_form(qlsp, bit_width, np.asarray(t0))
+    amplitudes.setflags(write=False)
+    return amplitudes
+
+
+def _qpe_closed_form(qlsp: QLSP, bit_width: int, scales: np.ndarray) -> np.ndarray:
+    """``qpe_amplitudes`` at the checked float ``scales``, a 0-d or n-d array."""
     big_t = 2**bit_width
-    rates = scales / big_t * qlsp.eigenvalues
+    rates = scales[..., None] / big_t * qlsp.eigenvalues
     phases = np.exp(1j * (np.arange(big_t)[:, None] * rates[..., None, :]))  # [..., x, j]
     if bit_width <= _DENSE_BITS:
         clock = _fourier(bit_width, False) @ phases
@@ -434,19 +468,32 @@ def _weights(probabilities: np.ndarray) -> np.ndarray:
     return np.sqrt(probabilities)
 
 
-def _ranked(weights: np.ndarray, bit_width: int) -> list[tuple[int, float]]:
-    """The kept ``(grid value, weight)`` entries of one distribution's amplitude
-    ``weights``, heaviest first. A bin is kept when its weight reaches the
-    fixed relevance threshold ``2**-bit_width``; no kept bin raises
-    ``EmptyEstimateError``."""
-    kept = (weights >= 2.0**-bit_width).nonzero()[0]
+def _ranked(
+    weights: np.ndarray, bit_width: int, floor: float = 0.0
+) -> tuple[list[int], list[float]]:
+    """The grid values and the weights of one distribution's kept bins,
+    heaviest first, given its amplitude ``weights``. A bin is kept when its
+    weight reaches the fixed relevance threshold ``2**-bit_width`` and
+    ``floor``; no kept bin raises ``EmptyEstimateError``."""
+    kept = (weights >= max(2.0**-bit_width, floor)).nonzero()[0]
     if not kept.size:
         raise EmptyEstimateError("no estimate reached the relevance threshold")
     # weights equal in exact arithmetic can differ in the last bits: rank on
     # 12 decimals, and the stable sort sends such ties to the smaller grid value
-    entries = list(zip(kept.tolist(), weights[kept].tolist()))
-    entries.sort(key=lambda entry: -round(entry[1], 12))
-    return entries
+    grid, values = kept.tolist(), weights[kept].tolist()
+    keys = [-round(w, 12) for w in values]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [grid[i] for i in order], [values[i] for i in order]
+
+
+def _estimate(grid_int: int, lambda_tilde: float, weight: float) -> EigenEstimate:
+    """``EigenEstimate(grid_int, lambda_tilde, weight)`` without the frozen
+    ``__init__``, which only assigns the three fields one
+    ``object.__setattr__`` at a time."""
+    estimate = object.__new__(EigenEstimate)
+    fields = estimate.__dict__
+    fields["grid_int"], fields["lambda_tilde"], fields["weight"] = grid_int, lambda_tilde, weight
+    return estimate
 
 
 def estimates_from_probabilities(
@@ -456,8 +503,9 @@ def estimates_from_probabilities(
 
     Weights are amplitudes, the square roots of the bin probabilities; the
     kept bins, ranked by ``_ranked``, become the estimates, and bins below
-    its threshold are dropped before any per-bin work. A negative
-    probability raises ``ValueError``.
+    its threshold are dropped before any per-bin work. The kept bins are
+    decoded as arrays, so each estimate costs its ranking key and its
+    construction alone. A negative probability raises ``ValueError``.
     """
     check_count("bit_width", bit_width, 1)
     check_positive("time_scale", time_scale)
@@ -465,10 +513,9 @@ def estimates_from_probabilities(
     if probabilities.shape != (2**bit_width,):
         raise ValueError("probability vector does not match the bit width")
     scale = float(time_scale)
-    entries = tuple(
-        EigenEstimate(g, TWO_PI * decode_grid_int(g, bit_width, signed_mode) / scale, w)
-        for g, w in _ranked(_weights(probabilities), bit_width)
-    )
+    grid, ranked = _ranked(_weights(probabilities), bit_width)  # each value fits the width
+    lambdas = TWO_PI * _decoded(np.array(grid), *grid_range(bit_width, signed_mode)) / scale
+    entries = tuple(map(_estimate, grid, lambdas.tolist(), ranked))
     return EigenEstimateSet(bit_width, scale, bool(signed_mode), entries)
 
 
@@ -524,11 +571,13 @@ def _branch(weights: np.ndarray, bit_width: int, signed: bool) -> tuple[int, int
     value|, and the dominant value the first strong entry, in rank order,
     whose magnitude is the peak.
     """
-    entries = _ranked(weights, bit_width)
-    top, heaviest = entries[0]
-    strong = [decode_grid_int(g, bit_width, signed) for g, w in entries if w >= 0.5 * heaviest]
-    peak = max(abs(d) for d in strong)
-    return top, peak, next(d for d in strong if abs(d) == peak)
+    # the ranked top lies within 1e-11 of the heaviest weight, so no strong
+    # entry falls below half of that less 1e-11, and nothing lighter is ranked
+    grid, ranked = _ranked(weights, bit_width, 0.5 * (weights.max() - 1e-11))
+    lowest, highest = grid_range(bit_width, signed)
+    strong = [_decoded(g, lowest, highest) for g, w in zip(grid, ranked) if w >= 0.5 * ranked[0]]
+    peak = max(map(abs, strong))
+    return grid[0], peak, next(d for d in strong if abs(d) == peak)
 
 
 def _dominant_coordinate(weights: np.ndarray, dominant: int) -> float:

@@ -162,12 +162,18 @@ def hermitian_dilation(a, b) -> QLSP:
 
 
 def classical_solution(qlsp: QLSP) -> ClassicalSolution:
-    """Exact normalized solution built from the cached spectrum."""
-    raw = qlsp.eigenvectors @ (qlsp.projections / qlsp.eigenvalues)
-    raw_norm = math.sqrt(np.vdot(raw, raw).real)
-    state = raw / raw_norm
-    state.setflags(write=False)
-    return ClassicalSolution(state, raw_norm)
+    """Exact normalized solution built from the cached spectrum.
+
+    The problem is immutable, so the solution is computed on the first call
+    and kept on the problem, as its spectrum is; later calls return it."""
+    solution = qlsp.__dict__.get("_solution")
+    if solution is None:
+        raw = qlsp.eigenvectors @ (qlsp.projections / qlsp.eigenvalues)
+        raw_norm = math.sqrt(np.vdot(raw, raw).real)
+        state = raw / raw_norm
+        state.setflags(write=False)
+        solution = qlsp.__dict__["_solution"] = ClassicalSolution(state, raw_norm)
+    return solution
 
 
 def generate_n2(lambda_param: float) -> QLSP:

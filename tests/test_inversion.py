@@ -1,4 +1,5 @@
 """Inversion-plan tests: overlap models, plan builders, circuits."""
+import dataclasses
 import math
 import re
 
@@ -275,27 +276,38 @@ def test_inversion_gates_are_the_per_rotation_gates(case):
 )
 @pytest.mark.parametrize("rotations", [((1, 0.5), (2, -0.1)), ()], ids=["two", "none"])
 def test_a_bad_layout_raises_and_caches_nothing(rotations, clock, ancilla, message):
-    """A plan with no rotations checks its layout as well."""
+    """A plan with no rotations checks its layout as well, and a layout that
+    fails its check is kept neither in the layout cache nor on the plan."""
     plan = InversionPlan(2, rotations, 1.0)
+    inversion._layout.cache_clear()
     for _ in range(2):
         with pytest.raises(InvalidGateError, match=message):
             build_inversion_circuit(plan, clock, ancilla)
         assert plan._layouts == {}
+        assert inversion._layout.cache_info().currsize == 0
 
 
-def test_a_layout_costs_one_gate_check(monkeypatch):
-    """The 127-rotation canonical block at k = 7 checks one ``Gate``, on its
-    layout's qubits, when it is built and none when it is taken from the plan."""
+def test_a_layout_costs_one_gate_check_across_plans(monkeypatch):
+    """Each (clock, ancilla) layout checks one ``Gate``, on its qubits, when the
+    first plan is built on it, and none when any other plan is built on it
+    or a plan's gates are taken from the plan."""
+    inversion._layout.cache_clear()
     canonical = plan_canonical(7, 10.0)
-    plan = InversionPlan(7, canonical.rotations, canonical.constant_c)  # no layout yet
+    wide = InversionPlan(7, canonical.rotations, canonical.constant_c)  # no layout yet
+    narrow = InversionPlan(7, canonical.rotations[::25], 1.0)
     checks = []
     check = Gate.__post_init__
     monkeypatch.setattr(Gate, "__post_init__", lambda gate: checks.append(gate) or check(gate))
-    first = build_inversion_circuit(plan, range(1, 8), 0)
+    first = build_inversion_circuit(wide, range(1, 8), 0)
     assert len(first) == 127 and len(checks) == 1
     assert all(gate.qubits() == checks[0].qubits() for gate in first.gates)
-    second = build_inversion_circuit(plan, range(1, 8), 0)
-    assert second.gates == first.gates and len(checks) == 1
+    other = build_inversion_circuit(narrow, range(1, 8), 0)
+    assert len(other) == 6 and len(checks) == 1
+    assert all(gate.qubits() == checks[0].qubits() for gate in other.gates)
+    again = build_inversion_circuit(wide, range(1, 8), 0)
+    assert again.gates == first.gates and len(checks) == 1
+    build_inversion_circuit(narrow, range(2, 9), 0)  # a second layout
+    assert len(checks) == 2 and checks[1].qubits() == (0, 2, 3, 4, 5, 6, 7, 8)
 
 
 @settings(derandomize=True, deadline=None)
@@ -360,6 +372,46 @@ def test_hybrid_rejects_a_cap_it_cannot_honour(cap):
 def test_hybrid_empty_plan():
     with pytest.raises(EmptyPlanError):
         plan_hybrid(_estimates(3, 6.0, [(0, 0.9)]))
+
+
+_GOOD_ENTRIES = ((12, 0.7), (24, 0.6), (13, 0.2))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("lambda_tilde", 0.0),
+        ("lambda_tilde", math.inf),
+        ("lambda_tilde", -math.inf),
+        ("lambda_tilde", math.nan),
+        ("weight", math.nan),
+        ("weight", math.inf),
+        ("weight", -1.0),
+    ],
+)
+@pytest.mark.parametrize(
+    "planner",
+    [lambda e: plan_hybrid(e, max_rotations=1), lambda e: plan_enhanced(e, 3)],
+    ids=["hybrid", "enhanced"],
+)
+def test_planners_reject_a_bad_estimate(planner, field, value):
+    """A zero lambda raised ``ZeroDivisionError`` in the hybrid planner, a NaN
+    lambda ``EmptyPlanError`` in the enhanced one, and a NaN or negative
+    weight went into a plan; each is a ``ValueError`` naming the field, also
+    when the bad estimate lies past the hybrid planner's cap."""
+    estimates = _estimates(5, 72 * math.pi, _GOOD_ENTRIES)
+    planner(estimates)  # the set is good as it is
+    bad = dataclasses.replace(estimates.entries[-1], **{field: value})
+    estimates = dataclasses.replace(estimates, entries=(*estimates.entries[:-1], bad))
+    with pytest.raises(ValueError, match=field):
+        planner(estimates)
+
+
+@pytest.mark.parametrize("grid_int", [-1, 32, 12.0, True])
+def test_enhanced_rejects_a_grid_value_off_the_fine_grid(grid_int):
+    entries = (*_estimates(5, 72 * math.pi, _GOOD_ENTRIES).entries, EigenEstimate(grid_int, 1.0, 0.5))
+    with pytest.raises(ValueError, match="grid_int"):
+        plan_enhanced(EigenEstimateSet(5, 72 * math.pi, False, entries), 3)
 
 
 def test_enhanced_grid_aligned_matches_hybrid():
@@ -448,6 +500,146 @@ def test_enhanced_least_squares_never_clamps_on_sweep():
         plan = plan_enhanced(estimates, 3)
         assert plan.clamp_events == 0
         assert max(abs(theta) for _, theta in plan.rotations) == math.pi
+
+
+def _alpha_by_formula(delta, model, big_t):
+    """The overlap rule as ``alpha_overlap`` stated it on one float, with ``math``."""
+    if model == "linear":
+        return max(0.0, 1.0 - delta / TWO_PI)
+    t = float(big_t)
+    half = math.sin(math.pi / (2.0 * t))
+    if abs(delta - math.pi) < 1e-9:
+        return 0.5 * t * half
+    num = abs(math.cos(delta / (2.0 * t)) * math.cos(delta / 2.0))
+    den = abs(math.sin((delta + math.pi) / (2.0 * t)) * math.sin((delta - math.pi) / (2.0 * t)))
+    return half * half * num / den
+
+
+@pytest.mark.parametrize("model", ["linear", "exact"])
+def test_alpha_overlap_takes_arrays_elementwise(model):
+    """On an array ``alpha_overlap`` is the one-float rule of each entry: bit
+    for bit in the linear model, and within 1 ulp in the exact model, where
+    ``np.cos`` and ``np.sin`` replace ``math.cos`` and ``math.sin``."""
+    deltas = np.concatenate([np.linspace(0.0, 3 * TWO_PI, 301), [math.pi, math.pi + 1e-10, TWO_PI]])
+    for big_t in (2, 8, 128):
+        values = alpha_overlap(deltas, model, big_t)
+        expected = np.array([_alpha_by_formula(d, model, big_t) for d in deltas.tolist()])
+        assert values.shape == deltas.shape
+        if model == "linear":
+            assert values.tolist() == expected.tolist()
+        else:
+            assert (np.abs(values - expected) <= np.spacing(expected)).all()
+    for bad in ([0.1, math.nan], [0.1, -0.1], [[math.inf]]):
+        with pytest.raises(ValueError, match="delta must be finite and non-negative"):
+            alpha_overlap(np.array(bad), model, 8)
+
+
+def _in_order(values):
+    """The sum of ``values`` added one after another, as ``sum`` adds floats
+    up to CPython 3.11 (3.12 compensates its float sums)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _plan_enhanced_by_loop(estimates, bit_width, angle_policy="least-squares", alpha_model="linear"):
+    """Reference: the enhanced planner as a loop over the estimates and their
+    two neighbours, with per-pattern lists of contributions summed in order."""
+    signed = estimates.signed_mode
+    lo_bound, hi_bound = inversion.grid_range(bit_width, signed)
+    k, l = int(bit_width), estimates.bit_width
+    stride = 2 ** (l - k)
+    big_t = 2**k
+    entries = [e for e in estimates.entries if e.grid_int != 0]
+    if not entries:
+        raise EmptyPlanError("no relevant nonzero estimate to enhance")
+    terms = {}
+    for e in entries:
+        coord = decode_grid_int(e.grid_int, l, signed) / stride
+        k_lo = math.floor(coord)
+        for g in (k_lo, k_lo + 1):
+            if g == 0 or g < lo_bound or g > hi_bound:
+                continue
+            delta = TWO_PI * abs(coord - g)
+            alpha = float(alpha_overlap(delta, alpha_model, big_t))
+            if alpha <= 0.0:
+                continue
+            terms.setdefault(g, []).append((alpha * e.weight, e.lambda_tilde))
+    if not terms:
+        raise EmptyPlanError("every candidate rotation fell outside the clock grid")
+    sums = {g: _in_order(ab / lam for ab, lam in contribs) for g, contribs in terms.items()}
+    kept = [g for g in terms if abs(sums[g]) >= 2.0**-k]
+    if not kept:
+        raise EmptyPlanError("every rotation fell below the relevance filter")
+    if angle_policy == "least-squares":
+        xbar = {
+            g % 2**k: _in_order(ab**2 / lam for ab, lam in terms[g])
+            / _in_order(ab**2 for ab, _ in terms[g])
+            for g in kept
+        }
+        return inversion._plan(k, xbar)
+    arguments = {g % 2**k: 2.0 * sums[g] / len(terms[g]) for g in kept}
+    rotations = sorted(
+        (m, math.asin(math.copysign(min(abs(z), 1.0), z))) for m, z in arguments.items()
+    )
+    clamp_events = sum(abs(z) > 1.0 for z in arguments.values())
+    constant = min(abs(e.lambda_tilde) for e in entries)
+    return InversionPlan(k, tuple(rotations), float(constant), clamp_events)
+
+
+def _random_estimates(rng, k, l, signed):
+    """An estimate set on an ``l``-bit grid: distinct raw grid values drawn
+    from a window four coarse steps wide, so that several estimates share a
+    neighbour, in any order, with random weights in [0, 1] (now and then 0,
+    tiny or 2^-k) and the lambdas their grid values decode to, now and then
+    rescaled."""
+    size = 2**l
+    t0 = float(rng.uniform(1.0, 200.0))
+    window = np.arange(min(size, 4 * 2 ** (l - k))) + int(rng.integers(0, size))
+    grid = rng.choice(window, int(rng.integers(1, window.size + 1)), replace=False) % size
+    entries = []
+    for g in grid.tolist():
+        lam = TWO_PI * decode_grid_int(g, l, signed) / t0
+        if rng.random() < 0.2:
+            lam *= rng.uniform(0.5, 2.0)
+        weight = float(rng.random())
+        if rng.random() < 0.1:
+            weight = float(rng.choice([0.0, 1e-300, 2.0**-k]))
+        entries.append(EigenEstimate(g, lam, weight))
+    return EigenEstimateSet(l, 2 ** (l - k) * t0, signed, tuple(entries))
+
+
+def _plan_outcome(planner, estimates, k, policy, model):
+    """The plan's patterns, angle and constant bits and clamp count, or the
+    error raised."""
+    try:
+        plan = planner(estimates, k, policy, model)
+    except (EmptyPlanError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    angles = [(m, float.hex(theta)) for m, theta in plan.rotations]
+    return angles, float.hex(plan.constant_c), plan.clamp_events
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(
+    k=st.integers(1, 4),
+    gap=st.integers(1, 3),
+    signed=st.booleans(),
+    policy=st.sampled_from(["least-squares", "paper"]),
+    model=st.sampled_from(["linear", "exact"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_enhanced_plan_matches_the_per_entry_loop(k, gap, signed, policy, model, seed):
+    """The array planner equals the loop bit for bit on ten random estimate
+    sets per example, with either policy and alpha model: both read the same
+    ``alpha_overlap``, and ``np.bincount`` adds each pattern's contributions
+    one after another in the loop's order. About 1 set in 600 tells the
+    loop's squares ``ab**2`` from numpy's ``ab * ab``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        case = (_random_estimates(rng, k, k + gap, signed), k, policy, model)
+        assert _plan_outcome(plan_enhanced, *case) == _plan_outcome(_plan_enhanced_by_loop, *case)
 
 
 def test_build_inversion_circuit_counts():

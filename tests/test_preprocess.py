@@ -622,6 +622,61 @@ def test_estimates_reject_a_non_finite_time_scale(time_scale):
         run_preprocessing(generate_n2(0.1), 3, time_scale)
 
 
+def test_qpe_amplitudes_keep_one_read_only_slot_per_scale():
+    """One scale's amplitudes come from a one-slot memo keyed on the problem by
+    identity, the width and ``float(t0)``: equal to an uncached computation,
+    read-only, and replaced by the next key."""
+    preprocess._qpe_at.cache_clear()
+    qlsp = generate_n2(0.3)
+    first = qpe_amplitudes(qlsp, 3, 10.0)
+    assert np.array_equal(first, preprocess._qpe_at.__wrapped__(qlsp, 3, 10.0))
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[...] = 0
+    assert qpe_amplitudes(qlsp, 3, 10.0) is first
+    assert qpe_amplitudes(qlsp, np.int64(3), np.float64(10.0)) is first
+    assert qpe_amplitudes(qlsp, 3, 10) is first  # an int scale is its float
+    assert preprocess._qpe_at.cache_info().currsize == 1
+    assert qpe_amplitudes(generate_n2(0.3), 3, 10.0) is not first  # another problem
+    assert qpe_amplitudes(qlsp, 3, 10.0) is not first  # the slot held the other one
+    for key in [(qlsp, 4, 10.0), (qlsp, 3, 10.5)]:
+        assert qpe_amplitudes(*key) is qpe_amplitudes(*key)
+        assert preprocess._qpe_at.cache_info().currsize == 1
+
+
+def test_qpe_amplitudes_at_a_batch_of_scales_bypass_the_memo():
+    preprocess._qpe_at.cache_clear()
+    qlsp = generate_n2(0.3)
+    slot = qpe_amplitudes(qlsp, 3, 10.0)
+    before = preprocess._qpe_at.cache_info()
+    table = qpe_amplitudes(qlsp, 3, [10.0, 11.0])
+    assert preprocess._qpe_at.cache_info() == before
+    assert table.flags.writeable
+    assert np.array_equal(table[0], slot)
+    assert qpe_amplitudes(qlsp, 3, 10.0) is slot
+
+
+@pytest.mark.parametrize(
+    "bit_width, t0, error",
+    [
+        (3, math.nan, "t0 must be finite"),
+        (3, math.inf, "t0 must be finite"),
+        (3, True, "t0 must be a real number"),
+        (3, "10.0", "t0 must be a real number"),
+        (0, 10.0, "bit_width"),
+        (3.0, 10.0, "bit_width"),
+    ],
+)
+def test_a_bad_scale_raises_on_a_warm_slot(bit_width, t0, error):
+    """Every check runs before the memo is read."""
+    qlsp = generate_n2(0.3)
+    qpe_amplitudes(qlsp, 3, 10.0)
+    with pytest.raises(ValueError, match=error):
+        qpe_amplitudes(qlsp, bit_width, t0)
+    with pytest.raises(CapacityError):
+        qpe_amplitudes(qlsp, MAX_QUBITS, 10.0)
+
+
 @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
 def test_qpe_kernel_rejects_a_non_finite_scale_in_a_batch(t0):
     with pytest.raises(ValueError, match="t0 must be finite"):

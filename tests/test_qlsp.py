@@ -92,6 +92,20 @@ def test_classical_solution_solves_system():
         assert np.max(np.abs(qlsp.matrix_a @ (sol.raw_norm * sol.state_x) - qlsp.vector_b)) < 1e-8
 
 
+def test_classical_solution_is_computed_once_per_problem():
+    """The problem is immutable, so its solution is kept on it: two calls on
+    one problem return one object, with a read-only state, and an equal
+    problem computes its own."""
+    qlsp = generate_n2(0.3)
+    first = classical_solution(qlsp)
+    assert classical_solution(qlsp) is first
+    assert not first.state_x.flags.writeable
+    other = classical_solution(generate_n2(0.3))
+    assert other is not first and np.array_equal(other.state_x, first.state_x)
+    with pytest.raises(AttributeError, match="immutable"):
+        qlsp._solution = None
+
+
 def test_dilation_block_structure():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     qlsp = hermitian_dilation(a, [1.0, 0.0])
